@@ -10,7 +10,8 @@ run.meta sidecar excluded from determinism comparisons.  Exit codes:
 
 Configurations can also be given as files (--config): either JSON or
 line-based key=value (# comments allowed); unknown keys are rejected.
-The schema is documented in docs/config_schema.md.
+The accepted keys per command are those of _ALLOWED_KEYS in this module;
+`firstreturn <command> --help` lists the matching options.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .space import (
     parse_point,
 )
 
-ARTIFACT_VERSION = "1"
+ARTIFACT_VERSION = "2"
 
 
 class ConfigError(ValueError):
@@ -162,8 +163,8 @@ def _ebc1_cover(name: str) -> Tuple[ebc1.ClosedCover, List[recover.FunctionOracl
 # ---------------------------------------------------------------------------
 
 _ALLOWED_KEYS = {
-    "recover": {"command", "space", "dense", "fn", "alpha", "mode", "horizon",
-                "window", "points", "max_points"},
+    "recover": {"command", "dense", "fn", "alpha", "mode", "horizon", "window",
+                "points", "max_points"},
     "build-dense": {"command", "family", "m_budget", "stages", "check_points",
                     "horizon"},
     "rank": {"command", "n", "A", "B", "diff"},
@@ -284,6 +285,8 @@ def _run_rank(cfg: dict, out_dir: Path) -> int:
         B = algebra.parse_atoms(str(cfg["B"]))
     except KeyError as missing:
         raise ConfigError(f"rank needs {missing}") from None
+    except ValueError as exc:
+        raise ConfigError(f"rank: {exc}") from None
     try:
         res = rank.rank_LAB(algebra, A, B)
     except rank.NotDisjoint:
@@ -294,8 +297,6 @@ def _run_rank(cfg: dict, out_dir: Path) -> int:
         "B": algebra.format_atoms(B),
         "beta_min": res.beta,
         "witness_chain": [algebra.format_atoms(g) for g in res.chain.sets],
-        "greedy_beta": res.greedy_beta,
-        "greedy_mismatch": res.greedy_mismatch,
     }
     if cfg.get("diff") in (True, "true", "1"):
         if (A | B) != algebra.full:
@@ -446,7 +447,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     sp = sub.add_parser("recover", help="recover a function along a dense sequence")
     _add_common(sp)
-    sp.add_argument("--space", default=CANTOR)
     sp.add_argument("--dense", default="prop25")
     sp.add_argument("--fn", default="")
     sp.add_argument("--alpha")
@@ -506,7 +506,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for key, value in vars(args).items():
         if key in skip or value in (None, False):
             continue
-        cfg[key.replace("_", "-") if key == "build_dense" else key] = value
+        cfg[key] = value
     out_dir = Path(args.out) if args.out else Path(f"artifacts-{args.command}")
     try:
         code = run_config(cfg, out_dir)

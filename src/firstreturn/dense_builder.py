@@ -399,12 +399,12 @@ def approximates_check(dense: DenseSequence, F: ClosedSet,
             "clean": clean, "total": len(per_point)}
 
 
-def closed_family_from_function(oracle, budget: int = 16) -> List[ClosedSet]:
+def closed_family_from_function(oracle) -> List[ClosedSet]:
     """Flatten a function's declared closed preimage decomposition.
 
     Every gallery function carries, per value y of its (discrete or finite
     rational) range, a list of closed pieces whose union is f^{-1}({y}).
-    The flattening is truncated to the budget with an explicit marker.
+    The pieces come value by value, values in string order; none is dropped.
     """
     if getattr(oracle, "decomposition", None) is None:
         raise ValueError(f"unknown function spec: {getattr(oracle, 'fid', oracle)!r} "
@@ -412,6 +412,4 @@ def closed_family_from_function(oracle, budget: int = 16) -> List[ClosedSet]:
     pieces: List[ClosedSet] = []
     for value in sorted(oracle.decomposition, key=str):
         pieces.extend(oracle.decomposition[value])
-    if len(pieces) > budget:
-        return pieces[:budget]
     return pieces

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .dense_builder import ClosedSet
+from .dense_builder import ClosedSet, closed_family_from_function
 from .recover import DISCRETE, FunctionOracle
 from .space import Dist, PointCode, dist
 
@@ -110,10 +110,7 @@ def cover_from_function(f: FunctionOracle, eps: Fraction,
     diameter zero, hence below eps by construction."""
     if f.decomposition is None:
         raise CoverViolation(f"missing decomposition for {f.fid}")
-    pieces: List[ClosedSet] = []
-    for value in sorted(f.decomposition, key=str):
-        pieces.extend(f.decomposition[value])
-    return ClosedCover(Fraction(eps), pieces, space)
+    return ClosedCover(Fraction(eps), closed_family_from_function(f), space)
 
 
 def piece_image_diameter(f: FunctionOracle, piece: ClosedSet,

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iter_product
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -98,13 +99,15 @@ def pf_decomposition(p: WordPoint) -> Tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def primes(count: int) -> List[int]:
+@lru_cache(maxsize=None)
+def primes(count: int) -> Tuple[int, ...]:
+    """The first `count` primes; cached, since phi_encode asks per word."""
     out, n = [], 2
     while len(out) < count:
         if all(n % p for p in out if p * p <= n):
             out.append(n)
         n += 1
-    return out
+    return tuple(out)
 
 
 def phi_encode(word: Sequence[int]) -> int:

@@ -13,22 +13,22 @@ operations (limit clauses are vacuous here).
 Atom sets travel as bit masks; the CLI syntax is a bit string over atoms
 in lexicographic word order ("1000" at n=2 is {00}).
 
-Three routes to L(A, B) coexist deliberately: a memoized DP over maximal
-moves, a brute-force enumeration of strictly increasing chains, and a
-greedy peeling.  The DP rests on a domination argument (enlarging any
-chain entry preserves validity, so only the two maximal moves matter); the
-brute-force enumerator shares none of that reasoning and is the oracle the
-tests compare against.  Whether greedy peeling always attains the minimum
-is left open; mismatches are flagged and the search value is authoritative.
+L(A, B) has a closed form here: it is 1 when A or B is empty and 2
+otherwise, with witness chain 0 < X \\ A < X.  Proof: the one-step chain
+(0, X) is valid exactly when X misses A or misses B; otherwise
+(0, X \\ A, X) is valid, since its first difference misses A and its second
+is inside A, which misses B.  A rank above 2 needs a topology with
+accumulation points, which a finite clopen algebra does not have.  The
+brute-force enumeration of strictly increasing chains shares none of this
+reasoning and is the oracle the tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-MAX_EXHAUSTIVE_DEPTH = 4
 MAX_DEPTH = 10
 
 
@@ -103,7 +103,7 @@ def is_valid_chain(chain: RankChain) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# L(A, B): DP search, brute force, greedy peeling
+# L(A, B): closed form, brute force
 # ---------------------------------------------------------------------------
 
 
@@ -111,66 +111,15 @@ def is_valid_chain(chain: RankChain) -> bool:
 class RankResult:
     beta: int
     chain: RankChain
-    greedy_beta: int
-    greedy_chain: RankChain
-    greedy_mismatch: bool
-
-
-def _dp_min_steps(algebra: FiniteAlgebra, A: int, B: int) -> Tuple[int, List[int]]:
-    # Enlarging any chain entry keeps all conditions intact, so an optimal
-    # chain may be assumed to take maximal moves: G -> G|~A or G -> G|~B.
-    full = algebra.full
-    moveA, moveB = full & ~A, full & ~B
-    dist: Dict[int, int] = {0: 0}
-    parent: Dict[int, Optional[int]] = {0: None}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            if g == full:
-                chain = [g]
-                while parent[chain[-1]] is not None:
-                    chain.append(parent[chain[-1]])
-                return dist[g], list(reversed(chain))
-            for succ in (g | moveA, g | moveB):
-                if succ not in dist:
-                    dist[succ] = dist[g] + 1
-                    parent[succ] = g
-                    nxt.append(succ)
-        frontier = nxt
-    raise RuntimeError("unreachable: the two maximal moves always reach X")
-
-
-def _greedy_peel(algebra: FiniteAlgebra, A: int, B: int, a_first: bool) -> List[int]:
-    full = algebra.full
-    order = (full & ~A, full & ~B) if a_first else (full & ~B, full & ~A)
-    sets = [0]
-    i = 0
-    while sets[-1] != full and len(sets) <= algebra.atom_count + 2:
-        sets.append(sets[-1] | order[i % 2])
-        i += 1
-    return sets
 
 
 def rank_LAB(algebra: FiniteAlgebra, A: int, B: int) -> RankResult:
-    """Minimal chain top index with a witness chain.
-
-    Computed by the DP search and cross-computed by greedy peeling; a
-    mismatch is flagged (the DP value is authoritative).
-    """
+    """Minimal chain top index with a witness chain (closed form above)."""
     if A & B:
         raise NotDisjoint("not disjoint")
-    beta, sets = _dp_min_steps(algebra, A, B)
-    chain = RankChain(algebra, tuple(sets), A, B)
-    best_greedy = None
-    for a_first in (True, False):
-        g = _greedy_peel(algebra, A, B, a_first)
-        if best_greedy is None or len(g) < len(best_greedy):
-            best_greedy = g
-    greedy_chain = RankChain(algebra, tuple(best_greedy), A, B)
-    greedy_beta = len(best_greedy) - 1
-    return RankResult(beta, chain, greedy_beta, greedy_chain,
-                      greedy_mismatch=greedy_beta != beta)
+    full = algebra.full
+    sets = (0, full & ~A, full) if A and B else (0, full)
+    return RankResult(len(sets) - 1, RankChain(algebra, sets, A, B))
 
 
 def _supersets(g: int, full: int):

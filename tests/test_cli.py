@@ -142,3 +142,33 @@ def test_gallery_demo_z_artifact(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["found"] is True
     assert "note" in summary
+
+
+@pytest.mark.parametrize("args", [
+    ["rank", "--n", "11", "--A", "1", "--B", "0"],
+    ["rank", "--n", "2", "--A", "10", "--B", "01"],
+])
+def test_rank_bad_input_exits_2_with_one_line(tmp_path, capsys, args):
+    assert run_main(args + ["--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_recover_space_key_rejected(tmp_path):
+    with pytest.raises(ConfigError):
+        validate_config({"command": "recover", "space": "cantor", "fn": "I25",
+                         "alpha": "cantor:|110"})
+    with pytest.raises(SystemExit) as exc:
+        run_main(["recover", "--space", "cantor", "--fn", "I25",
+                  "--alpha", "cantor:|110", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+
+
+def test_replay_version_one_artifacts_mismatch(tmp_path):
+    out = tmp_path / "a"
+    run_main(["rank", "--n", "1", "--A", "10", "--B", "01", "--out", str(out)])
+    cfg = json.loads((out / "config.json").read_text())
+    cfg["artifact_version"] = "1"
+    (out / "config.json").write_text(json.dumps(cfg))
+    rep = replay(out, tmp_path / "fresh")
+    assert not rep["ok"] and "version mismatch" in rep["error"]

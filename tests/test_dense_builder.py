@@ -248,11 +248,16 @@ def test_family_from_singleton_indicator():
 def test_family_from_I16_mentions_zero_point():
     alpha = cantor_point("", "1")
     f = I16(alpha)
-    pieces = closed_family_from_function(f, budget=64)
+    pieces = closed_family_from_function(f)
     zero = cantor_point("", "0")
     assert any(zero in p.singletons for p in pieces)
     # the 1-set contains alpha|(n+1).0^inf at 1s of alpha
     assert any(cantor_point("1", "0") in p.singletons for p in pieces)
+
+
+def test_family_from_I16_keeps_every_piece():
+    f = I16(cantor_point("", "1"))
+    assert len(closed_family_from_function(f)) == 37
 
 
 def test_family_requires_decomposition():
