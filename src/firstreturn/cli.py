@@ -30,7 +30,8 @@ from .path import DenseSequence, path_trace, route_trace, trace_to_csv
 from .space import (
     CANTOR,
     UNIT,
-    Z,
+    NoGoodBasis,
+    PointCode,
     UnitPoint,
     WordPoint,
     format_point,
@@ -45,6 +46,13 @@ class ConfigError(ValueError):
     pass
 
 
+def _point(text) -> PointCode:
+    try:
+        return parse_point(str(text))
+    except (ValueError, KeyError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad point {text!r}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # Registries (functions, dense sources, builder families, covers)
 # ---------------------------------------------------------------------------
@@ -57,17 +65,19 @@ def _fn_from_config(cfg: dict) -> recover.FunctionOracle:
     if name in ("I16", "I25"):
         if "alpha" not in cfg:
             raise ConfigError(f"{name} needs alpha=<cantor point>")
-        alpha = parse_point(cfg["alpha"])
+        alpha = _point(cfg["alpha"])
         return gallery.I16(alpha) if name == "I16" else gallery.I25(alpha)
     if name == "first-one-scale":
         return gallery.first_one_scale()
     if name.startswith("indicator:"):
         bits = name.split(":", 1)[1]
+        if set(bits) - {"0", "1"}:
+            raise ConfigError(f"bad indicator word {bits!r}")
         word = tuple(int(c) for c in bits)
         return gallery.indicator_of(
             ClosedSet(CANTOR, cylinders=(word,), name=f"N({bits})"))
     if name.startswith("singleton:"):
-        pt = parse_point(name.split(":", 1)[1])
+        pt = _point(name.split(":", 1)[1])
         return gallery.indicator_of(
             ClosedSet(pt.space, singletons=(pt,), name=f"{{{pt}}}"))
     if name == "zF":
@@ -94,9 +104,14 @@ def _dense_from_config(cfg: dict) -> DenseSequence:
         return gallery.thm13_dense()
     if src.startswith("file:"):
         path = Path(src.split(":", 1)[1])
-        lines = [ln.strip() for ln in path.read_text().splitlines()
-                 if ln.strip() and not ln.startswith("#")]
-        pts = [parse_point(ln) for ln in lines]
+        try:
+            text = path.read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read dense file: {exc}") from None
+        pts = [_point(ln.strip()) for ln in text.splitlines()
+               if ln.strip() and not ln.startswith("#")]
+        if not pts:
+            raise ConfigError(f"no points in dense file {path}")
         return DenseSequence(pts[0].space, pts, tag="handwritten")
     raise ConfigError(f"unknown dense source {src!r}")
 
@@ -174,6 +189,7 @@ _ALLOWED_KEYS = {
 
 _INT_KEYS = {"horizon", "window", "m_budget", "stages", "n", "pairs", "seed",
              "max_points", "check_points"}
+_POSITIVE_KEYS = {"horizon", "window", "m_budget", "pairs", "stages", "max_points"}
 
 
 def validate_config(cfg: dict) -> dict:
@@ -185,14 +201,23 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError(f"unknown keys for {cmd}: {sorted(unknown)}")
     out = dict(cfg)
     for key in _INT_KEYS & set(out):
-        out[key] = int(out[key])
+        try:
+            out[key] = int(out[key])
+        except (TypeError, ValueError):
+            raise ConfigError(f"{key} must be an integer, got {out[key]!r}") from None
+    for key in _POSITIVE_KEYS & set(out):
+        if out[key] < 1:
+            raise ConfigError(f"{key} must be >= 1, got {out[key]}")
     return out
 
 
 def load_config_file(path: Path) -> dict:
-    text = path.read_text()
-    if path.suffix == ".json" or text.lstrip().startswith("{"):
-        return json.loads(text)
+    try:
+        text = path.read_text()
+        if path.suffix == ".json" or text.lstrip().startswith("{"):
+            return json.loads(text)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
     cfg = {}
     for line in text.splitlines():
         line = line.strip()
@@ -233,9 +258,14 @@ def _run_recover(cfg: dict, out_dir: Path) -> int:
     mode = cfg.get("mode", "path")
     horizon = int(cfg.get("horizon", 64))
     window = int(cfg.get("window", 8))
-    basis = good_basis(dense.space) if mode == "path" else None
+    try:
+        basis = good_basis(dense.space) if mode == "path" else None
+    except NoGoodBasis as exc:
+        raise ConfigError(f"{exc}; use mode=route") from None
     if "points" in cfg:
-        points = [parse_point(t) for t in str(cfg["points"]).split(";") if t]
+        points = [_point(t) for t in str(cfg["points"]).split(";") if t]
+        if any(x.space != dense.space for x in points):
+            raise ConfigError(f"points must lie in the dense sequence's space {dense.space}")
     else:
         seen, points = set(), []
         limit = int(cfg.get("max_points", 12))
@@ -351,7 +381,9 @@ def _run_gallery(cfg: dict, out_dir: Path) -> int:
         return _emit(out_dir, cfg, summary, ok=True)
     if action == "eval":
         f = _fn_from_config(cfg)
-        beta = parse_point(cfg["beta"])
+        if "beta" not in cfg:
+            raise ConfigError("gallery eval needs beta=<point>")
+        beta = _point(cfg["beta"])
         value = f(beta)
         return _emit(out_dir, cfg, {"fn": f.fid, "beta": str(beta),
                                     "value": value}, ok=True)
@@ -390,10 +422,17 @@ def run_config(cfg: dict, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _artifact_files(directory: Path) -> List[Path]:
+    """Relative paths of the artifacts in a directory, run.meta excluded."""
+    return sorted(p.relative_to(directory) for p in directory.rglob("*")
+                  if p.is_file() and p.name != "run.meta")
+
+
 def replay(artifact_dir: Path, scratch: Optional[Path] = None) -> dict:
     """Re-run the recorded configuration and byte-compare the artifacts.
 
-    Returns a report with the first divergence (file and line), if any.
+    Returns a report with the first divergence (file and line), if any: a
+    file that differs, is missing on replay, or appears only on replay.
     The run.meta sidecar is excluded from the comparison.
     """
     import tempfile
@@ -408,11 +447,9 @@ def replay(artifact_dir: Path, scratch: Optional[Path] = None) -> dict:
     scratch = scratch or Path(tempfile.mkdtemp(prefix="fr-replay-"))
     run_config(stored, scratch)
     divergence = None
-    originals = sorted(p for p in artifact_dir.rglob("*")
-                       if p.is_file() and p.name != "run.meta")
-    for orig in originals:
-        rel = orig.relative_to(artifact_dir)
-        fresh = scratch / rel
+    originals = _artifact_files(artifact_dir)
+    for rel in originals:
+        orig, fresh = artifact_dir / rel, scratch / rel
         if not fresh.exists():
             divergence = {"file": str(rel), "line": 0, "reason": "missing on replay"}
             break
@@ -427,6 +464,9 @@ def replay(artifact_dir: Path, scratch: Optional[Path] = None) -> dict:
                           "reason": "length differs"}
         if divergence:
             break
+    extra = sorted(set(_artifact_files(scratch)) - set(originals))
+    if divergence is None and extra:
+        divergence = {"file": str(extra[0]), "line": 0, "reason": "extra on replay"}
     return {"ok": divergence is None, "divergence": divergence,
             "files_compared": len(originals)}
 
@@ -499,16 +539,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if report["ok"] else 1
 
     cfg = {"command": args.command}
-    if args.config:
-        cfg.update(load_config_file(Path(args.config)))
-        cfg["command"] = args.command
     skip = {"command", "out", "config"}
     for key, value in vars(args).items():
-        if key in skip or value in (None, False):
+        # 0 is a value, so compare by identity (0 == False)
+        if key in skip or value is None or value is False:
             continue
         cfg[key] = value
     out_dir = Path(args.out) if args.out else Path(f"artifacts-{args.command}")
     try:
+        if args.config:
+            cfg = {**load_config_file(Path(args.config)), **cfg}
         code = run_config(cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -197,12 +197,11 @@ def prop25_dense(table: Optional[PsiTable] = None,
 
 
 class Prop25Sequence:
-    """The whole sequence (x_p), unbounded, for path-mode extraction.
+    """The whole sequence (x_p), unbounded, for path and route extraction.
 
     Terms are looked up by the closed form in the module docstring, so a
-    path never runs out of them; indices come from the default psi table,
-    and a term past it carries a `PastTableIndex` marker.  Route mode scans
-    materialized lists and does not take this sequence.
+    trace never runs out of them; indices come from the default psi table,
+    and a term past it carries a `PastTableIndex` marker.
     """
 
     def __init__(self):

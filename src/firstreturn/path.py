@@ -8,19 +8,22 @@ Two algorithms are implemented over exactly represented points:
 * the metric *route* (first return): s_{n+1} is x_p for the minimal p with
   d(x, x_p) < d(x, s_n), exact comparisons.
 
-Both fix s_0 = x_0 and freeze once a term equals x.  The existential over
-basic opens is resolved by a per-space finite reduction: for word spaces
-the minimal cylinder through x and x_p decides it, for the unit interval
-the search is bounded by the distance from x to the finite excluded set.
+Both run one extraction loop: s_0 = x_0, and a term equal to x repeats.
+In Cantor and Baire space both steps are one word lookup, the first x_p
+extending x|(k+1) with k = |x /\\ s_n|: the metric is an ultrametric, so
+d(x, x_p) < d(x, s_n) iff x_p extends that word, and each path term
+extends the previous term's common prefix with x.  On the unit interval
+the path scans for the open region of admissible points, bounded by the
+distance from x to the prior terms; unit and Z routes scan exact distances.
 
 A dense sequence is either a materialized finite list (`DenseSequence`)
 or an unbounded sequence with a closed-form lookup (the Prop-25 sequence of
-`gallery.Prop25Sequence`).  Word-space path steps go through one call,
-`first_extending(word)`, that both implement.  Scans over a finite list
-stop at the list length and report an explicit budget signal instead of
-silently truncating; an unbounded sequence always finds the next term, and
-where its index lies past the table it can count exactly, it reports a
-`PastTableIndex` marker instead of a number.
+`gallery.Prop25Sequence`); both implement the word lookup
+`first_extending(word)`.  Scans over a finite list stop at the list length
+and report an explicit budget signal instead of silently truncating; an
+unbounded sequence always finds the next term, and where its index lies
+past the table it can count exactly, it reports a `PastTableIndex` marker
+instead of a number.
 """
 
 from __future__ import annotations
@@ -30,9 +33,6 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .space import (
-    BAIRE,
-    CANTOR,
-    UNIT,
     BasicOpen,
     Cylinder,
     CylinderGoodBasis,
@@ -43,7 +43,6 @@ from .space import (
     UnitPoint,
     WordPoint,
     dist,
-    eq,
     member,
 )
 
@@ -111,11 +110,10 @@ class DenseSequence:
         trie, buckets = {}, {}
         depth = self._TRIE_DEPTH
         for i, pt in enumerate(self.points):
+            w = pt.prefix(depth)
             for k in range(depth + 1):
-                w = pt.prefix(k)
-                if w not in trie:
-                    trie[w] = i
-            buckets.setdefault(pt.prefix(depth), []).append(i)
+                trie.setdefault(w[:k], i)
+            buckets.setdefault(w, []).append(i)
         self._trie, self._buckets = trie, buckets
 
     def first_index_extending(self, word: Tuple[int, ...]) -> Optional[int]:
@@ -186,19 +184,16 @@ class PathTrace:
 
 
 # ---------------------------------------------------------------------------
-# Path mode (Definition-2 style extraction)
+# Steps
 # ---------------------------------------------------------------------------
 
 
-def _word_path_step(x: WordPoint, dense: DenseSequence, prior: Sequence[WordPoint]):
-    # The existential over cylinders holds for x_p iff the cylinder at the
-    # longest common prefix of x and x_p misses every prior term, i.e. iff
-    # |x /\ x_p| exceeds M := max_i |x /\ s_i|.  The minimal p is therefore
-    # the first point extending x|(M+1).
-    M = max(x.common_prefix_len(s) for s in prior)
-    want = x.prefix(M + 1)
+def _word_step(x: WordPoint, dense, k: int):
+    """(p, x_p, w) for the first term extending w = x|(k+1), that is the
+    minimal p with |x /\\ x_p| > k."""
+    want = x.prefix(k + 1)
     p, pt = dense.first_extending(want)
-    return p, pt, Cylinder(x.space, want), want
+    return p, pt, want
 
 
 def _unit_admissible_region(basis: UnitGoodBasis, xv: Fraction,
@@ -257,72 +252,47 @@ def path_step(x: PointCode, dense: DenseSequence, prior: Sequence[PointCode],
     """One non-fixed path step: minimal p with {x, x_p} inside a basic open
     avoiding the prior terms.  Returns (p, point, witness, witness_index).
 
-    Precondition: x differs from the last prior term (the caller handles the
-    fixed-point branch of the extraction).
+    Precondition: prior is the path so far, s_0..s_n, and x differs from
+    s_n (the caller handles the fixed-point branch of the extraction).
     """
     if isinstance(x, WordPoint):
-        p, pt, witness, want = _word_path_step(x, dense, prior)
+        # A cylinder through x and x_p misses every prior term iff
+        # |x /\ x_p| > max_i |x /\ s_i|; each term extends the previous
+        # one's common prefix with x, so that maximum is the last term's.
+        p, pt, want = _word_step(x, dense, x.common_prefix_len(prior[-1]))
         widx = basis.index_of_word(want) if isinstance(basis, CylinderGoodBasis) else None
-        return p, pt, witness, widx
+        return p, pt, Cylinder(x.space, want), widx
     if isinstance(x, UnitPoint):
         return _unit_path_step(x, dense, prior, basis)
     raise ValueError(f"path mode needs a good basis; unsupported for {x.space}")
 
 
-def path_trace(x: PointCode, dense: DenseSequence, basis: GoodBasis, N: int,
-               on_budget: str = "truncate") -> PathTrace:
-    """Path-mode trace of length <= N with witnesses.
-
-    on_budget: "truncate" records an explicit budget stop; "raise" propagates
-    SearchBudgetExceeded.
-    """
-    if N < 1:
-        raise ValueError("horizon must be >= 1")
-    trace = PathTrace(x=x, mode=PATH, horizon=N)
-    s0 = dense[0]
-    trace.steps.append(TraceStep(0, 0, s0, dist(x, s0)))
-    prior: List[PointCode] = [s0]
-    fixed_index = dense.first_index_of(x)
-    for n in range(N - 1):
-        cur = trace.steps[-1]
-        if cur.point == x:
-            trace.steps.append(TraceStep(n + 1, cur.index, cur.point, Dist.zero()))
-            continue
-        try:
-            p, pt, witness, widx = path_step(x, dense, prior, basis)
-        except SearchBudgetExceeded as exc:
-            if on_budget == "raise":
-                raise
-            trace.terminated = "budget"
-            trace.budget = exc.budget
-            break
-        cur.witness = witness
-        cur.witness_index = widx
-        idx = fixed_index if (pt == x and fixed_index is not None) else p
-        trace.steps.append(TraceStep(n + 1, idx, pt, dist(x, pt)))
-        prior.append(pt)
-    return trace
-
-
-# ---------------------------------------------------------------------------
-# Route mode (first-return extraction)
-# ---------------------------------------------------------------------------
-
-
 def route_step(x: PointCode, dense: DenseSequence, current: Dist):
-    """Minimal p with d(x, x_p) < current; exact comparisons."""
+    """Minimal p with d(x, x_p) < current; exact comparisons.
+
+    In Cantor and Baire space d(x, x_p) < 2^(-k) iff x_p extends x|(k+1),
+    which is the word step of path mode; other spaces scan the list.
+    """
+    if isinstance(x, WordPoint) and current.kind == "pow2":
+        return _word_step(x, dense, int(current.value))[:2]
     for p, cand in enumerate(dense.points):
         if dist(x, cand) < current:
             return p, cand
     raise SearchBudgetExceeded("no closer point within index budget", budget=len(dense))
 
 
-def route_trace(x: PointCode, dense: DenseSequence, N: int,
-                on_budget: str = "truncate") -> PathTrace:
-    """Route-mode trace: strictly decreasing exact distances to x."""
+# ---------------------------------------------------------------------------
+# Extraction
+# ---------------------------------------------------------------------------
+
+
+def _extract(x: PointCode, dense, N: int, mode: str, step, on_budget: str) -> PathTrace:
+    """s_0 = x_0, then s_{n+1} from step(s_n) until N terms; a term equal
+    to x repeats.  on_budget: "truncate" records an explicit budget stop;
+    "raise" propagates SearchBudgetExceeded."""
     if N < 1:
         raise ValueError("horizon must be >= 1")
-    trace = PathTrace(x=x, mode=ROUTE, horizon=N)
+    trace = PathTrace(x=x, mode=mode, horizon=N)
     s0 = dense[0]
     trace.steps.append(TraceStep(0, 0, s0, dist(x, s0)))
     for n in range(N - 1):
@@ -331,7 +301,7 @@ def route_trace(x: PointCode, dense: DenseSequence, N: int,
             trace.steps.append(TraceStep(n + 1, cur.index, cur.point, Dist.zero()))
             continue
         try:
-            p, pt = route_step(x, dense, cur.dist_to_x)
+            p, pt = step(cur)
         except SearchBudgetExceeded as exc:
             if on_budget == "raise":
                 raise
@@ -340,6 +310,26 @@ def route_trace(x: PointCode, dense: DenseSequence, N: int,
             break
         trace.steps.append(TraceStep(n + 1, p, pt, dist(x, pt)))
     return trace
+
+
+def path_trace(x: PointCode, dense: DenseSequence, basis: GoodBasis, N: int,
+               on_budget: str = "truncate") -> PathTrace:
+    """Path-mode trace of length <= N with witnesses."""
+    prior: List[PointCode] = []
+
+    def step(cur: TraceStep):
+        prior.append(cur.point)
+        p, pt, cur.witness, cur.witness_index = path_step(x, dense, prior, basis)
+        return p, pt
+
+    return _extract(x, dense, N, PATH, step, on_budget)
+
+
+def route_trace(x: PointCode, dense: DenseSequence, N: int,
+                on_budget: str = "truncate") -> PathTrace:
+    """Route-mode trace: strictly decreasing exact distances to x."""
+    return _extract(x, dense, N, ROUTE,
+                    lambda cur: route_step(x, dense, cur.dist_to_x), on_budget)
 
 
 # ---------------------------------------------------------------------------

@@ -172,3 +172,58 @@ def test_replay_version_one_artifacts_mismatch(tmp_path):
     (out / "config.json").write_text(json.dumps(cfg))
     rep = replay(out, tmp_path / "fresh")
     assert not rep["ok"] and "version mismatch" in rep["error"]
+
+
+def test_zero_valued_options_are_kept(tmp_path, capsys):
+    out = tmp_path / "e"
+    assert run_main(["ebc1", "--cover", "cantor-bits", "--pairs", "20", "--seed", "0",
+                     "--out", str(out)]) == 0
+    assert json.loads((out / "config.json").read_text())["seed"] == 0
+    capsys.readouterr()
+    assert run_main(["recover", "--fn", "I25", "--alpha", "cantor:|110",
+                     "--horizon", "0", "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err.startswith("config error: horizon must be >= 1")
+
+
+@pytest.mark.parametrize("command,key", [
+    ("recover", "horizon"), ("recover", "window"), ("recover", "max_points"),
+    ("ebc1", "pairs"), ("build-dense", "m_budget"), ("build-dense", "stages"),
+])
+def test_counts_below_one_rejected(command, key):
+    assert validate_config({"command": command, key: "1"})[key] == 1
+    with pytest.raises(ConfigError, match=f"{key} must be >= 1"):
+        validate_config({"command": command, key: 0})
+
+
+I25_ARGS = ["recover", "--fn", "I25", "--alpha", "cantor:|110"]
+
+
+@pytest.mark.parametrize("args", [
+    I25_ARGS + ["--points", "cantor:1x|0"],
+    I25_ARGS + ["--points", "unit:1/2"],
+    I25_ARGS + ["--dense", "file:/nonexistent"],
+    I25_ARGS + ["--dense", "file:{tmp}/empty.txt"],
+    ["recover", "--fn", "I25", "--alpha", "bogus"],
+    ["recover", "--fn", "indicator:1x"],
+    ["recover", "--fn", "zF", "--mode", "path", "--dense", "thm13"],
+    ["gallery", "eval", "--fn", "I25", "--alpha", "cantor:|110"],
+    ["rank", "--config", "{tmp}/bad_n.cfg"],
+    ["rank", "--config", "/nonexistent.cfg"],
+])
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, args):
+    (tmp_path / "empty.txt").write_text("# no points\n")
+    (tmp_path / "bad_n.cfg").write_text("n=abc\nA=10\nB=01\n")
+    args = [a.replace("{tmp}", str(tmp_path)) for a in args]
+    assert run_main(args + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_replay_flags_extra_files(tmp_path):
+    out = tmp_path / "a"
+    assert run_main(["rank", "--n", "1", "--A", "10", "--B", "01", "--out", str(out)]) == 0
+    (out / "rank.txt").unlink()
+    rep = replay(out, tmp_path / "fresh")
+    assert not rep["ok"]
+    assert rep["divergence"] == {"file": "rank.txt", "line": 0, "reason": "extra on replay"}
+    assert rep["files_compared"] == 2

@@ -25,7 +25,8 @@ from firstreturn.space import (
     dist,
     member,
 )
-from firstreturn.gallery import thm13_dense, thm13_target, z_F_member
+from firstreturn.dense_builder import ClosedSet, build_dense
+from firstreturn.gallery import thm13_dense, thm13_target, x_seq_point, z_F_member
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +194,81 @@ def test_route_budget_message(dyadics):
     # exhaust: demand a closer point than distance zero
     with pytest.raises(SearchBudgetExceeded):
         route_step(far, dyadics, Dist.zero())
+
+
+# ---------------------------------------------------------------------------
+# the word step against a linear scan of exact distances
+# ---------------------------------------------------------------------------
+
+ROUTE_POINTS = [cantor_point("", "10"), cantor_point("11", "011"), cantor_point("1", "01"),
+                cantor_point("", "0"), cantor_point("0", "110"), cantor_point("101", "0011"),
+                cantor_point("0110", "1")]
+
+
+def linear_route(x, dense, N):
+    """Route trace as (indices, points, terminated) by scanning every point
+    with exact distance comparisons."""
+    idx, pts, terminated = [0], [dense[0]], "horizon"
+    while len(pts) < N:
+        if pts[-1] == x:
+            idx.append(idx[-1])
+            pts.append(x)
+            continue
+        cur = dist(x, pts[-1])
+        nxt = next((p for p in range(len(dense)) if dist(x, dense[p]) < cur), None)
+        if nxt is None:
+            terminated = "budget"
+            break
+        idx.append(nxt)
+        pts.append(dense[nxt])
+    return idx, pts, terminated
+
+
+def builder_dense(cantor_basis):
+    families = [ClosedSet(CANTOR, cylinders=((1,),), name="F0"),
+                ClosedSet(CANTOR, cylinders=((0, 1), (1, 1)), name="F1")]
+    q = [x_seq_point(p) for p in range(512)]
+    return build_dense(families, q, cantor_basis).dense
+
+
+def test_word_route_matches_linear_scan(dense25, cantor_basis):
+    for dense in (dense25, builder_dense(cantor_basis)):
+        for x in ROUTE_POINTS:
+            tr = route_trace(x, dense, 32)
+            got = ([s.index for s in tr.steps], tr.points(), tr.terminated)
+            assert got == linear_route(x, dense, 32), (dense.tag, str(x))
+            assert route_descent_violations(tr) == []
+
+
+def test_route_over_unbounded_prop25(dense25, seq25):
+    for x in (cantor_point("", "10"), cantor_point("1", "01"), cantor_point("", "110")):
+        tr = route_trace(x, seq25, 24)
+        assert tr.terminated == "horizon" and len(tr.steps) == 24
+        assert route_descent_violations(tr) == []
+        assert all(s.point != x for s in tr.steps)  # so every step descends
+        inside = route_trace(x, dense25, 24)
+        n = len(inside.steps)
+        assert [(s.index, s.point) for s in tr.steps[:n]] == \
+            [(s.index, s.point) for s in inside.steps]
+    tr = route_trace(cantor_point("", "10"), seq25, 12)
+    assert tr.terminated == "horizon" and len(tr.steps) == 12
+
+
+@pytest.mark.parametrize("space", [CANTOR, UNIT])
+def test_term_equal_to_x_carries_first_index(space, cantor_basis, unit_basis):
+    if space == CANTOR:
+        x = cantor_point("0", "1")
+        pts = [cantor_point("", "1"), cantor_point("", "0"), x, cantor_point("00", "1"), x]
+        basis = cantor_basis
+    else:
+        x = UnitPoint(F(1, 4))
+        pts = [UnitPoint(F(v)) for v in ("0", "1", "1/2", "1/4", "3/4", "1/4")]
+        basis = unit_basis
+    dense = DenseSequence(space, pts)
+    first = dense.first_index_of(x)
+    for tr in (path_trace(x, dense, basis, 6), route_trace(x, dense, 6)):
+        hits = [s.index for s in tr.steps if s.point == x]
+        assert hits and set(hits) == {first}, tr.mode
 
 
 # ---------------------------------------------------------------------------
