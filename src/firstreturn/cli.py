@@ -11,7 +11,8 @@ run.meta sidecar excluded from determinism comparisons.  Exit codes:
 Configurations can also be given as files (--config): either JSON or
 line-based key=value (# comments allowed); unknown keys are rejected.
 The accepted keys per command are those of _ALLOWED_KEYS in this module;
-`firstreturn <command> --help` lists the matching options.
+`firstreturn <command> --help` lists the matching options.  A value
+given as an option beats the file's, which beats _DEFAULTS.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def _point(text) -> PointCode:
 
 
 def _fn_from_config(cfg: dict) -> recover.FunctionOracle:
-    name = cfg.get("fn", "")
+    name = cfg.get("fn")
     if not name:
         raise ConfigError("nothing to run: empty function list")
     if name in ("I16", "I25"):
@@ -95,7 +96,7 @@ def dyadic_dense(depth: int = 10) -> DenseSequence:
 
 
 def _dense_from_config(cfg: dict) -> DenseSequence:
-    src = cfg.get("dense", "prop25")
+    src = cfg["dense"]
     if src == "prop25":
         return gallery.prop25_dense()
     if src == "dyadic":
@@ -180,16 +181,25 @@ def _ebc1_cover(name: str) -> Tuple[ebc1.ClosedCover, List[recover.FunctionOracl
 _ALLOWED_KEYS = {
     "recover": {"command", "dense", "fn", "alpha", "mode", "horizon", "window",
                 "points", "max_points"},
-    "build-dense": {"command", "family", "m_budget", "stages", "check_points",
-                    "horizon"},
+    "build-dense": {"command", "family", "m_budget", "stages"},
     "rank": {"command", "n", "A", "B", "diff"},
     "ebc1": {"command", "cover", "pairs", "seed"},
     "gallery": {"command", "action", "fn", "alpha", "beta", "horizon"},
 }
 
 _INT_KEYS = {"horizon", "window", "m_budget", "stages", "n", "pairs", "seed",
-             "max_points", "check_points"}
+             "max_points"}
 _POSITIVE_KEYS = {"horizon", "window", "m_budget", "pairs", "stages", "max_points"}
+
+# Values a run takes for keys it is not given; they are recorded in
+# config.json.  Precedence: these < a --config file < explicit options.
+_DEFAULTS = {
+    "recover": {"dense": "prop25", "mode": "path", "horizon": 64, "window": 8},
+    "build-dense": {"family": "one-bit", "m_budget": 30},
+    "rank": {},
+    "ebc1": {"cover": "unit-halves", "pairs": 200, "seed": 7},
+    "gallery": {"action": "list", "horizon": 400},
+}
 
 
 def validate_config(cfg: dict) -> dict:
@@ -255,9 +265,9 @@ def _emit(out_dir: Path, cfg: dict, summary: dict, ok: bool) -> int:
 def _run_recover(cfg: dict, out_dir: Path) -> int:
     f = _fn_from_config(cfg)
     dense = _dense_from_config(cfg)
-    mode = cfg.get("mode", "path")
-    horizon = int(cfg.get("horizon", 64))
-    window = int(cfg.get("window", 8))
+    mode, horizon, window = cfg["mode"], cfg["horizon"], cfg["window"]
+    if mode not in ("path", "route"):
+        raise ConfigError(f"unknown mode {mode!r}")
     try:
         basis = good_basis(dense.space) if mode == "path" else None
     except NoGoodBasis as exc:
@@ -268,7 +278,7 @@ def _run_recover(cfg: dict, out_dir: Path) -> int:
             raise ConfigError(f"points must lie in the dense sequence's space {dense.space}")
     else:
         seen, points = set(), []
-        limit = int(cfg.get("max_points", 12))
+        limit = cfg.get("max_points", 12)
         for pt in dense:
             if pt not in seen:
                 seen.add(pt)
@@ -285,7 +295,7 @@ def _run_recover(cfg: dict, out_dir: Path) -> int:
 
 
 def _run_build_dense(cfg: dict, out_dir: Path) -> int:
-    family_name = cfg.get("family", "one-bit")
+    family_name = cfg["family"]
     if family_name not in BUILDER_FAMILIES:
         raise ConfigError(f"unknown family {family_name!r}")
     families = BUILDER_FAMILIES[family_name]
@@ -293,7 +303,7 @@ def _run_build_dense(cfg: dict, out_dir: Path) -> int:
     q = _builder_q()
     staged = build_dense(families, q, basis,
                          stages=cfg.get("stages"),
-                         m_budget=int(cfg.get("m_budget", 30)))
+                         m_budget=cfg["m_budget"])
     _write(out_dir, "build_log.txt", "\n".join(staged.log) + "\n")
     _write(out_dir, "dense.txt",
            "\n".join(format_point(p) for p in staged.dense) + "\n")
@@ -344,9 +354,9 @@ def _run_rank(cfg: dict, out_dir: Path) -> int:
 def _run_ebc1(cfg: dict, out_dir: Path) -> int:
     import random
 
-    cover, family, space = _ebc1_cover(cfg.get("cover", "unit-halves"))
-    n_pairs = int(cfg.get("pairs", 200))
-    rng = random.Random(int(cfg.get("seed", 7)))
+    cover, family, space = _ebc1_cover(cfg["cover"])
+    n_pairs = cfg["pairs"]
+    rng = random.Random(cfg["seed"])
     pairs = []
     if space == UNIT:
         def rand_point():
@@ -370,7 +380,7 @@ def _run_ebc1(cfg: dict, out_dir: Path) -> int:
 
 
 def _run_gallery(cfg: dict, out_dir: Path) -> int:
-    action = cfg.get("action", "list")
+    action = cfg["action"]
     if action == "list":
         summary = {
             "functions": ["I16(alpha)", "I25(alpha)", "first-one-scale",
@@ -388,8 +398,7 @@ def _run_gallery(cfg: dict, out_dir: Path) -> int:
         return _emit(out_dir, cfg, {"fn": f.fid, "beta": str(beta),
                                     "value": value}, ok=True)
     if action == "demo-z":
-        horizon = int(cfg.get("horizon", 400))
-        rep = gallery.thm13_demo(horizon=horizon)
+        rep = gallery.thm13_demo(horizon=cfg["horizon"])
         summary = {
             "found": rep.found, "witness": rep.witness,
             "flips_after": rep.flips_after, "total_flips": rep.total_flips,
@@ -411,8 +420,10 @@ _RUNNERS = {
 
 
 def run_config(cfg: dict, out_dir: Path) -> int:
-    """Validate and execute one experiment; returns the exit code."""
+    """Validate and execute one experiment, filling in the defaults of keys
+    it is not given; returns the exit code."""
     cfg = validate_config(cfg)
+    cfg = {**_DEFAULTS[cfg["command"]], **cfg}
     out_dir.mkdir(parents=True, exist_ok=True)
     return _RUNNERS[cfg["command"]](cfg, out_dir)
 
@@ -484,46 +495,50 @@ def _add_common(sp):
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="firstreturn")
     sub = parser.add_subparsers(dest="command")
+    # options left out stay out of the namespace, so a --config file's value
+    # is kept; run_config fills in the defaults of keys still missing
+    suppress = {"argument_default": argparse.SUPPRESS}
 
-    sp = sub.add_parser("recover", help="recover a function along a dense sequence")
+    sp = sub.add_parser("recover", help="recover a function along a dense sequence",
+                        **suppress)
     _add_common(sp)
-    sp.add_argument("--dense", default="prop25")
-    sp.add_argument("--fn", default="")
+    sp.add_argument("--dense")
+    sp.add_argument("--fn")
     sp.add_argument("--alpha")
-    sp.add_argument("--mode", default="path", choices=["path", "route"])
-    sp.add_argument("--horizon", type=int, default=64)
-    sp.add_argument("--window", type=int, default=8)
+    sp.add_argument("--mode", choices=["path", "route"])
+    sp.add_argument("--horizon", type=int)
+    sp.add_argument("--window", type=int)
     sp.add_argument("--points", help="semicolon-separated point syntax")
     sp.add_argument("--max-points", dest="max_points", type=int)
 
-    sp = sub.add_parser("build-dense", help="run the staged dense-set builder")
+    sp = sub.add_parser("build-dense", help="run the staged dense-set builder", **suppress)
     _add_common(sp)
-    sp.add_argument("--family", default="one-bit",
-                    choices=sorted(BUILDER_FAMILIES))
-    sp.add_argument("--m-budget", dest="m_budget", type=int, default=30)
+    sp.add_argument("--family", choices=sorted(BUILDER_FAMILIES))
+    sp.add_argument("--m-budget", dest="m_budget", type=int)
     sp.add_argument("--stages", type=int)
 
-    sp = sub.add_parser("rank", help="separation rank on a finite algebra")
+    sp = sub.add_parser("rank", help="separation rank on a finite algebra", **suppress)
     _add_common(sp)
     sp.add_argument("--n", type=int, required=False)
     sp.add_argument("--A")
     sp.add_argument("--B")
     sp.add_argument("--diff", action="store_true")
 
-    sp = sub.add_parser("ebc1", help="equi-Baire-class-one oscillation check")
+    sp = sub.add_parser("ebc1", help="equi-Baire-class-one oscillation check", **suppress)
     _add_common(sp)
-    sp.add_argument("--cover", default="unit-halves")
-    sp.add_argument("--pairs", type=int, default=200)
-    sp.add_argument("--seed", type=int, default=7)
+    sp.add_argument("--cover")
+    sp.add_argument("--pairs", type=int)
+    sp.add_argument("--seed", type=int)
 
-    sp = sub.add_parser("gallery", help="explicit examples")
+    sp = sub.add_parser("gallery", help="explicit examples", **suppress)
     _add_common(sp)
-    sp.add_argument("action", nargs="?", default="list",
+    # argparse checks a SUPPRESS default against choices
+    sp.add_argument("action", nargs="?", default=None,
                     choices=["list", "eval", "demo-z"])
     sp.add_argument("--fn")
     sp.add_argument("--alpha")
     sp.add_argument("--beta")
-    sp.add_argument("--horizon", type=int, default=400)
+    sp.add_argument("--horizon", type=int)
 
     sp = sub.add_parser("replay", help="re-run recorded artifacts and compare")
     sp.add_argument("dir")
@@ -539,12 +554,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if report["ok"] else 1
 
     cfg = {"command": args.command}
-    skip = {"command", "out", "config"}
     for key, value in vars(args).items():
-        # 0 is a value, so compare by identity (0 == False)
-        if key in skip or value is None or value is False:
-            continue
-        cfg[key] = value
+        if key not in ("command", "out", "config") and value is not None:
+            cfg[key] = value
     out_dir = Path(args.out) if args.out else Path(f"artifacts-{args.command}")
     try:
         if args.config:

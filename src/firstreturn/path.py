@@ -9,12 +9,14 @@ Two algorithms are implemented over exactly represented points:
   d(x, x_p) < d(x, s_n), exact comparisons.
 
 Both run one extraction loop: s_0 = x_0, and a term equal to x repeats.
-In Cantor and Baire space both steps are one word lookup, the first x_p
-extending x|(k+1) with k = |x /\\ s_n|: the metric is an ultrametric, so
-d(x, x_p) < d(x, s_n) iff x_p extends that word, and each path term
-extends the previous term's common prefix with x.  On the unit interval
-the path scans for the open region of admissible points, bounded by the
-distance from x to the prior terms; unit and Z routes scan exact distances.
+Each space has one lookup that both steps call.  In Cantor and Baire space
+it is the word lookup `first_extending(x|(k+1))` with k = |x /\\ s_n|: the
+metric is an ultrametric, so d(x, x_p) < d(x, s_n) iff x_p extends that
+word, and each path term extends the previous term's common prefix with x.
+On the unit interval it is the interval lookup `first_inside(lo, hi)`: a
+route asks for the ball (x - r, x + r), a path for the union of the basis
+intervals through x that avoid the prior terms.  Z has no good basis, and
+its routes scan the list with exact distance comparisons.
 
 A dense sequence is either a materialized finite list (`DenseSequence`)
 or an unbounded sequence with a closed-form lookup (the Prop-25 sequence of
@@ -35,7 +37,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .space import (
     BasicOpen,
     Cylinder,
-    CylinderGoodBasis,
     Dist,
     GoodBasis,
     PointCode,
@@ -143,6 +144,14 @@ class DenseSequence:
             )
         return p, self.points[p]
 
+    def first_inside(self, lo: Fraction, hi: Fraction) -> Tuple[int, PointCode]:
+        """(p, x_p) for the minimal p with lo < x_p < hi (unit interval);
+        raises SearchBudgetExceeded when no materialized point lies there."""
+        for p, pt in enumerate(self.points):
+            if lo < pt.value < hi:
+                return p, pt
+        raise SearchBudgetExceeded(f"no point inside ({lo}, {hi})", budget=len(self))
+
 
 @dataclass
 class TraceStep:
@@ -188,63 +197,26 @@ class PathTrace:
 # ---------------------------------------------------------------------------
 
 
-def _word_step(x: WordPoint, dense, k: int):
-    """(p, x_p, w) for the first term extending w = x|(k+1), that is the
-    minimal p with |x /\\ x_p| > k."""
-    want = x.prefix(k + 1)
-    p, pt = dense.first_extending(want)
-    return p, pt, want
+def _unit_prior_free(basis: UnitGoodBasis, xv: Fraction,
+                     prior_vals: Sequence[Fraction]):
+    """The basis intervals through x that avoid the prior terms, in basis
+    order, as (index, interval).
 
-
-def _unit_admissible_region(basis: UnitGoodBasis, xv: Fraction,
-                            prior_vals: Sequence[Fraction]):
-    """The set of x_p admitting a common prior-free interval with x.
-
-    It is the union, over the enumeration, of the intervals through x that
-    avoid the prior set.  All intervals contain x, so the union is a single
-    open interval; and it stabilizes at the first scale whose intervals are
-    shorter than the distance from x to the prior set (from there on every
-    interval through x avoids the priors and both grid neighbours of x are
-    usable, covering everything finer scales could add).
+    All of them contain x, so their union is one open interval: the set of
+    x_p admitting a common prior-free interval with x.  The walk stops at the
+    first scale whose intervals are no longer than the distance from x to
+    the prior set (from there on every interval through x avoids the priors
+    and both grid neighbours of x are usable, covering everything finer
+    scales could add).
     """
     g_prior = min(abs(xv - s) for s in prior_vals)
-    lo = hi = xv
-    r = 0
-    while True:
-        for _, iv in basis.blocks_containing(r, xv):
-            if all(not (iv.lo < s < iv.hi) for s in prior_vals):
-                lo = min(lo, iv.lo)
-                hi = max(hi, iv.hi)
+    free = []
+    for r in range(302):  # r > 300 is unreachable; guards against malformed priors
+        free += [(basis.index_of(r, k), iv) for k, iv in basis.blocks_containing(r, xv)
+                 if not any(iv.lo < s < iv.hi for s in prior_vals)]
         if Fraction(1, 2 ** r) <= g_prior:
-            return lo, hi
-        if r > 300:  # unreachable; guards against malformed priors
-            raise RuntimeError("unit admissibility scan did not terminate")
-        r += 1
-
-
-def _unit_min_witness(basis: UnitGoodBasis, xv: Fraction, sv: Fraction,
-                      prior_vals: Sequence[Fraction]):
-    r = 0
-    while r <= 300:
-        for k, iv in basis.blocks_containing(r, xv):
-            if iv.lo < sv < iv.hi and all(not (iv.lo < s < iv.hi) for s in prior_vals):
-                return iv, basis.index_of(r, k)
-        r += 1
-    raise RuntimeError("no witness interval found for an admissible step")
-
-
-def _unit_path_step(x: UnitPoint, dense: DenseSequence, prior: Sequence[UnitPoint],
-                    basis: UnitGoodBasis):
-    xv = x.value
-    prior_vals = [s.value for s in prior]
-    lo, hi = _unit_admissible_region(basis, xv, prior_vals)
-    # the region straddles x strictly (both grid neighbours at the final
-    # scale are usable), so x itself qualifies whenever it is enumerated
-    for p, cand in enumerate(dense.points):
-        if lo < cand.value < hi:
-            witness, widx = _unit_min_witness(basis, xv, cand.value, prior_vals)
-            return p, cand, witness, widx
-    raise SearchBudgetExceeded("no admissible unit point", budget=len(dense))
+            return free
+    raise RuntimeError("unit admissibility scan did not terminate")
 
 
 def path_step(x: PointCode, dense: DenseSequence, prior: Sequence[PointCode],
@@ -259,11 +231,27 @@ def path_step(x: PointCode, dense: DenseSequence, prior: Sequence[PointCode],
         # A cylinder through x and x_p misses every prior term iff
         # |x /\ x_p| > max_i |x /\ s_i|; each term extends the previous
         # one's common prefix with x, so that maximum is the last term's.
-        p, pt, want = _word_step(x, dense, x.common_prefix_len(prior[-1]))
-        widx = basis.index_of_word(want) if isinstance(basis, CylinderGoodBasis) else None
+        want = x.prefix(x.common_prefix_len(prior[-1]) + 1)
+        try:
+            widx = basis.index_of_word(want)
+        except ValueError as exc:
+            # a Baire symbol past the basis alphabet: every cylinder through
+            # x that avoids the priors extends want, so none is enumerated
+            raise SearchBudgetExceeded(
+                f"prefix of length {len(want)}: {exc}; no basis cylinder through x "
+                f"avoids the prior terms, path exhausted", budget=basis.base) from None
+        p, pt = dense.first_extending(want)
         return p, pt, Cylinder(x.space, want), widx
     if isinstance(x, UnitPoint):
-        return _unit_path_step(x, dense, prior, basis)
+        free = _unit_prior_free(basis, x.value, [s.value for s in prior])
+        # the region straddles x strictly (both grid neighbours at the final
+        # scale are usable), so x itself qualifies whenever it is enumerated
+        p, pt = dense.first_inside(min(iv.lo for _, iv in free),
+                                   max(iv.hi for _, iv in free))
+        # every later scale has larger indices, so the first listed interval
+        # holding x_p is the minimal-index witness
+        widx, witness = next((m, iv) for m, iv in free if iv.lo < pt.value < iv.hi)
+        return p, pt, witness, widx
     raise ValueError(f"path mode needs a good basis; unsupported for {x.space}")
 
 
@@ -271,10 +259,14 @@ def route_step(x: PointCode, dense: DenseSequence, current: Dist):
     """Minimal p with d(x, x_p) < current; exact comparisons.
 
     In Cantor and Baire space d(x, x_p) < 2^(-k) iff x_p extends x|(k+1),
-    which is the word step of path mode; other spaces scan the list.
+    and on the unit interval d(x, x_p) < r iff x - r < x_p < x + r: the
+    lookups of path mode.  Z scans the list.
     """
     if isinstance(x, WordPoint) and current.kind == "pow2":
-        return _word_step(x, dense, int(current.value))[:2]
+        return dense.first_extending(x.prefix(int(current.value) + 1))
+    if isinstance(x, UnitPoint):
+        r = current.as_fraction()
+        return dense.first_inside(x.value - r, x.value + r)
     for p, cand in enumerate(dense.points):
         if dist(x, cand) < current:
             return p, cand

@@ -131,15 +131,6 @@ class Dist:
     def __ge__(self, other):
         return self._cmp(other) >= 0
 
-    def __float__(self):
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "rat":
-            return float(self.value)
-        if self.kind == "pow2":
-            return 2.0 ** (-float(self.value))
-        return float("inf")
-
     def __str__(self):
         if self.kind == "zero":
             return "0"
@@ -483,9 +474,6 @@ class UnitGoodBasis:
     """
 
     space = UNIT
-
-    def block_size(self, r: int) -> int:
-        return 2 ** (r + 1) + 1
 
     def _block_start(self, r: int) -> int:
         # sum of block sizes below r: sum(2^(j+1) + 1) = 2^(r+1) - 2 + r

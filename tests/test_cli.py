@@ -209,10 +209,12 @@ I25_ARGS = ["recover", "--fn", "I25", "--alpha", "cantor:|110"]
     ["gallery", "eval", "--fn", "I25", "--alpha", "cantor:|110"],
     ["rank", "--config", "{tmp}/bad_n.cfg"],
     ["rank", "--config", "/nonexistent.cfg"],
+    I25_ARGS + ["--config", "{tmp}/bad_mode.cfg"],
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, args):
     (tmp_path / "empty.txt").write_text("# no points\n")
     (tmp_path / "bad_n.cfg").write_text("n=abc\nA=10\nB=01\n")
+    (tmp_path / "bad_mode.cfg").write_text("mode=paht\n")
     args = [a.replace("{tmp}", str(tmp_path)) for a in args]
     assert run_main(args + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -227,3 +229,53 @@ def test_replay_flags_extra_files(tmp_path):
     assert not rep["ok"]
     assert rep["divergence"] == {"file": "rank.txt", "line": 0, "reason": "extra on replay"}
     assert rep["files_compared"] == 2
+
+
+def test_config_file_beats_defaults(tmp_path):
+    rec = tmp_path / "rec.cfg"
+    rec.write_text("fn=I25\nalpha=cantor:|110\nhorizon=40\nmax_points=2\n")
+    assert run_main(["recover", "--config", str(rec), "--out", str(tmp_path / "r")]) == 0
+    cfg = json.loads((tmp_path / "r" / "config.json").read_text())
+    assert (cfg["fn"], cfg["horizon"], cfg["window"]) == ("I25", 40, 8)
+    ebc = tmp_path / "ebc.cfg"
+    ebc.write_text("cover=cantor-bits\npairs=20\nseed=3\n")
+    assert run_main(["ebc1", "--config", str(ebc), "--out", str(tmp_path / "e")]) == 0
+    cfg = json.loads((tmp_path / "e" / "config.json").read_text())
+    assert (cfg["cover"], cfg["pairs"], cfg["seed"]) == ("cantor-bits", 20, 3)
+
+
+def test_explicit_option_beats_config_file(tmp_path):
+    ebc = tmp_path / "ebc.cfg"
+    ebc.write_text("cover=cantor-bits\npairs=20\nseed=3\n")
+    assert run_main(["ebc1", "--config", str(ebc), "--pairs", "30", "--seed", "0",
+                     "--out", str(tmp_path / "e")]) == 0
+    cfg = json.loads((tmp_path / "e" / "config.json").read_text())
+    assert (cfg["cover"], cfg["pairs"], cfg["seed"]) == ("cantor-bits", 30, 0)
+
+
+@pytest.mark.parametrize("args,recorded", [
+    (["ebc1"], {"cover": "unit-halves", "pairs": 200, "seed": 7}),
+    (["gallery"], {"action": "list", "horizon": 400}),
+])
+def test_defaults_recorded_without_config(tmp_path, args, recorded):
+    assert run_main(args + ["--out", str(tmp_path / "d")]) == 0
+    cfg = json.loads((tmp_path / "d" / "config.json").read_text())
+    assert cfg == {"artifact_version": "2", "command": args[0], **recorded}
+
+
+@pytest.mark.parametrize("key", ["check_points", "horizon"])
+def test_build_dense_unread_keys_rejected(tmp_path, capsys, key):
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text(f"{key}=4\n")
+    assert run_main(["build-dense", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 2
+    assert capsys.readouterr().err.startswith("config error: unknown keys for build-dense")
+
+
+def test_baire_alphabet_overflow_is_a_budget_stop(tmp_path):
+    dense = tmp_path / "dense.txt"
+    dense.write_text("baire:|0\nbaire:9|0\nbaire:9,1|2\n")
+    out = tmp_path / "b"
+    code = run_main(["recover", "--dense", f"file:{dense}", "--fn", "singleton:baire:9|0",
+                     "--points", "baire:9,1|2", "--out", str(out)])
+    point = json.loads((out / "summary.json").read_text())["report"]["per_point"][0]
+    assert code == 1 and point["terminated"] == "budget" and point["correct"] is None

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from firstreturn.path import (
     witness_violations,
 )
 from firstreturn.space import (
+    BAIRE,
     CANTOR,
     UNIT,
     Dist,
@@ -21,8 +23,10 @@ from firstreturn.space import (
     WordPoint,
     ZBall,
     ZPoint,
+    baire_point,
     cantor_point,
     dist,
+    good_basis,
     member,
 )
 from firstreturn.dense_builder import ClosedSet, build_dense
@@ -140,6 +144,20 @@ def test_unit_path_point_in_dense_fixes(dyadics, unit_basis):
     assert witness_violations(tr) == []
 
 
+def test_baire_symbol_past_alphabet_bound_is_a_budget_stop():
+    # the basis enumerates Baire cylinders over symbols < 8; once the next
+    # cylinder through x needs the 9, no basis cylinder can serve
+    basis = good_basis(BAIRE)
+    x = baire_point((1, 9), (2,))
+    dense = DenseSequence(BAIRE, [baire_point((), (0,)), baire_point((1,), (0,)), x])
+    tr = path_trace(x, dense, basis, 6)
+    assert tr.points() == [dense[0], dense[1]]
+    assert tr.terminated == "budget" and tr.budget == 8
+    with pytest.raises(SearchBudgetExceeded,
+                       match="prefix of length 2: symbol 9 outside alphabet bound 8"):
+        path_step(x, dense, tr.points(), basis)
+
+
 def test_budget_exceeded_raises_when_asked(dense25, cantor_basis):
     x = cantor_point("", "10")
     with pytest.raises(SearchBudgetExceeded) as exc:
@@ -252,6 +270,44 @@ def test_route_over_unbounded_prop25(dense25, seq25):
             [(s.index, s.point) for s in inside.steps]
     tr = route_trace(cantor_point("", "10"), seq25, 12)
     assert tr.terminated == "horizon" and len(tr.steps) == 12
+
+
+UNIT_POINTS = [UnitPoint(F(v)) for v in ("1/3", "2/7", "0", "1", "5/8", "999/1000")]
+
+
+def unit_lists(dyadics):
+    """dyadics, a 12-point prefix that runs out, and a shuffled list with repeats."""
+    pts = dyadics.points[:64]
+    random.Random(3).shuffle(pts)
+    return [dyadics, DenseSequence(UNIT, dyadics.points[:12]),
+            DenseSequence(UNIT, pts + pts[::3])]
+
+
+def test_unit_route_matches_linear_scan(dyadics):
+    stops = set()
+    for dense in unit_lists(dyadics):
+        for x in UNIT_POINTS:
+            tr = route_trace(x, dense, 24)
+            got = ([s.index for s in tr.steps], tr.points(), tr.terminated)
+            assert got == linear_route(x, dense, 24), (len(dense), str(x))
+            stops.add(tr.terminated)
+    assert stops == {"horizon", "budget"}
+
+
+def test_unit_path_witness_is_least_basis_index(dyadics, unit_basis):
+    # each witness is the least m whose basis interval holds x and s_{n+1}
+    # and no earlier term, found by scanning basis.at(m) in ascending m
+    for dense in unit_lists(dyadics):
+        for x in UNIT_POINTS:
+            tr = path_trace(x, dense, unit_basis, 8)
+            for n, step in enumerate(tr.steps[:-1]):
+                if step.witness is None:
+                    continue
+                nxt, prior = tr.steps[n + 1].point, tr.points()[:n + 1]
+                m = next(m for m in range(step.witness_index + 1)
+                         if member(x, unit_basis.at(m)) and member(nxt, unit_basis.at(m))
+                         and not any(member(s, unit_basis.at(m)) for s in prior))
+                assert (m, unit_basis.at(m)) == (step.witness_index, step.witness)
 
 
 @pytest.mark.parametrize("space", [CANTOR, UNIT])

@@ -254,6 +254,33 @@ def test_parse_format_round_trip(text):
     assert parse_point(format_point(p)) == p
 
 
+_UNIT_FRACTIONS = st.fractions(min_value=0, max_value=1, max_denominator=64)
+
+
+def _words(space, top):
+    symbols = st.integers(0, top)
+    return st.builds(WordPoint, st.just(space), st.lists(symbols, max_size=6).map(tuple),
+                     st.lists(symbols, min_size=1, max_size=4).map(tuple))
+
+
+@st.composite
+def _z_points(draw):
+    a = draw(st.fractions(min_value=F(1, 8), max_value=4, max_denominator=16))
+    b = draw(st.fractions(min_value=0, max_value=4, max_denominator=16))
+    # an increasing prefix below the tail's value at its length
+    shares = sorted(draw(st.lists(_UNIT_FRACTIONS.filter(lambda q: q < 1),
+                                  unique=True, max_size=4)))
+    top = a * len(shares) + b
+    return ZPoint(tuple(q * top for q in shares), a, b)
+
+
+@given(st.one_of(_words(CANTOR, 1), _words(BAIRE, 20),
+                 st.builds(UnitPoint, _UNIT_FRACTIONS), _z_points()))
+@settings(max_examples=300, deadline=None)
+def test_parse_format_round_trip_random(p):
+    assert parse_point(format_point(p)) == p
+
+
 def test_parse_rejects_garbage():
     for bad in ("cantor:10", "unit:x", "z:[1];a=1", "nowhere:1"):
         with pytest.raises(ValueError):
