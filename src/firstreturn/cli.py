@@ -10,9 +10,11 @@ run.meta sidecar excluded from determinism comparisons.  Exit codes:
 
 Configurations can also be given as files (--config): either JSON or
 line-based key=value (# comments allowed); unknown keys are rejected.
-The accepted keys per command are those of _ALLOWED_KEYS in this module;
-`firstreturn <command> --help` lists the matching options.  A value
-given as an option beats the file's, which beats _DEFAULTS.
+One table in this module, _KEYS, declares each command's keys once, with
+a kind and a default; it generates the options (`--max-points` for
+max_points; `firstreturn <command> --help` lists them), drives
+validate_config and supplies the defaults recorded in config.json.  A
+value given as an option beats the file's, which beats the table's.
 """
 
 from __future__ import annotations
@@ -26,11 +28,12 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from . import dense_builder, ebc1, gallery, rank, recover
-from .dense_builder import ClosedSet, build_dense, whole_space
-from .path import DenseSequence, path_trace, route_trace, trace_to_csv
+from .dense_builder import ClosedSet, build_dense
+from .path import PATH, ROUTE, DenseSequence, path_trace, route_trace, trace_to_csv
 from .space import (
     CANTOR,
     UNIT,
+    Z,
     NoGoodBasis,
     PointCode,
     UnitPoint,
@@ -59,7 +62,8 @@ def _point(text) -> PointCode:
 # ---------------------------------------------------------------------------
 
 
-def _fn_from_config(cfg: dict) -> recover.FunctionOracle:
+def _fn_from_config(cfg: dict) -> Tuple[recover.FunctionOracle, str]:
+    """The configured function and the space it is defined on."""
     name = cfg.get("fn")
     if not name:
         raise ConfigError("nothing to run: empty function list")
@@ -67,23 +71,33 @@ def _fn_from_config(cfg: dict) -> recover.FunctionOracle:
         if "alpha" not in cfg:
             raise ConfigError(f"{name} needs alpha=<cantor point>")
         alpha = _point(cfg["alpha"])
-        return gallery.I16(alpha) if name == "I16" else gallery.I25(alpha)
+        if alpha.space != CANTOR:
+            raise ConfigError(f"alpha must be a cantor point, got {alpha}")
+        return (gallery.I16(alpha) if name == "I16" else gallery.I25(alpha)), CANTOR
     if name == "first-one-scale":
-        return gallery.first_one_scale()
+        return gallery.first_one_scale(), CANTOR
     if name.startswith("indicator:"):
         bits = name.split(":", 1)[1]
         if set(bits) - {"0", "1"}:
             raise ConfigError(f"bad indicator word {bits!r}")
         word = tuple(int(c) for c in bits)
         return gallery.indicator_of(
-            ClosedSet(CANTOR, cylinders=(word,), name=f"N({bits})"))
+            ClosedSet(CANTOR, cylinders=(word,), name=f"N({bits})")), CANTOR
     if name.startswith("singleton:"):
         pt = _point(name.split(":", 1)[1])
+        if not isinstance(pt, WordPoint):
+            raise ConfigError(f"singleton needs a cantor or baire point: {pt.space} "
+                              f"has no complement pieces yet")
         return gallery.indicator_of(
-            ClosedSet(pt.space, singletons=(pt,), name=f"{{{pt}}}"))
+            ClosedSet(pt.space, singletons=(pt,), name=f"{{{pt}}}")), pt.space
     if name == "zF":
-        return gallery.z_F_indicator()
+        return gallery.z_F_indicator(), Z
     raise ConfigError(f"unknown function {name!r}")
+
+
+def _check_space(f: recover.FunctionOracle, fn_space: str, where: str, space: str):
+    if fn_space != space:
+        raise ConfigError(f"{f.fid} is defined on {fn_space}, but {where} lies in {space}")
 
 
 def dyadic_dense(depth: int = 10) -> DenseSequence:
@@ -128,7 +142,7 @@ BUILDER_FAMILIES: Dict[str, List[ClosedSet]] = {
 }
 
 
-def _builder_q(count: int = 126) -> List[WordPoint]:
+def _builder_q() -> List[WordPoint]:
     pts: List[WordPoint] = []
     for depth in range(6):
         for v in range(2 ** depth):
@@ -140,7 +154,7 @@ def _builder_q(count: int = 126) -> List[WordPoint]:
         if p not in seen:
             seen.add(p)
             out.append(p)
-    return out[:count]
+    return out
 
 
 def _ebc1_cover(name: str) -> Tuple[ebc1.ClosedCover, List[recover.FunctionOracle], str]:
@@ -148,10 +162,9 @@ def _ebc1_cover(name: str) -> Tuple[ebc1.ClosedCover, List[recover.FunctionOracl
     if name == "unit-halves":
         pieces = [ClosedSet(UNIT, intervals=((F(0), F(1, 2)),), name="[0,1/2]"),
                   ClosedSet(UNIT, intervals=((F(1, 2), F(1)),), name="[1/2,1]")]
-        fam = [recover.FunctionOracle("x/2", lambda p: p.value / 2, recover.RATIONAL,
-                                      "continuous"),
+        fam = [recover.FunctionOracle("x/2", lambda p: p.value / 2, recover.RATIONAL),
                recover.FunctionOracle("1-x/2", lambda p: 1 - p.value / 2,
-                                      recover.RATIONAL, "continuous")]
+                                      recover.RATIONAL)]
         return ebc1.ClosedCover(F(1, 3), pieces, UNIT), fam, UNIT
     if name == "unit-step":
         pieces = [ClosedSet(UNIT, intervals=((F(1, 2), F(1)),), name="[1/2,1]")]
@@ -159,65 +172,71 @@ def _ebc1_cover(name: str) -> Tuple[ebc1.ClosedCover, List[recover.FunctionOracl
             pieces.append(ClosedSet(UNIT, intervals=((F(0), F(1, 2) - F(1, 2 ** k)),),
                                     name=f"[0,1/2-2^-{k}]"))
         step = recover.FunctionOracle(
-            "step", lambda p: 1 if p.value >= F(1, 2) else 0, recover.DISCRETE,
-            "baire-one")
+            "step", lambda p: 1 if p.value >= F(1, 2) else 0, recover.DISCRETE)
         co_step = recover.FunctionOracle(
-            "co-step", lambda p: 0 if p.value >= F(1, 2) else 1, recover.DISCRETE,
-            "baire-one")
+            "co-step", lambda p: 0 if p.value >= F(1, 2) else 1, recover.DISCRETE)
         return ebc1.ClosedCover(F(1, 2), pieces, UNIT), [step, co_step], UNIT
-    if name == "cantor-bits":
-        pieces = [ClosedSet(CANTOR, cylinders=((0,),), name="N(0)"),
-                  ClosedSet(CANTOR, cylinders=((1,),), name="N(1)")]
-        fam = [gallery.indicator_of(pieces[1], "1_N(1)"),
-               gallery.indicator_of(pieces[0], "1_N(0)")]
-        return ebc1.ClosedCover(F(1, 2), pieces, CANTOR), fam, CANTOR
-    raise ConfigError(f"unknown cover {name!r}")
+    # cantor-bits
+    pieces = [ClosedSet(CANTOR, cylinders=((0,),), name="N(0)"),
+              ClosedSet(CANTOR, cylinders=((1,),), name="N(1)")]
+    fam = [gallery.indicator_of(pieces[1], "1_N(1)"),
+           gallery.indicator_of(pieces[0], "1_N(0)")]
+    return ebc1.ClosedCover(F(1, 2), pieces, CANTOR), fam, CANTOR
 
 
 # ---------------------------------------------------------------------------
 # Config handling
 # ---------------------------------------------------------------------------
 
-_ALLOWED_KEYS = {
-    "recover": {"command", "dense", "fn", "alpha", "mode", "horizon", "window",
-                "points", "max_points"},
-    "build-dense": {"command", "family", "m_budget", "stages"},
-    "rank": {"command", "n", "A", "B", "diff"},
-    "ebc1": {"command", "cover", "pairs", "seed"},
-    "gallery": {"command", "action", "fn", "alpha", "beta", "horizon"},
+# The kind of a value: a count (an integer >= 1), any integer, text, a
+# flag, or a tuple of the allowed values.
+COUNT, INT, TEXT, FLAG = "count", "int", "text", "flag"
+
+# Every key of every command: key -> (kind, default).  A key without a
+# default (None) is recorded in config.json only when given.
+_KEYS = {
+    "recover": {"dense": (TEXT, "prop25"), "fn": (TEXT, None), "alpha": (TEXT, None),
+                "mode": ((PATH, ROUTE), PATH), "horizon": (COUNT, 64),
+                "window": (COUNT, 8), "points": (TEXT, None), "max_points": (COUNT, None)},
+    "build-dense": {"family": (tuple(BUILDER_FAMILIES), "one-bit"),
+                    "m_budget": (COUNT, 30), "stages": (COUNT, None)},
+    "rank": {"n": (INT, None), "A": (TEXT, None), "B": (TEXT, None), "diff": (FLAG, None)},
+    "ebc1": {"cover": (("unit-halves", "unit-step", "cantor-bits"), "unit-halves"),
+             "pairs": (COUNT, 200), "seed": (INT, 7)},
+    "gallery": {"action": (("list", "eval", "demo-z"), "list"), "fn": (TEXT, None),
+                "alpha": (TEXT, None), "beta": (TEXT, None), "horizon": (COUNT, 400)},
 }
 
-_INT_KEYS = {"horizon", "window", "m_budget", "stages", "n", "pairs", "seed",
-             "max_points"}
-_POSITIVE_KEYS = {"horizon", "window", "m_budget", "pairs", "stages", "max_points"}
-
-# Values a run takes for keys it is not given; they are recorded in
-# config.json.  Precedence: these < a --config file < explicit options.
-_DEFAULTS = {
-    "recover": {"dense": "prop25", "mode": "path", "horizon": 64, "window": 8},
-    "build-dense": {"family": "one-bit", "m_budget": 30},
-    "rank": {},
-    "ebc1": {"cover": "unit-halves", "pairs": 200, "seed": 7},
-    "gallery": {"action": "list", "horizon": 400},
+_HELP = {
+    "recover": "recover a function along a dense sequence",
+    "build-dense": "run the staged dense-set builder",
+    "rank": "separation rank on a finite algebra",
+    "ebc1": "equi-Baire-class-one oscillation check",
+    "gallery": "explicit examples",
 }
 
 
 def validate_config(cfg: dict) -> dict:
     cmd = cfg.get("command")
-    if cmd not in _ALLOWED_KEYS:
+    if cmd not in _KEYS:
         raise ConfigError(f"unknown command {cmd!r}")
-    unknown = set(cfg) - _ALLOWED_KEYS[cmd]
+    keys = _KEYS[cmd]
+    unknown = set(cfg) - set(keys) - {"command"}
     if unknown:
         raise ConfigError(f"unknown keys for {cmd}: {sorted(unknown)}")
     out = dict(cfg)
-    for key in _INT_KEYS & set(out):
-        try:
-            out[key] = int(out[key])
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key} must be an integer, got {out[key]!r}") from None
-    for key in _POSITIVE_KEYS & set(out):
-        if out[key] < 1:
-            raise ConfigError(f"{key} must be >= 1, got {out[key]}")
+    for key, (kind, _) in keys.items():
+        if key not in out:
+            continue
+        if kind in (COUNT, INT):
+            try:
+                out[key] = int(out[key])
+            except (TypeError, ValueError):
+                raise ConfigError(f"{key} must be an integer, got {out[key]!r}") from None
+            if kind == COUNT and out[key] < 1:
+                raise ConfigError(f"{key} must be >= 1, got {out[key]}")
+        elif isinstance(kind, tuple) and out[key] not in kind:
+            raise ConfigError(f"{key} must be one of {', '.join(kind)}; got {out[key]!r}")
     return out
 
 
@@ -263,13 +282,12 @@ def _emit(out_dir: Path, cfg: dict, summary: dict, ok: bool) -> int:
 
 
 def _run_recover(cfg: dict, out_dir: Path) -> int:
-    f = _fn_from_config(cfg)
+    f, fn_space = _fn_from_config(cfg)
     dense = _dense_from_config(cfg)
+    _check_space(f, fn_space, "the dense sequence", dense.space)
     mode, horizon, window = cfg["mode"], cfg["horizon"], cfg["window"]
-    if mode not in ("path", "route"):
-        raise ConfigError(f"unknown mode {mode!r}")
     try:
-        basis = good_basis(dense.space) if mode == "path" else None
+        basis = good_basis(dense.space) if mode == PATH else None
     except NoGoodBasis as exc:
         raise ConfigError(f"{exc}; use mode=route") from None
     if "points" in cfg:
@@ -287,7 +305,7 @@ def _run_recover(cfg: dict, out_dir: Path) -> int:
                 break
     report = recover.recovery_report(f, dense, mode, points, horizon, basis, window)
     for i, x in enumerate(points):
-        tr = (path_trace(x, dense, basis, horizon) if mode == "path"
+        tr = (path_trace(x, dense, basis, horizon) if mode == PATH
               else route_trace(x, dense, horizon))
         _write(out_dir, f"traces/point{i:03d}.csv", trace_to_csv(tr))
     ok = report["correct_rate"] == 1.0
@@ -296,8 +314,6 @@ def _run_recover(cfg: dict, out_dir: Path) -> int:
 
 def _run_build_dense(cfg: dict, out_dir: Path) -> int:
     family_name = cfg["family"]
-    if family_name not in BUILDER_FAMILIES:
-        raise ConfigError(f"unknown family {family_name!r}")
     families = BUILDER_FAMILIES[family_name]
     basis = good_basis(CANTOR)
     q = _builder_q()
@@ -319,7 +335,7 @@ def _run_build_dense(cfg: dict, out_dir: Path) -> int:
 
 def _run_rank(cfg: dict, out_dir: Path) -> int:
     try:
-        n = int(cfg["n"])
+        n = cfg["n"]
         algebra = rank.FiniteAlgebra(n)
         A = algebra.parse_atoms(str(cfg["A"]))
         B = algebra.parse_atoms(str(cfg["B"]))
@@ -390,24 +406,24 @@ def _run_gallery(cfg: dict, out_dir: Path) -> int:
         }
         return _emit(out_dir, cfg, summary, ok=True)
     if action == "eval":
-        f = _fn_from_config(cfg)
+        f, fn_space = _fn_from_config(cfg)
         if "beta" not in cfg:
             raise ConfigError("gallery eval needs beta=<point>")
         beta = _point(cfg["beta"])
+        _check_space(f, fn_space, "beta", beta.space)
         value = f(beta)
         return _emit(out_dir, cfg, {"fn": f.fid, "beta": str(beta),
                                     "value": value}, ok=True)
-    if action == "demo-z":
-        rep = gallery.thm13_demo(horizon=cfg["horizon"])
-        summary = {
-            "found": rep.found, "witness": rep.witness,
-            "flips_after": rep.flips_after, "total_flips": rep.total_flips,
-            "after_step": rep.after_step, "horizon": rep.horizon,
-            "candidates": rep.candidates, "density": rep.density,
-            "positive_control": rep.positive_control, "note": rep.note,
-        }
-        return _emit(out_dir, cfg, summary, ok=rep.found)
-    raise ConfigError(f"unknown gallery action {action!r}")
+    # demo-z
+    rep = gallery.thm13_demo(horizon=cfg["horizon"])
+    summary = {
+        "found": rep.found, "witness": rep.witness,
+        "flips_after": rep.flips_after, "total_flips": rep.total_flips,
+        "after_step": rep.after_step, "horizon": rep.horizon,
+        "candidates": rep.candidates, "density": rep.density,
+        "positive_control": rep.positive_control, "note": rep.note,
+    }
+    return _emit(out_dir, cfg, summary, ok=rep.found)
 
 
 _RUNNERS = {
@@ -423,7 +439,8 @@ def run_config(cfg: dict, out_dir: Path) -> int:
     """Validate and execute one experiment, filling in the defaults of keys
     it is not given; returns the exit code."""
     cfg = validate_config(cfg)
-    cfg = {**_DEFAULTS[cfg["command"]], **cfg}
+    defaults = {k: d for k, (_, d) in _KEYS[cfg["command"]].items() if d is not None}
+    cfg = {**defaults, **cfg}
     out_dir.mkdir(parents=True, exist_ok=True)
     return _RUNNERS[cfg["command"]](cfg, out_dir)
 
@@ -487,58 +504,24 @@ def replay(artifact_dir: Path, scratch: Optional[Path] = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp):
-    sp.add_argument("--out", default=None, help="artifact directory")
-    sp.add_argument("--config", default=None, help="config file (json or key=value)")
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="firstreturn")
     sub = parser.add_subparsers(dest="command")
-    # options left out stay out of the namespace, so a --config file's value
-    # is kept; run_config fills in the defaults of keys still missing
-    suppress = {"argument_default": argparse.SUPPRESS}
-
-    sp = sub.add_parser("recover", help="recover a function along a dense sequence",
-                        **suppress)
-    _add_common(sp)
-    sp.add_argument("--dense")
-    sp.add_argument("--fn")
-    sp.add_argument("--alpha")
-    sp.add_argument("--mode", choices=["path", "route"])
-    sp.add_argument("--horizon", type=int)
-    sp.add_argument("--window", type=int)
-    sp.add_argument("--points", help="semicolon-separated point syntax")
-    sp.add_argument("--max-points", dest="max_points", type=int)
-
-    sp = sub.add_parser("build-dense", help="run the staged dense-set builder", **suppress)
-    _add_common(sp)
-    sp.add_argument("--family", choices=sorted(BUILDER_FAMILIES))
-    sp.add_argument("--m-budget", dest="m_budget", type=int)
-    sp.add_argument("--stages", type=int)
-
-    sp = sub.add_parser("rank", help="separation rank on a finite algebra", **suppress)
-    _add_common(sp)
-    sp.add_argument("--n", type=int, required=False)
-    sp.add_argument("--A")
-    sp.add_argument("--B")
-    sp.add_argument("--diff", action="store_true")
-
-    sp = sub.add_parser("ebc1", help="equi-Baire-class-one oscillation check", **suppress)
-    _add_common(sp)
-    sp.add_argument("--cover")
-    sp.add_argument("--pairs", type=int)
-    sp.add_argument("--seed", type=int)
-
-    sp = sub.add_parser("gallery", help="explicit examples", **suppress)
-    _add_common(sp)
-    # argparse checks a SUPPRESS default against choices
-    sp.add_argument("action", nargs="?", default=None,
-                    choices=["list", "eval", "demo-z"])
-    sp.add_argument("--fn")
-    sp.add_argument("--alpha")
-    sp.add_argument("--beta")
-    sp.add_argument("--horizon", type=int)
+    for command, keys in _KEYS.items():
+        # options left out stay out of the namespace, so a --config file's
+        # value is kept; run_config fills in the defaults of keys still missing
+        sp = sub.add_parser(command, help=_HELP[command],
+                            argument_default=argparse.SUPPRESS)
+        sp.add_argument("--out", default=None, help="artifact directory")
+        sp.add_argument("--config", default=None, help="config file (json or key=value)")
+        for key, (kind, _) in keys.items():
+            metavar = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else None
+            if key == "action":
+                sp.add_argument("action", nargs="?", metavar=metavar)
+            elif kind == FLAG:
+                sp.add_argument(f"--{key}", action="store_true")
+            else:
+                sp.add_argument("--" + key.replace("_", "-"), dest=key, metavar=metavar)
 
     sp = sub.add_parser("replay", help="re-run recorded artifacts and compare")
     sp.add_argument("dir")

@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .path import DenseSequence, PathTrace, path_trace
+from .path import DenseSequence, path_trace
 from .space import (
-    CANTOR,
     UNIT,
     BasicOpen,
     Cylinder,
@@ -252,13 +251,18 @@ def a_f_of_g(F: ClosedSet, G: Sequence[PointCode], basis: GoodBasis,
 # ---------------------------------------------------------------------------
 
 
+# a stage's G holds at most G_CAP points (extra picks are dropped and
+# logged); the builder takes at most MAX_FAMILIES closed sets
+G_CAP = 64
+MAX_FAMILIES = 8
+
+
 @dataclass
 class StagedDense:
     """Builder output: per-stage blocks plus the flattened dense sequence."""
 
     space: str
     blocks: List[List[PointCode]]
-    sigma_tags: Dict[PointCode, Tuple[int, ...]]
     stage_of: Dict[PointCode, int]
     dense: DenseSequence
     log: List[str] = field(default_factory=list)
@@ -285,19 +289,18 @@ def _subsets_lex(width: int):
 
 def build_dense(families: Sequence[ClosedSet], q_enum: Sequence[PointCode],
                 basis: GoodBasis, *, stages: Optional[int] = None,
-                m_budget: int = 30, g_cap: int = 64,
-                max_families: int = 8) -> StagedDense:
+                m_budget: int = 30) -> StagedDense:
     """Run the staged construction over a caller-fixed enumeration (q_i).
 
-    The family list is finite (I <= max_families); stage i works with the
+    The family list is finite (I <= MAX_FAMILIES); stage i works with the
     effective sigma width min(i, I) since absent sets act as the whole
     space.  The enumeration is never reordered globally: stages only select
     and order picks, and every q_i enters the sequence at its own stage at
     the latest.
     """
     I = len(families)
-    if I > max_families:
-        raise ValueError(f"too many closed sets ({I} > {max_families})")
+    if I > MAX_FAMILIES:
+        raise ValueError(f"too many closed sets ({I} > {MAX_FAMILIES})")
     space = families[0].space if families else q_enum[0].space
     stages = len(q_enum) if stages is None else min(stages, len(q_enum))
 
@@ -314,7 +317,6 @@ def build_dense(families: Sequence[ClosedSet], q_enum: Sequence[PointCode],
         return inter_cache[key]
 
     blocks: List[List[PointCode]] = []
-    sigma_tags: Dict[PointCode, Tuple[int, ...]] = {}
     stage_of: Dict[PointCode, int] = {}
     flat: List[PointCode] = []
     placed = set()
@@ -335,7 +337,7 @@ def build_dense(families: Sequence[ClosedSet], q_enum: Sequence[PointCode],
             for pt, via_m, min_i in picks:
                 if pt in g_members:
                     continue
-                if len(G) >= g_cap:
+                if len(G) >= G_CAP:
                     truncations.append(f"stage={i} g_cap reached; pick dropped")
                     log.append(f"stage={i} sigma={''.join(map(str, bits))} "
                                f"drop={pt} via m={via_m} minidx={min_i}")
@@ -345,21 +347,19 @@ def build_dense(families: Sequence[ClosedSet], q_enum: Sequence[PointCode],
                 log.append(f"stage={i} sigma={''.join(map(str, bits))} "
                            f"pick={pt} via m={via_m} minidx={min_i}")
         fresh = [pt for pt in G if pt not in placed]
-        order_width = min(i, I)
-        keyed = [(_sigma_of(pt, families, order_width), n, pt)
+        keyed = [(_sigma_of(pt, families, width), n, pt)
                  for n, pt in enumerate(fresh)]
         # sigma_{2^i} (lex largest) first, first-appearance order inside a class
         keyed.sort(key=lambda t: (tuple(-b for b in t[0]), t[1]))
         block = [pt for _, _, pt in keyed]
         for pt in block:
             placed.add(pt)
-            sigma_tags[pt] = _sigma_of(pt, families, order_width)
             stage_of[pt] = i
         blocks.append(block)
         flat.extend(block)
 
     dense = DenseSequence(space, flat, tag="staged-builder")
-    return StagedDense(space, blocks, sigma_tags, stage_of, dense, log, truncations)
+    return StagedDense(space, blocks, stage_of, dense, log, truncations)
 
 
 # ---------------------------------------------------------------------------

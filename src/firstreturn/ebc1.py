@@ -14,7 +14,7 @@ below epsilon.  The check asserts exactly that implication, pointwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 

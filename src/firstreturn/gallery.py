@@ -44,8 +44,9 @@ from itertools import product as iter_product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .dense_builder import ClosedSet
-from .path import DenseSequence, PastTableIndex, route_trace, path_trace
-from .recover import DISCRETE, RATIONAL, FunctionOracle, recover_at
+from .path import (DenseSequence, PastTableIndex, SearchBudgetExceeded, route_step,
+                   route_trace)
+from .recover import DISCRETE, RATIONAL, FunctionOracle, _flips_in, recover_at
 from .space import (
     CANTOR,
     Z,
@@ -53,9 +54,7 @@ from .space import (
     PointCode,
     WordPoint,
     ZPoint,
-    cantor_point,
     dist,
-    eq,
     good_basis,
 )
 
@@ -180,20 +179,16 @@ def default_table() -> PsiTable:
     return _DEFAULT_TABLE
 
 
-def x_seq_point(p: int, table: Optional[PsiTable] = None) -> WordPoint:
+def x_seq_point(p: int) -> WordPoint:
     """x_{2n} = psi(n).1^inf, x_{2n+1} = psi(n).0^inf (duplicates permitted)."""
-    table = table or default_table()
-    word = table.psi(p // 2)
+    word = default_table().psi(p // 2)
     return WordPoint(CANTOR, word, (1,) if p % 2 == 0 else (0,))
 
 
-def prop25_dense(table: Optional[PsiTable] = None,
-                 limit: Optional[int] = None) -> DenseSequence:
+def prop25_dense() -> DenseSequence:
     """The materialized dense sequence (x_p) of Cantor space."""
-    table = table or default_table()
-    count = 2 * table.size if limit is None else min(limit, 2 * table.size)
-    return DenseSequence(CANTOR, [x_seq_point(p, table) for p in range(count)],
-                         tag="prop25")
+    count = 2 * default_table().size
+    return DenseSequence(CANTOR, [x_seq_point(p) for p in range(count)], tag="prop25")
 
 
 class Prop25Sequence:
@@ -208,7 +203,7 @@ class Prop25Sequence:
         self.table = default_table()
 
     def __getitem__(self, p: int) -> WordPoint:
-        return x_seq_point(p, self.table)
+        return x_seq_point(p)
 
     def _index(self, s: Tuple[int, ...], c: int):
         n = self.table.index.get(s)
@@ -281,7 +276,11 @@ def _singleton(pt: WordPoint) -> ClosedSet:
     return ClosedSet(CANTOR, singletons=(pt,), name=f"{{{pt}}}")
 
 
-def I16(alpha: WordPoint, decomp_depth: int = 8) -> FunctionOracle:
+# complement depth of the I16, I25 and first-one-scale decompositions
+DECOMP_DEPTH = 8
+
+
+def I16(alpha: WordPoint) -> FunctionOracle:
     """Indicator beta -> 1 iff beta = s.0^inf for some s in S below alpha.
 
     The 1-set is {0^inf} plus the points alpha|(n+1).0^inf at the 1s of
@@ -296,19 +295,19 @@ def I16(alpha: WordPoint, decomp_depth: int = 8) -> FunctionOracle:
 
     ones = [WordPoint(CANTOR, (), (0,))]
     n = 0
-    while len(ones) < decomp_depth and n < 64:
+    while len(ones) < DECOMP_DEPTH and n < 64:
         if alpha.at(n) == 1:
             ones.append(WordPoint(CANTOR, alpha.prefix(n + 1), (0,)))
         n += 1
     avoid = ClosedSet(CANTOR, singletons=tuple(ones) + (alpha,))
-    zero_pieces = _complement_pieces(avoid, decomp_depth)
+    zero_pieces = _complement_pieces(avoid, DECOMP_DEPTH)
     if not is_P_f(alpha):
         zero_pieces = zero_pieces + [_singleton(alpha)]
     decomposition = {1: [_singleton(pt) for pt in ones], 0: zero_pieces}
-    return FunctionOracle(f"I16({alpha})", ev, DISCRETE, "baire-one", decomposition)
+    return FunctionOracle(f"I16({alpha})", ev, DISCRETE, decomposition)
 
 
-def I25(alpha: WordPoint, decomp_depth: int = 8) -> FunctionOracle:
+def I25(alpha: WordPoint) -> FunctionOracle:
     """0 iff beta = s.0^inf with s in S and s.1 an initial segment of alpha."""
 
     def ev(beta: WordPoint) -> int:
@@ -319,7 +318,7 @@ def I25(alpha: WordPoint, decomp_depth: int = 8) -> FunctionOracle:
 
     zeros = []
     n = 0
-    while len(zeros) < decomp_depth and n < 64:
+    while len(zeros) < DECOMP_DEPTH and n < 64:
         s = alpha.prefix(n)
         if in_S(s) and alpha.at(n) == 1:
             zeros.append(WordPoint(CANTOR, s, (0,)))
@@ -327,24 +326,23 @@ def I25(alpha: WordPoint, decomp_depth: int = 8) -> FunctionOracle:
     avoid = ClosedSet(CANTOR, singletons=tuple(zeros) + (alpha,))
     decomposition = {
         0: [_singleton(pt) for pt in zeros],
-        1: _complement_pieces(avoid, decomp_depth) + [_singleton(alpha)],
+        1: _complement_pieces(avoid, DECOMP_DEPTH) + [_singleton(alpha)],
     }
-    return FunctionOracle(f"I25({alpha})", ev, DISCRETE, "baire-one", decomposition)
+    return FunctionOracle(f"I25({alpha})", ev, DISCRETE, decomposition)
 
 
 def indicator_of(closed: ClosedSet, fid: Optional[str] = None,
                  complement_depth: int = 8) -> FunctionOracle:
     """Indicator of an exact closed set, with a declared decomposition."""
-    tag = "continuous" if not closed.singletons else "baire-one"
     decomposition = {
         1: [closed],
         0: _complement_pieces(closed, complement_depth),
     }
     return FunctionOracle(fid or f"1_{closed}", lambda p: 1 if closed.member(p) else 0,
-                          DISCRETE, tag, decomposition)
+                          DISCRETE, decomposition)
 
 
-def first_one_scale(decomp_depth: int = 8) -> FunctionOracle:
+def first_one_scale() -> FunctionOracle:
     """beta -> 2^-(first index of a 1), 0 for the zero point; continuous."""
 
     def ev(beta: WordPoint):
@@ -358,12 +356,11 @@ def first_one_scale(decomp_depth: int = 8) -> FunctionOracle:
     decomposition = {Fraction(0): [ClosedSet(CANTOR,
                                              singletons=(WordPoint(CANTOR, (), (0,)),),
                                              name="{0^inf}")]}
-    for n in range(decomp_depth):
+    for n in range(DECOMP_DEPTH):
         piece = ClosedSet(CANTOR, cylinders=((0,) * n + (1,),),
                           name=f"N(0^{n}1)")
         decomposition[Fraction(1, 2 ** n)] = [piece]
-    return FunctionOracle("first-one-scale", ev, RATIONAL, "continuous",
-                          decomposition)
+    return FunctionOracle("first-one-scale", ev, RATIONAL, decomposition)
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +376,12 @@ def E24_member(beta: WordPoint, alpha: WordPoint) -> bool:
     return (not alpha.starts_with(s)) or alpha.starts_with(s + (0,))
 
 
-def psi27(p: int, table: Optional[PsiTable] = None) -> WordPoint:
+def psi27(p: int) -> WordPoint:
     """The fixed bijection omega -> P_f: psi27(p) = psi(p).0^inf."""
-    table = table or default_table()
-    return WordPoint(CANTOR, table.psi(p), (0,))
+    return WordPoint(CANTOR, default_table().psi(p), (0,))
 
 
-def E27_member(beta: WordPoint, alpha: WordPoint,
-               table: Optional[PsiTable] = None) -> bool:
+def E27_member(beta: WordPoint, alpha: WordPoint) -> bool:
     """(2^w x {0^inf}) union over p of (2^w minus {psi27(p)}) x N_{0^p 1}."""
     zero = WordPoint(CANTOR, (), (0,))
     if alpha == zero:
@@ -394,7 +389,7 @@ def E27_member(beta: WordPoint, alpha: WordPoint,
     p = 0
     while alpha.at(p) == 0:
         p += 1
-    return beta != psi27(p, table)
+    return beta != psi27(p)
 
 
 def e24_section_size(alpha: WordPoint, depth: int = 64) -> int:
@@ -424,8 +419,7 @@ def z_F_member(q: ZPoint) -> bool:
 
 
 def z_F_indicator() -> FunctionOracle:
-    return FunctionOracle("1_F(Z)", lambda q: 1 if z_F_member(q) else 0,
-                          DISCRETE, "baire-one")
+    return FunctionOracle("1_F(Z)", lambda q: 1 if z_F_member(q) else 0, DISCRETE)
 
 
 def prop12_point(n: int) -> ZPoint:
@@ -454,8 +448,7 @@ def thm13_target(offset: Fraction = Fraction(1, 97)) -> ZPoint:
                   Fraction(1, 2) + offset)
 
 
-def thm13_dense(ladder: int = 360, approach_depth: int = 60,
-                offset: Fraction = Fraction(1, 97)) -> DenseSequence:
+def thm13_dense(ladder: int = 360, approach_depth: int = 60) -> DenseSequence:
     """The repo's fixed dense sequence over Z.
 
     Layout: an alternating in-F/out-of-F ladder at strictly decreasing
@@ -464,7 +457,7 @@ def thm13_dense(ladder: int = 360, approach_depth: int = 60,
     tail converging to the target with alternating membership, then a
     generic filler grid for density at the probed scales.
     """
-    target = thm13_target(offset)
+    target = thm13_target()
     pts: List[ZPoint] = []
     half = Fraction(1, 2)
     for k in range(ladder):
@@ -476,7 +469,7 @@ def thm13_dense(ladder: int = 360, approach_depth: int = 60,
     for m in range(3, approach_depth + 1):
         prefix = tuple(target.entry(n) for n in range(m))
         if m % 2 == 0:
-            pts.append(ZPoint(prefix, 1, half + offset + Fraction(1, 4)))
+            pts.append(ZPoint(prefix, 1, target.b + Fraction(1, 4)))
         else:
             pts.append(ZPoint(prefix, 1, 5))
     # density filler: coarse grid plus approximators for the declared probes
@@ -484,15 +477,15 @@ def thm13_dense(ladder: int = 360, approach_depth: int = 60,
         pts.append(ZPoint((), 1, b))
     for first in (Fraction(1, 8), Fraction(1), Fraction(5, 2)):
         pts.append(ZPoint((first,), 1, 3))
-    for probe in _density_probes(offset):
+    for probe in _density_probes():
         prefix = tuple(probe.entry(n) for n in range(6))
         pts.append(ZPoint(prefix, 1, probe.entry(6) - 6 + Fraction(1, 3)))
     return DenseSequence(Z, pts, tag="handwritten")
 
 
-def _density_probes(offset: Fraction) -> List[ZPoint]:
+def _density_probes() -> List[ZPoint]:
     return [
-        thm13_target(offset),
+        thm13_target(),
         ZPoint((), 1, Fraction(3, 4)),
         ZPoint((Fraction(1, 3),), 1, Fraction(7, 8)),
     ]
@@ -504,12 +497,10 @@ def density_report(dense: DenseSequence, probes: Sequence[ZPoint],
     out = []
     for probe in probes:
         for r in scales:
-            found = None
-            radius = Dist.pow2(r)
-            for p, pt in enumerate(dense.points):
-                if dist(probe, pt) < radius:
-                    found = p
-                    break
+            try:
+                found, _ = route_step(probe, dense, Dist.pow2(r))
+            except SearchBudgetExceeded:
+                found = None
             out.append({"probe": str(probe), "scale": r, "index": found})
     return out
 
@@ -529,25 +520,19 @@ class Thm13Report:
                  "the flip counts are observed values, not a proof")
 
 
-def _flips_after(values: Sequence[int], step: int) -> int:
-    return sum(1 for n in range(step, len(values) - 1) if values[n + 1] != values[n])
-
-
-def thm13_demo(dense: Optional[DenseSequence] = None, horizon: int = 400,
-               after_step: int = 50, flip_threshold: int = 5,
-               offset: Fraction = Fraction(1, 97),
-               extra_candidates: Sequence[ZPoint] = ()) -> Thm13Report:
+def thm13_demo(horizon: int = 400, after_step: int = 50,
+               flip_threshold: int = 5) -> Thm13Report:
     """Search proof-shaped candidates for a route trace of 1_F that keeps
     flipping; returns the best witness found (or an honest failure report)."""
-    dense = dense or thm13_dense(offset=offset)
+    dense = thm13_dense()
     f = z_F_indicator()
     candidates = [
-        thm13_target(offset),
+        thm13_target(),
         thm13_target(Fraction(1, 89)),
         ZPoint((Fraction(1, 2), Fraction(3, 2), Fraction(9, 4)), 1, 4),
         ZPoint((), 1, 10),
         dense[0],  # excluded: member of D
-    ] + list(extra_candidates)
+    ]
     report = Thm13Report(False, None, 0, 0, horizon, after_step)
     best = None
     for cand in candidates:
@@ -556,10 +541,10 @@ def thm13_demo(dense: Optional[DenseSequence] = None, horizon: int = 400,
             continue
         trace = route_trace(cand, dense, horizon)
         values = trace.values_under(f)
-        fa = _flips_after(values, after_step)
+        fa = _flips_in(values[after_step:])
         entry = {"x": str(cand), "steps": len(trace.steps),
                  "terminated": trace.terminated,
-                 "flips_after": fa, "total_flips": _flips_after(values, 0),
+                 "flips_after": fa, "total_flips": _flips_in(values),
                  "in_F": z_F_member(cand)}
         report.candidates.append(entry)
         if best is None or fa > best[0]:
@@ -568,8 +553,8 @@ def thm13_demo(dense: Optional[DenseSequence] = None, horizon: int = 400,
         report.found = True
         report.witness = str(best[1])
         report.flips_after = best[0]
-        report.total_flips = _flips_after(best[2], 0)
-    report.density = density_report(dense, _density_probes(offset), (1, 2, 3))
+        report.total_flips = _flips_in(best[2])
+    report.density = density_report(dense, _density_probes(), (1, 2, 3))
     report.positive_control = _cantor_positive_control()
     return report
 

@@ -22,8 +22,9 @@ A dense sequence is either a materialized finite list (`DenseSequence`)
 or an unbounded sequence with a closed-form lookup (the Prop-25 sequence of
 `gallery.Prop25Sequence`); both implement the word lookup
 `first_extending(word)`.  Scans over a finite list stop at the list length
-and report an explicit budget signal instead of silently truncating; an
-unbounded sequence always finds the next term, and where its index lies
+and raise an explicit budget signal, which the extraction always records as
+the trace's `budget` stop: a trace neither raises nor silently truncates.
+An unbounded sequence always finds the next term, and where its index lies
 past the table it can count exactly, it reports a `PastTableIndex` marker
 instead of a number.
 """
@@ -278,10 +279,10 @@ def route_step(x: PointCode, dense: DenseSequence, current: Dist):
 # ---------------------------------------------------------------------------
 
 
-def _extract(x: PointCode, dense, N: int, mode: str, step, on_budget: str) -> PathTrace:
+def _extract(x: PointCode, dense, N: int, mode: str, step) -> PathTrace:
     """s_0 = x_0, then s_{n+1} from step(s_n) until N terms; a term equal
-    to x repeats.  on_budget: "truncate" records an explicit budget stop;
-    "raise" propagates SearchBudgetExceeded."""
+    to x repeats.  A step that runs out of points ends the trace with an
+    explicit budget stop."""
     if N < 1:
         raise ValueError("horizon must be >= 1")
     trace = PathTrace(x=x, mode=mode, horizon=N)
@@ -295,8 +296,6 @@ def _extract(x: PointCode, dense, N: int, mode: str, step, on_budget: str) -> Pa
         try:
             p, pt = step(cur)
         except SearchBudgetExceeded as exc:
-            if on_budget == "raise":
-                raise
             trace.terminated = "budget"
             trace.budget = exc.budget
             break
@@ -304,8 +303,7 @@ def _extract(x: PointCode, dense, N: int, mode: str, step, on_budget: str) -> Pa
     return trace
 
 
-def path_trace(x: PointCode, dense: DenseSequence, basis: GoodBasis, N: int,
-               on_budget: str = "truncate") -> PathTrace:
+def path_trace(x: PointCode, dense: DenseSequence, basis: GoodBasis, N: int) -> PathTrace:
     """Path-mode trace of length <= N with witnesses."""
     prior: List[PointCode] = []
 
@@ -314,14 +312,12 @@ def path_trace(x: PointCode, dense: DenseSequence, basis: GoodBasis, N: int,
         p, pt, cur.witness, cur.witness_index = path_step(x, dense, prior, basis)
         return p, pt
 
-    return _extract(x, dense, N, PATH, step, on_budget)
+    return _extract(x, dense, N, PATH, step)
 
 
-def route_trace(x: PointCode, dense: DenseSequence, N: int,
-                on_budget: str = "truncate") -> PathTrace:
+def route_trace(x: PointCode, dense: DenseSequence, N: int) -> PathTrace:
     """Route-mode trace: strictly decreasing exact distances to x."""
-    return _extract(x, dense, N, ROUTE,
-                    lambda cur: route_step(x, dense, cur.dist_to_x), on_budget)
+    return _extract(x, dense, N, ROUTE, lambda cur: route_step(x, dense, cur.dist_to_x))
 
 
 # ---------------------------------------------------------------------------

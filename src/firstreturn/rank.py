@@ -130,13 +130,11 @@ def _supersets(g: int, full: int):
         s = (s - 1) & free
 
 
-def brute_force_min_chain(algebra: FiniteAlgebra, A: int, B: int,
-                          beta_cap: Optional[int] = None) -> Tuple[int, RankChain]:
+def brute_force_min_chain(algebra: FiniteAlgebra, A: int, B: int) -> Tuple[int, RankChain]:
     """Independent oracle: iterative deepening over strictly increasing chains."""
     if A & B:
         raise NotDisjoint("not disjoint")
     full = algebra.full
-    cap = beta_cap or algebra.atom_count + 1
 
     def dfs(g: int, steps_left: int) -> Optional[List[int]]:
         if steps_left == 1:
@@ -153,7 +151,7 @@ def brute_force_min_chain(algebra: FiniteAlgebra, A: int, B: int,
                 return [g] + rest
         return None
 
-    for beta in range(1, cap + 1):
+    for beta in range(1, algebra.atom_count + 2):
         found = dfs(0, beta)
         if found is not None:
             return beta, RankChain(algebra, tuple(found), A, B)
@@ -213,26 +211,18 @@ def rank_Lf(algebra: FiniteAlgebra, values: Sequence[Fraction]) -> dict:
     """L(f): the sup over rational threshold pairs a < b, finite here because
     the range is finite.
 
-    The sublevel pair ({f<=a}, {f>=b}) only depends on which gap between
-    consecutive distinct values each threshold falls in, so two rational
-    representatives per gap (at 1/4 and 3/4 of its width) exhaust every
-    realizable pair; thresholds outside the range give an empty side and
-    rank one.
+    Thresholds outside the range leave a side empty, which gives rank one.
+    For a < b inside the range, {f <= a} holds the least value and {f >= b}
+    the greatest, so both sides are nonempty and every such pair has the
+    same rank; one pair inside the first gap between distinct values
+    decides the sup.
     """
-    values = [Fraction(v) for v in values]
-    distinct = sorted(set(values))
-    gaps = []
-    for i in range(len(distinct) - 1):
-        lo, hi = distinct[i], distinct[i + 1]
-        gaps.append((lo + (hi - lo) / 4, lo + 3 * (hi - lo) / 4))
-    best, arg = 1, None
-    for i in range(len(gaps)):
-        for j in range(i, len(gaps)):
-            a, b = gaps[i][0], gaps[j][1]
-            res = rank_Lfab(algebra, values, a, b)
-            if res.beta > best:
-                best, arg = res.beta, (a, b)
-    return {"L": best, "argmax": arg, "gaps": gaps}
+    distinct = sorted(set(Fraction(v) for v in values))
+    if len(distinct) < 2:
+        return {"L": 1}
+    lo, hi = distinct[0], distinct[1]
+    res = rank_Lfab(algebra, values, lo + (hi - lo) / 4, lo + 3 * (hi - lo) / 4)
+    return {"L": res.beta}
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +270,12 @@ def chain_from_diff(form: DiffForm) -> RankChain:
     return chain
 
 
-def diff_from_chain(chain: RankChain, xi_prime: Optional[int] = None) -> DiffForm:
+def diff_from_chain(chain: RankChain) -> DiffForm:
     """Separating difference form from a chain for a complementary pair.
 
     The chain must belong to R(P, Q) with Q the complement of P; the result
-    D_{xi'} (xi' odd, at least the chain's top index) contains P and misses
-    Q.  Even indices accumulate the G_{theta+1} whose new layer misses Q,
+    D_{xi'} (xi' the least odd number at least the chain's top index)
+    contains P and misses Q.  Even indices accumulate the G_{theta+1} whose new layer misses Q,
     odd indices those missing P.
     """
     algebra = chain.algebra
@@ -296,10 +286,7 @@ def diff_from_chain(chain: RankChain, xi_prime: Optional[int] = None) -> DiffFor
     if violations:
         raise ValueError(f"invalid input chain: {violations}")
     top = len(chain.sets) - 1
-    if xi_prime is None:
-        xi_prime = top if top % 2 == 1 else top + 1
-    if xi_prime % 2 == 0 or xi_prime < top:
-        raise ValueError("xi' must be odd and at least the chain length")
+    xi_prime = top if top % 2 == 1 else top + 1
     G = list(chain.sets) + [algebra.full] * (xi_prime - top)
     opens: List[int] = []
     for a_idx in range(xi_prime):

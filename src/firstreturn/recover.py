@@ -6,26 +6,30 @@ single separate ground-truth query at the probe point; the split is
 enforced by a per-invocation query audit.  Finite-horizon surrogates for
 limits are explicit: a discrete-valued run "converged" when its value tail
 is constant over a configurable window, a rational-valued one when the
-window oscillation is below 2^-t.  Everything short of that is reported as
-not converged or, with enough tail flips, as divergence evidence.
+window oscillation is below 2^-TOL_EXP.  Everything short of that is
+reported as not converged or, with enough tail flips, as divergence
+evidence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .path import PATH, ROUTE, DenseSequence, PathTrace, path_trace, route_trace
-from .space import Dist, GoodBasis, PointCode
+from .space import GoodBasis, PointCode
 
 DISCRETE = "discrete"
 RATIONAL = "rational"
 
+# a rational-valued tail converges when its oscillation is below 2^-TOL_EXP
+TOL_EXP = 10
+
 
 @dataclass
 class FunctionOracle:
-    """Total deterministic evaluator with a declared class tag.
+    """Total deterministic evaluator with a declared range kind.
 
     decomposition, when present, maps each range value to the closed pieces
     of its preimage (used by the builder, the G-delta construction and the
@@ -35,7 +39,6 @@ class FunctionOracle:
     fid: str
     evaluator: Callable[[PointCode], object]
     y_kind: str = DISCRETE
-    class_tag: str = "unknown"  # continuous | baire-one | unknown
     decomposition: Optional[dict] = None
 
     def __call__(self, p: PointCode):
@@ -108,12 +111,11 @@ def _flips_in(values: Sequence) -> int:
     return sum(1 for i in range(len(values) - 1) if values[i + 1] != values[i])
 
 
-def classify_values(values: Sequence, y_kind: str, window: int = 16,
-                    tol_exp: int = 10) -> Verdict:
+def classify_values(values: Sequence, y_kind: str, window: int = 16) -> Verdict:
     """Finite-horizon verdict over a value trace.
 
     Discrete range: converged means constant over the last `window` steps;
-    rational range: oscillation below 2^-tol_exp over that window.  Two or
+    rational range: oscillation below 2^-TOL_EXP over that window.  Two or
     more tail flips count as divergence evidence; anything else is simply
     not converged at this horizon.
     """
@@ -132,7 +134,7 @@ def classify_values(values: Sequence, y_kind: str, window: int = 16,
             return Verdict("diverged-evidence", flips=flips)
         return Verdict("not-converged-at-horizon")
     osc = max(tail) - min(tail)
-    if osc < Fraction(1, 2 ** tol_exp):
+    if osc < Fraction(1, 2 ** TOL_EXP):
         run = _tail_run_length(values)
         return Verdict("converged", values[-1], since=len(values) - run)
     if _flips_in(tail) >= 2:
@@ -141,8 +143,8 @@ def classify_values(values: Sequence, y_kind: str, window: int = 16,
 
 
 def recover_at(f: FunctionOracle, x: PointCode, dense: DenseSequence, mode: str,
-               N: int, basis: Optional[GoodBasis] = None, window: int = 16,
-               tol_exp: int = 10) -> RecoveryResult:
+               N: int, basis: Optional[GoodBasis] = None,
+               window: int = 16) -> RecoveryResult:
     """Evaluate f along the extracted subsequence for x and classify the tail.
 
     f is queried on the dense-sequence points of the trace plus exactly one
@@ -157,27 +159,26 @@ def recover_at(f: FunctionOracle, x: PointCode, dense: DenseSequence, mode: str,
     audit = QueryAudit(dense)
     values = [audit.eval_on_dense(f, s.point) for s in trace.steps]
     expected = audit.eval_ground_truth(f, x)
-    verdict = classify_values(values, f.y_kind, window, tol_exp)
+    verdict = classify_values(values, f.y_kind, window)
     correct: Optional[bool] = None
     if verdict.kind == "converged":
         if f.y_kind == DISCRETE:
             correct = verdict.value == expected
         else:
-            correct = abs(verdict.value - expected) <= Fraction(1, 2 ** tol_exp)
+            correct = abs(verdict.value - expected) <= Fraction(1, 2 ** TOL_EXP)
     return RecoveryResult(f.fid, x, mode, values, verdict, expected, correct,
                           trace, audit.summary())
 
 
 def recovery_report(f: FunctionOracle, dense: DenseSequence, mode: str,
                     test_points: Sequence[PointCode], N: int,
-                    basis: Optional[GoodBasis] = None, window: int = 16,
-                    tol_exp: int = 10) -> dict:
+                    basis: Optional[GoodBasis] = None, window: int = 16) -> dict:
     """Per-point verdicts plus summary rates; deterministic."""
     per_point = []
     counts: Dict[str, int] = {}
     correct = 0
     for x in test_points:
-        res = recover_at(f, x, dense, mode, N, basis, window, tol_exp)
+        res = recover_at(f, x, dense, mode, N, basis, window)
         counts[res.verdict.kind] = counts.get(res.verdict.kind, 0) + 1
         if res.correct:
             correct += 1

@@ -358,29 +358,22 @@ class Cylinder:
 
 @dataclass(frozen=True)
 class RationalInterval:
-    """Open/half-open rational interval, implicitly intersected with [0,1]."""
+    """Open rational interval, implicitly intersected with [0,1]."""
 
     lo: Fraction
     hi: Fraction
-    lo_open: bool = True
-    hi_open: bool = True
 
     space = UNIT
 
     def member(self, p: PointCode) -> bool:
         _require_same_space(self, p)
-        v = p.value
-        lo_ok = v > self.lo if self.lo_open else v >= self.lo
-        hi_ok = v < self.hi if self.hi_open else v <= self.hi
-        return lo_ok and hi_ok
+        return self.lo < p.value < self.hi
 
     def length(self) -> Fraction:
         return self.hi - self.lo
 
     def __str__(self):
-        lo = "(" if self.lo_open else "["
-        hi = ")" if self.hi_open else "]"
-        return f"{lo}{self.lo},{self.hi}{hi}"
+        return f"({self.lo},{self.hi})"
 
 
 @dataclass(frozen=True)

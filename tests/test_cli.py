@@ -4,7 +4,11 @@ from pathlib import Path
 import pytest
 
 from firstreturn.cli import (
+    COUNT,
+    FLAG,
+    INT,
     ConfigError,
+    _KEYS,
     load_config_file,
     main,
     replay,
@@ -210,6 +214,21 @@ I25_ARGS = ["recover", "--fn", "I25", "--alpha", "cantor:|110"]
     ["rank", "--config", "{tmp}/bad_n.cfg"],
     ["rank", "--config", "/nonexistent.cfg"],
     I25_ARGS + ["--config", "{tmp}/bad_mode.cfg"],
+    I25_ARGS + ["--mode", "paht"],
+    I25_ARGS + ["--horizon", "abc"],
+    ["build-dense", "--family", "nope"],
+    ["rank", "--n", "abc", "--A", "10", "--B", "01"],
+    ["gallery", "bogus"],
+    # a function, its dense sequence, alpha and beta must share one space
+    ["recover", "--fn", "zF", "--dense", "prop25"],
+    ["recover", "--fn", "indicator:1", "--dense", "thm13", "--mode", "route"],
+    ["recover", "--fn", "first-one-scale", "--dense", "dyadic"],
+    ["recover", "--fn", "singleton:unit:1/3", "--dense", "dyadic"],
+    ["recover", "--fn", "singleton:z:[];a=1;b=1", "--dense", "thm13", "--mode", "route"],
+    ["recover", "--fn", "I25", "--alpha", "z:[];a=1;b=1"],
+    ["gallery", "eval", "--fn", "I25", "--alpha", "unit:1/2", "--beta", "cantor:|1"],
+    ["gallery", "eval", "--fn", "zF", "--beta", "cantor:|1"],
+    ["recover", "--fn", "singleton:baire:1|0", "--dense", "prop25"],
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, args):
     (tmp_path / "empty.txt").write_text("# no points\n")
@@ -279,3 +298,37 @@ def test_baire_alphabet_overflow_is_a_budget_stop(tmp_path):
                      "--points", "baire:9,1|2", "--out", str(out)])
     point = json.loads((out / "summary.json").read_text())["report"]["per_point"][0]
     assert code == 1 and point["terminated"] == "budget" and point["correct"] is None
+
+
+# every key of every command, each set to a value other than its default
+_EVERY_KEY = {
+    "recover": {"dense": "file:{tmp}/d.txt", "fn": "I25", "alpha": "cantor:|110",
+                "mode": "route", "horizon": "6", "window": "2", "points": "cantor:1|0",
+                "max_points": "3"},
+    "build-dense": {"family": "two-bits", "m_budget": "6", "stages": "3"},
+    "rank": {"n": "1", "A": "10", "B": "01", "diff": True},
+    "ebc1": {"cover": "unit-step", "pairs": "7", "seed": "-4"},
+    "gallery": {"action": "eval", "fn": "I16", "alpha": "cantor:|1", "beta": "cantor:1|0",
+                "horizon": "5"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_KEYS))
+def test_every_table_key_is_an_option_recorded_in_config(tmp_path, command):
+    (tmp_path / "d.txt").write_text("cantor:|0\ncantor:|1\ncantor:1|0\ncantor:0|1\n")
+    given = {k: v.replace("{tmp}", str(tmp_path)) if isinstance(v, str) else v
+             for k, v in _EVERY_KEY[command].items()}
+    assert set(given) == set(_KEYS[command])
+    args = [command]
+    for key, value in given.items():
+        if key == "action":
+            args.append(value)
+        elif _KEYS[command][key][0] == FLAG:
+            args.append(f"--{key}")
+        else:
+            args += ["--" + key.replace("_", "-"), value]
+    assert run_main(args + ["--out", str(tmp_path / "o")]) in (0, 1)
+    recorded = json.loads((tmp_path / "o" / "config.json").read_text())
+    kinds = {k: kind for k, (kind, _) in _KEYS[command].items()}
+    expected = {k: int(v) if kinds[k] in (COUNT, INT) else v for k, v in given.items()}
+    assert recorded == {"artifact_version": "2", "command": command, **expected}

@@ -59,8 +59,8 @@ def test_delta_uncovered_point_is_an_error():
 # ---------------------------------------------------------------------------
 
 _FAMILY = [
-    FunctionOracle("x/2", lambda p: p.value / 2, RATIONAL, "continuous"),
-    FunctionOracle("1-x/2", lambda p: 1 - p.value / 2, RATIONAL, "continuous"),
+    FunctionOracle("x/2", lambda p: p.value / 2, RATIONAL),
+    FunctionOracle("1-x/2", lambda p: 1 - p.value / 2, RATIONAL),
 ]
 
 

@@ -158,13 +158,6 @@ def test_baire_symbol_past_alphabet_bound_is_a_budget_stop():
         path_step(x, dense, tr.points(), basis)
 
 
-def test_budget_exceeded_raises_when_asked(dense25, cantor_basis):
-    x = cantor_point("", "10")
-    with pytest.raises(SearchBudgetExceeded) as exc:
-        path_trace(x, dense25, cantor_basis, 64, on_budget="raise")
-    assert exc.value.budget == len(dense25)
-
-
 # ---------------------------------------------------------------------------
 # route mode
 # ---------------------------------------------------------------------------

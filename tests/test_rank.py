@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -126,6 +127,23 @@ def test_single_atom_indicator_rank_two():
     values = [F(0), F(1), F(0), F(0)]
     assert rank_Lfab(A2, values, 0, 1).beta == 2
     assert rank_Lf(A2, values)["L"] == 2
+
+
+@pytest.mark.parametrize("algebra", [A1, A2])
+def test_rank_Lf_matches_brute_force_over_threshold_pairs(algebra):
+    # every f: atoms -> {0..3}; thresholds on the half-integer grid from -1/2
+    # to 7/2 realize every pair ({f <= a}, {f >= b}) with a < b
+    grid = [F(k, 2) for k in range(-1, 8)]
+    brute = {}
+    for values in itertools.product(range(4), repeat=algebra.atom_count):
+        best = 0
+        for a, b in itertools.combinations(grid, 2):
+            A = sum(1 << i for i, v in enumerate(values) if v <= a)
+            B = sum(1 << i for i, v in enumerate(values) if v >= b)
+            if (A, B) not in brute:
+                brute[(A, B)] = brute_force_min_chain(algebra, A, B)[0]
+            best = max(best, brute[(A, B)])
+        assert rank_Lf(algebra, values)["L"] == best, values
 
 
 def test_depth_two_difference_indicator():

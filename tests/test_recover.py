@@ -18,7 +18,7 @@ from firstreturn.space import CANTOR, WordPoint, cantor_point
 
 
 def test_constant_function_converges_everywhere(dense25, cantor_basis):
-    f = FunctionOracle("const7", lambda p: 7, DISCRETE, "continuous")
+    f = FunctionOracle("const7", lambda p: 7, DISCRETE)
     for x in (cantor_point("", "10"), dense25[0], cantor_point("01", "1")):
         res = recover_at(f, x, dense25, "path", 24, cantor_basis, window=8)
         assert res.verdict.kind == "converged"
@@ -60,7 +60,7 @@ def test_classify_discrete_verdicts():
 
 def test_classify_rational_verdicts():
     vals = [F(1, 2 ** n) for n in range(24)]
-    assert classify_values(vals, RATIONAL, window=8, tol_exp=10).kind == "converged"
+    assert classify_values(vals, RATIONAL, window=8).kind == "converged"
     wob = [F(n % 2, 2) for n in range(24)]
     assert classify_values(wob, RATIONAL, window=8).kind == "diverged-evidence"
 
