@@ -235,6 +235,11 @@ def validate_config(cfg: dict) -> dict:
                 raise ConfigError(f"{key} must be an integer, got {out[key]!r}") from None
             if kind == COUNT and out[key] < 1:
                 raise ConfigError(f"{key} must be >= 1, got {out[key]}")
+        elif kind == TEXT and not isinstance(out[key], str):
+            raise ConfigError(f"{key} must be text, got {out[key]!r}")
+        elif kind == FLAG and not (isinstance(out[key], bool)
+                                   or out[key] in ("true", "false", "1", "0")):
+            raise ConfigError(f"{key} must be true, false, 1 or 0; got {out[key]!r}")
         elif isinstance(kind, tuple) and out[key] not in kind:
             raise ConfigError(f"{key} must be one of {', '.join(kind)}; got {out[key]!r}")
     return out

@@ -15,8 +15,11 @@ metric is an ultrametric, so d(x, x_p) < d(x, s_n) iff x_p extends that
 word, and each path term extends the previous term's common prefix with x.
 On the unit interval it is the interval lookup `first_inside(lo, hi)`: a
 route asks for the ball (x - r, x + r), a path for the union of the basis
-intervals through x that avoid the prior terms.  Z has no good basis, and
-its routes scan the list with exact distance comparisons.
+intervals through x that avoid the prior terms.  Z has no good basis, so
+it has routes only; their lookup is the entry-prefix lookup
+`first_closer(x, e)`: with k the least n such that x_n > e, a point is
+within 2^-e of x iff it agrees with x on entries 0..k-1 and its entry k
+exceeds e (proof at `route_step`).  No step compares list points with x.
 
 A dense sequence is either a materialized finite list (`DenseSequence`)
 or an unbounded sequence with a closed-form lookup (the Prop-25 sequence of
@@ -31,8 +34,10 @@ instead of a number.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .space import (
@@ -44,6 +49,7 @@ from .space import (
     UnitGoodBasis,
     UnitPoint,
     WordPoint,
+    ZPoint,
     dist,
     member,
 )
@@ -73,6 +79,19 @@ class PastTableIndex:
         return f">={self.size}"
 
 
+class _ZNode:
+    """The points of a Z list that share one entry prefix: their ascending
+    indices, the running max of their next entry (set on first query) and
+    the nodes of the prefixes one entry longer."""
+
+    __slots__ = ("indices", "running_max", "children")
+
+    def __init__(self, indices: Sequence[int]):
+        self.indices = indices
+        self.running_max: Optional[List[Fraction]] = None
+        self.children = {}
+
+
 class DenseSequence:
     """Indexed, possibly repeating, ordered list of points with provenance.
 
@@ -92,6 +111,8 @@ class DenseSequence:
             self._first_of.setdefault(pt, i)
         self._trie = None
         self._buckets = None
+        self._z_root = None
+        self._unit_order = None
 
     def __len__(self):
         return len(self.points)
@@ -145,13 +166,59 @@ class DenseSequence:
             )
         return p, self.points[p]
 
+    def first_closer(self, x: ZPoint, e: Fraction) -> Tuple[int, PointCode]:
+        """(p, x_p) for the minimal p with d(x, x_p) < 2^-e (space Z); raises
+        SearchBudgetExceeded when no materialized point is that close.
+
+        With k the least n such that x_n > e, d(x, y) < 2^-e iff y agrees
+        with x on entries 0..k-1 and y_k > e (see `route_step`).  The index
+        keeps one node per entry prefix, built on first use by filtering its
+        parent: the ascending indices of the points with that prefix and the
+        running max of their next entry.
+        """
+        if self._z_root is None:
+            self._z_root = _ZNode(range(len(self.points)))
+        node, pts, k = self._z_root, self.points, x.first_entry_above(e)
+        for j in range(k):
+            v = x.entry(j)
+            child = node.children.get(v)
+            if child is None:
+                child = node.children[v] = _ZNode(
+                    [i for i in node.indices if pts[i].entry(j) == v])
+            node = child
+        if node.running_max is None:
+            node.running_max = list(accumulate((pts[i].entry(k) for i in node.indices), max))
+        pos = bisect_right(node.running_max, e)
+        if pos == len(node.indices):
+            raise SearchBudgetExceeded(f"no point within 2^(-{e})", budget=len(self))
+        p = node.indices[pos]
+        return p, pts[p]
+
     def first_inside(self, lo: Fraction, hi: Fraction) -> Tuple[int, PointCode]:
         """(p, x_p) for the minimal p with lo < x_p < hi (unit interval);
-        raises SearchBudgetExceeded when no materialized point lies there."""
-        for p, pt in enumerate(self.points):
-            if lo < pt.value < hi:
-                return p, pt
-        raise SearchBudgetExceeded(f"no point inside ({lo}, {hi})", budget=len(self))
+        raises SearchBudgetExceeded when no materialized point lies there.
+
+        The indices are sorted by value once, with a sparse table of range
+        minima over them: the open bounds are two bisects, and the least
+        index between them is one lookup in the table.
+        """
+        if self._unit_order is None:
+            self._build_unit_index()
+        values, mins = self._unit_order
+        a, b = bisect_right(values, lo), bisect_left(values, hi)
+        if a >= b:
+            raise SearchBudgetExceeded(f"no point inside ({lo}, {hi})", budget=len(self))
+        j = (b - a).bit_length() - 1
+        p = min(mins[j][a], mins[j][b - (1 << j)])
+        return p, self.points[p]
+
+    def _build_unit_index(self):
+        order = sorted(range(len(self.points)), key=lambda i: self.points[i].value)
+        mins = [order]
+        while 1 << len(mins) <= len(order):
+            prev, half = mins[-1], 1 << (len(mins) - 1)
+            mins.append([min(prev[i], prev[i + half]) for i in range(len(prev) - half)])
+        self._unit_order = [self.points[i].value for i in order], mins
 
 
 @dataclass
@@ -257,21 +324,35 @@ def path_step(x: PointCode, dense: DenseSequence, prior: Sequence[PointCode],
 
 
 def route_step(x: PointCode, dense: DenseSequence, current: Dist):
-    """Minimal p with d(x, x_p) < current; exact comparisons.
+    """Minimal p with d(x, x_p) < current; exact comparisons, and no list
+    point is compared with x.
 
-    In Cantor and Baire space d(x, x_p) < 2^(-k) iff x_p extends x|(k+1),
-    and on the unit interval d(x, x_p) < r iff x - r < x_p < x + r: the
-    lookups of path mode.  Z scans the list.
+    On the unit interval d(x, x_p) < r iff x - r < x_p < x + r, the
+    interval lookup.  Cantor, Baire and Z distances are powers 2^-e:
+
+    * Cantor and Baire (e an integer): d(x, x_p) < 2^-e iff x_p extends x|(e+1),
+      the word lookup.
+    * Z: let k be the least n with x_n > e.  Then d(x, y) < 2^-e iff y
+      agrees with x on entries 0..k-1 and y_k > e.  For y = x both sides
+      hold; otherwise let n0 be the first index where y and x differ, so
+      d(x, y) = 2^-min(x_n0, y_n0):
+        - n0 < k: min(x_n0, y_n0) <= x_n0 <= e, so y is not closer, and y
+          does not agree with x on 0..k-1;
+        - n0 = k: y agrees on 0..k-1 and x_k > e, so y is closer iff y_k > e;
+        - n0 > k: y_k = x_k > e, and both sequences increase strictly, so
+          x_n0 > x_k and y_n0 > y_k: y is closer, and y satisfies the test.
+      This is the entry-prefix lookup `first_closer`.
+
+    Nothing is closer than distance 0: that is a budget stop as well.
     """
-    if isinstance(x, WordPoint) and current.kind == "pow2":
-        return dense.first_extending(x.prefix(int(current.value) + 1))
     if isinstance(x, UnitPoint):
         r = current.as_fraction()
         return dense.first_inside(x.value - r, x.value + r)
-    for p, cand in enumerate(dense.points):
-        if dist(x, cand) < current:
-            return p, cand
-    raise SearchBudgetExceeded("no closer point within index budget", budget=len(dense))
+    if current.is_zero():
+        raise SearchBudgetExceeded("no point closer than distance 0", budget=len(dense))
+    if isinstance(x, ZPoint):
+        return dense.first_closer(x, current.value)
+    return dense.first_extending(x.prefix(int(current.value) + 1))
 
 
 # ---------------------------------------------------------------------------

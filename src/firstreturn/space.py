@@ -23,6 +23,7 @@ fixed here is documented on :class:`UnitGoodBasis` and traces depend on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple, Union
@@ -288,6 +289,14 @@ class ZPoint:
         if n < len(self.prefix):
             return self.prefix[n]
         return self.a * n + self.b
+
+    def first_entry_above(self, e: Fraction) -> int:
+        """The least n with q_n > e (it exists: the entries diverge)."""
+        for n, q in enumerate(self.prefix):
+            if q > e:
+                return n
+        # past the prefix, a*n + b > e iff n > (e - b) / a
+        return max(len(self.prefix), math.floor((e - self.b) / self.a) + 1)
 
     def first_difference(self, other: "ZPoint") -> Optional[int]:
         _require_same_space(self, other)

@@ -229,15 +229,34 @@ I25_ARGS = ["recover", "--fn", "I25", "--alpha", "cantor:|110"]
     ["gallery", "eval", "--fn", "I25", "--alpha", "unit:1/2", "--beta", "cantor:|1"],
     ["gallery", "eval", "--fn", "zF", "--beta", "cantor:|1"],
     ["recover", "--fn", "singleton:baire:1|0", "--dense", "prop25"],
+    # text keys take strings; flags take true, false, 1 or 0
+    ["recover", "--config", "{tmp}/fn_5.json"],
+    I25_ARGS + ["--config", "{tmp}/dense_7.json"],
+    ["rank", "--config", "{tmp}/diff_yes.cfg"],
+    ["rank", "--config", "{tmp}/diff_int.json"],
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, args):
     (tmp_path / "empty.txt").write_text("# no points\n")
     (tmp_path / "bad_n.cfg").write_text("n=abc\nA=10\nB=01\n")
     (tmp_path / "bad_mode.cfg").write_text("mode=paht\n")
+    (tmp_path / "fn_5.json").write_text('{"fn": 5}')
+    (tmp_path / "dense_7.json").write_text('{"dense": 7}')
+    (tmp_path / "diff_yes.cfg").write_text("n=1\nA=10\nB=01\ndiff=yes\n")
+    (tmp_path / "diff_int.json").write_text('{"n": 1, "A": "10", "B": "01", "diff": 1}')
     args = [a.replace("{tmp}", str(tmp_path)) for a in args]
     assert run_main(args + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value,on", [("true", True), ("1", True), (True, True),
+                                      ("false", False), ("0", False), (False, False)])
+def test_flag_values_recorded_as_given(tmp_path, value, on):
+    cfg = tmp_path / "r.json"
+    cfg.write_text(json.dumps({"n": 1, "A": "10", "B": "01", "diff": value}))
+    assert run_main(["rank", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+    assert json.loads((tmp_path / "r" / "config.json").read_text())["diff"] == value
+    assert ("diff_form" in json.loads((tmp_path / "r" / "summary.json").read_text())) == on
 
 
 def test_replay_flags_extra_files(tmp_path):

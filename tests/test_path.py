@@ -18,6 +18,7 @@ from firstreturn.space import (
     BAIRE,
     CANTOR,
     UNIT,
+    Z,
     Dist,
     UnitPoint,
     WordPoint,
@@ -200,11 +201,13 @@ def test_route_is_first_point_in_ball():
             assert not member(dense[p], ball)
 
 
-def test_route_budget_message(dyadics):
-    far = UnitPoint(F(1, 3))
+def test_route_budget_message(dyadics, dense25):
     # exhaust: demand a closer point than distance zero
-    with pytest.raises(SearchBudgetExceeded):
-        route_step(far, dyadics, Dist.zero())
+    for x, dense in ((UnitPoint(F(1, 3)), dyadics), (cantor_point("", "10"), dense25),
+                     (thm13_target(), thm13_dense())):
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            route_step(x, dense, Dist.zero())
+        assert exc.value.budget == len(dense)
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +222,17 @@ ROUTE_POINTS = [cantor_point("", "10"), cantor_point("11", "011"), cantor_point(
 def linear_route(x, dense, N):
     """Route trace as (indices, points, terminated) by scanning every point
     with exact distance comparisons."""
+    dists = [dist(x, pt) for pt in dense]
     idx, pts, terminated = [0], [dense[0]], "horizon"
     while len(pts) < N:
         if pts[-1] == x:
             idx.append(idx[-1])
             pts.append(x)
             continue
-        cur = dist(x, pts[-1])
-        nxt = next((p for p in range(len(dense)) if dist(x, dense[p]) < cur), None)
+        # every index before the current term lies outside the larger ball
+        # of the step before, and the current term is at distance cur itself
+        cur = dists[idx[-1]]
+        nxt = next((p for p in range(idx[-1] + 1, len(dense)) if dists[p] < cur), None)
         if nxt is None:
             terminated = "budget"
             break
@@ -265,6 +271,66 @@ def test_route_over_unbounded_prop25(dense25, seq25):
     assert tr.terminated == "horizon" and len(tr.steps) == 12
 
 
+def _random_z(rng):
+    """A Z point over a small grid, so that random lists share entry prefixes."""
+    prefix = tuple(sorted(rng.sample([F(k, 2) for k in range(8)], rng.randrange(4))))
+    a = F(rng.choice((1, 2)), rng.choice((1, 2)))
+    b = rng.choice((F(0), F(1, 3), F(1, 2))) + rng.randrange(4)
+    if prefix and prefix[-1] >= a * len(prefix) + b:
+        b = prefix[-1] - a * len(prefix) + F(1, 2)
+    return ZPoint(prefix, a, b)
+
+
+def thm13_route_points():
+    """The four candidates of the Theorem-13 demo and 20 seeded plateau points."""
+    rng = random.Random(13)
+    xs = [thm13_target(), thm13_target(F(1, 89)),
+          ZPoint((F(1, 2), F(3, 2), F(9, 4)), 1, 4), ZPoint((), 1, 10)]
+    while len(xs) < 24:
+        x = thm13_target(F(rng.randrange(1, 200), rng.choice((211, 223, 227, 229))) / 4)
+        if x not in xs:
+            xs.append(x)
+    return xs
+
+
+def test_z_route_matches_linear_scan():
+    dense = thm13_dense()
+    for x in thm13_route_points():
+        tr = route_trace(x, dense, 400)
+        got = ([s.index for s in tr.steps], tr.points(), tr.terminated)
+        assert got == linear_route(x, dense, 400), str(x)
+    rng = random.Random(7)
+    stops, reached = set(), 0
+    for _ in range(300):
+        pts = [_random_z(rng) for _ in range(rng.randrange(5, 45))]
+        pts += [rng.choice(pts) for _ in range(rng.randrange(16))]
+        rng.shuffle(pts)
+        x = rng.choice(pts) if rng.random() < 0.3 else _random_z(rng)
+        tr = route_trace(x, DenseSequence(Z, pts), 30)
+        got = ([s.index for s in tr.steps], tr.points(), tr.terminated)
+        assert got == linear_route(x, pts, 30), str(x)
+        stops.add(tr.terminated)
+        reached += tr.is_eventually_fixed()
+    assert stops == {"horizon", "budget"} and reached > 30
+
+
+def test_z_route_reads_no_list_distance(monkeypatch):
+    # the extraction computes dist_to_x once per new term; a Z step that
+    # compared list points with x would add calls here
+    calls = []
+
+    def counting_dist(p, q):
+        calls.append(q)
+        return dist(p, q)
+
+    monkeypatch.setattr("firstreturn.path.dist", counting_dist)
+    dense = thm13_dense()
+    for x in thm13_route_points()[:4]:
+        calls.clear()
+        tr = route_trace(x, dense, 400)
+        assert calls == tr.points(), str(x)
+
+
 UNIT_POINTS = [UnitPoint(F(v)) for v in ("1/3", "2/7", "0", "1", "5/8", "999/1000")]
 
 
@@ -285,6 +351,26 @@ def test_unit_route_matches_linear_scan(dyadics):
             assert got == linear_route(x, dense, 24), (len(dense), str(x))
             stops.add(tr.terminated)
     assert stops == {"horizon", "budget"}
+
+
+def test_first_inside_matches_linear_scan(dyadics):
+    rng = random.Random(5)
+    for dense in unit_lists(dyadics):
+        listed = sorted({pt.value for pt in dense})
+        for _ in range(400):
+            # open bounds equal to listed values, off-grid bounds, and empty,
+            # degenerate and inverted intervals
+            lo, hi = (rng.choice(listed) if rng.random() < 0.5
+                      else F(rng.randrange(-3, 2 ** 12 + 3), 2 ** 12) for _ in range(2))
+            want = next(((p, pt) for p, pt in enumerate(dense) if lo < pt.value < hi), None)
+            if want is None:
+                with pytest.raises(SearchBudgetExceeded) as exc:
+                    dense.first_inside(lo, hi)
+                assert exc.value.budget == len(dense)
+                assert str(exc.value) == (f"no point inside ({lo}, {hi}) "
+                                          f"(search budget exceeded, budget={len(dense)})")
+            else:
+                assert dense.first_inside(lo, hi) == want, (lo, hi)
 
 
 def test_unit_path_witness_is_least_basis_index(dyadics, unit_basis):

@@ -294,3 +294,11 @@ def test_zpoint_invariants_enforced():
         ZPoint((F(5),), 1, F(1, 2))  # prefix above tail
     with pytest.raises(ValueError):
         ZPoint((), -1, F(1, 2))  # nonpositive slope
+
+
+@given(_z_points(), st.fractions(min_value=-2, max_value=12, max_denominator=16))
+@settings(max_examples=100, deadline=None)
+def test_z_first_entry_above_is_least(q, e):
+    n = q.first_entry_above(e)
+    assert q.entry(n) > e
+    assert all(q.entry(m) <= e for m in range(n))
