@@ -220,8 +220,8 @@ ROUTE_POINTS = [cantor_point("", "10"), cantor_point("11", "011"), cantor_point(
 
 
 def linear_route(x, dense, N):
-    """Route trace as (indices, points, terminated) by scanning every point
-    with exact distance comparisons."""
+    """Route trace as (indices, points, terminated) by linear scans of the
+    list with exact distance comparisons."""
     dists = [dist(x, pt) for pt in dense]
     idx, pts, terminated = [0], [dense[0]], "horizon"
     while len(pts) < N:
