@@ -127,6 +127,8 @@ def _dense_from_config(cfg: dict) -> DenseSequence:
                if ln.strip() and not ln.startswith("#")]
         if not pts:
             raise ConfigError(f"no points in dense file {path}")
+        if any(pt.space != pts[0].space for pt in pts):
+            raise ConfigError(f"dense file {path} mixes spaces")
         return DenseSequence(pts[0].space, pts, tag="handwritten")
     raise ConfigError(f"unknown dense source {src!r}")
 

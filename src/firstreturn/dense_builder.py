@@ -40,6 +40,7 @@ from .space import (
     UnitPoint,
     WordPoint,
     dist,
+    first_mismatch,
 )
 
 
@@ -116,9 +117,9 @@ class ClosedSet:
                 best = d if best is None or d < best else best
             return best
         for w in self.cylinders:
-            if p.starts_with(w):
+            i = first_mismatch(p.prefix(len(w)), w)
+            if i is None:
                 return Dist.zero()
-            i = next(i for i, s in enumerate(w) if p.at(i) != s)
             d = Dist.pow2(i)
             best = d if best is None or d < best else best
         for s in self.singletons:

@@ -272,6 +272,18 @@ def _complement_pieces(avoid: ClosedSet, depth: int) -> List[ClosedSet]:
     return pieces
 
 
+def _first_one(beta: WordPoint) -> Optional[int]:
+    """Index of the first 1 of a Cantor point, None for 0^inf (a 1, if there
+    is one, shows within the head and one cycle)."""
+    word = beta.prefix(len(beta.head) + len(beta.cycle))
+    return word.index(1) if 1 in word else None
+
+
+def _s_before_one(word: Tuple[int, ...]) -> List[int]:
+    """The n, ascending, with word[:n] in S and word[n] = 1."""
+    return [n for n, bit in enumerate(word) if bit == 1 and in_S(word[:n])]
+
+
 def _singleton(pt: WordPoint) -> ClosedSet:
     return ClosedSet(CANTOR, singletons=(pt,), name=f"{{{pt}}}")
 
@@ -293,12 +305,10 @@ def I16(alpha: WordPoint) -> FunctionOracle:
             return 0
         return 1 if alpha.starts_with(pf_decomposition(beta)) else 0
 
+    word = alpha.prefix(64)
     ones = [WordPoint(CANTOR, (), (0,))]
-    n = 0
-    while len(ones) < DECOMP_DEPTH and n < 64:
-        if alpha.at(n) == 1:
-            ones.append(WordPoint(CANTOR, alpha.prefix(n + 1), (0,)))
-        n += 1
+    ones += [WordPoint(CANTOR, word[:n + 1], (0,))
+             for n in [n for n, bit in enumerate(word) if bit == 1][:DECOMP_DEPTH - 1]]
     avoid = ClosedSet(CANTOR, singletons=tuple(ones) + (alpha,))
     zero_pieces = _complement_pieces(avoid, DECOMP_DEPTH)
     if not is_P_f(alpha):
@@ -316,13 +326,8 @@ def I25(alpha: WordPoint) -> FunctionOracle:
         s = pf_decomposition(beta)
         return 0 if alpha.starts_with(s + (1,)) else 1
 
-    zeros = []
-    n = 0
-    while len(zeros) < DECOMP_DEPTH and n < 64:
-        s = alpha.prefix(n)
-        if in_S(s) and alpha.at(n) == 1:
-            zeros.append(WordPoint(CANTOR, s, (0,)))
-        n += 1
+    word = alpha.prefix(64)
+    zeros = [WordPoint(CANTOR, word[:n], (0,)) for n in _s_before_one(word)[:DECOMP_DEPTH]]
     avoid = ClosedSet(CANTOR, singletons=tuple(zeros) + (alpha,))
     decomposition = {
         0: [_singleton(pt) for pt in zeros],
@@ -346,12 +351,8 @@ def first_one_scale() -> FunctionOracle:
     """beta -> 2^-(first index of a 1), 0 for the zero point; continuous."""
 
     def ev(beta: WordPoint):
-        n = 0
-        while n <= len(beta.head) + len(beta.cycle):
-            if beta.at(n) == 1:
-                return Fraction(1, 2 ** n)
-            n += 1
-        return Fraction(0)
+        n = _first_one(beta)
+        return Fraction(0) if n is None else Fraction(1, 2 ** n)
 
     decomposition = {Fraction(0): [ClosedSet(CANTOR,
                                              singletons=(WordPoint(CANTOR, (), (0,)),),
@@ -383,24 +384,14 @@ def psi27(p: int) -> WordPoint:
 
 def E27_member(beta: WordPoint, alpha: WordPoint) -> bool:
     """(2^w x {0^inf}) union over p of (2^w minus {psi27(p)}) x N_{0^p 1}."""
-    zero = WordPoint(CANTOR, (), (0,))
-    if alpha == zero:
-        return True
-    p = 0
-    while alpha.at(p) == 0:
-        p += 1
-    return beta != psi27(p)
+    p = _first_one(alpha)
+    return p is None or beta != psi27(p)
 
 
 def e24_section_size(alpha: WordPoint, depth: int = 64) -> int:
     """|{beta : (beta, alpha) not in E24}| scanned to a prefix depth; the
     section is finite iff alpha is outside G."""
-    count = 0
-    for n in range(depth):
-        s = alpha.prefix(n)
-        if in_S(s) and alpha.at(n) == 1:
-            count += 1
-    return count
+    return len(_s_before_one(alpha.prefix(depth)))
 
 
 # ---------------------------------------------------------------------------

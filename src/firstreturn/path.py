@@ -59,9 +59,13 @@ ROUTE = "route"
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """An index scan over the dense sequence ran out of materialized points."""
+    """An index scan over the dense sequence ran out of materialized points.
 
-    def __init__(self, message: str, budget: int):
+    budget is the bound that ran out: the list length, or the basis alphabet
+    for a Baire path; it is None for a sequence without a length.
+    """
+
+    def __init__(self, message: str, budget: Optional[int]):
         super().__init__(f"{message} (search budget exceeded, budget={budget})")
         self.budget = budget
 
@@ -90,6 +94,27 @@ class _ZNode:
         self.indices = indices
         self.running_max: Optional[List[Fraction]] = None
         self.children = {}
+
+
+class _WordNode:
+    """The points of a word list that share one prefix: the least of their
+    indices, and either all of them in ascending order or, once split, the
+    nodes of the prefixes one symbol longer."""
+
+    __slots__ = ("first", "indices", "children")
+
+    def __init__(self, indices: List[int]):
+        self.first = indices[0]
+        self.indices: Optional[List[int]] = indices
+        self.children: Optional[dict] = None
+
+    def split(self, points: Sequence[WordPoint], d: int):
+        """Partition the indices by symbol d of their points."""
+        parts = {}
+        for i in self.indices:
+            parts.setdefault(points[i].at(d), []).append(i)
+        self.children = {s: _WordNode(indices) for s, indices in parts.items()}
+        self.indices = None
 
 
 class DenseSequence:
@@ -137,24 +162,34 @@ class DenseSequence:
             for k in range(depth + 1):
                 trie.setdefault(w[:k], i)
             buckets.setdefault(w, []).append(i)
-        self._trie, self._buckets = trie, buckets
+        self._trie = trie
+        self._buckets = {w: _WordNode(indices) for w, indices in buckets.items()}
 
     def first_index_extending(self, word: Tuple[int, ...]) -> Optional[int]:
-        """Minimal p with word a prefix of x_p, or None if none materialized."""
+        """Minimal p with word a prefix of x_p, or None if none materialized.
+
+        Words up to `_TRIE_DEPTH` symbols are one lookup in a table of first
+        indices.  A longer word starts at the node of the points sharing its
+        first `_TRIE_DEPTH` symbols and walks down one symbol at a time.
+        The first query to pass a node splits it: its ascending index list
+        is partitioned by each point's next symbol into child nodes, so
+        every index stays in exactly one list and the index grows linearly
+        with the list.  The answer is the least index of the node the word
+        reaches; a query that passes only split nodes reads no list point.
+        """
         if self._trie is None:
             self._build_word_index()
-        if len(word) <= self._TRIE_DEPTH:
-            return self._trie.get(tuple(word))
-        depth = self._TRIE_DEPTH
-        bucket = self._buckets.get(tuple(word[:depth]), ())
-        # positions below the bucket depth already match; compare the rest
-        # back to front (mismatches cluster near the end for deep queries)
-        tail = range(len(word) - 1, depth - 1, -1)
-        for i in bucket:
-            pt = self.points[i]
-            if all(pt.at(j) == word[j] for j in tail):
-                return i
-        return None
+        word, depth = tuple(word), self._TRIE_DEPTH
+        if len(word) <= depth:
+            return self._trie.get(word)
+        node = self._buckets.get(word[:depth])
+        for d in range(depth, len(word)):
+            if node is None:
+                return None
+            if node.children is None:
+                node.split(self.points, d)
+            node = node.children.get(word[d])
+        return None if node is None else node.first
 
     def first_extending(self, word: Tuple[int, ...]) -> Tuple[int, PointCode]:
         """(p, x_p) for the minimal p with word a prefix of x_p; raises
@@ -343,13 +378,15 @@ def route_step(x: PointCode, dense: DenseSequence, current: Dist):
           x_n0 > x_k and y_n0 > y_k: y is closer, and y satisfies the test.
       This is the entry-prefix lookup `first_closer`.
 
-    Nothing is closer than distance 0: that is a budget stop as well.
+    Nothing is closer than distance 0: that is a budget stop as well, on
+    every sequence, so its budget is the list length where there is one.
     """
     if isinstance(x, UnitPoint):
         r = current.as_fraction()
         return dense.first_inside(x.value - r, x.value + r)
     if current.is_zero():
-        raise SearchBudgetExceeded("no point closer than distance 0", budget=len(dense))
+        raise SearchBudgetExceeded("no point closer than distance 0", budget=(
+            len(dense) if isinstance(dense, DenseSequence) else None))
     if isinstance(x, ZPoint):
         return dense.first_closer(x, current.value)
     return dense.first_extending(x.prefix(int(current.value) + 1))

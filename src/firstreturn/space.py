@@ -192,22 +192,27 @@ class WordPoint:
             return self.head[i]
         return self.cycle[(i - len(self.head)) % len(self.cycle)]
 
+    def _symbols(self, n: int) -> Tuple[int, ...]:
+        """At least the first n symbols, as one tuple: the head and enough
+        whole cycles.  Built per call and not kept: a copy on every point
+        costs more memory than rebuilding saves."""
+        short = n - len(self.head)
+        if short <= 0:
+            return self.head
+        return self.head + self.cycle * -(-short // len(self.cycle))
+
     def prefix(self, n: int) -> Tuple[int, ...]:
-        return tuple(self.at(i) for i in range(n))
+        return self._symbols(n)[:n]
 
     def starts_with(self, word: Sequence[int]) -> bool:
-        return all(self.at(i) == w for i, w in enumerate(word))
+        return self.prefix(len(word)) == tuple(word)
 
     def first_difference(self, other: "WordPoint") -> Optional[int]:
         """Index of the first disagreement, or None if the points are equal."""
         _require_same_space(self, other)
-        if self == other:
-            return None
-        bound = len(self.head) + len(other.head) + _lcm(len(self.cycle), len(other.cycle))
-        for i in range(bound + 1):
-            if self.at(i) != other.at(i):
-                return i
-        return None  # pragma: no cover - canonical equality caught above
+        # canonical forms that differ disagree within this bound
+        n = len(self.head) + len(other.head) + math.lcm(len(self.cycle), len(other.cycle)) + 1
+        return first_mismatch(self._symbols(n), other._symbols(n))
 
     def common_prefix_len(self, other: "WordPoint") -> int:
         d = self.first_difference(other)
@@ -219,10 +224,21 @@ class WordPoint:
         return format_point(self)
 
 
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a // gcd(a, b) * b
+def first_mismatch(a: Sequence[int], b: Sequence[int]) -> Optional[int]:
+    """The least i with a[i] != b[i] within the shorter of two words (both
+    tuples), or None if one is a prefix of the other.  Bisects on slice
+    equality, so the symbols are compared in C."""
+    n = min(len(a), len(b))
+    if a[:n] == b[:n]:
+        return None
+    lo, hi = 0, n - 1  # a[:lo] == b[:lo], a[:hi + 1] != b[:hi + 1]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if a[:mid + 1] == b[:mid + 1]:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def cantor_point(head: str, cycle: str) -> WordPoint:

@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from firstreturn.cli import (
     COUNT,
@@ -207,6 +209,7 @@ I25_ARGS = ["recover", "--fn", "I25", "--alpha", "cantor:|110"]
     I25_ARGS + ["--points", "unit:1/2"],
     I25_ARGS + ["--dense", "file:/nonexistent"],
     I25_ARGS + ["--dense", "file:{tmp}/empty.txt"],
+    I25_ARGS + ["--dense", "file:{tmp}/mixed.txt"],
     ["recover", "--fn", "I25", "--alpha", "bogus"],
     ["recover", "--fn", "indicator:1x"],
     ["recover", "--fn", "zF", "--mode", "path", "--dense", "thm13"],
@@ -237,6 +240,7 @@ I25_ARGS = ["recover", "--fn", "I25", "--alpha", "cantor:|110"]
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, args):
     (tmp_path / "empty.txt").write_text("# no points\n")
+    (tmp_path / "mixed.txt").write_text("cantor:1|01\nbaire:|3\n")
     (tmp_path / "bad_n.cfg").write_text("n=abc\nA=10\nB=01\n")
     (tmp_path / "bad_mode.cfg").write_text("mode=paht\n")
     (tmp_path / "fn_5.json").write_text('{"fn": 5}')
@@ -351,3 +355,93 @@ def test_every_table_key_is_an_option_recorded_in_config(tmp_path, command):
     kinds = {k: kind for k, (kind, _) in _KEYS[command].items()}
     expected = {k: int(v) if kinds[k] in (COUNT, INT) else v for k, v in given.items()}
     assert recorded == {"artifact_version": "2", "command": command, **expected}
+
+
+# ---------------------------------------------------------------------------
+# fuzzed configurations
+# ---------------------------------------------------------------------------
+
+_POINT_TEXTS = ["cantor:10|0", "cantor:|110", "cantor:1|01", "cantor:|1", "baire:0,2|1",
+                "baire:|3", "baire:9,9|0", "unit:1/3", "unit:0", "unit:1",
+                "z:[1/2,7/4];a=1;b=1/2", "z:[];a=1;b=10", "cantor:1x|0", "cantor:10",
+                "unit:5/3", "unit:1/0", "unit:x", "z:[2,1];a=1;b=0", "z:[];a=0;b=1",
+                "baire:|", "bogus", ""]
+_POINT = st.sampled_from(_POINT_TEXTS)
+_JUNK = st.sampled_from([None, 2.5, -1, 0, True, [], {}, "", "x", "1e9"])
+_TEXT = {
+    "fn": st.one_of(st.sampled_from(["I16", "I25", "first-one-scale", "zF", "indicator:10",
+                                     "indicator:", "indicator:1x", "singleton:", "nope"]),
+                    _POINT.map("singleton:".__add__)),
+    "dense": st.sampled_from(["prop25", "dyadic", "thm13", "file:{dense}", "file:",
+                              "file:/nonexistent", "nope"]),
+    "points": st.lists(_POINT, max_size=3).map(";".join),
+    "A": st.text("01x", max_size=9),
+    "B": st.text("01x", max_size=9),
+}
+
+
+def _value(key, kind):
+    if kind in (COUNT, INT):
+        return st.one_of(st.integers(-2, 24), st.integers(-2, 24).map(str), _JUNK)
+    if kind == FLAG:
+        return st.sampled_from([True, False, "true", "false", "1", "0", "yes", 2, None])
+    if isinstance(kind, tuple):
+        return st.one_of(st.sampled_from(kind), _JUNK)
+    return st.one_of(_TEXT.get(key, _POINT), _JUNK)
+
+
+# valid configurations that the fuzzer mutates, so that runs get past
+# validation as well as fail it
+_BASES = {
+    "recover": [{"fn": "I25", "alpha": "cantor:|110", "horizon": 12},
+                {"fn": "zF", "dense": "thm13", "mode": "route", "horizon": 12},
+                {"fn": "indicator:10", "dense": "file:{dense}", "horizon": 8},
+                {"fn": "singleton:cantor:1|0", "mode": "route", "points": "cantor:1|0"},
+                {"fn": "first-one-scale", "max_points": 3}],
+    "build-dense": [{"family": "mixed", "stages": 6}, {"m_budget": 8}],
+    "rank": [{"n": 1, "A": "10", "B": "01"}, {"n": 2, "A": "1100", "B": "0010"}],
+    "ebc1": [{"cover": "unit-step", "pairs": 20}, {"cover": "cantor-bits", "seed": 3}],
+    "gallery": [{"action": "eval", "fn": "I16", "alpha": "cantor:1|01", "beta": "cantor:10|0"},
+                {"action": "demo-z", "horizon": 30}, {"action": "list"}],
+}
+
+
+@st.composite
+def _configs(draw):
+    command = draw(st.sampled_from(sorted(_KEYS) + ["replay"]))
+    if command == "replay":
+        return command, {}
+    keys = _KEYS[command]
+    cfg = dict(draw(st.sampled_from(_BASES[command])))
+    changed = draw(st.lists(st.sampled_from(sorted(keys) + ["space", "bogus"]),
+                            unique=True, max_size=4))
+    for k in changed:
+        cfg[k] = draw(_value(k, keys[k][0]) if k in keys else _JUNK)
+    return command, cfg
+
+
+@given(case=_configs(), dense_lines=st.lists(_POINT, max_size=4))
+@settings(max_examples=120, deadline=None)
+def test_fuzzed_configs_exit_cleanly(case, dense_lines):
+    # any configuration exits 0, 1 or 2 without a traceback: a bad one is a
+    # one-line config error
+    import contextlib
+    import io
+    import tempfile
+
+    command, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        dense_file = Path(tmp) / "dense.txt"
+        dense_file.write_text("\n".join(dense_lines) + "\n")
+        if cfg.get("dense") == "file:{dense}":
+            cfg["dense"] = f"file:{dense_file}"
+        cfg_file = Path(tmp) / "cfg.json"
+        cfg_file.write_text(json.dumps(cfg))
+        argv = ([command, tmp] if command == "replay"
+                else [command, "--config", str(cfg_file), "--out", str(Path(tmp) / "out")])
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2), (argv, cfg)
+    if code == 2:
+        assert err.getvalue().startswith("config error: ") and err.getvalue().count("\n") == 1

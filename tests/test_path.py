@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -208,6 +209,88 @@ def test_route_budget_message(dyadics, dense25):
         with pytest.raises(SearchBudgetExceeded) as exc:
             route_step(x, dense, Dist.zero())
         assert exc.value.budget == len(dense)
+
+
+def test_zero_radius_over_unbounded_sequence_is_a_budget_stop(seq25):
+    # the unbounded Prop-25 sequence has no length to report as the budget
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        route_step(cantor_point("", "10"), seq25, Dist.zero())
+    assert exc.value.budget is None
+    assert str(exc.value) == ("no point closer than distance 0 "
+                              "(search budget exceeded, budget=None)")
+
+
+# ---------------------------------------------------------------------------
+# deep word lookups against a linear scan
+# ---------------------------------------------------------------------------
+
+LADDER_TARGETS = [cantor_point("101", "0110"), cantor_point("1101", "01"),
+                  cantor_point("1100", "011")]
+LADDER_DEPTH = 140
+
+
+@pytest.fixture(scope="module")
+def ladder_points(cantor_basis):
+    """A builder list over criterion 3's ladder enumeration: the short words,
+    then x|k with bit k flipped for each target x, k up to 140."""
+    q = []
+    for length in range(6):
+        for head in itertools.product((0, 1), repeat=length):
+            for cyc in ((0,), (1,)):
+                if WordPoint(CANTOR, head, cyc) not in q:
+                    q.append(WordPoint(CANTOR, head, cyc))
+    for k in range(3, LADDER_DEPTH + 1):
+        q += [WordPoint(CANTOR, x.prefix(k) + (1 - x.at(k),), (0,)) for x in LADDER_TARGETS]
+    families = [ClosedSet(CANTOR, cylinders=((1,),), name="N(1)")]
+    return build_dense(families, q, cantor_basis, m_budget=14).dense.points
+
+
+def ladder_words(points):
+    """Words of every length 0..142 along each target (past 141 no point
+    extends them), along some list points, and off every list point."""
+    rng = random.Random(11)
+    words = [x.prefix(n) for x in LADDER_TARGETS for n in range(LADDER_DEPTH + 3)]
+    words += [pt.prefix(n) for pt in rng.sample(points, 20) for n in range(0, 150, 7)]
+    for _ in range(200):
+        x = rng.choice(LADDER_TARGETS)
+        n = rng.randrange(DenseSequence._TRIE_DEPTH, LADDER_DEPTH)
+        words.append(x.prefix(n) + tuple(rng.randrange(2) for _ in range(rng.randrange(1, 6))))
+    depth = DenseSequence._TRIE_DEPTH
+    assert {depth, depth + 1} <= {len(w) for w in words}
+    return words
+
+
+def test_deep_lookup_matches_linear_scan(ladder_points):
+    symbols = [pt.prefix(LADDER_DEPTH + 12) for pt in ladder_points]
+    words = ladder_words(ladder_points)
+    want = {w: next((p for p, s in enumerate(symbols) if s[:len(w)] == w), None)
+            for w in words}
+    assert None in want.values()
+    assert any(len(w) > LADDER_DEPTH and p is not None for w, p in want.items())
+    rng = random.Random(5)
+    for first in (words, sorted(words, key=len, reverse=True)):
+        # one list answers a shuffled pass on top of a pass in another
+        # order, so queries meet both unsplit and split nodes
+        dense = DenseSequence(CANTOR, ladder_points)
+        second = list(words)
+        rng.shuffle(second)
+        for w in first + second:
+            assert dense.first_index_extending(w) == want[w], (len(w), w)
+
+
+def test_repeated_deep_lookup_reads_no_list_point(ladder_points, monkeypatch):
+    dense = DenseSequence(CANTOR, ladder_points)
+    words = [w for w in ladder_words(ladder_points) if len(w) > DenseSequence._TRIE_DEPTH]
+    first = [dense.first_index_extending(w) for w in words]
+    reads = []
+    for name in ("at", "_symbols"):
+        original = getattr(WordPoint, name)
+        monkeypatch.setattr(WordPoint, name,
+                            lambda self, n, _f=original: reads.append(n) or _f(self, n))
+    assert [dense.first_index_extending(w) for w in words] == first
+    assert reads == []
+    ladder_points[0].prefix(3)
+    assert reads  # the counter does see a read
 
 
 # ---------------------------------------------------------------------------

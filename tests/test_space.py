@@ -21,6 +21,7 @@ from firstreturn.space import (
     cantor_point,
     dist,
     eq,
+    first_mismatch,
     format_point,
     good_basis,
     member,
@@ -75,6 +76,97 @@ def test_canonical_form_invariant_under_unrolling(head, cycle, shift):
     q = WordPoint(CANTOR, unrolled_head, rotated)
     assert p == q
     assert [p.at(i) for i in range(12)] == [q.at(i) for i in range(12)]
+
+
+# ---------------------------------------------------------------------------
+# the word kernel against the per-symbol definitions
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def word_points(draw, space=None):
+    """Cantor or Baire points with heads up to 12 and cycles of lengths 1-7."""
+    space = space or draw(st.sampled_from([CANTOR, BAIRE]))
+    symbol = st.integers(0, 1 if space == CANTOR else 4)
+    head = draw(st.lists(symbol, max_size=12))
+    cycle = draw(st.lists(symbol, min_size=1, max_size=7))
+    return WordPoint(space, tuple(head), tuple(cycle))
+
+
+def ref_prefix(p, n):
+    return tuple(p.at(i) for i in range(n))
+
+
+def ref_first_difference(p, q):
+    # the product of the cycle lengths is at least their lcm
+    n = len(p.head) + len(q.head) + len(p.cycle) * len(q.cycle) + 1
+    return next((i for i in range(n) if p.at(i) != q.at(i)), None)
+
+
+@st.composite
+def point_pairs(draw):
+    """(p, q) in one space: unrelated, sharing a drawn prefix, or equal
+    (q unrolls cycles of p into its head)."""
+    p = draw(word_points())
+    kind = draw(st.sampled_from(["other", "shared", "equal"]))
+    if kind == "other":
+        return p, draw(word_points(p.space))
+    if kind == "shared":
+        rest = draw(word_points(p.space))
+        k = draw(st.integers(0, 30))
+        return p, WordPoint(p.space, ref_prefix(p, k) + rest.head, rest.cycle)
+    shift = draw(st.integers(0, 20))
+    cycle = ref_prefix(p, len(p.head) + shift + len(p.cycle))[-len(p.cycle):]
+    q = WordPoint(p.space, ref_prefix(p, len(p.head) + shift), cycle)
+    assert q == p
+    return p, q
+
+
+@given(p=word_points(), n=st.integers(0, 60))
+@settings(max_examples=100)
+def test_prefix_matches_symbols(p, n):
+    assert p.prefix(n) == ref_prefix(p, n)
+    assert isinstance(p.prefix(n), tuple)
+
+
+@given(p=word_points(), n=st.integers(0, 40), flip=st.integers(-1, 39), data=st.data())
+@settings(max_examples=150)
+def test_starts_with_matches_symbols(p, n, flip, data):
+    # words of the point itself, past its head too, some with one symbol changed
+    word = list(ref_prefix(p, n))
+    if 0 <= flip < n:
+        word[flip] = data.draw(st.integers(0, 1 if p.space == CANTOR else 4))
+    want = all(p.at(i) == s for i, s in enumerate(word))
+    assert p.starts_with(word) == p.starts_with(tuple(word)) == want
+
+
+@given(pair=point_pairs())
+@settings(max_examples=200)
+def test_first_difference_matches_symbols(pair):
+    p, q = pair
+    want = ref_first_difference(p, q)
+    assert p.first_difference(q) == q.first_difference(p) == want
+    assert (want is None) == (p == q)
+    if want is not None:
+        assert p.common_prefix_len(q) == want
+        assert dist(p, q) == Dist.pow2(want)
+
+
+@given(a=st.lists(st.integers(0, 2), max_size=40), b=st.lists(st.integers(0, 2), max_size=40))
+@settings(max_examples=100)
+def test_first_mismatch_is_least_disagreement(a, b):
+    want = next((i for i, (s, t) in enumerate(zip(a, b)) if s != t), None)
+    assert first_mismatch(tuple(a), tuple(b)) == want
+
+
+def test_first_difference_late_in_the_cycles():
+    # the cycles agree on 11 symbols and first disagree at index 11, one
+    # short of lcm(3, 12); behind a head of 5 the index moves by 5
+    p = baire_point((), (0, 0, 1))
+    r = baire_point((), (0, 0, 1) * 3 + (0, 0, 2))
+    assert p.first_difference(r) == ref_first_difference(p, r) == 11
+    head = (3, 3, 3, 3, 3)
+    assert baire_point(head, p.cycle).first_difference(baire_point(head, r.cycle)) == 16
 
 
 # ---------------------------------------------------------------------------
