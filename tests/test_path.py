@@ -236,9 +236,8 @@ def ladder_points(cantor_basis):
     q = []
     for length in range(6):
         for head in itertools.product((0, 1), repeat=length):
-            for cyc in ((0,), (1,)):
-                if WordPoint(CANTOR, head, cyc) not in q:
-                    q.append(WordPoint(CANTOR, head, cyc))
+            q += [pt for pt in (WordPoint(CANTOR, head, (0,)), WordPoint(CANTOR, head, (1,)))
+                  if pt not in q]
     for k in range(3, LADDER_DEPTH + 1):
         q += [WordPoint(CANTOR, x.prefix(k) + (1 - x.at(k),), (0,)) for x in LADDER_TARGETS]
     families = [ClosedSet(CANTOR, cylinders=((1,),), name="N(1)")]
@@ -246,8 +245,9 @@ def ladder_points(cantor_basis):
 
 
 def ladder_words(points):
-    """Words of every length 0..142 along each target (past 141 no point
-    extends them), along some list points, and off every list point."""
+    """Words of every length 0..142 along each target (no point extends
+    those past length 141), along some list points, and along the targets
+    with random tails."""
     rng = random.Random(11)
     words = [x.prefix(n) for x in LADDER_TARGETS for n in range(LADDER_DEPTH + 3)]
     words += [pt.prefix(n) for pt in rng.sample(points, 20) for n in range(0, 150, 7)]
