@@ -106,7 +106,7 @@ def dyadic_dense(depth: int = 10) -> DenseSequence:
     for j in range(1, depth + 1):
         for k in range(1, 2 ** j, 2):
             pts.append(UnitPoint(Fraction(k, 2 ** j)))
-    return DenseSequence(UNIT, pts, tag="handwritten")
+    return DenseSequence(UNIT, pts)
 
 
 def _dense_from_config(cfg: dict) -> DenseSequence:
@@ -129,7 +129,7 @@ def _dense_from_config(cfg: dict) -> DenseSequence:
             raise ConfigError(f"no points in dense file {path}")
         if any(pt.space != pts[0].space for pt in pts):
             raise ConfigError(f"dense file {path} mixes spaces")
-        return DenseSequence(pts[0].space, pts, tag="handwritten")
+        return DenseSequence(pts[0].space, pts)
     raise ConfigError(f"unknown dense source {src!r}")
 
 
@@ -220,7 +220,7 @@ _HELP = {
 
 def validate_config(cfg: dict) -> dict:
     cmd = cfg.get("command")
-    if cmd not in _KEYS:
+    if not isinstance(cmd, str) or cmd not in _KEYS:
         raise ConfigError(f"unknown command {cmd!r}")
     keys = _KEYS[cmd]
     unknown = set(cfg) - set(keys) - {"command"}
@@ -251,7 +251,10 @@ def load_config_file(path: Path) -> dict:
     try:
         text = path.read_text()
         if path.suffix == ".json" or text.lstrip().startswith("{"):
-            return json.loads(text)
+            cfg = json.loads(text)
+            if not isinstance(cfg, dict):
+                raise ValueError(f"{path.name} holds no JSON object")
+            return cfg
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     cfg = {}
@@ -468,14 +471,15 @@ def replay(artifact_dir: Path, scratch: Optional[Path] = None) -> dict:
 
     Returns a report with the first divergence (file and line), if any: a
     file that differs, is missing on replay, or appears only on replay.
-    The run.meta sidecar is excluded from the comparison.
+    The run.meta sidecar is excluded from the comparison.  A recorded
+    config that cannot be read or run raises ConfigError.
     """
     import tempfile
 
     cfg_path = artifact_dir / "config.json"
     if not cfg_path.exists():
         return {"ok": False, "error": "no config.json in artifact dir"}
-    stored = json.loads(cfg_path.read_text())
+    stored = load_config_file(cfg_path)
     version = stored.pop("artifact_version", None)
     if version != ARTIFACT_VERSION:
         return {"ok": False, "error": f"version mismatch: {version} != {ARTIFACT_VERSION}"}
@@ -538,17 +542,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.print_help()
         return 2
 
-    if args.command == "replay":
-        report = replay(Path(args.dir))
-        print(json.dumps(report, sort_keys=True, indent=2))
-        return 0 if report["ok"] else 1
-
-    cfg = {"command": args.command}
-    for key, value in vars(args).items():
-        if key not in ("command", "out", "config") and value is not None:
-            cfg[key] = value
-    out_dir = Path(args.out) if args.out else Path(f"artifacts-{args.command}")
     try:
+        if args.command == "replay":
+            report = replay(Path(args.dir))
+            print(json.dumps(report, sort_keys=True, indent=2))
+            return 0 if report["ok"] else 1
+        cfg = {"command": args.command}
+        for key, value in vars(args).items():
+            if key not in ("command", "out", "config") and value is not None:
+                cfg[key] = value
+        out_dir = Path(args.out) if args.out else Path(f"artifacts-{args.command}")
         if args.config:
             cfg = {**load_config_file(Path(args.config)), **cfg}
         code = run_config(cfg, out_dir)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .path import DenseSequence, path_trace
@@ -216,27 +217,30 @@ def a_f_of_g(F: ClosedSet, G: Sequence[PointCode], basis: GoodBasis,
     (picks, truncations) where picks are (point, via_m, min_index) in
     deterministic first-found order and truncations record min-index scans
     that exhausted the enumeration.
+
+    `pick_cache` may be shared by calls over one basis, enumeration and
+    m_budget.  It maps each point x to its covering opens [(m, W_m)], and
+    each pair (W, F) to False if W misses F, to None if the scan for a q_i
+    in W /\\ F exhausted the enumeration, and else to the first such i.
     """
-    cache = pick_cache if pick_cache is not None else {}
+    memo = pick_cache if pick_cache is not None else {}
     picks: List[Tuple[PointCode, int, int]] = []
     seen = set()
     truncations: List[str] = []
     for x in G:
         if F.member(x):
             continue
-        for m, W in _covering_opens(x, basis, m_budget):
-            if not F.meets(W):
-                continue
+        opens = memo.get(x)
+        if opens is None:
+            opens = memo[x] = list(_covering_opens(x, basis, m_budget))
+        for m, W in opens:
             key = (W, F)
-            if key in cache:
-                found = cache[key]
-            else:
-                found = None
-                for i, q in enumerate(q_enum):
-                    if W.member(q) and F.member(q):
-                        found = i
-                        break
-                cache[key] = found
+            if key not in memo:
+                memo[key] = F.meets(W) and next(
+                    (i for i, q in enumerate(q_enum) if W.member(q) and F.member(q)), None)
+            found = memo[key]
+            if found is False:  # W misses F (index 0 is not False)
+                continue
             if found is None:
                 truncations.append(f"minidx scan exhausted for W={W} F={F}")
                 continue
@@ -277,17 +281,6 @@ def _sigma_of(x: PointCode, families: Sequence[ClosedSet], width: int) -> Tuple[
     return tuple(1 if families[k].member(x) else 0 for k in range(width))
 
 
-def _subsets_lex(width: int):
-    """All bit strings of the given width in ascending lexicographic order."""
-    if width == 0:
-        return [()]
-    out = []
-    for v in range(2 ** width):
-        bits = tuple((v >> (width - 1 - j)) & 1 for j in range(width))
-        out.append(bits)
-    return out
-
-
 def build_dense(families: Sequence[ClosedSet], q_enum: Sequence[PointCode],
                 basis: GoodBasis, *, stages: Optional[int] = None,
                 m_budget: int = 30) -> StagedDense:
@@ -298,6 +291,12 @@ def build_dense(families: Sequence[ClosedSet], q_enum: Sequence[PointCode],
     space.  The enumeration is never reordered globally: stages only select
     and order picks, and every q_i enters the sequence at its own stage at
     the latest.
+
+    Each build forms all 2^I sets F_sigma once, before the first stage, by
+    intersecting the whole space with the selected sets in index order; a
+    stage of width w < I reads sigma padded with zeros.  One memo serves
+    every a_f_of_g call of the build, so each point's covering opens and
+    each (W, F) answer are worked out once.
     """
     I = len(families)
     if I > MAX_FAMILIES:
@@ -306,24 +305,20 @@ def build_dense(families: Sequence[ClosedSet], q_enum: Sequence[PointCode],
     stages = len(q_enum) if stages is None else min(stages, len(q_enum))
 
     full = whole_space(space)
-    inter_cache: Dict[Tuple[int, ...], ClosedSet] = {(): full}
-
-    def f_sigma(bits: Tuple[int, ...]) -> ClosedSet:
-        key = tuple(j for j, b in enumerate(bits) if b)
-        if key not in inter_cache:
-            acc = full
-            for j in key:
-                acc = acc.intersect(families[j])
-            inter_cache[key] = acc
-        return inter_cache[key]
+    f_sigma: Dict[Tuple[int, ...], ClosedSet] = {}
+    for bits in product((0, 1), repeat=I):
+        F = full
+        for j, b in enumerate(bits):
+            if b:
+                F = F.intersect(families[j])
+        f_sigma[bits] = F
 
     blocks: List[List[PointCode]] = []
     stage_of: Dict[PointCode, int] = {}
     flat: List[PointCode] = []
-    placed = set()
     log: List[str] = []
     truncations: List[str] = []
-    pick_cache: dict = {}
+    memo: dict = {}
 
     for i in range(stages):
         seed = q_enum[i]
@@ -331,35 +326,34 @@ def build_dense(families: Sequence[ClosedSet], q_enum: Sequence[PointCode],
         G: List[PointCode] = [seed]
         g_members = {seed}
         log.append(f"stage={i} seed={seed}")
-        for bits in _subsets_lex(width):
-            F = f_sigma(bits)
-            picks, trunc = a_f_of_g(F, list(G), basis, q_enum, m_budget, pick_cache)
+        for bits in product((0, 1), repeat=width):
+            sigma = "".join(map(str, bits))
+            F = f_sigma[bits + (0,) * (I - width)]
+            picks, trunc = a_f_of_g(F, G, basis, q_enum, m_budget, memo)
             truncations.extend(f"stage={i} {t}" for t in trunc)
             for pt, via_m, min_i in picks:
                 if pt in g_members:
                     continue
                 if len(G) >= G_CAP:
                     truncations.append(f"stage={i} g_cap reached; pick dropped")
-                    log.append(f"stage={i} sigma={''.join(map(str, bits))} "
-                               f"drop={pt} via m={via_m} minidx={min_i}")
-                    continue
-                G.append(pt)
-                g_members.add(pt)
-                log.append(f"stage={i} sigma={''.join(map(str, bits))} "
-                           f"pick={pt} via m={via_m} minidx={min_i}")
-        fresh = [pt for pt in G if pt not in placed]
+                    action = "drop"
+                else:
+                    G.append(pt)
+                    g_members.add(pt)
+                    action = "pick"
+                log.append(f"stage={i} sigma={sigma} {action}={pt} via m={via_m} minidx={min_i}")
+        fresh = [pt for pt in G if pt not in stage_of]
         keyed = [(_sigma_of(pt, families, width), n, pt)
                  for n, pt in enumerate(fresh)]
         # sigma_{2^i} (lex largest) first, first-appearance order inside a class
         keyed.sort(key=lambda t: (tuple(-b for b in t[0]), t[1]))
         block = [pt for _, _, pt in keyed]
         for pt in block:
-            placed.add(pt)
             stage_of[pt] = i
         blocks.append(block)
         flat.extend(block)
 
-    dense = DenseSequence(space, flat, tag="staged-builder")
+    dense = DenseSequence(space, flat)
     return StagedDense(space, blocks, stage_of, dense, log, truncations)
 
 

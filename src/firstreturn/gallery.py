@@ -125,29 +125,30 @@ class PsiBudgetExceeded(LookupError):
     pass
 
 
+# length of the longest S-word the psi table holds
+PSI_MAX_LEN = 14
+
+
 class PsiTable:
     """phi-sorted initial segment of the S-word enumeration.
 
-    Generates every S-word of length <= max_len and keeps those with phi
+    Generates every S-word of length <= PSI_MAX_LEN and keeps those with phi
     below the phi value of the smallest excluded word (the all-zero word of
-    length max_len + 1); the kept, sorted list is then exactly the first
+    length PSI_MAX_LEN + 1); the kept, sorted list is then exactly the first
     `size` entries of the infinite enumeration.
     """
 
-    def __init__(self, max_len: int = 14):
-        self.max_len = max_len
-        cutoff = phi_encode((0,) * max_len + (1,))
+    def __init__(self):
+        cutoff = phi_encode((0,) * PSI_MAX_LEN + (1,))
         entries = [(0, ())]
-        for length in range(1, max_len + 1):
+        for length in range(1, PSI_MAX_LEN + 1):
             for bits in iter_product((0, 1), repeat=length - 1):
                 word = bits + (1,)
                 value = phi_encode(word)
                 if value < cutoff:
                     entries.append((value, word))
         entries.sort()
-        self.cutoff = cutoff
         self.words: List[Tuple[int, ...]] = [w for _, w in entries]
-        self.phis: List[int] = [v for v, _ in entries]
         self.index: Dict[Tuple[int, ...], int] = {w: n for n, w in enumerate(self.words)}
 
     @property
@@ -188,7 +189,7 @@ def x_seq_point(p: int) -> WordPoint:
 def prop25_dense() -> DenseSequence:
     """The materialized dense sequence (x_p) of Cantor space."""
     count = 2 * default_table().size
-    return DenseSequence(CANTOR, [x_seq_point(p) for p in range(count)], tag="prop25")
+    return DenseSequence(CANTOR, [x_seq_point(p) for p in range(count)])
 
 
 class Prop25Sequence:
@@ -471,7 +472,7 @@ def thm13_dense(ladder: int = 360, approach_depth: int = 60) -> DenseSequence:
     for probe in _density_probes():
         prefix = tuple(probe.entry(n) for n in range(6))
         pts.append(ZPoint(prefix, 1, probe.entry(6) - 6 + Fraction(1, 3)))
-    return DenseSequence(Z, pts, tag="handwritten")
+    return DenseSequence(Z, pts)
 
 
 def _density_probes() -> List[ZPoint]:

@@ -118,19 +118,15 @@ class _WordNode:
 
 
 class DenseSequence:
-    """Indexed, possibly repeating, ordered list of points with provenance.
-
-    provenance tags: "handwritten", "staged-builder", "prop25", ...
-    """
+    """Indexed, possibly repeating, ordered list of points."""
 
     _TRIE_DEPTH = 8
 
-    def __init__(self, space: str, points: Sequence[PointCode], tag: str = "handwritten"):
+    def __init__(self, space: str, points: Sequence[PointCode]):
         if not points:
             raise ValueError("dense sequence must be nonempty")
         self.space = space
         self.points: List[PointCode] = list(points)
-        self.tag = tag
         self._first_of = {}
         for i, pt in enumerate(self.points):
             self._first_of.setdefault(pt, i)

@@ -273,6 +273,57 @@ def test_replay_flags_extra_files(tmp_path):
     assert rep["files_compared"] == 2
 
 
+def _damage_unknown_key(text, tmp_path):
+    return text.replace('"n": 1', '"n": 1, "bogus": 1')
+
+
+def _damage_truncate(text, tmp_path):
+    return text[:len(text) // 2]
+
+
+def _damage_array(text, tmp_path):
+    return json.dumps([json.loads(text)])
+
+
+def _damage_command(text, tmp_path):
+    return text.replace('"command": "rank"', '"command": []')
+
+
+def _damage_dense_file(text, tmp_path):
+    (tmp_path / "gone.txt").write_text("cantor:1|01\ncantor:|0\n")
+    out = tmp_path / "rec"
+    assert run_main(["recover", "--fn", "indicator:10", "--dense", f"file:{tmp_path}/gone.txt",
+                     "--horizon", "8", "--out", str(out)]) in (0, 1)
+    (tmp_path / "gone.txt").unlink()
+    return (out / "config.json").read_text()
+
+
+@pytest.mark.parametrize("damage", [_damage_unknown_key, _damage_truncate, _damage_array,
+                                    _damage_command, _damage_dense_file])
+def test_replay_of_bad_recorded_config_exits_2(tmp_path, capsys, damage):
+    out = tmp_path / "a"
+    assert run_main(["rank", "--n", "1", "--A", "10", "--B", "01", "--out", str(out)]) == 0
+    cfg = out / "config.json"
+    cfg.write_text(damage(cfg.read_text(), tmp_path))
+    capsys.readouterr()
+    assert run_main(["replay", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_replay_reports_stay_exit_1(tmp_path, capsys):
+    # no config.json, a version mismatch and a divergence are reports
+    assert run_main(["replay", str(tmp_path)]) == 1
+    out = tmp_path / "a"
+    assert run_main(["rank", "--n", "1", "--A", "10", "--B", "01", "--out", str(out)]) == 0
+    (out / "rank.txt").write_text("changed\n")
+    assert run_main(["replay", str(out)]) == 1
+    cfg = json.loads((out / "config.json").read_text())
+    (out / "config.json").write_text(json.dumps({**cfg, "artifact_version": "0"}))
+    assert run_main(["replay", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+
+
 def test_config_file_beats_defaults(tmp_path):
     rec = tmp_path / "rec.cfg"
     rec.write_text("fn=I25\nalpha=cantor:|110\nhorizon=40\nmax_points=2\n")
@@ -408,40 +459,65 @@ _BASES = {
 
 @st.composite
 def _configs(draw):
+    """(command, base, cfg, damage).  damage is None for a run of cfg; else
+    the base config is run and its recorded config.json replayed after cfg
+    is merged in: "keys" as is, "array" wrapped in a list, and an int cuts
+    the text to that many characters."""
     command = draw(st.sampled_from(sorted(_KEYS) + ["replay"]))
-    if command == "replay":
-        return command, {}
+    replayed = command == "replay"
+    if replayed:
+        command = draw(st.sampled_from(sorted(_KEYS)))
     keys = _KEYS[command]
-    cfg = dict(draw(st.sampled_from(_BASES[command])))
-    changed = draw(st.lists(st.sampled_from(sorted(keys) + ["space", "bogus"]),
+    base = draw(st.sampled_from(_BASES[command]))
+    cfg = dict(base)
+    extra = ["command", "artifact_version"] if replayed else []
+    changed = draw(st.lists(st.sampled_from(sorted(keys) + ["space", "bogus"] + extra),
                             unique=True, max_size=4))
     for k in changed:
         cfg[k] = draw(_value(k, keys[k][0]) if k in keys else _JUNK)
-    return command, cfg
+    damage = (draw(st.sampled_from(["keys", "array"]) | st.integers(0, 300))
+              if replayed else None)
+    return command, base, cfg, damage
 
 
 @given(case=_configs(), dense_lines=st.lists(_POINT, max_size=4))
 @settings(max_examples=120, deadline=None)
 def test_fuzzed_configs_exit_cleanly(case, dense_lines):
-    # any configuration exits 0, 1 or 2 without a traceback: a bad one is a
-    # one-line config error
+    # any configuration, run or replayed from a run's damaged config.json,
+    # exits 0, 1 or 2 without a traceback: a bad one is a one-line config error
     import contextlib
     import io
     import tempfile
+    from unittest import mock
 
-    command, cfg = case
-    with tempfile.TemporaryDirectory() as tmp:
+    command, base, cfg, damage = case
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(tempfile, "tempdir", tmp):
         dense_file = Path(tmp) / "dense.txt"
         dense_file.write_text("\n".join(dense_lines) + "\n")
-        if cfg.get("dense") == "file:{dense}":
-            cfg["dense"] = f"file:{dense_file}"
+
+        def fill(c):
+            return {k: f"file:{dense_file}" if v == "file:{dense}" else v for k, v in c.items()}
+
         cfg_file = Path(tmp) / "cfg.json"
-        cfg_file.write_text(json.dumps(cfg))
-        argv = ([command, tmp] if command == "replay"
-                else [command, "--config", str(cfg_file), "--out", str(Path(tmp) / "out")])
+        out = Path(tmp) / "out"
+        argv = [command, "--config", str(cfg_file), "--out", str(out)]
+        cfg_file.write_text(json.dumps(fill(cfg if damage is None else base)))
+        if damage is not None:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                main(argv)
+            recorded = out / "config.json"
+            if recorded.exists():
+                text = json.dumps({**json.loads(recorded.read_text()), **fill(cfg)})
+                if damage == "array":
+                    text = f"[{text}]"
+                elif isinstance(damage, int):
+                    text = text[:damage]
+                recorded.write_text(text)
+            argv = ["replay", str(out)]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
-    assert code in (0, 1, 2), (argv, cfg)
+    assert code in (0, 1, 2), (argv, cfg, damage)
     if code == 2:
         assert err.getvalue().startswith("config error: ") and err.getvalue().count("\n") == 1

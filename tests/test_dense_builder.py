@@ -1,7 +1,12 @@
+import itertools
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from firstreturn import dense_builder
+from firstreturn.cli import dyadic_dense
 from firstreturn.dense_builder import (
     ClosedSet,
     a_f_of_g,
@@ -112,6 +117,127 @@ def test_afog_records_truncation(cantor_basis):
     picks, trunc = a_f_of_g(lonely, [bword(1, 1)], cantor_basis, q, 6)
     assert picks == []
     assert trunc and "exhausted" in trunc[0]
+
+
+def afog_by_definition(F, G, basis, q_enum, m_budget):
+    """A^F(G) read off its definition: for each x in G\\F and m = 0..m_budget
+    with x in W_m = basis.at(m) and W_m meeting F, the first q_i in W_m /\\ F
+    by a linear scan.  Returns (picks, truncations, opens missing F)."""
+    picks, seen, truncations, misses = [], set(), [], 0
+    for x in G:
+        if F.member(x):
+            continue
+        for m in range(m_budget + 1):
+            W = basis.at(m)
+            if not W.member(x):
+                continue
+            if not F.meets(W):
+                misses += 1
+                continue
+            found = next((i for i, q in enumerate(q_enum) if W.member(q) and F.member(q)), None)
+            if found is None:
+                truncations.append(f"minidx scan exhausted for W={W} F={F}")
+            elif q_enum[found] not in seen:
+                seen.add(q_enum[found])
+                picks.append((q_enum[found], m, found))
+    return picks, truncations, misses
+
+
+def _builder_calls(monkeypatch, families, q, basis, m_budget, stages=None):
+    """(F, G, result) of every a_f_of_g call of one build, in its order; the
+    calls share the build's memo."""
+    calls = []
+    real = dense_builder.a_f_of_g
+
+    def spy(F, G, *rest):
+        result = real(F, G, *rest)
+        calls.append((F, list(G), result))
+        return result
+
+    monkeypatch.setattr(dense_builder, "a_f_of_g", spy)
+    build_dense(families, q, basis, m_budget=m_budget, stages=stages)
+    monkeypatch.undo()
+    return calls
+
+
+_UNIT_A = ClosedSet(UNIT, intervals=((F(0), F(1, 2)),), name="A")
+_UNIT_B = ClosedSet(UNIT, intervals=((F(1, 4), F(1, 4)), (F(5, 7), F(1))), name="B")
+
+
+@pytest.mark.parametrize("case", ["cantor", "cantor-lonely", "unit-sorted", "unit-shuffled"])
+def test_afog_matches_definition(monkeypatch, q64, cantor_basis, unit_basis, case):
+    if case.startswith("cantor"):
+        basis, m_budget, stages = cantor_basis, 6, 40
+        families = [F0, F1]
+        if case == "cantor-lonely":  # met by opens, but no q_i lies in it
+            families = [ClosedSet(CANTOR, singletons=(cantor_point("", "01"),), name="L"), F0]
+        q = q64
+    else:
+        basis, m_budget, stages = unit_basis, 60, 40
+        families = [_UNIT_A, _UNIT_B]
+        q = list(dyadic_dense(7))
+        if case == "unit-shuffled":
+            random.Random(5).shuffle(q)
+        else:
+            q.sort(key=lambda p: p.value)
+    calls = _builder_calls(monkeypatch, families, q, basis, m_budget, stages)
+    assert calls
+    truncations = misses = 0
+    for F_, G, shared in calls:
+        picks, trunc, missed = afog_by_definition(F_, G, basis, q, m_budget)
+        assert shared == (picks, trunc), (str(F_), [str(x) for x in G])
+        assert a_f_of_g(F_, G, basis, q, m_budget) == shared
+        truncations += len(trunc)
+        misses += missed
+    assert misses > 0
+    if case in ("cantor-lonely", "unit-shuffled"):
+        assert truncations > 0
+
+
+@pytest.fixture(scope="module")
+def ladder_inputs():
+    """Criterion 3's ladder enumeration for three targets, with I = 3."""
+    targets = [cantor_point("101", "0110"), cantor_point("1101", "01"),
+               cantor_point("1100", "011")]
+    q = []
+    for length in range(6):
+        for head in itertools.product((0, 1), repeat=length):
+            q += [pt for pt in (WordPoint(CANTOR, head, (0,)), WordPoint(CANTOR, head, (1,)))
+                  if pt not in q]
+    for k in range(3, 141):
+        q += [WordPoint(CANTOR, x.prefix(k) + (1 - x.at(k),), (0,)) for x in targets]
+    families = [F0, F1, ClosedSet(CANTOR, cylinders=((1, 1, 0),), name="N(110)")]
+    return families, q
+
+
+def test_build_covers_each_point_once(monkeypatch, cantor_basis, ladder_inputs):
+    families, q = ladder_inputs
+    covered = Counter()
+    real = dense_builder._covering_opens
+
+    def cover(x, *rest):
+        covered[x] += 1
+        return real(x, *rest)
+
+    monkeypatch.setattr(dense_builder, "_covering_opens", cover)
+    build_dense(families, q, cantor_basis, m_budget=14)
+    assert covered and max(covered.values()) == 1
+
+
+def test_build_asks_each_open_meets_set_once(monkeypatch, cantor_basis, ladder_inputs):
+    # at most m_budget + 1 opens W_m for each of the 2^I sets F_sigma
+    families, q = ladder_inputs
+    calls = [0]
+    real = ClosedSet.meets
+
+    def meets(self, W):
+        calls[0] += 1
+        return real(self, W)
+
+    monkeypatch.setattr(ClosedSet, "meets", meets)
+    staged = build_dense(families, q, cantor_basis, m_budget=14)
+    assert len(staged.dense) > 400
+    assert 0 < calls[0] <= (14 + 1) * 2 ** len(families)
 
 
 # ---------------------------------------------------------------------------

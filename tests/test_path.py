@@ -332,11 +332,11 @@ def builder_dense(cantor_basis):
 
 
 def test_word_route_matches_linear_scan(dense25, cantor_basis):
-    for dense in (dense25, builder_dense(cantor_basis)):
+    for name, dense in (("prop25", dense25), ("builder", builder_dense(cantor_basis))):
         for x in ROUTE_POINTS:
             tr = route_trace(x, dense, 32)
             got = ([s.index for s in tr.steps], tr.points(), tr.terminated)
-            assert got == linear_route(x, dense, 32), (dense.tag, str(x))
+            assert got == linear_route(x, dense, 32), (name, str(x))
             assert route_descent_violations(tr) == []
 
 
