@@ -1,4 +1,5 @@
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -300,7 +301,8 @@ def _damage_dense_file(text, tmp_path):
 
 @pytest.mark.parametrize("damage", [_damage_unknown_key, _damage_truncate, _damage_array,
                                     _damage_command, _damage_dense_file])
-def test_replay_of_bad_recorded_config_exits_2(tmp_path, capsys, damage):
+def test_replay_of_bad_recorded_config_exits_2(tmp_path, monkeypatch, capsys, damage):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # replay's scratch directory
     out = tmp_path / "a"
     assert run_main(["rank", "--n", "1", "--A", "10", "--B", "01", "--out", str(out)]) == 0
     cfg = out / "config.json"
@@ -311,9 +313,10 @@ def test_replay_of_bad_recorded_config_exits_2(tmp_path, capsys, damage):
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
-def test_replay_reports_stay_exit_1(tmp_path, capsys):
+def test_replay_reports_stay_exit_1(tmp_path, monkeypatch, capsys):
     # no config.json, a version mismatch and a divergence are reports
-    assert run_main(["replay", str(tmp_path)]) == 1
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert run_main(["replay", str(tmp_path / "none")]) == 1
     out = tmp_path / "a"
     assert run_main(["rank", "--n", "1", "--A", "10", "--B", "01", "--out", str(out)]) == 0
     (out / "rank.txt").write_text("changed\n")
@@ -487,7 +490,6 @@ def test_fuzzed_configs_exit_cleanly(case, dense_lines):
     # exits 0, 1 or 2 without a traceback: a bad one is a one-line config error
     import contextlib
     import io
-    import tempfile
     from unittest import mock
 
     command, base, cfg, damage = case
