@@ -27,7 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from . import dense_builder, ebc1, gallery, rank, recover
+from . import ebc1, gallery, rank, recover
 from .dense_builder import ClosedSet, build_dense
 from .path import PATH, ROUTE, DenseSequence, path_trace, route_trace, trace_to_csv
 from .space import (
@@ -159,7 +159,7 @@ def _builder_q() -> List[WordPoint]:
     return out
 
 
-def _ebc1_cover(name: str) -> Tuple[ebc1.ClosedCover, List[recover.FunctionOracle], str]:
+def _ebc1_cover(name: str) -> Tuple[ebc1.ClosedCover, List[recover.FunctionOracle]]:
     F = Fraction
     if name == "unit-halves":
         pieces = [ClosedSet(UNIT, intervals=((F(0), F(1, 2)),), name="[0,1/2]"),
@@ -167,7 +167,7 @@ def _ebc1_cover(name: str) -> Tuple[ebc1.ClosedCover, List[recover.FunctionOracl
         fam = [recover.FunctionOracle("x/2", lambda p: p.value / 2, recover.RATIONAL),
                recover.FunctionOracle("1-x/2", lambda p: 1 - p.value / 2,
                                       recover.RATIONAL)]
-        return ebc1.ClosedCover(F(1, 3), pieces, UNIT), fam, UNIT
+        return ebc1.ClosedCover(F(1, 3), pieces, UNIT), fam
     if name == "unit-step":
         pieces = [ClosedSet(UNIT, intervals=((F(1, 2), F(1)),), name="[1/2,1]")]
         for k in range(2, 10):
@@ -177,13 +177,13 @@ def _ebc1_cover(name: str) -> Tuple[ebc1.ClosedCover, List[recover.FunctionOracl
             "step", lambda p: 1 if p.value >= F(1, 2) else 0, recover.DISCRETE)
         co_step = recover.FunctionOracle(
             "co-step", lambda p: 0 if p.value >= F(1, 2) else 1, recover.DISCRETE)
-        return ebc1.ClosedCover(F(1, 2), pieces, UNIT), [step, co_step], UNIT
+        return ebc1.ClosedCover(F(1, 2), pieces, UNIT), [step, co_step]
     # cantor-bits
     pieces = [ClosedSet(CANTOR, cylinders=((0,),), name="N(0)"),
               ClosedSet(CANTOR, cylinders=((1,),), name="N(1)")]
     fam = [gallery.indicator_of(pieces[1], "1_N(1)"),
            gallery.indicator_of(pieces[0], "1_N(0)")]
-    return ebc1.ClosedCover(F(1, 2), pieces, CANTOR), fam, CANTOR
+    return ebc1.ClosedCover(F(1, 2), pieces, CANTOR), fam
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +380,11 @@ def _run_rank(cfg: dict, out_dir: Path) -> int:
 def _run_ebc1(cfg: dict, out_dir: Path) -> int:
     import random
 
-    cover, family, space = _ebc1_cover(cfg["cover"])
+    cover, family = _ebc1_cover(cfg["cover"])
     n_pairs = cfg["pairs"]
     rng = random.Random(cfg["seed"])
     pairs = []
-    if space == UNIT:
+    if cover.space == UNIT:
         def rand_point():
             return UnitPoint(Fraction(rng.randrange(0, 257), 256))
     else:
@@ -472,10 +472,15 @@ def replay(artifact_dir: Path, scratch: Optional[Path] = None) -> dict:
     Returns a report with the first divergence (file and line), if any: a
     file that differs, is missing on replay, or appears only on replay.
     The run.meta sidecar is excluded from the comparison.  A recorded
-    config that cannot be read or run raises ConfigError.
+    config that cannot be read or run raises ConfigError.  Without a
+    scratch directory, the re-run goes to a temporary one that is removed
+    afterwards.
     """
     import tempfile
 
+    if scratch is None:
+        with tempfile.TemporaryDirectory(prefix="fr-replay-") as tmp:
+            return replay(artifact_dir, Path(tmp))
     cfg_path = artifact_dir / "config.json"
     if not cfg_path.exists():
         return {"ok": False, "error": "no config.json in artifact dir"}
@@ -483,7 +488,6 @@ def replay(artifact_dir: Path, scratch: Optional[Path] = None) -> dict:
     version = stored.pop("artifact_version", None)
     if version != ARTIFACT_VERSION:
         return {"ok": False, "error": f"version mismatch: {version} != {ARTIFACT_VERSION}"}
-    scratch = scratch or Path(tempfile.mkdtemp(prefix="fr-replay-"))
     run_config(stored, scratch)
     divergence = None
     originals = _artifact_files(artifact_dir)

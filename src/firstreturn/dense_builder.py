@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import product, takewhile
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .path import DenseSequence, path_trace
@@ -32,22 +32,15 @@ from .space import (
     UNIT,
     BasicOpen,
     Cylinder,
-    CylinderGoodBasis,
     Dist,
     GoodBasis,
     PointCode,
     RationalInterval,
-    UnitGoodBasis,
     UnitPoint,
     WordPoint,
     dist,
     first_mismatch,
 )
-
-
-def _words_comparable(a: Tuple[int, ...], b: Tuple[int, ...]) -> bool:
-    n = min(len(a), len(b))
-    return a[:n] == b[:n]
 
 
 @dataclass(frozen=True)
@@ -90,7 +83,7 @@ class ClosedSet:
     def hits(self, word: Tuple[int, ...]) -> bool:
         """Exact tree oracle: does N_word meet the set?"""
         word = tuple(word)
-        return any(_words_comparable(word, w) for w in self.cylinders) or any(
+        return any(first_mismatch(word, w) is None for w in self.cylinders) or any(
             s.starts_with(word) for s in self.singletons
         )
 
@@ -136,7 +129,7 @@ class ClosedSet:
         cyl, sing, ivs = [], [], []
         for a in self.cylinders:
             for b in other.cylinders:
-                if _words_comparable(a, b):
+                if first_mismatch(a, b) is None:
                     cyl.append(a if len(a) >= len(b) else b)
         for s in self.singletons:
             if other.member(s):
@@ -184,29 +177,6 @@ def whole_space(space: str) -> ClosedSet:
 # ---------------------------------------------------------------------------
 
 
-def _covering_opens(x: PointCode, basis: GoodBasis, m_budget: int):
-    """Basic opens W_m containing x with m <= m_budget, ascending m."""
-    if isinstance(basis, CylinderGoodBasis):
-        length = 0
-        while True:
-            word = x.prefix(length)
-            m = basis.index_of_word(word)
-            if m > m_budget:
-                return
-            yield m, Cylinder(basis.space, word)
-            length += 1
-    elif isinstance(basis, UnitGoodBasis):
-        r = 0
-        while basis.scale_block(r).start <= m_budget:
-            for k, iv in basis.blocks_containing(r, x.value):
-                m = basis.index_of(r, k)
-                if m <= m_budget:
-                    yield m, iv
-            r += 1
-    else:  # pragma: no cover
-        raise ValueError("unsupported basis")
-
-
 def a_f_of_g(F: ClosedSet, G: Sequence[PointCode], basis: GoodBasis,
              q_enum: Sequence[PointCode], m_budget: int,
              pick_cache: Optional[dict] = None):
@@ -219,9 +189,10 @@ def a_f_of_g(F: ClosedSet, G: Sequence[PointCode], basis: GoodBasis,
     that exhausted the enumeration.
 
     `pick_cache` may be shared by calls over one basis, enumeration and
-    m_budget.  It maps each point x to its covering opens [(m, W_m)], and
-    each pair (W, F) to False if W misses F, to None if the scan for a q_i
-    in W /\\ F exhausted the enumeration, and else to the first such i.
+    m_budget.  It maps each point x to the start of its basis walk,
+    [(m, W_m)] for m <= m_budget, and each pair (W, F) to False if W misses
+    F, to None if the scan for a q_i in W /\\ F exhausted the enumeration,
+    and else to the first such i.
     """
     memo = pick_cache if pick_cache is not None else {}
     picks: List[Tuple[PointCode, int, int]] = []
@@ -232,7 +203,8 @@ def a_f_of_g(F: ClosedSet, G: Sequence[PointCode], basis: GoodBasis,
             continue
         opens = memo.get(x)
         if opens is None:
-            opens = memo[x] = list(_covering_opens(x, basis, m_budget))
+            opens = memo[x] = list(takewhile(lambda o: o[0] <= m_budget,
+                                             basis.opens_through(x)))
         for m, W in opens:
             key = (W, F)
             if key not in memo:
@@ -295,7 +267,7 @@ def build_dense(families: Sequence[ClosedSet], q_enum: Sequence[PointCode],
     Each build forms all 2^I sets F_sigma once, before the first stage, by
     intersecting the whole space with the selected sets in index order; a
     stage of width w < I reads sigma padded with zeros.  One memo serves
-    every a_f_of_g call of the build, so each point's covering opens and
+    every a_f_of_g call of the build, so each point's basis walk and
     each (W, F) answer are worked out once.
     """
     I = len(families)

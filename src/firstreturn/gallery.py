@@ -50,6 +50,8 @@ from .recover import DISCRETE, RATIONAL, FunctionOracle, _flips_in, recover_at
 from .space import (
     CANTOR,
     Z,
+    Cylinder,
+    CylinderGoodBasis,
     Dist,
     PointCode,
     WordPoint,
@@ -253,20 +255,23 @@ class Prop25Sequence:
 def _complement_pieces(avoid: ClosedSet, depth: int) -> List[ClosedSet]:
     """Clopen pieces exhausting the complement of a closed set, to a depth.
 
-    Every emitted cylinder genuinely misses the set (exact tree oracle);
-    regions still meeting it at the depth cap are left uncovered, so the
-    piece list is sound but only budget-complete.
+    The pieces are cylinders of the set's own word space, over its basis
+    alphabet: {0,1}, or the symbols below BAIRE_ALPHABET.  Every emitted
+    cylinder genuinely misses the set (exact tree oracle); regions still
+    meeting it at the depth cap are left uncovered, so the piece list is
+    sound but only budget-complete.  No piece lies inside one of the set's
+    cylinders, so the search does not descend into them.
     """
-    pieces = []
+    space, pieces = avoid.space, []
+    alphabet = range(CylinderGoodBasis(space).base)
 
     def rec(word):
         if not avoid.hits(word):
-            pieces.append(ClosedSet(CANTOR, cylinders=(word,),
-                                    name=f"N({''.join(map(str, word))})"))
+            pieces.append(ClosedSet(space, cylinders=(word,), name=str(Cylinder(space, word))))
             return
-        if len(word) >= depth:
+        if len(word) >= depth or any(word[:len(w)] == w for w in avoid.cylinders):
             return
-        for a in (0, 1):
+        for a in alphabet:
             rec(word + (a,))
 
     rec(())
@@ -338,7 +343,7 @@ def I25(alpha: WordPoint) -> FunctionOracle:
 
 
 def indicator_of(closed: ClosedSet, fid: Optional[str] = None,
-                 complement_depth: int = 8) -> FunctionOracle:
+                 complement_depth: int = DECOMP_DEPTH) -> FunctionOracle:
     """Indicator of an exact closed set, with a declared decomposition."""
     decomposition = {
         1: [closed],

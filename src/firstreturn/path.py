@@ -37,7 +37,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, takewhile
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .space import (
@@ -46,7 +46,6 @@ from .space import (
     Dist,
     GoodBasis,
     PointCode,
-    UnitGoodBasis,
     UnitPoint,
     WordPoint,
     ZPoint,
@@ -296,26 +295,23 @@ class PathTrace:
 # ---------------------------------------------------------------------------
 
 
-def _unit_prior_free(basis: UnitGoodBasis, xv: Fraction,
-                     prior_vals: Sequence[Fraction]):
+def _unit_prior_free(basis: GoodBasis, x: UnitPoint, prior_vals: Sequence[Fraction]):
     """The basis intervals through x that avoid the prior terms, in basis
-    order, as (index, interval).
+    order, as (index, interval): a filter over the basis walk through x.
 
     All of them contain x, so their union is one open interval: the set of
-    x_p admitting a common prior-free interval with x.  The walk stops at the
-    first scale whose intervals are no longer than the distance from x to
-    the prior set (from there on every interval through x avoids the priors
-    and both grid neighbours of x are usable, covering everything finer
-    scales could add).
+    x_p admitting a common prior-free interval with x.  The walk stops after
+    the first scale whose intervals are no longer than the distance from x
+    to the prior set (from there on every interval through x avoids the
+    priors and both grid neighbours of x are usable, covering everything
+    finer scales could add); a scale 2^-r is walked iff 2^-(r-1) exceeds
+    that distance.
     """
-    g_prior = min(abs(xv - s) for s in prior_vals)
-    free = []
-    for r in range(302):  # r > 300 is unreachable; guards against malformed priors
-        free += [(basis.index_of(r, k), iv) for k, iv in basis.blocks_containing(r, xv)
-                 if not any(iv.lo < s < iv.hi for s in prior_vals)]
-        if Fraction(1, 2 ** r) <= g_prior:
-            return free
-    raise RuntimeError("unit admissibility scan did not terminate")
+    half_gap = min(abs(x.value - s) for s in prior_vals) / 2
+    if half_gap == 0:
+        raise ValueError(f"{x} is a prior term; every interval through it meets one")
+    walk = takewhile(lambda o: o[1].length() > half_gap, basis.opens_through(x))
+    return [(m, iv) for m, iv in walk if not any(iv.lo < s < iv.hi for s in prior_vals)]
 
 
 def path_step(x: PointCode, dense: DenseSequence, prior: Sequence[PointCode],
@@ -342,7 +338,7 @@ def path_step(x: PointCode, dense: DenseSequence, prior: Sequence[PointCode],
         p, pt = dense.first_extending(want)
         return p, pt, Cylinder(x.space, want), widx
     if isinstance(x, UnitPoint):
-        free = _unit_prior_free(basis, x.value, [s.value for s in prior])
+        free = _unit_prior_free(basis, x, [s.value for s in prior])
         # the region straddles x strictly (both grid neighbours at the final
         # scale are usable), so x itself qualifies whenever it is enumerated
         p, pt = dense.first_inside(min(iv.lo for _, iv in free),

@@ -16,7 +16,9 @@ so exponents are compared instead of the powers themselves).
 Basic opens are cylinders N_s (Cantor/Baire), open rational intervals
 clamped to [0, 1] (unit), and metric balls of radius 2^(-r) (Z).  A good
 basis is a fixed total enumeration of basic opens: all cylinders ordered
-by length then lexicographically, or interval blocks of shrinking scale.
+by length then lexicographically (in Baire space, over the symbols below
+BAIRE_ALPHABET), or interval blocks of shrinking scale.  Each basis walks
+the basic opens through a point in enumeration order (`opens_through`).
 The unit interval basis has no canonical order in the literature; the one
 fixed here is documented on :class:`UnitGoodBasis` and traces depend on it.
 """
@@ -26,7 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from itertools import count
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 CANTOR = "cantor"
 BAIRE = "baire"
@@ -34,6 +37,10 @@ UNIT = "unit"
 Z = "z"
 
 SPACES = (CANTOR, BAIRE, UNIT, Z)
+
+# The Baire good basis enumerates the cylinders over the symbols below this
+# bound (see CylinderGoodBasis).
+BAIRE_ALPHABET = 8
 
 
 class SpaceMismatch(ValueError):
@@ -439,24 +446,20 @@ class CylinderGoodBasis:
     """All cylinders, ordered by word length then lexicographically.
 
     Cantor: index 0 is the empty word; the length-l block starts at 2^l - 1.
-    Baire: the alphabet is truncated to symbols < alphabet_bound (the full
-    countable basis cannot be totally ordered by length otherwise); this is
-    a documented approximation, and every point fed to the basis is expected
-    to use symbols below the bound.
+    Baire: the alphabet is truncated to the symbols below BAIRE_ALPHABET
+    (the full countable basis cannot be totally ordered by length
+    otherwise); this is a documented approximation, and a cylinder whose
+    word uses a larger symbol is not enumerated.
     """
 
-    def __init__(self, space: str, alphabet_bound: Optional[int] = None):
-        if space == CANTOR:
-            self.base = 2
-        elif space == BAIRE:
-            self.base = alphabet_bound if alphabet_bound else 8
-        else:
+    def __init__(self, space: str):
+        if space not in (CANTOR, BAIRE):
             raise ValueError("cylinder basis needs a word space")
         self.space = space
+        self.base = 2 if space == CANTOR else BAIRE_ALPHABET
 
     def _block_start(self, length: int) -> int:
-        b = self.base
-        return (b ** length - 1) // (b - 1) if b > 1 else length
+        return (self.base ** length - 1) // (self.base - 1)
 
     def index_of_word(self, word: Sequence[int]) -> int:
         value = 0
@@ -480,6 +483,16 @@ class CylinderGoodBasis:
     def scale_block(self, r: int) -> range:
         """Index range of the cylinders of length r (diameter <= 2^(-r))."""
         return range(self._block_start(r), self._block_start(r + 1))
+
+    def opens_through(self, x: WordPoint) -> Iterator[Tuple[int, Cylinder]]:
+        """(m, W_m) for every basic open containing x, ascending m: the
+        cylinders of x's prefixes, shortest first.  The walk ends before the
+        first prefix with a symbol past the alphabet."""
+        for length in count():
+            word = x.prefix(length)
+            if word and word[-1] >= self.base:
+                return
+            yield self.index_of_word(word), Cylinder(self.space, word)
 
 
 class UnitGoodBasis:
@@ -513,31 +526,31 @@ class UnitGoodBasis:
 
     def blocks_containing(self, r: int, v: Fraction):
         """The one or two block-r intervals containing v, as (k, interval)."""
-        from math import floor
-
-        h = Fraction(1, 2 ** (r + 1))
-        # k*h < v < k*h + 2h  <=>  v/h - 2 < k < v/h
-        top = floor(v / h)
-        point = UnitPoint(v)
-        out = []
-        for k in (top - 2, top - 1, top):
-            if -1 <= k <= 2 ** (r + 1) - 1:
-                iv = self.interval(r, k)
-                if iv.member(point):
-                    out.append((k, iv))
-        return out
+        # k*h < v < (k+2)*h  <=>  k < q < k + 2 with q = v/h, so k is
+        # floor(q) - 1 or floor(q); for v in [0,1] a k that passes lies in
+        # the block's range -1 .. 2^(r+1) - 1
+        q = v * 2 ** (r + 1)
+        top = math.floor(q)
+        return [(k, self.interval(r, k)) for k in (top - 1, top) if k < q < k + 2]
 
     def scale_block(self, r: int) -> range:
         return range(self._block_start(r), self._block_start(r + 1))
+
+    def opens_through(self, x: UnitPoint) -> Iterator[Tuple[int, RationalInterval]]:
+        """(m, W_m) for every basic open containing x, ascending m: the one
+        or two intervals through x of each block, block by block."""
+        for r in count():
+            for k, iv in self.blocks_containing(r, x.value):
+                yield self.index_of(r, k), iv
 
 
 GoodBasis = Union[CylinderGoodBasis, UnitGoodBasis]
 
 
-def good_basis(space: str, alphabet_bound: Optional[int] = None) -> GoodBasis:
+def good_basis(space: str) -> GoodBasis:
     """The fixed good-basis enumeration for a space (none is provided for Z)."""
     if space in (CANTOR, BAIRE):
-        return CylinderGoodBasis(space, alphabet_bound)
+        return CylinderGoodBasis(space)
     if space == UNIT:
         return UnitGoodBasis()
     raise NoGoodBasis("no good basis provided for Z")

@@ -531,8 +531,8 @@ def test_criterion_7_ebc1():
     reports = []
     for name, n_pairs in (("unit-halves", 334), ("unit-step", 333),
                           ("cantor-bits", 333)):
-        cover, family, space = fr_cli._ebc1_cover(name)
-        if space == UNIT:
+        cover, family = fr_cli._ebc1_cover(name)
+        if cover.space == UNIT:
             def rand_point():
                 return UnitPoint(F(rng.randrange(0, 257), 256))
         else:

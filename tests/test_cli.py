@@ -313,6 +313,19 @@ def test_replay_of_bad_recorded_config_exits_2(tmp_path, monkeypatch, capsys, da
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
+def test_replay_removes_its_scratch_directory(tmp_path, monkeypatch, capsys):
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    out = tmp_path / "a"
+    assert run_main(["rank", "--n", "1", "--A", "10", "--B", "01", "--out", str(out)]) == 0
+    assert run_main(["replay", str(out)]) == 0
+    assert list(temp.iterdir()) == []
+    (out / "config.json").write_text("{")  # a replay that fails cleans up too
+    assert run_main(["replay", str(out)]) == 2
+    assert list(temp.iterdir()) == []
+
+
 def test_replay_reports_stay_exit_1(tmp_path, monkeypatch, capsys):
     # no config.json, a version mismatch and a divergence are reports
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))

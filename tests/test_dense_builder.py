@@ -213,13 +213,13 @@ def ladder_inputs():
 def test_build_covers_each_point_once(monkeypatch, cantor_basis, ladder_inputs):
     families, q = ladder_inputs
     covered = Counter()
-    real = dense_builder._covering_opens
+    real = type(cantor_basis).opens_through
 
-    def cover(x, *rest):
+    def cover(self, x):
         covered[x] += 1
-        return real(x, *rest)
+        return real(self, x)
 
-    monkeypatch.setattr(dense_builder, "_covering_opens", cover)
+    monkeypatch.setattr(type(cantor_basis), "opens_through", cover)
     build_dense(families, q, cantor_basis, m_budget=14)
     assert covered and max(covered.values()) == 1
 

@@ -3,7 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from firstreturn.dense_builder import ClosedSet
 from firstreturn.gallery import (
+    DECOMP_DEPTH,
     E24_member,
     E27_member,
     I16,
@@ -14,6 +16,7 @@ from firstreturn.gallery import (
     e24_section_size,
     in_G,
     in_S,
+    indicator_of,
     is_P_f,
     is_P_inf,
     pf_decomposition,
@@ -29,7 +32,16 @@ from firstreturn.gallery import (
     z_F_member,
 )
 from firstreturn.path import PastTableIndex, path_trace, trace_to_csv, witness_violations
-from firstreturn.space import WordPoint, ZPoint, cantor_point, dist, eq
+from firstreturn.space import (
+    BAIRE,
+    BAIRE_ALPHABET,
+    WordPoint,
+    ZPoint,
+    cantor_point,
+    dist,
+    eq,
+    parse_point,
+)
 
 CP = cantor_point
 
@@ -189,6 +201,42 @@ def test_I25_values():
     assert I25(CP("110", "0"))(CP("1", "0")) == 0  # alpha extends 11
     assert I25(CP("100", "0"))(CP("1", "0")) == 1
     assert I25(CP("", "1"))(CP("", "1")) == 1
+
+
+_BAIRE_SETS = [
+    ClosedSet(BAIRE, singletons=(parse_point("baire:3,1|2"),), name="{baire:3,1|2}"),
+    ClosedSet(BAIRE, cylinders=((3,), (0, 7)), name="N(3) u N(0,7)"),
+]
+_BAIRE_PROBES = ["baire:5|0", "baire:3,1|2", "baire:3|0", "baire:0,7,1|4", "baire:0,6|7",
+                 "baire:3,1,2,2,2,6|1", "baire:7,7|0"]
+
+
+@pytest.mark.parametrize("closed", _BAIRE_SETS, ids=str)
+def test_baire_indicator_zero_pieces_are_baire_cylinders(closed, monkeypatch):
+    calls = [0]
+    real = ClosedSet.hits
+
+    def hits(self, word):
+        calls[0] += 1
+        return real(self, word)
+
+    monkeypatch.setattr(ClosedSet, "hits", hits)
+    f = indicator_of(closed)
+    # the search stops at the set's own cylinders: a full descent to depth
+    # 8 over 8 symbols would ask millions of words
+    assert calls[0] <= BAIRE_ALPHABET * (DECOMP_DEPTH + 1)
+    monkeypatch.setattr(ClosedSet, "hits", real)
+    zeros = f.decomposition[0]
+    assert zeros
+    for piece in zeros:
+        assert piece.space == BAIRE and not piece.singletons
+        (word,) = piece.cylinders
+        assert all(s < BAIRE_ALPHABET for s in word)
+        assert not closed.hits(word), piece  # the piece misses the set
+    for text in _BAIRE_PROBES:
+        x = parse_point(text)
+        # each probe leaves the set within DECOMP_DEPTH symbols, if at all
+        assert any(piece.member(x) for piece in zeros) == (f(x) == 0), text
 
 
 def test_E24_membership():

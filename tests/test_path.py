@@ -7,6 +7,7 @@ import pytest
 from firstreturn.path import (
     DenseSequence,
     SearchBudgetExceeded,
+    _unit_prior_free,
     path_step,
     path_trace,
     route_step,
@@ -470,6 +471,28 @@ def test_unit_path_witness_is_least_basis_index(dyadics, unit_basis):
                          if member(x, unit_basis.at(m)) and member(nxt, unit_basis.at(m))
                          and not any(member(s, unit_basis.at(m)) for s in prior))
                 assert (m, unit_basis.at(m)) == (step.witness_index, step.witness)
+
+
+def test_unit_prior_free_matches_a_basis_scan(unit_basis):
+    # oracle: the basis intervals of scales 0..R through x that avoid the
+    # priors, R the least r with 2^-r <= the distance from x to the priors
+    rng = random.Random(11)
+    for _ in range(60):
+        x = UnitPoint(F(rng.randrange(0, 257), 256))
+        prior = [F(rng.randrange(0, 1025), 1024) for _ in range(rng.randrange(1, 4))]
+        if x.value in prior:
+            continue
+        gap = min(abs(x.value - s) for s in prior)
+        R = next(r for r in itertools.count() if F(1, 2 ** r) <= gap)
+        scan = [(m, unit_basis.at(m)) for m in range(unit_basis.scale_block(R).stop)
+                if member(x, unit_basis.at(m))
+                and not any(unit_basis.at(m).lo < s < unit_basis.at(m).hi for s in prior)]
+        assert _unit_prior_free(unit_basis, x, prior) == scan, (x, prior)
+
+
+def test_unit_prior_free_rejects_a_prior_term(unit_basis):
+    with pytest.raises(ValueError, match="is a prior term"):
+        _unit_prior_free(unit_basis, UnitPoint(F(1, 3)), [F(1, 2), F(1, 3)])
 
 
 @pytest.mark.parametrize("space", [CANTOR, UNIT])

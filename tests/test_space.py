@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import takewhile
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from firstreturn.space import (
     BAIRE,
+    BAIRE_ALPHABET,
     CANTOR,
     UNIT,
     Cylinder,
@@ -319,17 +321,45 @@ def test_good_basis_finite_horizon_check(cantor_basis, unit_basis):
             assert iv.lo > F(1, 4) and iv.hi < F(1, 2)
 
 
+_WALK_POINTS = [
+    (CANTOR, cantor_point("", "0")),
+    (CANTOR, cantor_point("", "1")),
+    (CANTOR, cantor_point("1011", "01")),
+    (BAIRE, baire_point((), (0,))),
+    (BAIRE, baire_point((7, 3), (1, 7))),
+    (BAIRE, baire_point((2,), (5,))),
+    (BAIRE, baire_point((4, 9), (0,))),  # the 9 is past the alphabet
+    (UNIT, UnitPoint(F(0))),
+    (UNIT, UnitPoint(F(1))),
+    (UNIT, UnitPoint(F(1, 2))),
+    (UNIT, UnitPoint(F(3, 8))),
+    (UNIT, UnitPoint(F(255, 256))),
+    (UNIT, UnitPoint(F(1, 3))),
+    (UNIT, UnitPoint(F(5, 7))),
+]
+
+
+@pytest.mark.parametrize("space,x", _WALK_POINTS, ids=str)
+def test_opens_through_matches_a_basis_scan(space, x):
+    # oracle: every W_m with m <= M that contains x, by a scan of at(m)
+    basis, M = good_basis(space), 600
+    walk = list(takewhile(lambda o: o[0] <= M, basis.opens_through(x)))
+    scan = [(m, basis.at(m)) for m in range(M + 1) if member(x, basis.at(m))]
+    assert walk == scan
+
+
 def test_no_good_basis_for_z():
     with pytest.raises(NoGoodBasis):
         good_basis("z")
 
 
 def test_baire_alphabet_bound_documented():
-    b = good_basis(BAIRE, alphabet_bound=3)
+    assert BAIRE_ALPHABET == 8
+    b = good_basis(BAIRE)
     assert b.at(1).word == (0,)
-    assert b.at(3).word == (2,)
+    assert b.at(8).word == (7,)
     with pytest.raises(ValueError):
-        b.index_of_word((5,))
+        b.index_of_word((8,))
 
 
 # ---------------------------------------------------------------------------
