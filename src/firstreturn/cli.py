@@ -20,6 +20,7 @@ value given as an option beats the file's, which beats the table's.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -36,6 +37,7 @@ from .space import (
     Z,
     NoGoodBasis,
     PointCode,
+    SpaceMismatch,
     UnitPoint,
     WordPoint,
     format_point,
@@ -106,7 +108,7 @@ def dyadic_dense(depth: int = 10) -> DenseSequence:
     for j in range(1, depth + 1):
         for k in range(1, 2 ** j, 2):
             pts.append(UnitPoint(Fraction(k, 2 ** j)))
-    return DenseSequence(UNIT, pts)
+    return DenseSequence(pts)
 
 
 def _dense_from_config(cfg: dict) -> DenseSequence:
@@ -127,9 +129,10 @@ def _dense_from_config(cfg: dict) -> DenseSequence:
                if ln.strip() and not ln.startswith("#")]
         if not pts:
             raise ConfigError(f"no points in dense file {path}")
-        if any(pt.space != pts[0].space for pt in pts):
-            raise ConfigError(f"dense file {path} mixes spaces")
-        return DenseSequence(pts[0].space, pts)
+        try:
+            return DenseSequence(pts)
+        except SpaceMismatch:
+            raise ConfigError(f"dense file {path} mixes spaces") from None
     raise ConfigError(f"unknown dense source {src!r}")
 
 
@@ -167,7 +170,7 @@ def _ebc1_cover(name: str) -> Tuple[ebc1.ClosedCover, List[recover.FunctionOracl
         fam = [recover.FunctionOracle("x/2", lambda p: p.value / 2, recover.RATIONAL),
                recover.FunctionOracle("1-x/2", lambda p: 1 - p.value / 2,
                                       recover.RATIONAL)]
-        return ebc1.ClosedCover(F(1, 3), pieces, UNIT), fam
+        return ebc1.ClosedCover(F(1, 3), pieces), fam
     if name == "unit-step":
         pieces = [ClosedSet(UNIT, intervals=((F(1, 2), F(1)),), name="[1/2,1]")]
         for k in range(2, 10):
@@ -177,13 +180,13 @@ def _ebc1_cover(name: str) -> Tuple[ebc1.ClosedCover, List[recover.FunctionOracl
             "step", lambda p: 1 if p.value >= F(1, 2) else 0, recover.DISCRETE)
         co_step = recover.FunctionOracle(
             "co-step", lambda p: 0 if p.value >= F(1, 2) else 1, recover.DISCRETE)
-        return ebc1.ClosedCover(F(1, 2), pieces, UNIT), [step, co_step]
+        return ebc1.ClosedCover(F(1, 2), pieces), [step, co_step]
     # cantor-bits
     pieces = [ClosedSet(CANTOR, cylinders=((0,),), name="N(0)"),
               ClosedSet(CANTOR, cylinders=((1,),), name="N(1)")]
     fam = [gallery.indicator_of(pieces[1], "1_N(1)"),
            gallery.indicator_of(pieces[0], "1_N(0)")]
-    return ebc1.ClosedCover(F(1, 2), pieces, CANTOR), fam
+    return ebc1.ClosedCover(F(1, 2), pieces), fam
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +429,7 @@ def _run_gallery(cfg: dict, out_dir: Path) -> int:
                                     "value": value}, ok=True)
     # demo-z
     rep = gallery.thm13_demo(horizon=cfg["horizon"])
-    summary = {
-        "found": rep.found, "witness": rep.witness,
-        "flips_after": rep.flips_after, "total_flips": rep.total_flips,
-        "after_step": rep.after_step, "horizon": rep.horizon,
-        "candidates": rep.candidates, "density": rep.density,
-        "positive_control": rep.positive_control, "note": rep.note,
-    }
-    return _emit(out_dir, cfg, summary, ok=rep.found)
+    return _emit(out_dir, cfg, dataclasses.asdict(rep), ok=rep.found)
 
 
 _RUNNERS = {

@@ -18,6 +18,8 @@ in the build log; nothing is silently dropped.  Closed sets are exact:
 finite unions of cylinders and singletons on word spaces, finite unions of
 closed rational intervals on the unit interval.  Both membership and
 "does this basic open meet F" are decided exactly, as is distance to F.
+The output holds the stage blocks and their flattened `DenseSequence`, in
+which a point's position is `dense.first_index_of(point)`.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .space import (
     UNIT,
     BasicOpen,
     Cylinder,
+    CylinderGoodBasis,
     Dist,
     GoodBasis,
     PointCode,
@@ -145,18 +148,19 @@ class ClosedSet:
         name = f"{self.name}&{other.name}" if self.name or other.name else ""
         return ClosedSet(self.space, tuple(set(cyl)), tuple(sing), tuple(ivs), name)
 
-    def tree_consistency_violations(self, depth: int, alphabet: int = 2) -> List[str]:
-        """Pruned-tree check to a depth: a word hits iff some child hits."""
-        problems = []
+    def tree_consistency_violations(self, depth: int) -> List[str]:
+        """Pruned-tree check to a depth, over the set's basis alphabet: a
+        word hits iff some child hits."""
+        problems, alphabet = [], range(CylinderGoodBasis(self.space).base)
 
         def rec(word):
             if len(word) >= depth:
                 return
             h = self.hits(word)
-            child = any(self.hits(word + (a,)) for a in range(alphabet))
+            child = any(self.hits(word + (a,)) for a in alphabet)
             if h != child:
                 problems.append(f"inconsistent at {word}")
-            for a in range(alphabet):
+            for a in alphabet:
                 rec(word + (a,))
 
         rec(())
@@ -238,15 +242,11 @@ MAX_FAMILIES = 8
 class StagedDense:
     """Builder output: per-stage blocks plus the flattened dense sequence."""
 
-    space: str
     blocks: List[List[PointCode]]
     stage_of: Dict[PointCode, int]
     dense: DenseSequence
     log: List[str] = field(default_factory=list)
     truncations: List[str] = field(default_factory=list)
-
-    def position(self, pt: PointCode) -> Optional[int]:
-        return self.dense.first_index_of(pt)
 
 
 def _sigma_of(x: PointCode, families: Sequence[ClosedSet], width: int) -> Tuple[int, ...]:
@@ -325,8 +325,7 @@ def build_dense(families: Sequence[ClosedSet], q_enum: Sequence[PointCode],
         blocks.append(block)
         flat.extend(block)
 
-    dense = DenseSequence(space, flat)
-    return StagedDense(space, blocks, stage_of, dense, log, truncations)
+    return StagedDense(blocks, stage_of, DenseSequence(flat), log, truncations)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .dense_builder import ClosedSet, closed_family_from_function
 from .recover import DISCRETE, FunctionOracle
-from .space import Dist, PointCode, dist
+from .space import Dist, PointCode, common_space, dist
 
 
 class CoverViolation(ValueError):
@@ -29,11 +29,14 @@ class CoverViolation(ValueError):
 
 @dataclass
 class ClosedCover:
-    """Ordered list of exact closed pieces; order matters for the gauge."""
+    """Ordered list of exact closed pieces; order matters for the gauge.
+    Its space is its pieces' (SpaceMismatch if they mix spaces)."""
 
     eps: Fraction
     pieces: List[ClosedSet]
-    space: str
+
+    def __post_init__(self):
+        self.space = common_space(self.pieces)
 
     def uncovered(self, probes: Sequence[PointCode]) -> List[PointCode]:
         return [p for p in probes if not any(g.member(p) for g in self.pieces)]
@@ -103,14 +106,13 @@ def ebc1_check(family: Sequence[FunctionOracle], cover: ClosedCover,
     }
 
 
-def cover_from_function(f: FunctionOracle, eps: Fraction,
-                        space: str) -> ClosedCover:
+def cover_from_function(f: FunctionOracle, eps: Fraction) -> ClosedCover:
     """Cover by the declared closed preimage pieces, one group per range
     value (a point cover of the range by eps/2 balls); each piece has image
     diameter zero, hence below eps by construction."""
     if f.decomposition is None:
         raise CoverViolation(f"missing decomposition for {f.fid}")
-    return ClosedCover(Fraction(eps), closed_family_from_function(f), space)
+    return ClosedCover(Fraction(eps), closed_family_from_function(f))
 
 
 def piece_image_diameter(f: FunctionOracle, piece: ClosedSet,

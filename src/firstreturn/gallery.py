@@ -10,8 +10,8 @@ words that end in 1 (plus the empty word) by increasing phi value gives a
 bijection psi with psi^{-1} monotone under strict extension, and the dense
 sequence x_{2n} = psi(n).1^inf, x_{2n+1} = psi(n).0^inf.  The table built
 here is provably an exact initial segment of that infinite enumeration:
-all candidate words up to a length cap are generated and everything at or
-beyond the phi value of the smallest excluded word is cut off.
+it holds every S-word whose phi value lies below that of the smallest
+excluded word.
 
 The infinite sequence itself (`Prop25Sequence`) needs no table to find a
 term.  A path step asks for the first x_p extending a word u, and x_p =
@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iter_product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .dense_builder import ClosedSet
@@ -49,7 +48,6 @@ from .path import (DenseSequence, PastTableIndex, SearchBudgetExceeded, route_st
 from .recover import DISCRETE, RATIONAL, FunctionOracle, _flips_in, recover_at
 from .space import (
     CANTOR,
-    Z,
     Cylinder,
     CylinderGoodBasis,
     Dist,
@@ -134,21 +132,30 @@ PSI_MAX_LEN = 14
 class PsiTable:
     """phi-sorted initial segment of the S-word enumeration.
 
-    Generates every S-word of length <= PSI_MAX_LEN and keeps those with phi
-    below the phi value of the smallest excluded word (the all-zero word of
-    length PSI_MAX_LEN + 1); the kept, sorted list is then exactly the first
-    `size` entries of the infinite enumeration.
+    Holds every S-word of length <= PSI_MAX_LEN with phi below the phi value
+    of the smallest excluded word (the all-zero word of length PSI_MAX_LEN
+    followed by 1), grown depth first: phi grows under extension, so a prefix
+    whose phi reaches that cutoff is pruned.  The sorted list is exactly the
+    first `size` entries of the infinite enumeration.
     """
 
     def __init__(self):
+        qs = primes(PSI_MAX_LEN)
         cutoff = phi_encode((0,) * PSI_MAX_LEN + (1,))
         entries = [(0, ())]
-        for length in range(1, PSI_MAX_LEN + 1):
-            for bits in iter_product((0, 1), repeat=length - 1):
-                word = bits + (1,)
-                value = phi_encode(word)
-                if value < cutoff:
-                    entries.append((value, word))
+
+        def grow(word, value):
+            q = qs[len(word)]
+            for bit in (0, 1):
+                longer, v = word + (bit,), value * q ** (bit + 1)
+                if v >= cutoff:
+                    return  # bit 1 multiplies by more than bit 0
+                if bit:
+                    entries.append((v, longer))
+                if len(longer) < PSI_MAX_LEN:
+                    grow(longer, v)
+
+        grow((), 1)  # the product over no primes; phi(()) = 0 is listed above
         entries.sort()
         self.words: List[Tuple[int, ...]] = [w for _, w in entries]
         self.index: Dict[Tuple[int, ...], int] = {w: n for n, w in enumerate(self.words)}
@@ -172,14 +179,9 @@ class PsiTable:
         return self.index[word]
 
 
-_DEFAULT_TABLE: Optional[PsiTable] = None
-
-
+@lru_cache(maxsize=None)
 def default_table() -> PsiTable:
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = PsiTable()
-    return _DEFAULT_TABLE
+    return PsiTable()
 
 
 def x_seq_point(p: int) -> WordPoint:
@@ -191,7 +193,7 @@ def x_seq_point(p: int) -> WordPoint:
 def prop25_dense() -> DenseSequence:
     """The materialized dense sequence (x_p) of Cantor space."""
     count = 2 * default_table().size
-    return DenseSequence(CANTOR, [x_seq_point(p) for p in range(count)])
+    return DenseSequence([x_seq_point(p) for p in range(count)])
 
 
 class Prop25Sequence:
@@ -201,6 +203,9 @@ class Prop25Sequence:
     trace never runs out of them; indices come from the default psi table,
     and a term past it carries a `PastTableIndex` marker.
     """
+
+    space = CANTOR
+    budget = None  # unbounded: a lookup never runs out of terms
 
     def __init__(self):
         self.table = default_table()
@@ -477,7 +482,7 @@ def thm13_dense(ladder: int = 360, approach_depth: int = 60) -> DenseSequence:
     for probe in _density_probes():
         prefix = tuple(probe.entry(n) for n in range(6))
         pts.append(ZPoint(prefix, 1, probe.entry(6) - 6 + Fraction(1, 3)))
-    return DenseSequence(Z, pts)
+    return DenseSequence(pts)
 
 
 def _density_probes() -> List[ZPoint]:

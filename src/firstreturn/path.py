@@ -24,9 +24,11 @@ exceeds e (proof at `route_step`).  No step compares list points with x.
 A dense sequence is either a materialized finite list (`DenseSequence`)
 or an unbounded sequence with a closed-form lookup (the Prop-25 sequence of
 `gallery.Prop25Sequence`); both implement the word lookup
-`first_extending(word)`.  Scans over a finite list stop at the list length
-and raise an explicit budget signal, which the extraction always records as
-the trace's `budget` stop: a trace neither raises nor silently truncates.
+`first_extending(word)`.  Each carries its `space`, which a list reads from
+its points, and its `budget`: the list length, or None when the sequence is
+unbounded.  Scans over a finite list stop at the list length and raise an
+explicit budget signal, which the extraction always records as the trace's
+`budget` stop: a trace neither raises nor silently truncates.
 An unbounded sequence always finds the next term, and where its index lies
 past the table it can count exactly, it reports a `PastTableIndex` marker
 instead of a number.
@@ -49,6 +51,7 @@ from .space import (
     UnitPoint,
     WordPoint,
     ZPoint,
+    common_space,
     dist,
     member,
 )
@@ -117,15 +120,16 @@ class _WordNode:
 
 
 class DenseSequence:
-    """Indexed, possibly repeating, ordered list of points."""
+    """Indexed, possibly repeating, ordered list of points of one space;
+    a list that mixes spaces raises SpaceMismatch."""
 
     _TRIE_DEPTH = 8
 
-    def __init__(self, space: str, points: Sequence[PointCode]):
+    def __init__(self, points: Sequence[PointCode]):
         if not points:
             raise ValueError("dense sequence must be nonempty")
-        self.space = space
         self.points: List[PointCode] = list(points)
+        self.space = common_space(self.points)
         self._first_of = {}
         for i, pt in enumerate(self.points):
             self._first_of.setdefault(pt, i)
@@ -135,6 +139,10 @@ class DenseSequence:
         self._unit_order = None
 
     def __len__(self):
+        return len(self.points)
+
+    @property
+    def budget(self) -> int:
         return len(self.points)
 
     def __getitem__(self, i: int) -> PointCode:
@@ -371,14 +379,13 @@ def route_step(x: PointCode, dense: DenseSequence, current: Dist):
       This is the entry-prefix lookup `first_closer`.
 
     Nothing is closer than distance 0: that is a budget stop as well, on
-    every sequence, so its budget is the list length where there is one.
+    every sequence, with the sequence's own budget.
     """
     if isinstance(x, UnitPoint):
         r = current.as_fraction()
         return dense.first_inside(x.value - r, x.value + r)
     if current.is_zero():
-        raise SearchBudgetExceeded("no point closer than distance 0", budget=(
-            len(dense) if isinstance(dense, DenseSequence) else None))
+        raise SearchBudgetExceeded("no point closer than distance 0", budget=dense.budget)
     if isinstance(x, ZPoint):
         return dense.first_closer(x, current.value)
     return dense.first_extending(x.prefix(int(current.value) + 1))

@@ -2,8 +2,8 @@
 diagnose convergence, plus the G-delta witness construction.
 
 A function oracle is queried only on points of the dense sequence, with a
-single separate ground-truth query at the probe point; the split is
-enforced by a per-invocation query audit.  Finite-horizon surrogates for
+single separate ground-truth query at the probe point; each result counts
+those queries from its finished trace.  Finite-horizon surrogates for
 limits are explicit: a discrete-valued run "converged" when its value tail
 is constant over a configurable window, a rational-valued one when the
 window oscillation is below 2^-TOL_EXP.  Everything short of that is
@@ -43,31 +43,6 @@ class FunctionOracle:
 
     def __call__(self, p: PointCode):
         return self.evaluator(p)
-
-
-class QueryAudit:
-    """Counts oracle queries, split by channel."""
-
-    def __init__(self, dense: DenseSequence):
-        self.dense = dense
-        self.on_dense = 0
-        self.ground_truth = 0
-        self.off_dense = 0
-
-    def eval_on_dense(self, f: FunctionOracle, p: PointCode):
-        if self.dense.contains(p):
-            self.on_dense += 1
-        else:
-            self.off_dense += 1
-        return f(p)
-
-    def eval_ground_truth(self, f: FunctionOracle, p: PointCode):
-        self.ground_truth += 1
-        return f(p)
-
-    def summary(self) -> dict:
-        return {"on_dense": self.on_dense, "ground_truth": self.ground_truth,
-                "off_dense": self.off_dense}
 
 
 @dataclass
@@ -147,8 +122,8 @@ def recover_at(f: FunctionOracle, x: PointCode, dense: DenseSequence, mode: str,
                window: int = 16) -> RecoveryResult:
     """Evaluate f along the extracted subsequence for x and classify the tail.
 
-    f is queried on the dense-sequence points of the trace plus exactly one
-    ground-truth query at x; the audit in the result proves it.
+    f is queried on the trace's points plus one ground-truth query at x; the
+    audit counts, from the trace, the points the dense sequence holds.
     """
     if mode == PATH:
         trace = path_trace(x, dense, basis, N)
@@ -156,9 +131,10 @@ def recover_at(f: FunctionOracle, x: PointCode, dense: DenseSequence, mode: str,
         trace = route_trace(x, dense, N)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    audit = QueryAudit(dense)
-    values = [audit.eval_on_dense(f, s.point) for s in trace.steps]
-    expected = audit.eval_ground_truth(f, x)
+    values = trace.values_under(f)
+    expected = f(x)
+    on_dense = sum(dense.contains(s.point) for s in trace.steps)
+    audit = {"on_dense": on_dense, "off_dense": len(values) - on_dense, "ground_truth": 1}
     verdict = classify_values(values, f.y_kind, window)
     correct: Optional[bool] = None
     if verdict.kind == "converged":
@@ -167,7 +143,7 @@ def recover_at(f: FunctionOracle, x: PointCode, dense: DenseSequence, mode: str,
         else:
             correct = abs(verdict.value - expected) <= Fraction(1, 2 ** TOL_EXP)
     return RecoveryResult(f.fid, x, mode, values, verdict, expected, correct,
-                          trace, audit.summary())
+                          trace, audit)
 
 
 def recovery_report(f: FunctionOracle, dense: DenseSequence, mode: str,
@@ -271,7 +247,7 @@ def gdelta_witness(f: FunctionOracle, F_y, dense: DenseSequence,
     if f.y_kind == DISCRETE:
         wit.notes.append("discrete range: O_k = F_y for every k")
     seen_points = set()
-    for p, pt in enumerate(dense.points):
+    for p, pt in enumerate(dense):
         if pt in seen_points:
             continue  # enumerate points 1-1
         seen_points.add(pt)

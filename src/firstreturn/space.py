@@ -52,6 +52,14 @@ def _require_same_space(a, b):
         raise SpaceMismatch(f"space mismatch: {a.space} vs {b.space}")
 
 
+def common_space(items: Iterable) -> str:
+    """The one space of some points or sets; SpaceMismatch unless there is one."""
+    spaces = {item.space for item in items}
+    if len(spaces) != 1:
+        raise SpaceMismatch(f"expected one space, got {sorted(spaces)}")
+    return spaces.pop()
+
+
 # ---------------------------------------------------------------------------
 # Exact distances
 # ---------------------------------------------------------------------------

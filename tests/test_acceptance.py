@@ -71,7 +71,7 @@ def _baire_dense():
     for length in range(5):
         for head in itertools.product(range(4), repeat=length):
             pts.append(WordPoint(BAIRE, head, (0,)))
-    return DenseSequence(BAIRE, pts)
+    return DenseSequence(pts)
 
 
 def _word_samples(space, dense, count):

@@ -43,7 +43,7 @@ def test_tracer_hooks_read_what_exists(dense25, cantor_basis):
         x = cantor_point("1", "01")
         recover.recover_at(gallery.I25(cantor_point("", "110")), x, dense25, path.PATH,
                            24, cantor_basis)
-        short = path.DenseSequence(CANTOR, dense25.points[:6])
+        short = path.DenseSequence(dense25.points[:6])
         assert path.route_trace(x, short, 8).terminated == "budget"
         family = [dense_builder.ClosedSet(CANTOR, cylinders=((1,),), name="N(1)")]
         dense_builder.build_dense(family, dense25.points[:8], cantor_basis, m_budget=6)

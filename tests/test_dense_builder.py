@@ -18,6 +18,7 @@ from firstreturn.dense_builder import (
 from firstreturn.gallery import I16, indicator_of, x_seq_point
 from firstreturn.path import DenseSequence, path_trace
 from firstreturn.space import (
+    BAIRE,
     CANTOR,
     UNIT,
     Cylinder,
@@ -50,6 +51,14 @@ def test_closed_set_membership_and_tree_oracle():
     assert s.hits((1,)) and s.hits((0,)) and s.hits((1, 1, 0))
     assert not s.hits((1, 0)) and not s.hits((0, 1))
     assert s.tree_consistency_violations(depth=6) == []
+
+
+def test_tree_consistency_walks_the_sets_own_alphabet():
+    # the children of a Baire word run over the Baire basis symbols, so the
+    # exact oracle of N(3) is consistent at the root
+    assert ClosedSet(BAIRE, cylinders=((3,),)).tree_consistency_violations(3) == []
+    assert ClosedSet(BAIRE, singletons=(WordPoint(BAIRE, (7, 1), (2,)),)
+                     ).tree_consistency_violations(3) == []
 
 
 def test_closed_set_exact_distance():
@@ -306,8 +315,8 @@ def test_priority_pick_precedes_offender(cantor_basis):
             continue  # the proof's offender enters at a stage beyond i
         word = x.prefix(x.common_prefix_len(y))  # proof's W contains x and y
         z = next(qq for qq in q if qq.starts_with(word) and f_sigma.member(qq))
-        assert staged.position(z) is not None
-        assert staged.position(z) < staged.position(y)
+        assert staged.dense.first_index_of(z) is not None
+        assert staged.dense.first_index_of(z) < staged.dense.first_index_of(y)
         checked += 1
     assert checked >= 1
 
@@ -324,7 +333,7 @@ def test_priority_pick_precedes_offender(cantor_basis):
 
 
 def test_whole_space_never_violated(q64, cantor_basis):
-    dense = DenseSequence(CANTOR, q64)
+    dense = DenseSequence(q64)
     xs = [cantor_point("", "10"), cantor_point("1", "100")]
     rep = approximates_check(dense, whole_space(CANTOR), xs, 16, cantor_basis)
     assert rep["clean"] == 2
@@ -334,7 +343,7 @@ def test_whole_space_never_violated(q64, cantor_basis):
 def test_adversarial_order_shows_early_violations(q64, cantor_basis):
     # all non-F0 points first: the path starts with a burst of violations
     bad = sorted(q64, key=lambda p: 1 if F0.member(p) else 0)
-    dense = DenseSequence(CANTOR, bad)
+    dense = DenseSequence(bad)
     x = cantor_point("1", "01")
     rep = approximates_check(dense, F0, [x], 12, cantor_basis, window=4)
     violations = rep["points"][0]["violations"]
@@ -342,7 +351,7 @@ def test_adversarial_order_shows_early_violations(q64, cantor_basis):
 
 
 def test_approximates_preconditions(q64, cantor_basis):
-    dense = DenseSequence(CANTOR, q64)
+    dense = DenseSequence(q64)
     with pytest.raises(ValueError):
         approximates_check(dense, F0, [cantor_point("0", "0")], 8, cantor_basis)
     with pytest.raises(ValueError):

@@ -13,12 +13,12 @@ from firstreturn.ebc1 import (
 )
 from firstreturn.gallery import indicator_of
 from firstreturn.recover import DISCRETE, RATIONAL, FunctionOracle
-from firstreturn.space import CANTOR, UNIT, UnitPoint, cantor_point
+from firstreturn.space import CANTOR, UNIT, SpaceMismatch, UnitPoint, cantor_point
 
 HALVES = ClosedCover(F(1, 3), [
     ClosedSet(UNIT, intervals=((F(0), F(1, 2)),), name="[0,1/2]"),
     ClosedSet(UNIT, intervals=((F(1, 2), F(1)),), name="[1/2,1]"),
-], UNIT)
+])
 
 
 def u(v):
@@ -46,9 +46,17 @@ def test_delta_boundary_point_takes_least_index():
     assert res.index == 0 and res.delta.is_infinite()
 
 
+def test_cover_takes_its_space_from_its_pieces():
+    assert HALVES.space == UNIT
+    f = indicator_of(ClosedSet(CANTOR, cylinders=((1,),), name="N(1)"))
+    assert cover_from_function(f, F(1, 2)).space == CANTOR
+    with pytest.raises(SpaceMismatch):
+        ClosedCover(F(1, 2), [HALVES.pieces[0], whole_space(CANTOR)])
+
+
 def test_delta_uncovered_point_is_an_error():
     cover = ClosedCover(F(1, 2), [
-        ClosedSet(UNIT, intervals=((F(0), F(1, 4)),), name="[0,1/4]")], UNIT)
+        ClosedSet(UNIT, intervals=((F(0), F(1, 4)),), name="[0,1/4]")])
     with pytest.raises(CoverViolation):
         delta_from_cover(cover, u((1, 2)))
     assert cover.uncovered([u((1, 2)), u((1, 8))]) == [u((1, 2))]
@@ -86,7 +94,7 @@ def test_violation_reported_for_bad_cover():
     # d(9/10, 39/50) = 3/25 < min(delta) = min(2/5, 7/25), yet the identity
     # moves by 3/25 >= eps = 1/10
     bad_family = [FunctionOracle("x", lambda p: p.value, RATIONAL)]
-    tight = ClosedCover(F(1, 10), HALVES.pieces, UNIT)
+    tight = ClosedCover(F(1, 10), HALVES.pieces)
     rep = ebc1_check(bad_family, tight, [(u((9, 10)), u((39, 50)))])
     assert rep["constrained"] == 1
     assert not rep["ok"]
@@ -102,14 +110,14 @@ def test_violation_reported_for_bad_cover():
 def test_cover_from_constant_function():
     f = FunctionOracle("const", lambda p: 3, DISCRETE,
                        decomposition={3: [whole_space(CANTOR)]})
-    cover = cover_from_function(f, F(1, 2), CANTOR)
+    cover = cover_from_function(f, F(1, 2))
     assert len(cover.pieces) == 1
     assert cover.pieces[0].member(cantor_point("10", "1"))
 
 
 def test_cover_from_clopen_indicator():
     f = indicator_of(ClosedSet(CANTOR, cylinders=((1,),), name="N(1)"))
-    cover = cover_from_function(f, F(1, 2), CANTOR)
+    cover = cover_from_function(f, F(1, 2))
     probes = [cantor_point("", "0"), cantor_point("", "1"),
               cantor_point("10", "0"), cantor_point("01", "1")]
     assert cover.uncovered(probes) == []
@@ -122,7 +130,7 @@ def test_cover_from_singleton_indicator():
     zero = cantor_point("", "0")
     f = indicator_of(ClosedSet(CANTOR, singletons=(zero,), name="{0^inf}"),
                      complement_depth=10)
-    cover = cover_from_function(f, F(1, 2), CANTOR)
+    cover = cover_from_function(f, F(1, 2))
     probes = [zero, cantor_point("", "1"), cantor_point("0001", "1"),
               cantor_point("00000001", "1")]
     assert cover.uncovered(probes) == []
@@ -130,12 +138,12 @@ def test_cover_from_singleton_indicator():
 
 def test_cover_requires_decomposition():
     with pytest.raises(CoverViolation):
-        cover_from_function(FunctionOracle("anon", lambda p: 0), F(1, 2), CANTOR)
+        cover_from_function(FunctionOracle("anon", lambda p: 0), F(1, 2))
 
 
 def test_gauge_controls_family_from_cover():
     f = indicator_of(ClosedSet(CANTOR, cylinders=((1,),), name="N(1)"))
-    cover = cover_from_function(f, F(1, 2), CANTOR)
+    cover = cover_from_function(f, F(1, 2))
     pairs = [
         (cantor_point("11", "01"), cantor_point("110", "10")),
         (cantor_point("0", "01"), cantor_point("00", "10")),

@@ -10,9 +10,11 @@ from firstreturn.gallery import (
     E27_member,
     I16,
     I25,
+    PSI_MAX_LEN,
     PsiBudgetExceeded,
     Thm13Report,
     density_report,
+    default_table,
     e24_section_size,
     in_G,
     in_S,
@@ -89,6 +91,18 @@ def test_phi_values():
     assert phi_encode((0, 1)) == 18
     assert phi_encode((1, 1)) == 36
     assert phi_encode((0, 0, 1)) == 2 * 3 * 25
+
+
+def test_pruned_psi_table_equals_the_full_generation():
+    # oracle: every S-word up to PSI_MAX_LEN, kept when its phi is below the
+    # smallest excluded word's, sorted by phi
+    cutoff = phi_encode((0,) * PSI_MAX_LEN + (1,))
+    words = [()] + [bits + (1,) for n in range(PSI_MAX_LEN)
+                    for bits in itertools.product((0, 1), repeat=n)]
+    full = sorted((phi_encode(w), w) for w in words if phi_encode(w) < cutoff)
+    assert default_table().words == [w for _, w in full]
+    assert len(full) == 2932
+    assert default_table() is default_table()
 
 
 def test_psi_first_entries(psi_table):

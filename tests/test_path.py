@@ -20,10 +20,10 @@ from firstreturn.space import (
     BAIRE,
     CANTOR,
     UNIT,
-    Z,
     Dist,
     UnitPoint,
     WordPoint,
+    SpaceMismatch,
     ZBall,
     ZPoint,
     baire_point,
@@ -152,7 +152,7 @@ def test_baire_symbol_past_alphabet_bound_is_a_budget_stop():
     # cylinder through x needs the 9, no basis cylinder can serve
     basis = good_basis(BAIRE)
     x = baire_point((1, 9), (2,))
-    dense = DenseSequence(BAIRE, [baire_point((), (0,)), baire_point((1,), (0,)), x])
+    dense = DenseSequence([baire_point((), (0,)), baire_point((1,), (0,)), x])
     tr = path_trace(x, dense, basis, 6)
     assert tr.points() == [dense[0], dense[1]]
     assert tr.terminated == "budget" and tr.budget == 8
@@ -210,6 +210,24 @@ def test_route_budget_message(dyadics, dense25):
         with pytest.raises(SearchBudgetExceeded) as exc:
             route_step(x, dense, Dist.zero())
         assert exc.value.budget == len(dense)
+
+
+def test_zero_radius_stop_reports_the_sequences_budget(dense25, seq25):
+    # a list's budget is its length; the unbounded sequence has none
+    assert (dense25.budget, seq25.budget) == (5864, None)
+    for dense in (dense25, seq25):
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            route_step(cantor_point("", "10"), dense, Dist.zero())
+        assert exc.value.budget == dense.budget
+
+
+def test_dense_sequence_takes_its_space_from_its_points():
+    assert DenseSequence([baire_point((), (3,))]).space == BAIRE
+    assert DenseSequence([UnitPoint(F(0))]).space == UNIT
+    with pytest.raises(SpaceMismatch):
+        DenseSequence([UnitPoint(F(0)), cantor_point("", "1")])
+    with pytest.raises(SpaceMismatch):
+        DenseSequence([cantor_point("", "1"), baire_point((), (1,))])
 
 
 def test_zero_radius_over_unbounded_sequence_is_a_budget_stop(seq25):
@@ -272,7 +290,7 @@ def test_deep_lookup_matches_linear_scan(ladder_points):
     for first in (words, sorted(words, key=len, reverse=True)):
         # one list answers a shuffled pass on top of a pass in another
         # order, so queries meet both unsplit and split nodes
-        dense = DenseSequence(CANTOR, ladder_points)
+        dense = DenseSequence(ladder_points)
         second = list(words)
         rng.shuffle(second)
         for w in first + second:
@@ -280,7 +298,7 @@ def test_deep_lookup_matches_linear_scan(ladder_points):
 
 
 def test_repeated_deep_lookup_reads_no_list_point(ladder_points, monkeypatch):
-    dense = DenseSequence(CANTOR, ladder_points)
+    dense = DenseSequence(ladder_points)
     words = [w for w in ladder_words(ladder_points) if len(w) > DenseSequence._TRIE_DEPTH]
     first = [dense.first_index_extending(w) for w in words]
     reads = []
@@ -390,7 +408,7 @@ def test_z_route_matches_linear_scan():
         pts += [rng.choice(pts) for _ in range(rng.randrange(16))]
         rng.shuffle(pts)
         x = rng.choice(pts) if rng.random() < 0.3 else _random_z(rng)
-        tr = route_trace(x, DenseSequence(Z, pts), 30)
+        tr = route_trace(x, DenseSequence(pts), 30)
         got = ([s.index for s in tr.steps], tr.points(), tr.terminated)
         assert got == linear_route(x, pts, 30), str(x)
         stops.add(tr.terminated)
@@ -422,8 +440,8 @@ def unit_lists(dyadics):
     """dyadics, a 12-point prefix that runs out, and a shuffled list with repeats."""
     pts = dyadics.points[:64]
     random.Random(3).shuffle(pts)
-    return [dyadics, DenseSequence(UNIT, dyadics.points[:12]),
-            DenseSequence(UNIT, pts + pts[::3])]
+    return [dyadics, DenseSequence(dyadics.points[:12]),
+            DenseSequence(pts + pts[::3])]
 
 
 def test_unit_route_matches_linear_scan(dyadics):
@@ -505,7 +523,7 @@ def test_term_equal_to_x_carries_first_index(space, cantor_basis, unit_basis):
         x = UnitPoint(F(1, 4))
         pts = [UnitPoint(F(v)) for v in ("0", "1", "1/2", "1/4", "3/4", "1/4")]
         basis = unit_basis
-    dense = DenseSequence(space, pts)
+    dense = DenseSequence(pts)
     first = dense.first_index_of(x)
     for tr in (path_trace(x, dense, basis, 6), route_trace(x, dense, 6)):
         hits = [s.index for s in tr.steps if s.point == x]
