@@ -26,7 +26,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from . import ebc1, gallery, rank, recover
 from .dense_builder import ClosedSet, build_dense
@@ -34,7 +34,6 @@ from .path import PATH, ROUTE, DenseSequence, path_trace, route_trace, trace_to_
 from .space import (
     CANTOR,
     UNIT,
-    Z,
     NoGoodBasis,
     PointCode,
     SpaceMismatch,
@@ -64,8 +63,8 @@ def _point(text) -> PointCode:
 # ---------------------------------------------------------------------------
 
 
-def _fn_from_config(cfg: dict) -> Tuple[recover.FunctionOracle, str]:
-    """The configured function and the space it is defined on."""
+def _fn_from_config(cfg: dict) -> recover.FunctionOracle:
+    """The configured function; it carries the space it is defined on."""
     name = cfg.get("fn")
     if not name:
         raise ConfigError("nothing to run: empty function list")
@@ -75,31 +74,29 @@ def _fn_from_config(cfg: dict) -> Tuple[recover.FunctionOracle, str]:
         alpha = _point(cfg["alpha"])
         if alpha.space != CANTOR:
             raise ConfigError(f"alpha must be a cantor point, got {alpha}")
-        return (gallery.I16(alpha) if name == "I16" else gallery.I25(alpha)), CANTOR
+        return gallery.I16(alpha) if name == "I16" else gallery.I25(alpha)
     if name == "first-one-scale":
-        return gallery.first_one_scale(), CANTOR
+        return gallery.first_one_scale()
     if name.startswith("indicator:"):
         bits = name.split(":", 1)[1]
         if set(bits) - {"0", "1"}:
             raise ConfigError(f"bad indicator word {bits!r}")
         word = tuple(int(c) for c in bits)
-        return gallery.indicator_of(
-            ClosedSet(CANTOR, cylinders=(word,), name=f"N({bits})")), CANTOR
+        return gallery.indicator_of(ClosedSet(CANTOR, cylinders=(word,), name=f"N({bits})"))
     if name.startswith("singleton:"):
         pt = _point(name.split(":", 1)[1])
         if not isinstance(pt, WordPoint):
             raise ConfigError(f"singleton needs a cantor or baire point: {pt.space} "
                               f"has no complement pieces yet")
-        return gallery.indicator_of(
-            ClosedSet(pt.space, singletons=(pt,), name=f"{{{pt}}}")), pt.space
+        return gallery.indicator_of(ClosedSet(pt.space, singletons=(pt,), name=f"{{{pt}}}"))
     if name == "zF":
-        return gallery.z_F_indicator(), Z
+        return gallery.z_F_indicator()
     raise ConfigError(f"unknown function {name!r}")
 
 
-def _check_space(f: recover.FunctionOracle, fn_space: str, where: str, space: str):
-    if fn_space != space:
-        raise ConfigError(f"{f.fid} is defined on {fn_space}, but {where} lies in {space}")
+def _check_space(f: recover.FunctionOracle, where: str, space: str):
+    if f.space != space:
+        raise ConfigError(f"{f.fid} is defined on {f.space}, but {where} lies in {space}")
 
 
 def dyadic_dense(depth: int = 10) -> DenseSequence:
@@ -160,33 +157,6 @@ def _builder_q() -> List[WordPoint]:
             seen.add(p)
             out.append(p)
     return out
-
-
-def _ebc1_cover(name: str) -> Tuple[ebc1.ClosedCover, List[recover.FunctionOracle]]:
-    F = Fraction
-    if name == "unit-halves":
-        pieces = [ClosedSet(UNIT, intervals=((F(0), F(1, 2)),), name="[0,1/2]"),
-                  ClosedSet(UNIT, intervals=((F(1, 2), F(1)),), name="[1/2,1]")]
-        fam = [recover.FunctionOracle("x/2", lambda p: p.value / 2, recover.RATIONAL),
-               recover.FunctionOracle("1-x/2", lambda p: 1 - p.value / 2,
-                                      recover.RATIONAL)]
-        return ebc1.ClosedCover(F(1, 3), pieces), fam
-    if name == "unit-step":
-        pieces = [ClosedSet(UNIT, intervals=((F(1, 2), F(1)),), name="[1/2,1]")]
-        for k in range(2, 10):
-            pieces.append(ClosedSet(UNIT, intervals=((F(0), F(1, 2) - F(1, 2 ** k)),),
-                                    name=f"[0,1/2-2^-{k}]"))
-        step = recover.FunctionOracle(
-            "step", lambda p: 1 if p.value >= F(1, 2) else 0, recover.DISCRETE)
-        co_step = recover.FunctionOracle(
-            "co-step", lambda p: 0 if p.value >= F(1, 2) else 1, recover.DISCRETE)
-        return ebc1.ClosedCover(F(1, 2), pieces), [step, co_step]
-    # cantor-bits
-    pieces = [ClosedSet(CANTOR, cylinders=((0,),), name="N(0)"),
-              ClosedSet(CANTOR, cylinders=((1,),), name="N(1)")]
-    fam = [gallery.indicator_of(pieces[1], "1_N(1)"),
-           gallery.indicator_of(pieces[0], "1_N(0)")]
-    return ebc1.ClosedCover(F(1, 2), pieces), fam
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +265,9 @@ def _emit(out_dir: Path, cfg: dict, summary: dict, ok: bool) -> int:
 
 
 def _run_recover(cfg: dict, out_dir: Path) -> int:
-    f, fn_space = _fn_from_config(cfg)
+    f = _fn_from_config(cfg)
     dense = _dense_from_config(cfg)
-    _check_space(f, fn_space, "the dense sequence", dense.space)
+    _check_space(f, "the dense sequence", dense.space)
     mode, horizon, window = cfg["mode"], cfg["horizon"], cfg["window"]
     try:
         basis = good_basis(dense.space) if mode == PATH else None
@@ -383,7 +353,7 @@ def _run_rank(cfg: dict, out_dir: Path) -> int:
 def _run_ebc1(cfg: dict, out_dir: Path) -> int:
     import random
 
-    cover, family = _ebc1_cover(cfg["cover"])
+    cover, family = gallery.ebc1_cover(cfg["cover"])
     n_pairs = cfg["pairs"]
     rng = random.Random(cfg["seed"])
     pairs = []
@@ -419,11 +389,11 @@ def _run_gallery(cfg: dict, out_dir: Path) -> int:
         }
         return _emit(out_dir, cfg, summary, ok=True)
     if action == "eval":
-        f, fn_space = _fn_from_config(cfg)
+        f = _fn_from_config(cfg)
         if "beta" not in cfg:
             raise ConfigError("gallery eval needs beta=<point>")
         beta = _point(cfg["beta"])
-        _check_space(f, fn_space, "beta", beta.space)
+        _check_space(f, "beta", beta.space)
         value = f(beta)
         return _emit(out_dir, cfg, {"fn": f.fid, "beta": str(beta),
                                     "value": value}, ok=True)

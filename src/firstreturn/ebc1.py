@@ -10,6 +10,10 @@ Whenever two points are closer than both their gauge values, neither can
 lie in the other's earlier union, so their first-cover indices agree and
 both sit in the same piece; the family's oscillation between them is then
 below epsilon.  The check asserts exactly that implication, pointwise.
+
+Oscillation is measured with the range metric `recover.y_distance`: on a
+discrete range any change of value counts 1, on a rational one |v - w|.
+The covers and families the CLI runs are built in `gallery.ebc1_cover`.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .dense_builder import ClosedSet, closed_family_from_function
-from .recover import DISCRETE, FunctionOracle
+from .recover import FunctionOracle, y_distance
 from .space import Dist, PointCode, common_space, dist
 
 
@@ -59,12 +63,6 @@ def delta_from_cover(cover: ClosedCover, x: PointCode) -> DeltaResult:
     return DeltaResult(x, m, delta)
 
 
-def y_distance(f: FunctionOracle, v1, v2) -> Fraction:
-    if f.y_kind == DISCRETE:
-        return Fraction(0) if v1 == v2 else Fraction(1)
-    return abs(Fraction(v1) - Fraction(v2))
-
-
 def ebc1_check(family: Sequence[FunctionOracle], cover: ClosedCover,
                pairs: Sequence[Tuple[PointCode, PointCode]]) -> dict:
     """Pairwise oscillation check under the gauge constraint.
@@ -92,7 +90,7 @@ def ebc1_check(family: Sequence[FunctionOracle], cover: ClosedCover,
         if any(cover.pieces[r].member(x) for r in range(dxp.index)):
             problems.append("x meets an earlier piece of x'")
         for f in family:
-            osc = y_distance(f, f(x), f(xp))
+            osc = y_distance(f.y_kind, f(x), f(xp))
             if not osc < eps:
                 problems.append(f"{f.fid}: oscillation {osc} >= {eps}")
         if problems:
@@ -124,5 +122,5 @@ def piece_image_diameter(f: FunctionOracle, piece: ClosedSet,
     worst = Fraction(0)
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
-            worst = max(worst, y_distance(f, values[i], values[j]))
+            worst = max(worst, y_distance(f.y_kind, values[i], values[j]))
     return worst

@@ -42,12 +42,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import ebc1
 from .dense_builder import ClosedSet
 from .path import (DenseSequence, PastTableIndex, SearchBudgetExceeded, route_step,
                    route_trace)
 from .recover import DISCRETE, RATIONAL, FunctionOracle, _flips_in, recover_at
 from .space import (
     CANTOR,
+    UNIT,
+    Z,
     Cylinder,
     CylinderGoodBasis,
     Dist,
@@ -213,6 +216,10 @@ class Prop25Sequence:
     def __getitem__(self, p: int) -> WordPoint:
         return x_seq_point(p)
 
+    def __iter__(self):
+        """The terms whose index the table counts, x_0 .. x_{2 size - 1}."""
+        return map(x_seq_point, range(2 * self.table.size))
+
     def _index(self, s: Tuple[int, ...], c: int):
         n = self.table.index.get(s)
         if n is None:
@@ -325,7 +332,7 @@ def I16(alpha: WordPoint) -> FunctionOracle:
     if not is_P_f(alpha):
         zero_pieces = zero_pieces + [_singleton(alpha)]
     decomposition = {1: [_singleton(pt) for pt in ones], 0: zero_pieces}
-    return FunctionOracle(f"I16({alpha})", ev, DISCRETE, decomposition)
+    return FunctionOracle(f"I16({alpha})", ev, DISCRETE, decomposition, space=CANTOR)
 
 
 def I25(alpha: WordPoint) -> FunctionOracle:
@@ -344,7 +351,7 @@ def I25(alpha: WordPoint) -> FunctionOracle:
         0: [_singleton(pt) for pt in zeros],
         1: _complement_pieces(avoid, DECOMP_DEPTH) + [_singleton(alpha)],
     }
-    return FunctionOracle(f"I25({alpha})", ev, DISCRETE, decomposition)
+    return FunctionOracle(f"I25({alpha})", ev, DISCRETE, decomposition, space=CANTOR)
 
 
 def indicator_of(closed: ClosedSet, fid: Optional[str] = None,
@@ -355,7 +362,7 @@ def indicator_of(closed: ClosedSet, fid: Optional[str] = None,
         0: _complement_pieces(closed, complement_depth),
     }
     return FunctionOracle(fid or f"1_{closed}", lambda p: 1 if closed.member(p) else 0,
-                          DISCRETE, decomposition)
+                          DISCRETE, decomposition, space=closed.space)
 
 
 def first_one_scale() -> FunctionOracle:
@@ -372,7 +379,33 @@ def first_one_scale() -> FunctionOracle:
         piece = ClosedSet(CANTOR, cylinders=((0,) * n + (1,),),
                           name=f"N(0^{n}1)")
         decomposition[Fraction(1, 2 ** n)] = [piece]
-    return FunctionOracle("first-one-scale", ev, RATIONAL, decomposition)
+    return FunctionOracle("first-one-scale", ev, RATIONAL, decomposition, space=CANTOR)
+
+
+def ebc1_cover(name: str) -> Tuple[ebc1.ClosedCover, List[FunctionOracle]]:
+    """The ordered cover and the family of the CLI's EBC1 check `name`:
+    unit-halves, unit-step or cantor-bits."""
+    F = Fraction
+    if name == "unit-halves":
+        pieces = [ClosedSet(UNIT, intervals=((F(0), F(1, 2)),), name="[0,1/2]"),
+                  ClosedSet(UNIT, intervals=((F(1, 2), F(1)),), name="[1/2,1]")]
+        fam = [FunctionOracle("x/2", lambda p: p.value / 2, RATIONAL, space=UNIT),
+               FunctionOracle("1-x/2", lambda p: 1 - p.value / 2, RATIONAL, space=UNIT)]
+        return ebc1.ClosedCover(F(1, 3), pieces), fam
+    if name == "unit-step":
+        pieces = [ClosedSet(UNIT, intervals=((F(1, 2), F(1)),), name="[1/2,1]")]
+        for k in range(2, 10):
+            pieces.append(ClosedSet(UNIT, intervals=((F(0), F(1, 2) - F(1, 2 ** k)),),
+                                    name=f"[0,1/2-2^-{k}]"))
+        step = FunctionOracle("step", lambda p: 1 if p.value >= F(1, 2) else 0, DISCRETE,
+                              space=UNIT)
+        co_step = FunctionOracle("co-step", lambda p: 0 if p.value >= F(1, 2) else 1,
+                                 DISCRETE, space=UNIT)
+        return ebc1.ClosedCover(F(1, 2), pieces), [step, co_step]
+    # cantor-bits: the pieces N(0), N(1) of the indicator of N(1)
+    one = indicator_of(ClosedSet(CANTOR, cylinders=((1,),), name="N(1)"), "1_N(1)")
+    cover = ebc1.cover_from_function(one, F(1, 2))
+    return cover, [one, indicator_of(cover.pieces[0], "1_N(0)")]
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +454,8 @@ def z_F_member(q: ZPoint) -> bool:
 
 
 def z_F_indicator() -> FunctionOracle:
-    return FunctionOracle("1_F(Z)", lambda q: 1 if z_F_member(q) else 0, DISCRETE)
+    return FunctionOracle("1_F(Z)", lambda q: 1 if z_F_member(q) else 0, DISCRETE,
+                          space=Z)
 
 
 def prop12_point(n: int) -> ZPoint:

@@ -185,8 +185,7 @@ def all_min_chains(algebra: FiniteAlgebra, A: int, B: int) -> List[RankChain]:
 # ---------------------------------------------------------------------------
 
 
-def sublevel_sets(algebra: FiniteAlgebra, values: Sequence[Fraction],
-                  a: Fraction, b: Fraction) -> Tuple[int, int]:
+def sublevel_sets(values: Sequence[Fraction], a: Fraction, b: Fraction) -> Tuple[int, int]:
     A = B = 0
     for i, v in enumerate(values):
         if v <= a:
@@ -203,7 +202,7 @@ def rank_Lfab(algebra: FiniteAlgebra, values: Sequence[Fraction], a, b) -> RankR
         raise ValueError("need a < b")
     if len(values) != algebra.atom_count:
         raise ValueError("one value per atom required")
-    A, B = sublevel_sets(algebra, values, a, b)
+    A, B = sublevel_sets(values, a, b)
     return rank_LAB(algebra, A, B)
 
 

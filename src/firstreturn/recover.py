@@ -1,20 +1,22 @@
 """Recovery engine: evaluate a function along extracted subsequences and
 diagnose convergence, plus the G-delta witness construction.
 
-A function oracle is queried only on points of the dense sequence, with a
-single separate ground-truth query at the probe point; each result counts
-those queries from its finished trace.  Finite-horizon surrogates for
-limits are explicit: a discrete-valued run "converged" when its value tail
-is constant over a configurable window, a rational-valued one when the
-window oscillation is below 2^-TOL_EXP.  Everything short of that is
-reported as not converged or, with enough tail flips, as divergence
-evidence.
+A function oracle carries its space and the kind of its range, and the
+kind decides one thing: the metric on values (`y_distance`), 0/1 on a
+discrete range and |v - w| on a rational one.  A run "converged" when the
+values of its tail window lie within TOL of each other, and is correct
+within TOL of the truth; the Lemma-5 sets O_k are 2^-k neighbourhoods.
+Everything short of convergence is reported as not converged or, with
+enough tail flips, as divergence evidence.  The oracle is queried only on
+points of the dense sequence, with one separate ground-truth query at the
+probe point; each result counts those queries from its finished trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .path import PATH, ROUTE, DenseSequence, PathTrace, path_trace, route_trace
@@ -23,13 +25,23 @@ from .space import GoodBasis, PointCode
 DISCRETE = "discrete"
 RATIONAL = "rational"
 
-# a rational-valued tail converges when its oscillation is below 2^-TOL_EXP
+# values closer than TOL count as equal in a tail and against the truth
 TOL_EXP = 10
+TOL = Fraction(1, 2 ** TOL_EXP)
+
+
+def y_distance(y_kind: str, v1, v2):
+    """The metric on a range: 0 or 1 on a discrete one, |v1 - v2| on a
+    rational one."""
+    if y_kind == DISCRETE:
+        return 0 if v1 == v2 else 1
+    return abs(v1 - v2)
 
 
 @dataclass
 class FunctionOracle:
-    """Total deterministic evaluator with a declared range kind.
+    """Total deterministic evaluator with a declared range kind, defined on
+    the points of `space`.
 
     decomposition, when present, maps each range value to the closed pieces
     of its preimage (used by the builder, the G-delta construction and the
@@ -40,6 +52,8 @@ class FunctionOracle:
     evaluator: Callable[[PointCode], object]
     y_kind: str = DISCRETE
     decomposition: Optional[dict] = None
+    _: KW_ONLY
+    space: str
 
     def __call__(self, p: PointCode):
         return self.evaluator(p)
@@ -62,10 +76,6 @@ class Verdict:
 
 @dataclass
 class RecoveryResult:
-    fid: str
-    x: PointCode
-    mode: str
-    values: list
     verdict: Verdict
     expected: object
     correct: Optional[bool]
@@ -89,31 +99,17 @@ def _flips_in(values: Sequence) -> int:
 def classify_values(values: Sequence, y_kind: str, window: int = 16) -> Verdict:
     """Finite-horizon verdict over a value trace.
 
-    Discrete range: converged means constant over the last `window` steps;
-    rational range: oscillation below 2^-TOL_EXP over that window.  Two or
+    Converged: the last `window` values lie within TOL of each other (on a
+    discrete range, are equal), `since` the start of the final run.  Two or
     more tail flips count as divergence evidence; anything else is simply
     not converged at this horizon.
     """
-    if len(values) < window:
-        flips = _flips_in(values)
-        if flips >= 2:
-            return Verdict("diverged-evidence", flips=flips)
-        return Verdict("not-converged-at-horizon")
     tail = values[-window:]
-    if y_kind == DISCRETE:
-        run = _tail_run_length(values)
-        if run >= window:
-            return Verdict("converged", values[-1], since=len(values) - run)
-        flips = _flips_in(tail)
-        if flips >= 2:
-            return Verdict("diverged-evidence", flips=flips)
-        return Verdict("not-converged-at-horizon")
-    osc = max(tail) - min(tail)
-    if osc < Fraction(1, 2 ** TOL_EXP):
-        run = _tail_run_length(values)
-        return Verdict("converged", values[-1], since=len(values) - run)
-    if _flips_in(tail) >= 2:
-        return Verdict("diverged-evidence", flips=_flips_in(tail))
+    if len(values) >= window and y_distance(y_kind, max(tail), min(tail)) < TOL:
+        return Verdict("converged", values[-1], since=len(values) - _tail_run_length(values))
+    flips = _flips_in(tail)
+    if flips >= 2:
+        return Verdict("diverged-evidence", flips=flips)
     return Verdict("not-converged-at-horizon")
 
 
@@ -138,12 +134,8 @@ def recover_at(f: FunctionOracle, x: PointCode, dense: DenseSequence, mode: str,
     verdict = classify_values(values, f.y_kind, window)
     correct: Optional[bool] = None
     if verdict.kind == "converged":
-        if f.y_kind == DISCRETE:
-            correct = verdict.value == expected
-        else:
-            correct = abs(verdict.value - expected) <= Fraction(1, 2 ** TOL_EXP)
-    return RecoveryResult(f.fid, x, mode, values, verdict, expected, correct,
-                          trace, audit)
+        correct = y_distance(f.y_kind, verdict.value, expected) <= TOL
+    return RecoveryResult(verdict, expected, correct, trace, audit)
 
 
 def recovery_report(f: FunctionOracle, dense: DenseSequence, mode: str,
@@ -190,9 +182,9 @@ class GdeltaWitness:
     """The level-k witness data for a closed value set F_y.
 
     p_list enumerates (1-1, increasing) the dense-sequence indices whose
-    value falls in O_k; U_j membership is decided by running the path and
-    checking whether x_{p_j} is visited.  For discrete ranges O_k = F_y
-    (simplification recorded in `notes`).
+    value falls in O_k, the values within 2^-k of F_y (on a discrete range,
+    F_y itself); U_j membership is decided by running the path and
+    checking whether x_{p_j} is visited.
     """
 
     f: FunctionOracle
@@ -205,17 +197,14 @@ class GdeltaWitness:
     basis: GoodBasis
     notes: List[str] = field(default_factory=list)
 
+    def __post_init__(self):
+        self.bound = Fraction(1, 2 ** self.k)
+
     def in_O(self, value) -> bool:
-        if self.f.y_kind == DISCRETE:
-            return value in self.F_y
-        bound = Fraction(1, 2 ** self.k)
-        return any(abs(value - c) < bound for c in self.F_y)
+        return any(y_distance(self.f.y_kind, value, c) < self.bound for c in self.F_y)
 
     def in_closure_O(self, value) -> bool:
-        if self.f.y_kind == DISCRETE:
-            return value in self.F_y
-        bound = Fraction(1, 2 ** self.k)
-        return any(abs(value - c) <= bound for c in self.F_y)
+        return any(y_distance(self.f.y_kind, value, c) <= self.bound for c in self.F_y)
 
     def membership(self, x: PointCode) -> dict:
         """Finite-i approximation of "x in H_k" with full detail."""
@@ -242,10 +231,12 @@ class GdeltaWitness:
 def gdelta_witness(f: FunctionOracle, F_y, dense: DenseSequence,
                    basis: GoodBasis, k: int, i_max: int, horizon: int,
                    j_budget: int = 64) -> GdeltaWitness:
-    """Materialize the (p_j) subsequence and the H_k membership test."""
+    """Materialize the (p_j) subsequence and the H_k membership test; k >= 1,
+    since at k = 0 a discrete value set's closed O_k is the whole range.  A
+    note says whether the list stopped at j_budget or at the last term."""
+    if k < 1:
+        raise ValueError(f"level k must be >= 1, got {k}")
     wit = GdeltaWitness(f, tuple(F_y), k, i_max, horizon, [], dense, basis)
-    if f.y_kind == DISCRETE:
-        wit.notes.append("discrete range: O_k = F_y for every k")
     seen_points = set()
     for p, pt in enumerate(dense):
         if pt in seen_points:
@@ -256,6 +247,9 @@ def gdelta_witness(f: FunctionOracle, F_y, dense: DenseSequence,
             if len(wit.p_list) >= j_budget:
                 wit.notes.append(f"p_list truncated at {j_budget}")
                 break
+    else:
+        wit.notes.append(f"enumeration ended at {len(seen_points)} distinct terms "
+                         f"with {len(wit.p_list)} of {j_budget} p_j")
     return wit
 
 
@@ -264,16 +258,15 @@ def evaluation_map(family: Sequence[FunctionOracle], dense: DenseSequence,
     """Truncated evaluation map I(f) = (f(x_p))_{p<P} with injectivity check."""
     if P < 1:
         raise ValueError("width must be >= 1")
-    rows = []
-    for f in family:
-        rows.append(tuple(f(dense[p]) for p in range(min(P, len(dense)))))
+    terms = list(islice(dense, P))
+    rows = [tuple(f(pt) for pt in terms) for f in family]
     collisions = []
     for i in range(len(family)):
         for j in range(i + 1, len(family)):
             if rows[i] == rows[j]:
                 collisions.append((family[i].fid, family[j].fid))
     return {
-        "width": min(P, len(dense)),
+        "width": len(terms),
         "rows": {f.fid: rows[i] for i, f in enumerate(family)},
         "collisions": collisions,
         "injective_at_width": not collisions,

@@ -16,6 +16,7 @@ from firstreturn.dense_builder import ClosedSet, build_dense, whole_space
 from firstreturn.ebc1 import ebc1_check
 from firstreturn.gallery import (
     I25,
+    ebc1_cover,
     first_one_scale,
     in_G,
     indicator_of,
@@ -531,7 +532,7 @@ def test_criterion_7_ebc1():
     reports = []
     for name, n_pairs in (("unit-halves", 334), ("unit-step", 333),
                           ("cantor-bits", 333)):
-        cover, family = fr_cli._ebc1_cover(name)
+        cover, family = ebc1_cover(name)
         if cover.space == UNIT:
             def rand_point():
                 return UnitPoint(F(rng.randrange(0, 257), 256))

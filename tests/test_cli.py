@@ -254,6 +254,13 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, args):
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
+def test_space_mismatch_message_names_the_functions_space(tmp_path, capsys):
+    args = ["gallery", "eval", "--fn", "singleton:baire:1|0", "--beta", "cantor:|1"]
+    assert run_main(args + ["--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == ("config error: 1_{baire:1|0} is defined on baire, "
+                                       "but beta lies in cantor\n")
+
+
 @pytest.mark.parametrize("value,on", [("true", True), ("1", True), (True, True),
                                       ("false", False), ("0", False), (False, False)])
 def test_flag_values_recorded_as_given(tmp_path, value, on):

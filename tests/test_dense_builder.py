@@ -398,6 +398,6 @@ def test_family_from_I16_keeps_every_piece():
 def test_family_requires_decomposition():
     from firstreturn.recover import FunctionOracle
 
-    plain = FunctionOracle("anon", lambda p: 0)
+    plain = FunctionOracle("anon", lambda p: 0, space=CANTOR)
     with pytest.raises(ValueError):
         closed_family_from_function(plain)

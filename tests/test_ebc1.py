@@ -67,8 +67,8 @@ def test_delta_uncovered_point_is_an_error():
 # ---------------------------------------------------------------------------
 
 _FAMILY = [
-    FunctionOracle("x/2", lambda p: p.value / 2, RATIONAL),
-    FunctionOracle("1-x/2", lambda p: 1 - p.value / 2, RATIONAL),
+    FunctionOracle("x/2", lambda p: p.value / 2, RATIONAL, space=UNIT),
+    FunctionOracle("1-x/2", lambda p: 1 - p.value / 2, RATIONAL, space=UNIT),
 ]
 
 
@@ -93,7 +93,7 @@ def test_violation_reported_for_bad_cover():
     # a family whose oscillation on a piece exceeds eps is reported:
     # d(9/10, 39/50) = 3/25 < min(delta) = min(2/5, 7/25), yet the identity
     # moves by 3/25 >= eps = 1/10
-    bad_family = [FunctionOracle("x", lambda p: p.value, RATIONAL)]
+    bad_family = [FunctionOracle("x", lambda p: p.value, RATIONAL, space=UNIT)]
     tight = ClosedCover(F(1, 10), HALVES.pieces)
     rep = ebc1_check(bad_family, tight, [(u((9, 10)), u((39, 50)))])
     assert rep["constrained"] == 1
@@ -109,7 +109,7 @@ def test_violation_reported_for_bad_cover():
 
 def test_cover_from_constant_function():
     f = FunctionOracle("const", lambda p: 3, DISCRETE,
-                       decomposition={3: [whole_space(CANTOR)]})
+                       decomposition={3: [whole_space(CANTOR)]}, space=CANTOR)
     cover = cover_from_function(f, F(1, 2))
     assert len(cover.pieces) == 1
     assert cover.pieces[0].member(cantor_point("10", "1"))
@@ -138,7 +138,7 @@ def test_cover_from_singleton_indicator():
 
 def test_cover_requires_decomposition():
     with pytest.raises(CoverViolation):
-        cover_from_function(FunctionOracle("anon", lambda p: 0), F(1, 2))
+        cover_from_function(FunctionOracle("anon", lambda p: 0, space=CANTOR), F(1, 2))
 
 
 def test_gauge_controls_family_from_cover():

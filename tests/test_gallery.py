@@ -174,6 +174,10 @@ def test_prop25_sequence_membership_and_first_index(dense25, seq25):
         assert seq25.first_index_of(off) is None
 
 
+def test_prop25_sequence_iterates_the_indexed_terms(dense25, seq25):
+    assert list(seq25) == list(dense25)
+
+
 def test_prop25_sequence_path_reaches_horizon(seq25, cantor_basis):
     x = CP("", "10")
     tr = path_trace(x, seq25, cantor_basis, 32)

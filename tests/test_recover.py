@@ -1,24 +1,28 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from firstreturn.dense_builder import ClosedSet
 from firstreturn.gallery import I25, first_one_scale, indicator_of
 from firstreturn.recover import (
     DISCRETE,
     RATIONAL,
+    TOL,
     FunctionOracle,
     classify_values,
     evaluation_map,
     gdelta_witness,
     recover_at,
     recovery_report,
+    y_distance,
 )
 from firstreturn.space import CANTOR, WordPoint, cantor_point
 
 
 def test_constant_function_converges_everywhere(dense25, cantor_basis):
-    f = FunctionOracle("const7", lambda p: 7, DISCRETE)
+    f = FunctionOracle("const7", lambda p: 7, DISCRETE, space=CANTOR)
     for x in (cantor_point("", "10"), dense25[0], cantor_point("01", "1")):
         res = recover_at(f, x, dense25, "path", 24, cantor_basis, window=8)
         assert res.verdict.kind == "converged"
@@ -45,7 +49,7 @@ def test_oracle_blindness_audit(dense25, cantor_basis):
 
 
 def test_report_empty_points(dense25, cantor_basis):
-    f = FunctionOracle("c", lambda p: 0, DISCRETE)
+    f = FunctionOracle("c", lambda p: 0, DISCRETE, space=CANTOR)
     rep = recovery_report(f, dense25, "path", [], 8, cantor_basis)
     assert rep["per_point"] == [] and rep["converged_rate"] is None
 
@@ -65,9 +69,93 @@ def test_classify_rational_verdicts():
     assert classify_values(wob, RATIONAL, window=8).kind == "diverged-evidence"
 
 
+def _flips(values):
+    return sum(1 for i in range(len(values) - 1) if values[i + 1] != values[i])
+
+
+def _run(values):
+    n = 1 if values else 0
+    while n < len(values) and values[-n - 1] == values[-n]:
+        n += 1
+    return n
+
+
+def _classify_by_range_kind(values, y_kind, window):
+    """The verdict as it was computed with one branch per range kind."""
+    if len(values) < window:
+        flips = _flips(values)
+        return ("diverged-evidence", None, None, flips) if flips >= 2 else \
+            ("not-converged-at-horizon", None, None, 0)
+    tail = values[-window:]
+    run = _run(values)
+    if y_kind == DISCRETE:
+        if run >= window:
+            return ("converged", values[-1], len(values) - run, 0)
+    elif max(tail) - min(tail) < F(1, 2 ** 10):
+        return ("converged", values[-1], len(values) - run, 0)
+    flips = _flips(tail)
+    return ("diverged-evidence", None, None, flips) if flips >= 2 else \
+        ("not-converged-at-horizon", None, None, 0)
+
+
+def _correct_by_range_kind(value, expected, y_kind):
+    if y_kind == DISCRETE:
+        return value == expected
+    return abs(value - expected) <= F(1, 2 ** 10)
+
+
+# rationals a multiple of 2^-11 apart, so tails meet the tolerance 2^-10 exactly
+_NEAR = st.sampled_from([F(0), F(1, 2048), F(1, 1024), F(3, 2048), F(1, 512), F(-1, 1024),
+                         F(1, 2), F(1)])
+
+
+@given(st.one_of(
+    st.tuples(st.lists(st.integers(0, 2), max_size=40), st.sampled_from([DISCRETE, RATIONAL])),
+    st.tuples(st.lists(_NEAR, max_size=40), st.just(RATIONAL))),
+    st.integers(1, 16), st.integers(0, 2) | _NEAR)
+@settings(max_examples=400, deadline=None)
+def test_one_metric_matches_the_per_kind_branches(case, window, expected):
+    values, y_kind = case
+    v = classify_values(values, y_kind, window)
+    assert (v.kind, v.value, v.since, v.flips) == _classify_by_range_kind(values, y_kind,
+                                                                          window)
+    if values and (y_kind == RATIONAL or isinstance(expected, int)):
+        assert (y_distance(y_kind, values[-1], expected) <= TOL) == \
+            _correct_by_range_kind(values[-1], expected, y_kind)
+
+
+@pytest.mark.parametrize("gap,correct", [(TOL, True), (2 * TOL, False)])
+def test_converged_value_is_correct_within_tol(dense25, cantor_basis, gap, correct):
+    x = cantor_point("", "10")  # off the dense sequence
+    f = FunctionOracle("gap", lambda p: F(0) if p == x else gap, RATIONAL, space=CANTOR)
+    res = recover_at(f, x, dense25, "path", 16, cantor_basis, window=4)
+    assert res.verdict.kind == "converged" and res.correct is correct
+
+
+def test_function_oracle_needs_its_space():
+    with pytest.raises(TypeError):
+        FunctionOracle("c", lambda p: 0, DISCRETE)
+
+
 # ---------------------------------------------------------------------------
 # G-delta witnesses
 # ---------------------------------------------------------------------------
+
+
+def test_gdelta_level_zero_rejected(dense25, cantor_basis):
+    f = indicator_of(ClosedSet(CANTOR, cylinders=((1,),), name="N(1)"))
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        gdelta_witness(f, (1,), dense25, cantor_basis, k=0, i_max=4, horizon=8)
+
+
+def test_gdelta_notes_the_end_of_the_terms(dense25, seq25, cantor_basis):
+    # no term takes the value 7: the enumeration ends, and a note says so
+    f = I25(cantor_point("", "110"))
+    for dense in (dense25, seq25):
+        wit = gdelta_witness(f, (7,), dense, cantor_basis, k=1, i_max=4, horizon=16)
+        assert wit.p_list == []
+        assert wit.notes == [f"enumeration ended at {len(set(dense25))} distinct terms "
+                             "with 0 of 64 p_j"]
 
 
 def test_gdelta_singleton_indicator(dense25, cantor_basis):
@@ -142,10 +230,15 @@ def test_evaluation_map_identical_functions_collide(dense25):
     assert rep["collisions"]
 
 
+def test_evaluation_map_over_the_unbounded_sequence(dense25, seq25):
+    fam = [I25(cantor_point("", "110")), I25(cantor_point("", "101"))]
+    assert evaluation_map(fam, seq25, P=64) == evaluation_map(fam, dense25, P=64)
+
+
 def test_evaluation_map_width_artifact(dense25):
-    f = FunctionOracle("f", lambda p: 0, DISCRETE)
+    f = FunctionOracle("f", lambda p: 0, DISCRETE, space=CANTOR)
     marked = dense25[40]
-    g = FunctionOracle("g", lambda p: 1 if p == marked else 0, DISCRETE)
+    g = FunctionOracle("g", lambda p: 1 if p == marked else 0, DISCRETE, space=CANTOR)
     small = evaluation_map([f, g], dense25, P=5)
     assert not small["injective_at_width"]  # undistinguished at width 5
     wide = evaluation_map([f, g], dense25, P=64)
