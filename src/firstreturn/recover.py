@@ -84,8 +84,6 @@ class RecoveryResult:
 
 
 def _tail_run_length(values: Sequence) -> int:
-    if not values:
-        return 0
     n = 1
     while n < len(values) and values[-n - 1] == values[-n]:
         n += 1
@@ -104,6 +102,8 @@ def classify_values(values: Sequence, y_kind: str, window: int = 16) -> Verdict:
     more tail flips count as divergence evidence; anything else is simply
     not converged at this horizon.
     """
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     tail = values[-window:]
     if len(values) >= window and y_distance(y_kind, max(tail), min(tail)) < TOL:
         return Verdict("converged", values[-1], since=len(values) - _tail_run_length(values))

@@ -62,6 +62,11 @@ def test_classify_discrete_verdicts():
                            window=8).kind == "not-converged-at-horizon"
 
 
+def test_classify_rejects_an_empty_window():
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        classify_values([0, 1, 0], DISCRETE, window=0)
+
+
 def test_classify_rational_verdicts():
     vals = [F(1, 2 ** n) for n in range(24)]
     assert classify_values(vals, RATIONAL, window=8).kind == "converged"
@@ -119,7 +124,7 @@ def test_one_metric_matches_the_per_kind_branches(case, window, expected):
     v = classify_values(values, y_kind, window)
     assert (v.kind, v.value, v.since, v.flips) == _classify_by_range_kind(values, y_kind,
                                                                           window)
-    if values and (y_kind == RATIONAL or isinstance(expected, int)):
+    if values:
         assert (y_distance(y_kind, values[-1], expected) <= TOL) == \
             _correct_by_range_kind(values[-1], expected, y_kind)
 
