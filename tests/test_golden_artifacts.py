@@ -4,15 +4,42 @@ Each config runs in process through `cli.run_config`.  The digest covers
 every job's exit code and, file by file in sorted order, the relative name
 and the bytes of its artifacts; the run.meta sidecar (wall-clock metadata)
 is excluded.  GOLDEN_FN adds the stderr line of each config error in
-MISMATCH_ARGV, run through `cli.main`.  A change that alters artifacts on
-purpose updates the constant and says why in CHANGES.md.
+MISMATCH_ARGV, run through `cli.main`.  GOLDEN_TRACES covers traces that
+no CLI config reaches: their CSVs, recovery audits and verdicts.  A change
+that alters artifacts on purpose updates the constant and says why in
+CHANGES.md.
 """
 
 import contextlib
 import hashlib
 import io
+import json
+from fractions import Fraction as F
+
+import pytest
 
 from firstreturn import cli
+from firstreturn.dense_builder import ClosedSet, build_dense
+from firstreturn.gallery import (
+    I25,
+    first_one_scale,
+    indicator_of,
+    thm13_dense,
+    thm13_target,
+    x_seq_point,
+    z_F_indicator,
+)
+from firstreturn.path import PATH, ROUTE, DenseSequence, trace_to_csv
+from firstreturn.recover import DISCRETE, FunctionOracle, recover_at
+from firstreturn.space import (
+    BAIRE,
+    CANTOR,
+    UNIT,
+    UnitPoint,
+    baire_point,
+    cantor_point,
+    good_basis,
+)
 
 CONFIGS = [
     # criterion 10's suite
@@ -94,3 +121,81 @@ def test_golden_artifacts(tmp_path):
 
 def test_golden_function_sources(tmp_path):
     assert fn_digest(tmp_path) == GOLDEN_FN
+
+
+# ---------------------------------------------------------------------------
+# traces that no CLI config reaches
+# ---------------------------------------------------------------------------
+
+
+def _unit_step():
+    return FunctionOracle("step", lambda p: 1 if p.value >= F(1, 2) else 0, DISCRETE,
+                          space=UNIT)
+
+
+def _builder_dense(cantor_basis):
+    families = [ClosedSet(CANTOR, cylinders=((1,),), name="F0"),
+                ClosedSet(CANTOR, cylinders=((0, 1), (1, 1)), name="F1")]
+    q = [x_seq_point(p) for p in range(512)]
+    return build_dense(families, q, cantor_basis).dense
+
+
+def _baire_list():
+    # the path off x stops once the next cylinder through x needs symbol 9
+    x = baire_point((1, 9), (2,))
+    return DenseSequence([baire_point((), (0,)), baire_point((1,), (0,)), x,
+                          baire_point((1, 9, 2), (0,))])
+
+
+@pytest.fixture(scope="module")
+def trace_runs(dense25, seq25, dyadics, cantor_basis, unit_basis):
+    """(name, dense, RecoveryResult) for path and route recoveries over the
+    Prop-25 list and sequence, the dyadics, the Theorem-13 list over Z, a
+    builder list and a short Baire list; each sequence has a point off it
+    and a point on it, whose trace ends in fixed steps."""
+    i25 = I25(cantor_point("", "110"))
+    builder = _builder_dense(cantor_basis)
+    baire = _baire_list()
+    z_dense = thm13_dense()
+    cantor_points = [cantor_point("", "10"), cantor_point("1", "0011"),
+                     cantor_point("11", "011"), cantor_point("0", "001")]
+    cases = [
+        ("dense25", i25, dense25, cantor_basis, cantor_points + [dense25[5]], 32),
+        ("dense25-scale", first_one_scale(), dense25, cantor_basis,
+         [cantor_point("0", "001"), cantor_point("", "0")], 24),
+        ("seq25", i25, seq25, cantor_basis,
+         [cantor_point("", "10"), cantor_point("0", "001"), seq25[7]], 32),
+        ("dyadics", _unit_step(), dyadics, unit_basis,
+         [UnitPoint(F(1, 3)), UnitPoint(F(5, 7)), UnitPoint(F(2, 3)), UnitPoint(F(3, 4))], 24),
+        ("builder", i25, builder, cantor_basis,
+         [cantor_point("101", "0110"), cantor_point("", "10"), builder[20]], 32),
+        ("baire", indicator_of(ClosedSet(BAIRE, cylinders=((1,),), name="N(1)")), baire,
+         good_basis(BAIRE), [baire[2], baire_point((1, 9, 2), (1,)), baire[1]], 8),
+    ]
+    runs = []
+    for name, f, dense, basis, points, N in cases:
+        for mode in (PATH, ROUTE):
+            for x in points:
+                runs.append((name, dense, recover_at(f, x, dense, mode, N, basis, window=8)))
+    for x in (thm13_target(), thm13_target(F(1, 50)), z_dense[10]):
+        runs.append(("thm13", z_dense, recover_at(z_F_indicator(), x, z_dense, ROUTE, 60)))
+    return runs
+
+
+def traces_digest(runs):
+    digest = hashlib.sha256()
+    for name, _, res in runs:
+        tr = res.trace
+        digest.update(f"{name} {tr.mode} {tr.x} {tr.terminated} {tr.budget} "
+                      f"{json.dumps(res.audit)} {res.verdict} {res.expected} "
+                      f"{res.correct}\n".encode())
+        digest.update(trace_to_csv(tr).encode())
+    return digest.hexdigest()
+
+
+# recorded at 61cfd86; equal under PYTHONHASHSEED 1, 2 and 3
+GOLDEN_TRACES = "188bdb9fb7c18339399735b4646e56d196de4226549ca5b1376468e755889f25"
+
+
+def test_golden_traces(trace_runs):
+    assert traces_digest(trace_runs) == GOLDEN_TRACES
