@@ -275,6 +275,8 @@ def _run_recover(cfg: dict, out_dir: Path) -> int:
         raise ConfigError(f"{exc}; use mode=route") from None
     if "points" in cfg:
         points = [_point(t) for t in str(cfg["points"]).split(";") if t]
+        if not points:
+            raise ConfigError("nothing to run: no points")
         if any(x.space != dense.space for x in points):
             raise ConfigError(f"points must lie in the dense sequence's space {dense.space}")
     else:

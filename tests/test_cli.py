@@ -238,6 +238,9 @@ I25_ARGS = ["recover", "--fn", "I25", "--alpha", "cantor:|110"]
     I25_ARGS + ["--config", "{tmp}/dense_7.json"],
     ["rank", "--config", "{tmp}/diff_yes.cfg"],
     ["rank", "--config", "{tmp}/diff_int.json"],
+    # points that name no point
+    I25_ARGS + ["--points", ";"],
+    I25_ARGS + ["--points", ""],
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, args):
     (tmp_path / "empty.txt").write_text("# no points\n")

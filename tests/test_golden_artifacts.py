@@ -29,7 +29,7 @@ from firstreturn.gallery import (
     x_seq_point,
     z_F_indicator,
 )
-from firstreturn.path import PATH, ROUTE, DenseSequence, trace_to_csv
+from firstreturn.path import PATH, ROUTE, DenseSequence, PastTableIndex, trace_to_csv
 from firstreturn.recover import DISCRETE, FunctionOracle, recover_at
 from firstreturn.space import (
     BAIRE,
@@ -199,3 +199,19 @@ GOLDEN_TRACES = "188bdb9fb7c18339399735b4646e56d196de4226549ca5b1376468e755889f2
 
 def test_golden_traces(trace_runs):
     assert traces_digest(trace_runs) == GOLDEN_TRACES
+
+
+def test_trace_points_are_terms_of_their_sequence(trace_runs, seq25):
+    # the oracle for recover_at's audit: every step's point is the term at
+    # its index, the first occurrence of that point
+    steps = [s for _, _, res in trace_runs for s in res.trace.steps]
+    assert any(isinstance(s.index, PastTableIndex) for s in steps)
+    assert any(s.dist_to_x.is_zero() and s.step > 0 for s in steps)  # fixed steps
+    for name, dense, res in trace_runs:
+        for s in res.trace.steps:
+            if isinstance(s.index, PastTableIndex):
+                assert dense is seq25 and seq25.first_index_of(s.point) == s.index
+                continue
+            assert dense[s.index] == s.point, (name, s.step)
+            assert dense.first_index_of(s.point) == s.index, (name, s.step)
+            assert dense.contains(s.point), (name, s.step)

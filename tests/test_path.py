@@ -7,6 +7,7 @@ import pytest
 from firstreturn.path import (
     DenseSequence,
     SearchBudgetExceeded,
+    TraceStep,
     _unit_prior_free,
     path_step,
     path_trace,
@@ -45,7 +46,8 @@ def test_first_step_hand_simulation(dense25, cantor_basis):
     # x = 0^inf, prior = [x_0 = 1^inf]: the empty cylinder contains 1^inf,
     # so the minimal admissible index is p = 1 with witness N(0)
     x = cantor_point("", "0")
-    p, pt, wit, widx = path_step(x, dense25, [cantor_point("", "1")], cantor_basis)
+    s0 = cantor_point("", "1")
+    p, pt, wit, widx = path_step(x, dense25, [TraceStep(0, 0, s0, dist(x, s0))], cantor_basis)
     assert p == 1 and pt == x
     assert wit.word == (0,) and widx == 1
 
@@ -75,6 +77,19 @@ def test_strict_common_prefix_growth_off_dense(dense25, cantor_basis):
     assert all(a < b for a, b in zip(lens, lens[1:]))
     assert len(tr.steps) >= 8
     assert tr.terminated == "budget" and tr.budget == len(dense25)
+
+
+def test_word_path_compares_each_term_with_x_once(dense25, cantor_basis, monkeypatch):
+    # the step reads |x /\ s_n| from the distance the trace already holds
+    x = cantor_point("11", "011")
+    assert not dense25.contains(x)
+    calls = []
+    original = WordPoint.first_difference
+    monkeypatch.setattr(WordPoint, "first_difference",
+                        lambda self, other: calls.append(other) or original(self, other))
+    tr = path_trace(x, dense25, cantor_basis, 32)
+    assert len(tr.steps) > 4
+    assert len(calls) == len(tr.steps)
 
 
 def test_witness_soundness_and_distinctness(dense25, cantor_basis):
@@ -158,7 +173,7 @@ def test_baire_symbol_past_alphabet_bound_is_a_budget_stop():
     assert tr.terminated == "budget" and tr.budget == 8
     with pytest.raises(SearchBudgetExceeded,
                        match="prefix of length 2: symbol 9 outside alphabet bound 8"):
-        path_step(x, dense, tr.points(), basis)
+        path_step(x, dense, tr.steps, basis)
 
 
 # ---------------------------------------------------------------------------

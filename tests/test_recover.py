@@ -48,6 +48,21 @@ def test_oracle_blindness_audit(dense25, cantor_basis):
     assert res.audit["on_dense"] == len(res.trace.steps)
 
 
+def test_audit_reads_no_membership(dense25, seq25, cantor_basis, monkeypatch):
+    # every trace point is a term of the sequence, so the audit asks none
+    def refuse(self, point):
+        raise AssertionError(f"contains({point}) called")
+
+    f = I25(cantor_point("", "110"))
+    for dense in (dense25, seq25):
+        monkeypatch.setattr(type(dense), "contains", refuse)
+        for mode in ("path", "route"):
+            for x in (cantor_point("1", "01"), cantor_point("0", "001"), dense[3]):
+                res = recover_at(f, x, dense, mode, 24, cantor_basis, window=8)
+                assert res.audit == {"on_dense": len(res.trace.steps), "off_dense": 0,
+                                     "ground_truth": 1}
+
+
 def test_report_empty_points(dense25, cantor_basis):
     f = FunctionOracle("c", lambda p: 0, DISCRETE, space=CANTOR)
     rep = recovery_report(f, dense25, "path", [], 8, cantor_basis)
