@@ -22,6 +22,7 @@ from firstreturn import cli
 from firstreturn.dense_builder import ClosedSet, build_dense
 from firstreturn.gallery import (
     I25,
+    ebc1_cover,
     first_one_scale,
     indicator_of,
     thm13_dense,
@@ -30,11 +31,10 @@ from firstreturn.gallery import (
     z_F_indicator,
 )
 from firstreturn.path import PATH, ROUTE, DenseSequence, PastTableIndex, trace_to_csv
-from firstreturn.recover import DISCRETE, FunctionOracle, recover_at
+from firstreturn.recover import recover_at
 from firstreturn.space import (
     BAIRE,
     CANTOR,
-    UNIT,
     UnitPoint,
     baire_point,
     cantor_point,
@@ -128,11 +128,6 @@ def test_golden_function_sources(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _unit_step():
-    return FunctionOracle("step", lambda p: 1 if p.value >= F(1, 2) else 0, DISCRETE,
-                          space=UNIT)
-
-
 def _builder_dense(cantor_basis):
     families = [ClosedSet(CANTOR, cylinders=((1,),), name="F0"),
                 ClosedSet(CANTOR, cylinders=((0, 1), (1, 1)), name="F1")]
@@ -165,7 +160,7 @@ def trace_runs(dense25, seq25, dyadics, cantor_basis, unit_basis):
          [cantor_point("0", "001"), cantor_point("", "0")], 24),
         ("seq25", i25, seq25, cantor_basis,
          [cantor_point("", "10"), cantor_point("0", "001"), seq25[7]], 32),
-        ("dyadics", _unit_step(), dyadics, unit_basis,
+        ("dyadics", ebc1_cover("unit-step")[1][0], dyadics, unit_basis,
          [UnitPoint(F(1, 3)), UnitPoint(F(5, 7)), UnitPoint(F(2, 3)), UnitPoint(F(3, 4))], 24),
         ("builder", i25, builder, cantor_basis,
          [cantor_point("101", "0110"), cantor_point("", "10"), builder[20]], 32),
