@@ -28,11 +28,22 @@ can be least:
 
 Every candidate is a prefix of u.1, so the shortest one has the least phi
 value; on a tie (the same word) the 1-cycle term, of even index, comes
-first.  The term is thus exact without computing phi.  Only its index
-needs the enumeration: it is 2 psi^{-1}(s) + [c = 0] when s is in the
-table, and otherwise a `PastTableIndex` marker.  Counting the S-words
-below phi(s) instead would cost seconds by index 10^6, and a path's
-indices grow 4-7 fold per step.
+first.  So the last symbol of u decides: if it is 0, no S-prefix has an
+all-1 remainder and u.1 is longer, so the first candidate is least;
+otherwise u is in S, and the second candidate (the empty word when u has
+no 0) is no longer than u.  The term is thus exact without computing phi.
+Only its index needs the enumeration: it is 2 psi^{-1}(s) + [c = 0] when
+s is in the table, and otherwise a `PastTableIndex` marker.  Counting the
+S-words below phi(s) instead would cost seconds by index 10^6, and a
+path's indices grow 4-7 fold per step.
+
+The table is an exact initial segment of the enumeration, so the same
+lookup also answers for the finite list of the 2 * size terms it counts:
+the least index is the list's answer when s is in the table, and
+otherwise no listed term extends u.  `prop25_dense()` is that bounded view;
+it never materializes the list.  In either mode a term in the table is
+built once, when first read, and kept in a memo by index, since building
+the `WordPoint` costs more than the lookup itself.
 """
 
 from __future__ import annotations
@@ -193,70 +204,114 @@ def x_seq_point(p: int) -> WordPoint:
     return WordPoint(CANTOR, word, (1,) if p % 2 == 0 else (0,))
 
 
-def prop25_dense() -> DenseSequence:
-    """The materialized dense sequence (x_p) of Cantor space."""
-    count = 2 * default_table().size
-    return DenseSequence([x_seq_point(p) for p in range(count)])
+def prop25_dense() -> "Prop25Sequence":
+    """The dense sequence (x_p) of Cantor space, cut at the 2 * size terms
+    the default psi table counts (5,864): a bounded `Prop25Sequence`.
+
+    It answers every lookup exactly as the materialized list of those terms
+    would, by the closed form, so no term, first-index table or word trie is
+    built up front; a term is built when first read and kept in the view's
+    memo.
+    """
+    return Prop25Sequence(bounded=True)
 
 
 class Prop25Sequence:
-    """The whole sequence (x_p), unbounded, for path and route extraction.
+    """The sequence (x_p), looked up by the closed form in the module
+    docstring.
 
-    Terms are looked up by the closed form in the module docstring, so a
-    trace never runs out of them; indices come from the default psi table,
-    and a term past it carries a `PastTableIndex` marker.
+    Unbounded (the default), a trace never runs out of terms: indices come
+    from the default psi table, and a term past it carries a
+    `PastTableIndex` marker.  Bounded, it is a view of the first 2 * size
+    terms, the ones the table counts, and answers exactly as their list
+    would.  The least index in the whole sequence is the answer when it lies
+    in the table; otherwise no listed term qualifies, so a term past the
+    table is a miss: `first_extending` raises the budget signal with budget
+    2 * size, `first_index_extending` and `first_index_of` return None.
+
+    Terms in the table are built on first use and memoized by index, in
+    either mode; the memo holds at most 2 * size terms, and terms past the
+    table are never kept.
     """
 
     space = CANTOR
-    budget = None  # unbounded: a lookup never runs out of terms
 
-    def __init__(self):
+    def __init__(self, bounded: bool = False):
         self.table = default_table()
+        self._size = 2 * self.table.size  # the terms the table counts
+        self.budget = self._size if bounded else None
+        self._past = None if bounded else PastTableIndex(self._size)
+        self._terms: Dict[int, WordPoint] = {}
+
+    def __len__(self):
+        if self.budget is None:
+            raise TypeError("the unbounded Prop-25 sequence has no length")
+        return self.budget
+
+    def _term(self, p: int) -> WordPoint:
+        pt = self._terms.get(p)
+        if pt is None:
+            pt = self._terms[p] = x_seq_point(p)
+        return pt
 
     def __getitem__(self, p: int) -> WordPoint:
-        return x_seq_point(p)
+        if 0 <= p < self._size:
+            return self._term(p)
+        if self.budget is not None:
+            raise IndexError(f"x_{p} is past the {self._size} terms of the view")
+        return x_seq_point(p)  # raises PsiBudgetExceeded past the table
 
     def __iter__(self):
         """The terms whose index the table counts, x_0 .. x_{2 size - 1}."""
-        return map(x_seq_point, range(2 * self.table.size))
+        return map(self._term, range(self._size))
 
     def _index(self, s: Tuple[int, ...], c: int):
         n = self.table.index.get(s)
         if n is None:
-            return PastTableIndex(2 * self.table.size)
-        return 2 * n + (c == 0)
-
-    def contains(self, point: PointCode) -> bool:
-        """The terms are exactly the eventually constant points."""
-        return (isinstance(point, WordPoint) and point.space == CANTOR
-                and point.cycle in ((0,), (1,)))
+            return self._past
+        return 2 * n + 1 - c
 
     def first_index_of(self, point: PointCode):
-        if not self.contains(point):
-            return None
+        """The term's least index, or None when it is no term (of the view)."""
+        if not (isinstance(point, WordPoint) and point.space == CANTOR
+                and point.cycle in ((0,), (1,))):
+            return None  # the terms are exactly the eventually constant points
         if point.cycle == (0,):
             return self._index(point.head, 0)  # canonical head is in S
         # canonical head of h.1^inf is empty or ends in 0
         return self._index(point.head + (1,) if point.head else (), 1)
 
-    def first_extending(self, word: Sequence[int]):
-        """(p, x_p) for the minimal p with word a prefix of x_p."""
+    def contains(self, point: PointCode) -> bool:
+        return self.first_index_of(point) is not None
+
+    @staticmethod
+    def _least(word: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
+        """(s, c) with s.c^inf the least term extending word."""
         u = tuple(word)
-        k = len(u)
-        while k and u[k - 1] == 0:
-            k -= 1
-        j = len(u)
-        while j and u[j - 1] == 1:
-            j -= 1
-        # u[:k] is u without its trailing 0s; u[j:] is its maximal suffix of 1s
-        if j == 0:
-            s1 = ()
-        elif j < len(u):
-            s1 = u[:j + 1]
-        else:
-            s1 = u + (1,)
-        s, c = (s1, 1) if len(s1) <= k else (u[:k], 0)
-        return self._index(s, c), WordPoint(CANTOR, s, (c,))
+        r = u[::-1]
+        if u and u[-1] == 0:
+            # u without its trailing 0s: the other candidates are longer
+            return (u[:len(u) - r.index(1)] if 1 in r else ()), 0
+        # u is in S, so the 1-cycle candidate, u up to its last 0 and one 1
+        # (the empty word if u has no 0), is no longer than u
+        return (u[:len(u) - r.index(0) + 1] if 0 in r else ()), 1
+
+    def first_index_extending(self, word: Sequence[int]):
+        """Minimal p with word a prefix of x_p; past the table, None on a
+        bounded view and a `PastTableIndex` marker otherwise."""
+        return self._index(*self._least(word))
+
+    def first_extending(self, word: Sequence[int]):
+        """(p, x_p) for the minimal p with word a prefix of x_p; a bounded
+        view raises SearchBudgetExceeded when that term is past the table."""
+        s, c = self._least(word)
+        p = self._index(s, c)
+        if p is None:
+            raise SearchBudgetExceeded(
+                f"no point extending prefix of length {len(word)}", budget=self.budget)
+        if p is self._past:
+            return p, WordPoint(CANTOR, s, (c,))
+        return p, self._term(p)
 
 
 # ---------------------------------------------------------------------------

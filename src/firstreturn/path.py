@@ -21,17 +21,24 @@ it has routes only; their lookup is the entry-prefix lookup
 within 2^-e of x iff it agrees with x on entries 0..k-1 and its entry k
 exceeds e (proof at `route_step`).  No step compares list points with x.
 
-A dense sequence is either a materialized finite list (`DenseSequence`)
-or an unbounded sequence with a closed-form lookup (the Prop-25 sequence of
-`gallery.Prop25Sequence`); both implement the word lookup
-`first_extending(word)`.  Each carries its `space`, which a list reads from
-its points, and its `budget`: the list length, or None when the sequence is
-unbounded.  Scans over a finite list stop at the list length and raise an
-explicit budget signal, which the extraction always records as the trace's
-`budget` stop: a trace neither raises nor silently truncates.
-An unbounded sequence always finds the next term, and where its index lies
-past the table it can count exactly, it reports a `PastTableIndex` marker
-instead of a number.
+A dense sequence is one of three kinds, and all implement the lookups of
+their space:
+
+* a materialized finite list (`DenseSequence`), indexed on first use;
+* a bounded closed-form view (`gallery.prop25_dense()`, a bounded
+  `gallery.Prop25Sequence`): it answers exactly as the list of its first
+  terms would, without building that list or an index;
+* an unbounded sequence with a closed-form lookup (an unbounded
+  `gallery.Prop25Sequence`).
+
+Each carries its `space`, which a list reads from its points, and its
+`budget`: its length, or None when the sequence is unbounded.  A lookup
+over a finite list or view that finds no term raises an explicit budget
+signal, which the extraction always records as the trace's `budget` stop:
+a trace neither raises nor silently truncates.  An unbounded sequence
+always finds the next term, and where its index lies past the table it
+can count exactly, it reports a `PastTableIndex` marker instead of a
+number.
 """
 
 from __future__ import annotations

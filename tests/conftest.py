@@ -1,6 +1,7 @@
 import pytest
 
-from firstreturn.gallery import Prop25Sequence, default_table, prop25_dense
+from firstreturn.gallery import Prop25Sequence, default_table, prop25_dense, x_seq_point
+from firstreturn.path import DenseSequence
 from firstreturn.space import CANTOR, UNIT, good_basis
 from firstreturn.cli import dyadic_dense
 
@@ -12,6 +13,12 @@ def psi_table():
 
 @pytest.fixture(scope="session")
 def dense25():
+    """The materialized Prop-25 list: the oracle for the view `view25`."""
+    return DenseSequence([x_seq_point(p) for p in range(2 * default_table().size)])
+
+
+@pytest.fixture(scope="session")
+def view25():
     return prop25_dense()
 
 

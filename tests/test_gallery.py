@@ -1,8 +1,10 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from firstreturn import gallery
 from firstreturn.dense_builder import ClosedSet
 from firstreturn.gallery import (
     DECOMP_DEPTH,
@@ -26,6 +28,7 @@ from firstreturn.gallery import (
     prop12_distance,
     prop12_expected,
     prop12_point,
+    prop25_dense,
     psi27,
     thm13_demo,
     thm13_dense,
@@ -33,10 +36,18 @@ from firstreturn.gallery import (
     x_seq_point,
     z_F_member,
 )
-from firstreturn.path import PastTableIndex, path_trace, trace_to_csv, witness_violations
+from firstreturn.path import (
+    DenseSequence,
+    PastTableIndex,
+    SearchBudgetExceeded,
+    path_trace,
+    trace_to_csv,
+    witness_violations,
+)
 from firstreturn.space import (
     BAIRE,
     BAIRE_ALPHABET,
+    CANTOR,
     WordPoint,
     ZPoint,
     cantor_point,
@@ -176,6 +187,60 @@ def test_prop25_sequence_membership_and_first_index(dense25, seq25):
 
 def test_prop25_sequence_iterates_the_indexed_terms(dense25, seq25):
     assert list(seq25) == list(dense25)
+
+
+def _lookup(dense, word):
+    """first_extending's answer, or its budget signal's text and budget."""
+    try:
+        return dense.first_extending(word)
+    except SearchBudgetExceeded as exc:
+        return str(exc), exc.budget
+
+
+def test_prop25_view_lookup_matches_materialized_list(dense25, view25):
+    rng = random.Random(25)
+    words = [u for n in range(13) for u in itertools.product((0, 1), repeat=n)]
+    words += [tuple(rng.randrange(2) for _ in range(rng.randrange(13, 40)))
+              for _ in range(20000)]
+    misses = 0
+    for u in words:
+        p = view25.first_index_extending(u)
+        assert p == dense25.first_index_extending(u), u
+        assert _lookup(view25, u) == _lookup(dense25, u), u
+        misses += p is None
+    assert 0 < misses < len(words)
+    msg, budget = _lookup(view25, (0,) * 20 + (1,))
+    assert msg.startswith("no point extending prefix of length 21") and budget == 5864
+
+
+def test_prop25_view_membership_matches_materialized_list(dense25, view25):
+    rng = random.Random(26)
+    points = list(dense25) + [
+        WordPoint(CANTOR, tuple(rng.randrange(2) for _ in range(rng.randrange(0, 24))),
+                  (rng.randrange(2),))
+        for _ in range(20000)]
+    for pt in points:
+        assert view25.contains(pt) == dense25.contains(pt), pt
+        assert view25.first_index_of(pt) == dense25.first_index_of(pt), pt
+    assert any(not dense25.contains(pt) for pt in points)
+    assert not view25.contains(CP("", "10")) and view25.first_index_of(CP("", "10")) is None
+
+
+def test_prop25_view_terms_match_materialized_list(dense25, view25):
+    assert len(view25) == view25.budget == len(dense25) == 5864
+    assert list(view25) == list(dense25)
+    assert all(view25[p] == dense25[p] for p in range(len(dense25)))
+    with pytest.raises(IndexError):
+        view25[5864]
+
+
+def test_prop25_view_builds_no_term_for_a_lookup(monkeypatch):
+    calls = []
+    real = gallery.x_seq_point
+    monkeypatch.setattr(gallery, "x_seq_point", lambda p: calls.append(p) or real(p))
+    view = prop25_dense()
+    assert view.first_index_extending(()) == 0
+    assert calls == [] and not isinstance(view, DenseSequence)
 
 
 def test_prop25_sequence_path_reaches_horizon(seq25, cantor_basis):

@@ -25,6 +25,7 @@ from firstreturn.gallery import (
     ebc1_cover,
     first_one_scale,
     indicator_of,
+    prop25_dense,
     thm13_dense,
     thm13_target,
     x_seq_point,
@@ -144,7 +145,7 @@ def _baire_list():
 
 @pytest.fixture(scope="module")
 def trace_runs(dense25, seq25, dyadics, cantor_basis, unit_basis):
-    """(name, dense, RecoveryResult) for path and route recoveries over the
+    """(name, f, dense, RecoveryResult) for path and route recoveries over the
     Prop-25 list and sequence, the dyadics, the Theorem-13 list over Z, a
     builder list and a short Baire list; each sequence has a point off it
     and a point on it, whose trace ends in fixed steps."""
@@ -171,15 +172,16 @@ def trace_runs(dense25, seq25, dyadics, cantor_basis, unit_basis):
     for name, f, dense, basis, points, N in cases:
         for mode in (PATH, ROUTE):
             for x in points:
-                runs.append((name, dense, recover_at(f, x, dense, mode, N, basis, window=8)))
+                runs.append((name, f, dense, recover_at(f, x, dense, mode, N, basis, window=8)))
     for x in (thm13_target(), thm13_target(F(1, 50)), z_dense[10]):
-        runs.append(("thm13", z_dense, recover_at(z_F_indicator(), x, z_dense, ROUTE, 60)))
+        f = z_F_indicator()
+        runs.append(("thm13", f, z_dense, recover_at(f, x, z_dense, ROUTE, 60)))
     return runs
 
 
 def traces_digest(runs):
     digest = hashlib.sha256()
-    for name, _, res in runs:
+    for name, _, _, res in runs:
         tr = res.trace
         digest.update(f"{name} {tr.mode} {tr.x} {tr.terminated} {tr.budget} "
                       f"{json.dumps(res.audit)} {res.verdict} {res.expected} "
@@ -199,10 +201,10 @@ def test_golden_traces(trace_runs):
 def test_trace_points_are_terms_of_their_sequence(trace_runs, seq25):
     # the oracle for recover_at's audit: every step's point is the term at
     # its index, the first occurrence of that point
-    steps = [s for _, _, res in trace_runs for s in res.trace.steps]
+    steps = [s for _, _, _, res in trace_runs for s in res.trace.steps]
     assert any(isinstance(s.index, PastTableIndex) for s in steps)
     assert any(s.dist_to_x.is_zero() and s.step > 0 for s in steps)  # fixed steps
-    for name, dense, res in trace_runs:
+    for name, _, dense, res in trace_runs:
         for s in res.trace.steps:
             if isinstance(s.index, PastTableIndex):
                 assert dense is seq25 and seq25.first_index_of(s.point) == s.index
@@ -210,3 +212,17 @@ def test_trace_points_are_terms_of_their_sequence(trace_runs, seq25):
             assert dense[s.index] == s.point, (name, s.step)
             assert dense.first_index_of(s.point) == s.index, (name, s.step)
             assert dense.contains(s.point), (name, s.step)
+
+
+def test_view_traces_equal_list_traces(trace_runs, dense25, cantor_basis):
+    # the bounded view `prop25_dense()` in place of the materialized list
+    view = prop25_dense()
+    runs = [(f, res) for _, f, dense, res in trace_runs if dense is dense25]
+    assert {res.trace.mode for _, res in runs} == {PATH, ROUTE}
+    assert {res.trace.terminated for _, res in runs} == {"horizon", "budget"}
+    for f, res in runs:
+        tr = res.trace
+        got = recover_at(f, tr.x, view, tr.mode, tr.horizon, cantor_basis, window=8)
+        assert (trace_to_csv(got.trace), got.trace.terminated, got.trace.budget,
+                got.audit, got.verdict) == (trace_to_csv(tr), tr.terminated, tr.budget,
+                                            res.audit, res.verdict), (tr.mode, str(tr.x))
