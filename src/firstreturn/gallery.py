@@ -204,7 +204,7 @@ def x_seq_point(p: int) -> WordPoint:
     return WordPoint(CANTOR, word, (1,) if p % 2 == 0 else (0,))
 
 
-def prop25_dense() -> "Prop25Sequence":
+def prop25_dense() -> Prop25Sequence:
     """The dense sequence (x_p) of Cantor space, cut at the 2 * size terms
     the default psi table counts (5,864): a bounded `Prop25Sequence`.
 
@@ -272,7 +272,7 @@ class Prop25Sequence:
         return 2 * n + 1 - c
 
     def first_index_of(self, point: PointCode):
-        """The term's least index, or None when it is no term (of the view)."""
+        """The point's least index, or None when it is no term (of the view)."""
         if not (isinstance(point, WordPoint) and point.space == CANTOR
                 and point.cycle in ((0,), (1,))):
             return None  # the terms are exactly the eventually constant points

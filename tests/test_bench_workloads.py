@@ -1,6 +1,7 @@
 """The benchmark's in-process workloads call the package by name and
 signature; each must still set up and run its first op correctly, or only
-a benchmark run would notice."""
+a benchmark run would notice.  prop25-recover's ops must also answer over
+the Prop-25 view as over the materialized list."""
 
 import contextlib
 import importlib.util
@@ -8,6 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from firstreturn import gallery
+from firstreturn.path import DenseSequence
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -33,9 +37,6 @@ def test_first_op_of_each_workload_runs_and_checks(name):
 def test_prop25_ops_over_the_view_match_the_materialized_list(monkeypatch):
     # prop25-recover's set-up reads the bounded view; its ops must answer as
     # they do over the list of the same 5,864 terms
-    from firstreturn import gallery
-    from firstreturn.path import DenseSequence
-
     def outcomes():
         ops = workloads.setup_prop25(1, contextlib.nullcontext)[:400]
         return [op.check(op.run(), True) for op in ops]
