@@ -9,24 +9,8 @@ Modules:
   ebc1           equi-Baire-class-one gauge and oscillation checks
   gallery        explicit families, prime encoding, ultrametric demo
   cli            deterministic experiment runner
-"""
 
-from .space import (  # noqa: F401
-    CANTOR,
-    BAIRE,
-    UNIT,
-    Z,
-    Dist,
-    UnitPoint,
-    WordPoint,
-    ZPoint,
-    baire_point,
-    cantor_point,
-    dist,
-    eq,
-    format_point,
-    good_basis,
-    member,
-    parse_point,
-)
-from .path import DenseSequence, path_trace, route_trace  # noqa: F401
+The package re-exports nothing: import names from their modules, as in
+`from firstreturn.space import parse_point`.  Importing the package, or
+`firstreturn.cli`, loads no other module of it.
+"""

@@ -15,34 +15,18 @@ a kind and a default; it generates the options (`--max-points` for
 max_points; `firstreturn <command> --help` lists them), drives
 validate_config and supplies the defaults recorded in config.json.  A
 value given as an option beats the file's, which beats the table's.
+Each command imports only the modules it runs, inside its runner: `gallery
+list` loads no library module, and `rank` loads only rank.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional
-
-from . import ebc1, gallery, rank, recover
-from .dense_builder import ClosedSet, build_dense
-from .path import PATH, ROUTE, DenseSequence, path_trace, route_trace, trace_to_csv
-from .space import (
-    CANTOR,
-    UNIT,
-    NoGoodBasis,
-    PointCode,
-    SpaceMismatch,
-    UnitPoint,
-    WordPoint,
-    format_point,
-    good_basis,
-    parse_point,
-)
+from typing import List, Optional
 
 ARTIFACT_VERSION = "2"
 
@@ -51,7 +35,9 @@ class ConfigError(ValueError):
     pass
 
 
-def _point(text) -> PointCode:
+def _point(text):
+    from .space import parse_point
+
     try:
         return parse_point(str(text))
     except (ValueError, KeyError, ZeroDivisionError) as exc:
@@ -63,8 +49,12 @@ def _point(text) -> PointCode:
 # ---------------------------------------------------------------------------
 
 
-def _fn_from_config(cfg: dict) -> recover.FunctionOracle:
+def _fn_from_config(cfg: dict):
     """The configured function; it carries the space it is defined on."""
+    from . import gallery
+    from .dense_builder import ClosedSet
+    from .space import CANTOR, WordPoint
+
     name = cfg.get("fn")
     if not name:
         raise ConfigError("nothing to run: empty function list")
@@ -94,13 +84,18 @@ def _fn_from_config(cfg: dict) -> recover.FunctionOracle:
     raise ConfigError(f"unknown function {name!r}")
 
 
-def _check_space(f: recover.FunctionOracle, where: str, space: str):
+def _check_space(f, where: str, space: str):
     if f.space != space:
         raise ConfigError(f"{f.fid} is defined on {f.space}, but {where} lies in {space}")
 
 
-def dyadic_dense(depth: int = 10) -> DenseSequence:
-    """0, 1, 1/2, 1/4, 3/4, 1/8, 3/8, ... (unit interval)."""
+def dyadic_dense(depth: int = 10):
+    """0, 1, 1/2, 1/4, 3/4, 1/8, 3/8, ... (unit interval), as a DenseSequence."""
+    from fractions import Fraction
+
+    from .path import DenseSequence
+    from .space import UnitPoint
+
     pts = [UnitPoint(Fraction(0)), UnitPoint(Fraction(1))]
     for j in range(1, depth + 1):
         for k in range(1, 2 ** j, 2):
@@ -108,7 +103,11 @@ def dyadic_dense(depth: int = 10) -> DenseSequence:
     return DenseSequence(pts)
 
 
-def _dense_from_config(cfg: dict) -> DenseSequence:
+def _dense_from_config(cfg: dict):
+    from . import gallery
+    from .path import DenseSequence
+    from .space import SpaceMismatch
+
     src = cfg["dense"]
     if src == "prop25":
         return gallery.prop25_dense()
@@ -133,19 +132,26 @@ def _dense_from_config(cfg: dict) -> DenseSequence:
     raise ConfigError(f"unknown dense source {src!r}")
 
 
-BUILDER_FAMILIES: Dict[str, List[ClosedSet]] = {
-    "one-bit": [ClosedSet(CANTOR, cylinders=((1,),), name="F0=N(1)")],
-    "two-bits": [ClosedSet(CANTOR, cylinders=((1,),), name="F0=N(1)"),
-                 ClosedSet(CANTOR, cylinders=((0, 1), (1, 1)), name="F1={b1=1}")],
-    "mixed": [ClosedSet(CANTOR, cylinders=((1, 1),),
-                        singletons=(WordPoint(CANTOR, (), (0,)),),
-                        name="F0={0^inf}+N(11)"),
-              ClosedSet(CANTOR, cylinders=((1,),), name="F1=N(1)")],
-}
+def builder_families() -> dict:
+    """The builder's closed families by name: the choices of `family`."""
+    from .dense_builder import ClosedSet
+    from .space import CANTOR, WordPoint
+
+    return {
+        "one-bit": [ClosedSet(CANTOR, cylinders=((1,),), name="F0=N(1)")],
+        "two-bits": [ClosedSet(CANTOR, cylinders=((1,),), name="F0=N(1)"),
+                     ClosedSet(CANTOR, cylinders=((0, 1), (1, 1)), name="F1={b1=1}")],
+        "mixed": [ClosedSet(CANTOR, cylinders=((1, 1),),
+                            singletons=(WordPoint(CANTOR, (), (0,)),),
+                            name="F0={0^inf}+N(11)"),
+                  ClosedSet(CANTOR, cylinders=((1,),), name="F1=N(1)")],
+    }
 
 
-def _builder_q() -> List[WordPoint]:
-    pts: List[WordPoint] = []
+def _builder_q() -> list:
+    from .space import CANTOR, WordPoint
+
+    pts = []
     for depth in range(6):
         for v in range(2 ** depth):
             word = tuple((v >> (depth - 1 - j)) & 1 for j in range(depth))
@@ -168,12 +174,15 @@ def _builder_q() -> List[WordPoint]:
 COUNT, INT, TEXT, FLAG = "count", "int", "text", "flag"
 
 # Every key of every command: key -> (kind, default).  A key without a
-# default (None) is recorded in config.json only when given.
+# default (None) is recorded in config.json only when given.  The choices
+# are literals, so the table imports no library module: mode's are path.PATH
+# and path.ROUTE, family's the keys of builder_families() (a test holds
+# them equal).
 _KEYS = {
     "recover": {"dense": (TEXT, "prop25"), "fn": (TEXT, None), "alpha": (TEXT, None),
-                "mode": ((PATH, ROUTE), PATH), "horizon": (COUNT, 64),
+                "mode": (("path", "route"), "path"), "horizon": (COUNT, 64),
                 "window": (COUNT, 8), "points": (TEXT, None), "max_points": (COUNT, None)},
-    "build-dense": {"family": (tuple(BUILDER_FAMILIES), "one-bit"),
+    "build-dense": {"family": (("one-bit", "two-bits", "mixed"), "one-bit"),
                     "m_budget": (COUNT, 30), "stages": (COUNT, None)},
     "rank": {"n": (INT, None), "A": (TEXT, None), "B": (TEXT, None), "diff": (FLAG, None)},
     "ebc1": {"cover": (("unit-halves", "unit-step", "cantor-bits"), "unit-halves"),
@@ -265,6 +274,10 @@ def _emit(out_dir: Path, cfg: dict, summary: dict, ok: bool) -> int:
 
 
 def _run_recover(cfg: dict, out_dir: Path) -> int:
+    from . import recover
+    from .path import PATH, path_trace, route_trace, trace_to_csv
+    from .space import NoGoodBasis, good_basis
+
     f = _fn_from_config(cfg)
     dense = _dense_from_config(cfg)
     _check_space(f, "the dense sequence", dense.space)
@@ -298,8 +311,11 @@ def _run_recover(cfg: dict, out_dir: Path) -> int:
 
 
 def _run_build_dense(cfg: dict, out_dir: Path) -> int:
+    from .dense_builder import build_dense
+    from .space import CANTOR, format_point, good_basis
+
     family_name = cfg["family"]
-    families = BUILDER_FAMILIES[family_name]
+    families = builder_families()[family_name]
     basis = good_basis(CANTOR)
     q = _builder_q()
     staged = build_dense(families, q, basis,
@@ -319,6 +335,8 @@ def _run_build_dense(cfg: dict, out_dir: Path) -> int:
 
 
 def _run_rank(cfg: dict, out_dir: Path) -> int:
+    from . import rank
+
     try:
         n = cfg["n"]
         algebra = rank.FiniteAlgebra(n)
@@ -354,6 +372,10 @@ def _run_rank(cfg: dict, out_dir: Path) -> int:
 
 def _run_ebc1(cfg: dict, out_dir: Path) -> int:
     import random
+    from fractions import Fraction
+
+    from . import ebc1, gallery
+    from .space import CANTOR, UNIT, UnitPoint, WordPoint
 
     cover, family = gallery.ebc1_cover(cfg["cover"])
     n_pairs = cfg["pairs"]
@@ -400,6 +422,10 @@ def _run_gallery(cfg: dict, out_dir: Path) -> int:
         return _emit(out_dir, cfg, {"fn": f.fid, "beta": str(beta),
                                     "value": value}, ok=True)
     # demo-z
+    import dataclasses
+
+    from . import gallery
+
     rep = gallery.thm13_demo(horizon=cfg["horizon"])
     return _emit(out_dir, cfg, dataclasses.asdict(rep), ok=rep.found)
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -6,18 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import firstreturn
 from firstreturn.cli import (
     COUNT,
     FLAG,
     INT,
     ConfigError,
     _KEYS,
+    builder_families,
     load_config_file,
     main,
     replay,
     run_config,
     validate_config,
 )
+from firstreturn.path import PATH, ROUTE
 
 
 def run_main(args):
@@ -432,6 +438,42 @@ def test_every_table_key_is_an_option_recorded_in_config(tmp_path, command):
     kinds = {k: kind for k, (kind, _) in _KEYS[command].items()}
     expected = {k: int(v) if kinds[k] in (COUNT, INT) else v for k, v in given.items()}
     assert recorded == {"artifact_version": "2", "command": command, **expected}
+
+
+# ---------------------------------------------------------------------------
+# the modules each command imports
+# ---------------------------------------------------------------------------
+
+_CLI_ONLY = {"firstreturn", "firstreturn.cli"}
+_BUILDER = _CLI_ONLY | {"firstreturn.space", "firstreturn.path", "firstreturn.dense_builder"}
+
+
+@pytest.mark.parametrize("args,loaded", [
+    (["gallery", "list"], _CLI_ONLY),
+    (["rank", "--n", "1", "--A", "10", "--B", "01"], _CLI_ONLY | {"firstreturn.rank"}),
+    (["build-dense", "--stages", "2"], _BUILDER),
+    (["recover", "--dense", "file:{dense}", "--fn", "indicator:1", "--horizon", "4"],
+     _BUILDER | {"firstreturn.recover", "firstreturn.gallery", "firstreturn.ebc1"}),
+])
+def test_each_command_imports_only_the_modules_it_runs(tmp_path, args, loaded):
+    # a fresh interpreter: this one has imported the whole package
+    (tmp_path / "d.txt").write_text("cantor:|0\ncantor:|1\ncantor:1|0\ncantor:0|1\n")
+    args = [a.replace("{dense}", str(tmp_path / "d.txt")) for a in args]
+    script = ("import json, sys\n"
+              "from firstreturn import cli\n"
+              "cli.main(sys.argv[1:])\n"
+              "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'firstreturn']))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(firstreturn.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, *args, "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "o" / "summary.json").exists()
+    assert set(json.loads(proc.stdout.splitlines()[-1])) == loaded
+
+
+def test_literal_choices_match_their_sources():
+    assert _KEYS["recover"]["mode"] == ((PATH, ROUTE), PATH)
+    assert _KEYS["build-dense"]["family"][0] == tuple(builder_families())
 
 
 # ---------------------------------------------------------------------------
