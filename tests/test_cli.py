@@ -454,7 +454,7 @@ _BUILDER = _CLI_ONLY | {"firstreturn.space", "firstreturn.path", "firstreturn.de
     (["build-dense", "--stages", "2"], _BUILDER),
     (["recover", "--dense", "file:{dense}", "--fn", "indicator:1", "--horizon", "4"],
      _BUILDER | {"firstreturn.recover", "firstreturn.gallery", "firstreturn.ebc1"}),
-])
+], ids=["gallery-list", "rank", "build-dense", "recover"])
 def test_each_command_imports_only_the_modules_it_runs(tmp_path, args, loaded):
     # a fresh interpreter: this one has imported the whole package
     (tmp_path / "d.txt").write_text("cantor:|0\ncantor:|1\ncantor:1|0\ncantor:0|1\n")
