@@ -272,8 +272,7 @@ class TraceStep:
     index: Union[int, PastTableIndex]
     point: PointCode
     dist_to_x: Dist
-    witness: Optional[BasicOpen] = None  # O(x,D,n); None encodes the empty set
-    witness_index: Optional[int] = None
+    witness: Optional[BasicOpen] = None  # O(x,D,n), by least index; None: empty set
 
 
 @dataclass
@@ -312,7 +311,7 @@ class PathTrace:
 
 def _unit_prior_free(basis: GoodBasis, x: UnitPoint, prior_vals: Sequence[Fraction]):
     """The basis intervals through x that avoid the prior terms, in basis
-    order, as (index, interval): a filter over the basis walk through x.
+    order: a filter over the basis walk through x.
 
     All of them contain x, so their union is one open interval: the set of
     x_p admitting a common prior-free interval with x.  The walk stops after
@@ -326,13 +325,14 @@ def _unit_prior_free(basis: GoodBasis, x: UnitPoint, prior_vals: Sequence[Fracti
     if half_gap == 0:
         raise ValueError(f"{x} is a prior term; every interval through it meets one")
     walk = takewhile(lambda o: o[1].length() > half_gap, basis.opens_through(x))
-    return [(m, iv) for m, iv in walk if not any(iv.lo < s < iv.hi for s in prior_vals)]
+    return [iv for _, iv in walk if not any(iv.lo < s < iv.hi for s in prior_vals)]
 
 
 def path_step(x: PointCode, dense: DenseSequence, prior: Sequence[TraceStep],
               basis: GoodBasis):
     """One non-fixed path step: minimal p with {x, x_p} inside a basic open
-    avoiding the prior terms.  Returns (p, point, witness, witness_index).
+    avoiding the prior terms.  Returns (p, point, witness), the least-index
+    such open; its index only orders the choice and is never computed.
 
     Precondition: prior is the trace's steps s_0..s_n, and x differs from
     s_n (the caller handles the fixed-point branch of the extraction).
@@ -340,28 +340,27 @@ def path_step(x: PointCode, dense: DenseSequence, prior: Sequence[TraceStep],
     if isinstance(x, WordPoint):
         # A cylinder through x and x_p misses every prior term iff
         # |x /\ x_p| > max_i |x /\ s_i|; each term extends the previous one's
-        # common prefix with x, so that maximum is k in d(x, s_n) = 2^-k.
+        # common prefix with x, so that maximum is k in d(x, s_n) = 2^-k, and
+        # N_want, the shortest such cylinder through x, has the least index.
         want = x.prefix(int(prior[-1].dist_to_x.value) + 1)
-        try:
-            widx = basis.index_of_word(want)
-        except ValueError as exc:
+        if max(want) >= basis.base:
             # a Baire symbol past the basis alphabet: every cylinder through
             # x that avoids the priors extends want, so none is enumerated
+            bad = next(s for s in want if s >= basis.base)
             raise SearchBudgetExceeded(
-                f"prefix of length {len(want)}: {exc}; no basis cylinder through x "
-                f"avoids the prior terms, path exhausted", budget=basis.base) from None
+                f"prefix of length {len(want)}: symbol {bad} outside alphabet bound {basis.base}"
+                "; no basis cylinder through x avoids the prior terms, path exhausted",
+                budget=basis.base)
         p, pt = dense.first_extending(want)
-        return p, pt, Cylinder(x.space, want), widx
+        return p, pt, Cylinder(x.space, want)
     if isinstance(x, UnitPoint):
         free = _unit_prior_free(basis, x, [s.point.value for s in prior])
         # the region straddles x strictly (both grid neighbours at the final
         # scale are usable), so x itself qualifies whenever it is enumerated
-        p, pt = dense.first_inside(min(iv.lo for _, iv in free),
-                                   max(iv.hi for _, iv in free))
+        p, pt = dense.first_inside(min(iv.lo for iv in free), max(iv.hi for iv in free))
         # every later scale has larger indices, so the first listed interval
         # holding x_p is the minimal-index witness
-        widx, witness = next((m, iv) for m, iv in free if iv.lo < pt.value < iv.hi)
-        return p, pt, witness, widx
+        return p, pt, next(iv for iv in free if iv.lo < pt.value < iv.hi)
     raise ValueError(f"path mode needs a good basis; unsupported for {x.space}")
 
 
@@ -430,7 +429,7 @@ def _extract(x: PointCode, dense, N: int, mode: str, step) -> PathTrace:
 def path_trace(x: PointCode, dense: DenseSequence, basis: GoodBasis, N: int) -> PathTrace:
     """Path-mode trace of length <= N with witnesses."""
     def step(steps: List[TraceStep]):
-        p, pt, steps[-1].witness, steps[-1].witness_index = path_step(x, dense, steps, basis)
+        p, pt, steps[-1].witness = path_step(x, dense, steps, basis)
         return p, pt
 
     return _extract(x, dense, N, PATH, step)

@@ -26,6 +26,7 @@ from firstreturn.space import (
     UnitPoint,
     WordPoint,
     cantor_point,
+    dist,
     good_basis,
 )
 
@@ -79,6 +80,58 @@ def test_closed_set_intersection_exact():
     assert not both.member(cantor_point("01", "1"))
     empty = F0.intersect(ClosedSet(CANTOR, cylinders=((0, 0),)))
     assert empty.is_empty()
+
+
+def random_word(rng, space, lo, hi):
+    return tuple(rng.randrange(2 if space == CANTOR else 4) for _ in range(rng.randrange(lo, hi)))
+
+
+def random_word_point(rng, space):
+    return WordPoint(space, random_word(rng, space, 0, 7), random_word(rng, space, 1, 3))
+
+
+def random_word_sets(rng, space, count):
+    """count seeded (cylinders, singletons) pairs over a small alphabet."""
+    return [(tuple(random_word(rng, space, 0, 5) for _ in range(rng.randrange(3))),
+             tuple(random_word_point(rng, space) for _ in range(rng.randrange(4))))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("space", [CANTOR, BAIRE])
+def test_closed_set_distance_with_singletons(space):
+    # a singleton set is as close to p as its nearest point; a set of
+    # cylinders and singletons is as close as the nearer of its two parts
+    rng = random.Random(17)
+    cases = 0
+    for cyl, sing in random_word_sets(rng, space, 60):
+        points = [random_word_point(rng, space) for _ in range(10)] + list(sing)
+        for p in points:
+            whole = ClosedSet(space, cylinders=cyl, singletons=sing).dist(p)
+            by_cyl = ClosedSet(space, cylinders=cyl).dist(p)
+            by_sing = ClosedSet(space, singletons=sing).dist(p)
+            if sing:
+                cases += 1
+                assert by_sing == min(dist(p, s) for s in sing)
+            assert whole == (by_cyl if by_cyl < by_sing else by_sing)
+    assert cases >= 300
+
+
+@pytest.mark.parametrize("space", [CANTOR, BAIRE])
+def test_closed_set_intersection_membership(space):
+    # membership in A /\ B is membership in both, on seeded points and on
+    # every singleton of either set (kept from A's side or from B's)
+    rng = random.Random(19)
+    kept = Counter()
+    sets = random_word_sets(rng, space, 80)
+    for (cyl_a, sing_a), (cyl_b, sing_b) in zip(sets[::2], sets[1::2]):
+        A = ClosedSet(space, cylinders=cyl_a, singletons=sing_a)
+        B = ClosedSet(space, cylinders=cyl_b, singletons=sing_b)
+        both = A.intersect(B)
+        for x in [random_word_point(rng, space) for _ in range(20)] + list(sing_a) + list(sing_b):
+            assert both.member(x) == (A.member(x) and B.member(x)), (A, B, str(x))
+        kept["A"] += sum(s in both.singletons for s in sing_a)
+        kept["B"] += sum(s in both.singletons and s not in sing_a for s in sing_b)
+    assert kept["A"] >= 5 and kept["B"] >= 5
 
 
 def test_meets_open_interval_cases():

@@ -6,6 +6,7 @@ from firstreturn.dense_builder import ClosedSet, whole_space
 from firstreturn.ebc1 import (
     ClosedCover,
     CoverViolation,
+    DeltaResult,
     cover_from_function,
     delta_from_cover,
     ebc1_check,
@@ -13,7 +14,7 @@ from firstreturn.ebc1 import (
 )
 from firstreturn.gallery import indicator_of
 from firstreturn.recover import DISCRETE, RATIONAL, FunctionOracle
-from firstreturn.space import CANTOR, UNIT, SpaceMismatch, UnitPoint, cantor_point
+from firstreturn.space import CANTOR, UNIT, Dist, SpaceMismatch, UnitPoint, cantor_point
 
 HALVES = ClosedCover(F(1, 3), [
     ClosedSet(UNIT, intervals=((F(0), F(1, 2)),), name="[0,1/2]"),
@@ -100,6 +101,20 @@ def test_violation_reported_for_bad_cover():
     assert not rep["ok"]
     assert any("oscillation" in p for v in rep["violations"]
                for p in v["problems"])
+
+
+def test_consistency_checks_fire_under_a_broken_gauge(monkeypatch):
+    # a gauge that keeps the true index but reports an infinite delta lets
+    # 3/10 (piece 0) and 7/10 (piece 1) count as close; the family moves by
+    # 1/5 < eps there, so only the index and earlier-piece checks can fire
+    monkeypatch.setattr("firstreturn.ebc1.delta_from_cover", lambda cover, x: DeltaResult(
+        x, delta_from_cover(cover, x).index, Dist.infinity()))
+    rep = ebc1_check(_FAMILY, HALVES, [(u((3, 10)), u((7, 10))), (u((7, 10)), u((3, 10)))])
+    assert rep["constrained"] == 2 and not rep["ok"]
+    assert [v["problems"] for v in rep["violations"]] == [
+        ["indices differ: 0 vs 1", "x meets an earlier piece of x'"],
+        ["indices differ: 1 vs 0", "x' meets an earlier piece of x"],
+    ]
 
 
 # ---------------------------------------------------------------------------

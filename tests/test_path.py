@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from fractions import Fraction as F
@@ -21,6 +22,7 @@ from firstreturn.space import (
     BAIRE,
     CANTOR,
     UNIT,
+    Cylinder,
     Dist,
     UnitPoint,
     WordPoint,
@@ -42,14 +44,36 @@ from firstreturn.gallery import thm13_dense, thm13_target, x_seq_point, z_F_memb
 # ---------------------------------------------------------------------------
 
 
+def least_witness(basis, x, nxt, prior, own):
+    """basis.at(m) for the least m <= own whose open holds x and nxt and no
+    prior term, by a scan up from m = 0; None when no such m <= own.
+
+    own is the basis's own index of the recorded witness, so a witness that
+    is not the least qualifying open fails the comparison instead of
+    leaving the scan unbounded."""
+    return next((W for W in map(basis.at, range(own + 1))
+                 if member(x, W) and member(nxt, W) and not any(member(s, W) for s in prior)),
+                None)
+
+
+def assert_word_witnesses_least(trace, basis):
+    for n, step in enumerate(trace.steps[:-1]):
+        if step.witness is None:
+            continue
+        nxt, prior = trace.steps[n + 1].point, trace.points()[:n + 1]
+        own = basis.index_of_word(step.witness.word)
+        assert least_witness(basis, trace.x, nxt, prior, own) == step.witness, (str(trace.x), n)
+
+
 def test_first_step_hand_simulation(dense25, cantor_basis):
     # x = 0^inf, prior = [x_0 = 1^inf]: the empty cylinder contains 1^inf,
     # so the minimal admissible index is p = 1 with witness N(0)
     x = cantor_point("", "0")
     s0 = cantor_point("", "1")
-    p, pt, wit, widx = path_step(x, dense25, [TraceStep(0, 0, s0, dist(x, s0))], cantor_basis)
+    p, pt, wit = path_step(x, dense25, [TraceStep(0, 0, s0, dist(x, s0))], cantor_basis)
     assert p == 1 and pt == x
-    assert wit.word == (0,) and widx == 1
+    assert wit.word == (0,) and cantor_basis.index_of_word(wit.word) == 1
+    assert least_witness(cantor_basis, x, pt, [s0], 1) == wit
 
 
 def test_fixed_point_branch_constant_trace(dense25, cantor_basis):
@@ -105,17 +129,24 @@ def test_witness_minimal_index_brute_force(dense25, cantor_basis):
     # independent check of the minimal-m witness via a raw enumeration scan
     x = cantor_point("1", "01")
     tr = path_trace(x, dense25, cantor_basis, 8)
-    prior = []
-    for n, step in enumerate(tr.steps[:-1]):
-        prior.append(step.point)
-        if step.witness is None:
-            continue
-        nxt = tr.steps[n + 1].point
-        for m in range(step.witness_index + 1):
-            W = cantor_basis.at(m)
-            ok = member(x, W) and member(nxt, W) and \
-                not any(member(s, W) for s in prior)
-            assert ok == (m == step.witness_index)
+    assert sum(s.witness is not None for s in tr.steps) >= 4
+    assert_word_witnesses_least(tr, cantor_basis)
+
+
+def test_baire_witness_minimal_index_brute_force():
+    # the same scan over the truncated Baire basis (symbols below 8)
+    basis = good_basis(BAIRE)
+    rng = random.Random(7)
+    dense = DenseSequence([baire_point((), (0,))] + [
+        baire_point(tuple(rng.randrange(8) for _ in range(rng.randrange(1, 5))),
+                    (rng.randrange(8),)) for _ in range(300)])
+    witnesses = 0
+    for x in (baire_point((3,), (1,)), baire_point((7, 0, 2), (5,)), dense[40], dense[299]):
+        tr = path_trace(x, dense, basis, 6)
+        assert witness_violations(tr) == []
+        assert_word_witnesses_least(tr, basis)
+        witnesses += sum(s.witness is not None for s in tr.steps)
+    assert witnesses >= 8
 
 
 def test_path_hitting_set_is_open_on_samples(dense25, cantor_basis):
@@ -174,6 +205,49 @@ def test_baire_symbol_past_alphabet_bound_is_a_budget_stop():
     with pytest.raises(SearchBudgetExceeded,
                        match="prefix of length 2: symbol 9 outside alphabet bound 8"):
         path_step(x, dense, tr.steps, basis)
+
+
+def test_baire_stop_sees_a_bad_symbol_inside_the_prefix():
+    # the second term agrees with x on five symbols, so the next cylinder is
+    # x|6 = (1,9,2,2,2,2): the 9 sits inside it, not at its end
+    basis = good_basis(BAIRE)
+    x = baire_point((1, 9), (2,))
+    dense = DenseSequence([baire_point((), (0,)), baire_point((1, 9, 2, 2, 2), (0,)), x])
+    tr = path_trace(x, dense, basis, 6)
+    assert tr.points() == [dense[0], dense[1]]
+    assert tr.steps[0].witness == Cylinder(BAIRE, (1,))
+    assert tr.terminated == "budget" and tr.budget == 8
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        path_step(x, dense, tr.steps, basis)
+    assert exc.value.budget == 8
+    assert str(exc.value) == (
+        "prefix of length 6: symbol 9 outside alphabet bound 8; no basis cylinder "
+        "through x avoids the prior terms, path exhausted (search budget exceeded, budget=8)")
+
+
+def test_witness_checker_reports_tampered_witnesses(dense25, cantor_basis):
+    # each tampered witness is a cylinder through x or s_{n+1} that fails
+    # exactly one of the three conditions at step n
+    x = cantor_point("", "10")
+    tr = path_trace(x, dense25, cantor_basis, 8)
+    assert witness_violations(tr) == [] and len(tr.steps) == 8
+    n, nxt = 3, tr.steps[4].point
+    k_next = x.common_prefix_len(nxt)
+    for witness, problem in [
+            (Cylinder(CANTOR, nxt.prefix(k_next + 1)), "step 3: witness misses x"),
+            (Cylinder(CANTOR, x.prefix(k_next + 1)), "step 3: witness misses s_4"),
+            (tr.steps[n - 1].witness, "step 3: witness contains s_3")]:
+        bad = copy.deepcopy(tr)
+        bad.steps[n].witness = witness
+        assert witness_violations(bad) == [problem], str(witness)
+
+
+def test_route_checker_reports_a_distance_that_does_not_drop(dense25):
+    tr = route_trace(cantor_point("", "10"), dense25, 8)
+    assert route_descent_violations(tr) == [] and len(tr.steps) == 8
+    bad = copy.deepcopy(tr)
+    bad.steps[3].dist_to_x = bad.steps[2].dist_to_x
+    assert route_descent_violations(bad) == ["step 3: distance did not strictly decrease"]
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +565,11 @@ def test_first_inside_matches_linear_scan(dyadics):
 
 
 def test_unit_path_witness_is_least_basis_index(dyadics, unit_basis):
-    # each witness is the least m whose basis interval holds x and s_{n+1}
-    # and no earlier term, found by scanning basis.at(m) in ascending m
+    # each witness is the least-index basis interval holding x and s_{n+1}
+    # and no earlier term, found by scanning basis.at(m) in ascending m; the
+    # scan stops at the witness's own least index among the intervals
+    # through x (every block r interval is at least 2^-(r+1) long, so the
+    # walk is cut below half the witness's length)
     for dense in unit_lists(dyadics):
         for x in UNIT_POINTS:
             tr = path_trace(x, dense, unit_basis, 8)
@@ -500,10 +577,11 @@ def test_unit_path_witness_is_least_basis_index(dyadics, unit_basis):
                 if step.witness is None:
                     continue
                 nxt, prior = tr.steps[n + 1].point, tr.points()[:n + 1]
-                m = next(m for m in range(step.witness_index + 1)
-                         if member(x, unit_basis.at(m)) and member(nxt, unit_basis.at(m))
-                         and not any(member(s, unit_basis.at(m)) for s in prior))
-                assert (m, unit_basis.at(m)) == (step.witness_index, step.witness)
+                walk = itertools.takewhile(lambda o: 2 * o[1].length() >= step.witness.length(),
+                                           unit_basis.opens_through(x))
+                own = next((m for m, iv in walk if iv == step.witness), None)
+                assert own is not None, (str(x), n)
+                assert least_witness(unit_basis, x, nxt, prior, own) == step.witness
 
 
 def test_unit_prior_free_matches_a_basis_scan(unit_basis):
@@ -517,7 +595,7 @@ def test_unit_prior_free_matches_a_basis_scan(unit_basis):
             continue
         gap = min(abs(x.value - s) for s in prior)
         R = next(r for r in itertools.count() if F(1, 2 ** r) <= gap)
-        scan = [(m, unit_basis.at(m)) for m in range(unit_basis.scale_block(R).stop)
+        scan = [unit_basis.at(m) for m in range(unit_basis.scale_block(R).stop)
                 if member(x, unit_basis.at(m))
                 and not any(unit_basis.at(m).lo < s < unit_basis.at(m).hi for s in prior)]
         assert _unit_prior_free(unit_basis, x, prior) == scan, (x, prior)
