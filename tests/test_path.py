@@ -567,9 +567,9 @@ def test_first_inside_matches_linear_scan(dyadics):
 def test_unit_path_witness_is_least_basis_index(dyadics, unit_basis):
     # each witness is the least-index basis interval holding x and s_{n+1}
     # and no earlier term, found by scanning basis.at(m) in ascending m; the
-    # scan stops at the witness's own least index among the intervals
-    # through x (every block r interval is at least 2^-(r+1) long, so the
-    # walk is cut below half the witness's length)
+    # scan stops at the witness's own index among the intervals through x
+    # (block r intervals are 2^-r long, so the walk ends below the
+    # witness's length)
     for dense in unit_lists(dyadics):
         for x in UNIT_POINTS:
             tr = path_trace(x, dense, unit_basis, 8)
@@ -577,7 +577,7 @@ def test_unit_path_witness_is_least_basis_index(dyadics, unit_basis):
                 if step.witness is None:
                     continue
                 nxt, prior = tr.steps[n + 1].point, tr.points()[:n + 1]
-                walk = itertools.takewhile(lambda o: 2 * o[1].length() >= step.witness.length(),
+                walk = itertools.takewhile(lambda o: o[1].length() >= step.witness.length(),
                                            unit_basis.opens_through(x))
                 own = next((m for m, iv in walk if iv == step.witness), None)
                 assert own is not None, (str(x), n)
