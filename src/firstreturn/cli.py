@@ -25,6 +25,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import product
 from pathlib import Path
 from typing import List, Optional
 
@@ -151,18 +152,12 @@ def builder_families() -> dict:
 def _builder_q() -> list:
     from .space import CANTOR, WordPoint
 
-    pts = []
-    for depth in range(6):
-        for v in range(2 ** depth):
-            word = tuple((v >> (depth - 1 - j)) & 1 for j in range(depth))
-            for cyc in ((0,), (1,)):
-                pts.append(WordPoint(CANTOR, word, cyc))
-    seen, out = set(), []
-    for p in pts:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
+    # words of length < 6 in length-lex order, each followed by 0^inf and
+    # 1^inf; a point met twice keeps its first place
+    return list(dict.fromkeys(WordPoint(CANTOR, word, cyc)
+                              for depth in range(6)
+                              for word in product((0, 1), repeat=depth)
+                              for cyc in ((0,), (1,))))
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ subsets of {0..I-1}, augments G with
     A^F(G) = union over x in G\\F and basic opens W <= m_budget with
              x in W and W meeting F, of the first enumerated q inside W /\\ F
 
-where F is the intersection of the sigma-selected closed sets.  Within a
-stage, points whose own sigma-class is lexicographically largest are put
-first.  The stage-priority ordering is what later makes paths extracted
-from the flattened sequence stay inside each F_i at almost every step.
+where F is the intersection of the sigma-selected closed sets (sigma = 0..0
+selects none, so F = X and A^X(G) is empty).  Within a stage, points whose
+own sigma-class is lexicographically largest are put first.  The
+stage-priority ordering is what later makes paths extracted from the
+flattened sequence stay inside each F_i at almost every step.
 
 All truncations (index bounds, scan budgets, per-stage caps) are recorded
 in the build log; nothing is silently dropped.  Closed sets are exact:
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product, takewhile
+from itertools import islice, product, takewhile
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .path import DenseSequence, path_trace
@@ -41,7 +42,6 @@ from .space import (
     RationalInterval,
     UnitPoint,
     WordPoint,
-    dist,
     first_mismatch,
 )
 
@@ -103,26 +103,27 @@ class ClosedSet:
         return not (self.cylinders or self.singletons or self.intervals)
 
     def dist(self, p: PointCode) -> Dist:
-        """Exact distance from a point to the set (infinite if empty)."""
+        """Exact distance from a point to the set (infinite if empty).
+
+        On a word space it is 0 on the set and otherwise 2^-n for the
+        largest n with hits(p|n): the set is closed, so a point off it has
+        a prefix whose cylinder misses the set.
+        """
         if self.is_empty():
             return Dist.infinity()
-        best: Optional[Dist] = None
         if isinstance(p, UnitPoint):
+            best: Optional[Dist] = None
             for lo, hi in self.intervals:
                 gap = max(Fraction(0), lo - p.value, p.value - hi)
                 d = Dist.rational(gap)
                 best = d if best is None or d < best else best
             return best
-        for w in self.cylinders:
-            i = first_mismatch(p.prefix(len(w)), w)
-            if i is None:
-                return Dist.zero()
-            d = Dist.pow2(i)
-            best = d if best is None or d < best else best
-        for s in self.singletons:
-            d = dist(p, s)
-            best = d if best is None or d < best else best
-        return best
+        if self.member(p):
+            return Dist.zero()
+        n = 0
+        while self.hits(p.prefix(n + 1)):
+            n += 1
+        return Dist.pow2(n)
 
     # -- algebra -------------------------------------------------------------
 
@@ -249,10 +250,6 @@ class StagedDense:
     truncations: List[str] = field(default_factory=list)
 
 
-def _sigma_of(x: PointCode, families: Sequence[ClosedSet], width: int) -> Tuple[int, ...]:
-    return tuple(1 if families[k].member(x) else 0 for k in range(width))
-
-
 def build_dense(families: Sequence[ClosedSet], q_enum: Sequence[PointCode],
                 basis: GoodBasis, *, stages: Optional[int] = None,
                 m_budget: int = 30) -> StagedDense:
@@ -269,6 +266,11 @@ def build_dense(families: Sequence[ClosedSet], q_enum: Sequence[PointCode],
     stage of width w < I reads sigma padded with zeros.  One memo serves
     every a_f_of_g call of the build, so each point's basis walk and
     each (W, F) answer are worked out once.
+
+    A stage skips sigma = 0..0.  Its F is the whole space, so G \\ F is
+    empty and A^X(G) is empty: it would add no pick, truncation, memo
+    entry or log line.  A stage's fresh points are then ordered by one
+    stable sort, members of the earlier sets first.
     """
     I = len(families)
     if I > MAX_FAMILIES:
@@ -298,7 +300,8 @@ def build_dense(families: Sequence[ClosedSet], q_enum: Sequence[PointCode],
         G: List[PointCode] = [seed]
         g_members = {seed}
         log.append(f"stage={i} seed={seed}")
-        for bits in product((0, 1), repeat=width):
+        # sigma = 0..0 is skipped: its F is X, so G \ F is empty
+        for bits in islice(product((0, 1), repeat=width), 1, None):
             sigma = "".join(map(str, bits))
             F = f_sigma[bits + (0,) * (I - width)]
             picks, trunc = a_f_of_g(F, G, basis, q_enum, m_budget, memo)
@@ -314,12 +317,10 @@ def build_dense(families: Sequence[ClosedSet], q_enum: Sequence[PointCode],
                     g_members.add(pt)
                     action = "pick"
                 log.append(f"stage={i} sigma={sigma} {action}={pt} via m={via_m} minidx={min_i}")
-        fresh = [pt for pt in G if pt not in stage_of]
-        keyed = [(_sigma_of(pt, families, width), n, pt)
-                 for n, pt in enumerate(fresh)]
-        # sigma_{2^i} (lex largest) first, first-appearance order inside a class
-        keyed.sort(key=lambda t: (tuple(-b for b in t[0]), t[1]))
-        block = [pt for _, _, pt in keyed]
+        # lex largest sigma class first; the stable sort keeps first-appearance
+        # order inside a class
+        block = sorted((pt for pt in G if pt not in stage_of),
+                       key=lambda pt: [not F.member(pt) for F in families[:width]])
         for pt in block:
             stage_of[pt] = i
         blocks.append(block)

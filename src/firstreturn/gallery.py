@@ -179,6 +179,8 @@ class PsiTable:
         return len(self.words)
 
     def psi(self, n: int) -> Tuple[int, ...]:
+        if n < 0:
+            raise IndexError(f"psi({n}): the enumeration starts at psi(0)")
         if n >= len(self.words):
             raise PsiBudgetExceeded(f"psi({n}) beyond materialized table "
                                     f"(size {len(self.words)})")
@@ -257,6 +259,8 @@ class Prop25Sequence:
     def __getitem__(self, p: int) -> WordPoint:
         if 0 <= p < self._size:
             return self._term(p)
+        if p < 0:
+            raise IndexError(f"x_{p}: the sequence starts at x_0")
         if self.budget is not None:
             raise IndexError(f"x_{p} is past the {self._size} terms of the view")
         return x_seq_point(p)  # raises PsiBudgetExceeded past the table

@@ -19,15 +19,16 @@ otherwise, with witness chain 0 < X \\ A < X.  Proof: the one-step chain
 (0, X \\ A, X) is valid, since its first difference misses A and its second
 is inside A, which misses B.  A rank above 2 needs a topology with
 accumulation points, which a finite clopen algebra does not have.  The
-brute-force enumeration of strictly increasing chains shares none of this
-reasoning and is the oracle the tests compare against.
+one brute-force enumerator of strictly increasing chains, `chains`, shares
+none of this reasoning and is the oracle the tests compare against: the
+least chain by iterative deepening, and every chain at the minimal top.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 MAX_DEPTH = 10
 
@@ -130,54 +131,42 @@ def _supersets(g: int, full: int):
         s = (s - 1) & free
 
 
+def chains(algebra: FiniteAlgebra, A: int, B: int, top: int) -> Iterator[RankChain]:
+    """Every valid, strictly increasing chain 0 = G_0 < ... < G_top = X for
+    (A, B), top >= 1, depth first, each step's supersets in `_supersets`
+    order."""
+    full = algebra.full
+
+    def extend(prefix: List[int], steps_left: int) -> Iterator[RankChain]:
+        g = prefix[-1]
+        if steps_left == 1:  # the last step goes to X
+            diff = full & ~g
+            if diff and not (diff & A and diff & B):
+                yield RankChain(algebra, tuple(prefix) + (full,), A, B)
+            return
+        for succ in _supersets(g, full):
+            diff = succ & ~g
+            if not (diff & A and diff & B):
+                yield from extend(prefix + [succ], steps_left - 1)
+
+    return extend([0], top)
+
+
 def brute_force_min_chain(algebra: FiniteAlgebra, A: int, B: int) -> Tuple[int, RankChain]:
     """Independent oracle: iterative deepening over strictly increasing chains."""
     if A & B:
         raise NotDisjoint("not disjoint")
-    full = algebra.full
-
-    def dfs(g: int, steps_left: int) -> Optional[List[int]]:
-        if steps_left == 1:
-            diff = full & ~g
-            if not (diff & A and diff & B):
-                return [g, full]
-            return None
-        for succ in _supersets(g, full):
-            diff = succ & ~g
-            if diff & A and diff & B:
-                continue
-            rest = dfs(succ, steps_left - 1)
-            if rest is not None:
-                return [g] + rest
-        return None
-
     for beta in range(1, algebra.atom_count + 2):
-        found = dfs(0, beta)
+        found = next(chains(algebra, A, B, beta), None)
         if found is not None:
-            return beta, RankChain(algebra, tuple(found), A, B)
+            return beta, found
     raise RuntimeError("no chain found below the cap")
 
 
 def all_min_chains(algebra: FiniteAlgebra, A: int, B: int) -> List[RankChain]:
     """Every chain of minimal length (small depths only)."""
     beta, _ = brute_force_min_chain(algebra, A, B)
-    full = algebra.full
-    out: List[RankChain] = []
-
-    def dfs(prefix: List[int], steps_left: int):
-        g = prefix[-1]
-        if steps_left == 0:
-            if g == full:
-                out.append(RankChain(algebra, tuple(prefix), A, B))
-            return
-        for succ in _supersets(g, full):
-            diff = succ & ~g
-            if diff & A and diff & B:
-                continue
-            dfs(prefix + [succ], steps_left - 1)
-
-    dfs([0], beta)
-    return out
+    return list(chains(algebra, A, B, beta))
 
 
 # ---------------------------------------------------------------------------

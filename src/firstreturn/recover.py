@@ -207,21 +207,22 @@ class GdeltaWitness:
         return any(y_distance(self.f.y_kind, value, c) <= self.bound for c in self.F_y)
 
     def membership(self, x: PointCode) -> dict:
-        """Finite-i approximation of "x in H_k" with full detail."""
+        """Finite-i approximation of "x in H_k" with full detail.
+
+        x is in H_k at i < i_max when it is in some U_j with j >= i (the
+        path visits x_{p_j}) or is some x_{p_m} with m < i.  The first
+        condition holds exactly for i <= max(hits), and the second, once it
+        holds, holds for every larger i.  So the first failing i is
+        i = max(hits) + 1 (0 without hits), when i < i_max and no
+        exceptional index lies below it; otherwise none fails.
+        """
         trace = path_trace(x, dense=self.dense, basis=self.basis, N=self.horizon)
         visited = trace.visited()
         hits = [j for j, p in enumerate(self.p_list) if self.dense[p] in visited]
         exceptional = [m for m, p in enumerate(self.p_list) if self.dense[p] == x]
-        member = True
-        failed_at = None
-        for i in range(self.i_max):
-            via_u = any(j >= i for j in hits)
-            via_exc = any(m < i for m in exceptional)
-            if not (via_u or via_exc):
-                member = False
-                failed_at = i
-                break
-        return {"member": member, "hits": hits, "exceptional": exceptional,
+        i = max(hits, default=-1) + 1
+        failed_at = i if i < self.i_max and all(m >= i for m in exceptional) else None
+        return {"member": failed_at is None, "hits": hits, "exceptional": exceptional,
                 "failed_at": failed_at, "trace_terminated": trace.terminated}
 
     def contains(self, x: PointCode) -> bool:

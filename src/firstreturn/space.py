@@ -36,8 +36,6 @@ BAIRE = "baire"
 UNIT = "unit"
 Z = "z"
 
-SPACES = (CANTOR, BAIRE, UNIT, Z)
-
 # The Baire good basis enumerates the cylinders over the symbols below this
 # bound (see CylinderGoodBasis).
 BAIRE_ALPHABET = 8

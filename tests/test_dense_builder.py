@@ -8,6 +8,7 @@ import pytest
 from firstreturn import dense_builder
 from firstreturn.cli import dyadic_dense
 from firstreturn.dense_builder import (
+    G_CAP,
     ClosedSet,
     a_f_of_g,
     approximates_check,
@@ -27,6 +28,7 @@ from firstreturn.space import (
     WordPoint,
     cantor_point,
     dist,
+    first_mismatch,
     good_basis,
 )
 
@@ -114,6 +116,55 @@ def test_closed_set_distance_with_singletons(space):
                 assert by_sing == min(dist(p, s) for s in sing)
             assert whole == (by_cyl if by_cyl < by_sing else by_sing)
     assert cases >= 300
+
+
+def word_dist_by_pieces(S, p):
+    """A word-space distance read piece by piece: 0 inside a cylinder, else
+    the least of 2^-i at each cylinder's first mismatch i and of the
+    distances to the singletons."""
+    best = None
+    for w in S.cylinders:
+        i = first_mismatch(p.prefix(len(w)), w)
+        if i is None:
+            return Dist.zero()
+        d = Dist.pow2(i)
+        best = d if best is None or d < best else best
+    for s in S.singletons:
+        d = dist(p, s)
+        best = d if best is None or d < best else best
+    return best
+
+
+@pytest.mark.parametrize("space", [CANTOR, BAIRE])
+def test_closed_set_distance_matches_the_per_piece_oracle(monkeypatch, space):
+    # on seeded sets of cylinders and singletons, at points on the set (its
+    # singletons, points inside its cylinders) and off it; a point on the
+    # set hits at every depth, so each distance may ask the tree oracle
+    # only a bounded number of times
+    rng = random.Random(23)
+    asked = [0]
+    real_hits = ClosedSet.hits
+
+    def hits(self, word):
+        asked[0] += 1
+        assert asked[0] <= 64, "hits asked at every depth"
+        return real_hits(self, word)
+
+    monkeypatch.setattr(ClosedSet, "hits", hits)
+    on = off = 0
+    for cyl, sing in random_word_sets(rng, space, 80):
+        if not (cyl or sing):
+            continue
+        S = ClosedSet(space, cylinders=cyl, singletons=sing)
+        inside = [WordPoint(space, w, random_word(rng, space, 1, 3)) for w in cyl]
+        for p in [random_word_point(rng, space) for _ in range(10)] + inside + list(sing):
+            asked[0] = 0
+            d = S.dist(p)
+            assert d == word_dist_by_pieces(S, p), (S, str(p))
+            assert d.is_zero() == S.member(p)
+            on += d.is_zero()
+            off += not d.is_zero()
+    assert on >= 100 and off >= 300
 
 
 @pytest.mark.parametrize("space", [CANTOR, BAIRE])
@@ -314,6 +365,33 @@ def test_build_no_constraints_keeps_enumeration_order(q64, cantor_basis):
         if pt not in seen:
             seen.append(pt)
     assert list(staged.dense) == seen
+
+
+def test_build_skips_the_empty_sigma(monkeypatch, q64, cantor_basis):
+    # sigma = 0..0 selects F = X, and A^X(G) is empty: a stage of width w
+    # asks a_f_of_g for the 2^w - 1 other classes only
+    calls = _builder_calls(monkeypatch, [F0, F1], q64, cantor_basis, 6, stages=24)
+    assert len(calls) == sum(2 ** min(i, 2) - 1 for i in range(24))
+    assert whole_space(CANTOR) not in [F_ for F_, _, _ in calls]
+
+
+def test_build_drops_picks_past_the_stage_cap(cantor_basis):
+    # at stage 1, x = 0^inf lies outside F = {0^k 1 0^inf : 1 <= k <= 70},
+    # and for k <= 70 the first point of F in N(0^k) is 0^k 1 0^inf: 70
+    # picks for a G that holds G_CAP points at most
+    spikes = [bword(*(0,) * k, 1) for k in range(1, 71)]
+    spiky = ClosedSet(CANTOR, singletons=tuple(spikes), name="spikes")
+    q = [cantor_point("", "1"), cantor_point("", "0")] + spikes
+    # N(0^70) has basis index 2^70 - 1
+    staged = build_dense([spiky], q, cantor_basis, m_budget=2 ** 70 - 1)
+    dropped = spikes[G_CAP - 1:]
+    # the picks are members of F, so the seed comes last
+    assert staged.blocks[1] == spikes[:G_CAP - 1] + [cantor_point("", "0")]
+    drops = [ln for ln in staged.log if " drop=" in ln]
+    assert [ln.split(" via ")[0] for ln in drops] == [f"stage=1 sigma=1 drop={pt}" for pt in dropped]
+    assert staged.truncations == ["stage=1 g_cap reached; pick dropped"] * len(dropped)
+    # a dropped point still enters the sequence by its own stage
+    assert all(staged.stage_of[pt] == q.index(pt) for pt in dropped)
 
 
 def test_build_one_set_orders_members_first(q64, cantor_basis):

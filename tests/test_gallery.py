@@ -234,6 +234,19 @@ def test_prop25_view_terms_match_materialized_list(dense25, view25):
         view25[5864]
 
 
+def test_negative_indices_are_rejected(psi_table, seq25, view25):
+    # no index wraps round to the end of the table
+    with pytest.raises(IndexError, match="starts at psi"):
+        psi_table.psi(-1)
+    for bad in (lambda: x_seq_point(-1), lambda: psi27(-1)):
+        with pytest.raises(IndexError):
+            bad()
+    for dense in (seq25, view25):  # unbounded, bounded
+        for p in (-1, -2, -5864):
+            with pytest.raises(IndexError, match=f"x_{p}: the sequence starts at x_0"):
+                dense[p]
+
+
 def test_prop25_view_builds_no_term_for_a_lookup(monkeypatch):
     calls = []
     real = gallery.x_seq_point
@@ -382,6 +395,14 @@ def test_thm13_dense_is_probed_dense():
     target = thm13_target()
     rep = density_report(dense, [target], scales=(1, 2, 3))
     assert all(r["index"] is not None for r in rep)
+
+
+def test_density_report_records_a_budget_stop():
+    # the first two ladder points lie within 2^-2 of the target but not
+    # within 2^-3: that scale's search stops, and the report records no index
+    short = DenseSequence(list(thm13_dense())[:2])
+    rep = density_report(short, [thm13_target()], scales=(1, 2, 3))
+    assert [(r["scale"], r["index"]) for r in rep] == [(1, 0), (2, 0), (3, None)]
 
 
 def test_thm13_demo_small_horizon_still_flips():

@@ -4,9 +4,16 @@ the module, and an import made inside a function must be used inside that
 function (the CLI imports each command's modules in its runner, so a stale
 local import would otherwise pass).  The package's __init__ re-exports
 nothing, so it is checked like any other module.  No linter ships with the
-toolchain, so the check reads the source with ast."""
+toolchain, so the check reads the source with ast.
+
+The same reading guards against dead definitions: every module-level
+function, class and constant of the package, and every method that is not a
+dunder, is named somewhere in src/, tests/ or bench/ outside its own
+definition."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -75,3 +82,64 @@ def test_a_local_import_must_be_used_in_its_function():
     f = tree.body[1]
     assert list(_imported(tree)) == ["dist"] and list(_imported(f)) == ["DenseSequence"]
     assert "DenseSequence" in _used(tree) and "DenseSequence" not in _used(f)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+_DUNDER = re.compile(r"__\w+__")
+_DOTTED = re.compile(r"[A-Za-z_][\w.]*")
+
+
+def _definitions(tree):
+    """(name, node) of the module's functions, classes, constants and the
+    methods of its classes that are not dunders."""
+    for node in tree.body:
+        if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((n.name, n) for n in node.body
+                        if isinstance(n, _FUNCTIONS) and not _DUNDER.fullmatch(n.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((n.id, node) for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Name))
+
+
+def _names(tree):
+    """Every name the code refers to: loaded names, attributes, imported
+    names, and the parts of strings that are dotted names, such as the
+    tracer's "ClosedSet.member"."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1]
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and _DOTTED.fullmatch(node.value)):
+            yield from node.value.split(".")
+
+
+def _dead(trees):
+    """Definitions of the package that nothing outside them names."""
+    named = Counter(name for tree in trees.values() for name in _names(tree))
+    return [(module, name) for module, tree in trees.items() if module.startswith("src/")
+            for name, node in _definitions(tree)
+            if named[name] == Counter(_names(node))[name]]
+
+
+def test_every_definition_is_named():
+    trees = {p.relative_to(ROOT).as_posix(): ast.parse(p.read_text())
+             for top in ("src", "tests", "bench") for p in sorted((ROOT / top).rglob("*.py"))}
+    assert "src/firstreturn/space.py" in trees
+    assert _dead(trees) == []
+
+
+def test_a_definition_named_only_by_itself_is_dead():
+    trees = {"src/m.py": ast.parse("K = 1\nJ = K\n"
+                                   "def rec(n):\n    return rec(n - 1)\n"
+                                   "class C:\n    def used(self):\n        return self.gone\n"
+                                   "    def gone(self):\n        pass\n"
+                                   "    def __len__(self):\n        return 0\n"),
+             "bench/t.py": ast.parse("TARGETS = ('C.used',)\n")}
+    assert _dead(trees) == [("src/m.py", "J"), ("src/m.py", "rec")]

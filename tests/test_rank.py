@@ -9,9 +9,11 @@ from firstreturn.rank import (
     FiniteAlgebra,
     NotDisjoint,
     RankChain,
+    _supersets,
     all_min_chains,
     brute_force_min_chain,
     chain_from_diff,
+    chains,
     chain_violations,
     d_xi_eval,
     diff_from_chain,
@@ -54,6 +56,14 @@ def test_chain_must_start_empty():
     assert not is_valid_chain(chain)
 
 
+def test_chain_violations_name_each_broken_condition():
+    assert chain_violations(RankChain(A1, (), 0, 0b01)) == ["empty chain"]
+    assert chain_violations(RankChain(A1, (0, 0b01), 0, 0b10)) == [
+        "G_beta is not the whole space"]
+    assert chain_violations(RankChain(A2, (0, 0b0011, 0b0001, A2.full), 0, 0b0100)) == [
+        "not increasing at 1"]
+
+
 def test_not_disjoint_is_an_error():
     with pytest.raises(NotDisjoint):
         is_valid_chain(RankChain(A1, (0, A1.full), 0b01, 0b01))
@@ -90,6 +100,83 @@ def test_rank_matches_brute_force_exhaustively_n1():
         beta, chain = brute_force_min_chain(A1, A, B)
         assert res.beta == beta
         assert is_valid_chain(chain)
+
+
+def disjoint_pairs(algebra):
+    """Every pair (A, B) of disjoint atom sets."""
+    for tags in itertools.product(range(3), repeat=algebra.atom_count):
+        yield (sum(1 << i for i, t in enumerate(tags) if t == 1),
+               sum(1 << i for i, t in enumerate(tags) if t == 2))
+
+
+def chains_by_dfs(algebra, A, B, top):
+    """The strictly increasing chains of a given top, by the depth-first
+    search that all_min_chains ran on its own."""
+    full, out = algebra.full, []
+
+    def dfs(prefix, steps_left):
+        g = prefix[-1]
+        if steps_left == 0:
+            if g == full:
+                out.append(RankChain(algebra, tuple(prefix), A, B))
+            return
+        for succ in _supersets(g, full):
+            diff = succ & ~g
+            if not (diff & A and diff & B):
+                dfs(prefix + [succ], steps_left - 1)
+
+    dfs([0], top)
+    return out
+
+
+def min_chain_by_dfs(algebra, A, B):
+    """The least chain, by the iterative deepening search that
+    brute_force_min_chain ran on its own."""
+    full = algebra.full
+
+    def dfs(g, steps_left):
+        if steps_left == 1:
+            diff = full & ~g
+            return [g, full] if not (diff & A and diff & B) else None
+        for succ in _supersets(g, full):
+            diff = succ & ~g
+            if diff & A and diff & B:
+                continue
+            rest = dfs(succ, steps_left - 1)
+            if rest is not None:
+                return [g] + rest
+        return None
+
+    for beta in itertools.count(1):
+        found = dfs(0, beta)
+        if found is not None:
+            return beta, RankChain(algebra, tuple(found), A, B)
+
+
+def assert_search_matches_the_two_dfs(algebra, A, B):
+    beta, chain = min_chain_by_dfs(algebra, A, B)
+    assert brute_force_min_chain(algebra, A, B) == (beta, chain)
+    assert all_min_chains(algebra, A, B) == chains_by_dfs(algebra, A, B, beta)
+
+
+@pytest.mark.parametrize("algebra", [A1, A2])
+def test_chain_search_matches_the_two_dfs_exhaustively(algebra):
+    # every top, not only the minimal one: a chain that stalls at X before
+    # its top would show there
+    for A, B in disjoint_pairs(algebra):
+        assert_search_matches_the_two_dfs(algebra, A, B)
+        for top in range(1, algebra.atom_count + 1):
+            found = list(chains(algebra, A, B, top))
+            assert found == chains_by_dfs(algebra, A, B, top), (A, B, top)
+            assert all(is_valid_chain(c) and len(set(c.sets)) == top + 1 for c in found)
+
+
+def test_chain_search_matches_the_two_dfs_sampled_n3():
+    rng = random.Random(13)
+    algebra = FiniteAlgebra(3)
+    pairs = list(disjoint_pairs(algebra))
+    for A, B in rng.sample(pairs, 30) + [(0, 0), (0b1, 0b10)]:
+        assert_search_matches_the_two_dfs(algebra, A, B)
 
 
 def test_rank_monotone_under_inclusion_n2():
@@ -161,9 +248,21 @@ def test_depth_two_difference_indicator():
         rank_Lfab(A2, values, 1, 0)
 
 
+def test_rank_Lfab_needs_one_value_per_atom():
+    with pytest.raises(ValueError, match="one value per atom required"):
+        rank_Lfab(A2, [F(0)] * 3, 0, 1)
+
+
 # ---------------------------------------------------------------------------
 # difference forms
 # ---------------------------------------------------------------------------
+
+
+def test_diff_form_rejects_no_opens_and_decreasing_opens():
+    with pytest.raises(ValueError, match="xi must be >= 1"):
+        DiffForm(A2, ())
+    with pytest.raises(ValueError, match="opens must be increasing"):
+        DiffForm(A2, (0b0011, 0b0001))
 
 
 def test_d1_is_the_open_itself():

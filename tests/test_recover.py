@@ -1,9 +1,12 @@
 from fractions import Fraction as F
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from firstreturn import recover
 from firstreturn.dense_builder import ClosedSet
 from firstreturn.gallery import I25, first_one_scale, indicator_of
 from firstreturn.recover import (
@@ -11,6 +14,7 @@ from firstreturn.recover import (
     RATIONAL,
     TOL,
     FunctionOracle,
+    GdeltaWitness,
     classify_values,
     evaluation_map,
     gdelta_witness,
@@ -199,6 +203,34 @@ def test_gdelta_exception_branch_for_dense_points(dense25, cantor_basis):
     x = cantor_point("1", "0")  # x_3
     detail = wit.membership(x)
     assert detail["member"] and detail["exceptional"]
+
+
+def failed_at_by_levels(hits, exceptional, i_max):
+    """The first level i < i_max at which x is in no U_j with j >= i and is
+    no x_{p_m} with m < i, checked level by level; None if none fails."""
+    for i in range(i_max):
+        if not (any(j >= i for j in hits) or any(m < i for m in exceptional)):
+            return i
+    return None
+
+
+@given(st.lists(st.sampled_from("-ux"), max_size=12), st.booleans(), st.integers(0, 14))
+@settings(max_examples=400, deadline=None)
+def test_gdelta_membership_matches_the_level_loop(tags, x_visited, i_max):
+    # x_{p_j} is x itself ("x"), a point the path visits ("u") or neither
+    # ("-"); a stub trace visits the "u" points, and x when x_visited
+    x = cantor_point("", "0")
+    terms = [x if t == "x" else cantor_point("1" * j + "0", "1") for j, t in enumerate(tags)]
+    visited = {pt for pt, t in zip(terms, tags) if t == "u"} | ({x} if x_visited else set())
+    trace = SimpleNamespace(visited=lambda: visited, terminated="horizon")
+    wit = GdeltaWitness(None, (), 1, i_max, 0, list(range(len(terms))), terms, None)
+    with mock.patch.object(recover, "path_trace", lambda *args, **kwargs: trace):
+        detail = wit.membership(x)
+    hits = [j for j, t in enumerate(tags) if t == "u" or (t == "x" and x_visited)]
+    exceptional = [m for m, t in enumerate(tags) if t == "x"]
+    assert (detail["hits"], detail["exceptional"]) == (hits, exceptional)
+    failed = failed_at_by_levels(hits, exceptional, i_max)
+    assert detail["failed_at"] == failed and detail["member"] == (failed is None)
 
 
 def test_gdelta_sandwich_for_clopen_indicator(dense25, cantor_basis):
