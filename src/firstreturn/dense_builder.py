@@ -195,11 +195,13 @@ def a_f_of_g(F: ClosedSet, G: Sequence[PointCode], basis: GoodBasis,
 
     `pick_cache` may be shared by calls over one basis, enumeration and
     m_budget.  It maps each point x to the start of its basis walk,
-    [(m, W_m)] for m <= m_budget, and each pair (W, F) to False if W misses
-    F, to None if the scan for a q_i in W /\\ F exhausted the enumeration,
-    and else to the first such i.
+    [(m, W_m)] for m <= m_budget, and each closed set F to its own answer
+    table, which maps each W to False if W misses F, to None if the scan
+    for a q_i in W /\\ F exhausted the enumeration, and else to the first
+    such i.  F is looked up once per call, so a lookup hashes only W.
     """
     memo = pick_cache if pick_cache is not None else {}
+    answers = memo.setdefault(F, {})
     picks: List[Tuple[PointCode, int, int]] = []
     seen = set()
     truncations: List[str] = []
@@ -211,11 +213,10 @@ def a_f_of_g(F: ClosedSet, G: Sequence[PointCode], basis: GoodBasis,
             opens = memo[x] = list(takewhile(lambda o: o[0] <= m_budget,
                                              basis.opens_through(x)))
         for m, W in opens:
-            key = (W, F)
-            if key not in memo:
-                memo[key] = F.meets(W) and next(
+            if W not in answers:
+                answers[W] = F.meets(W) and next(
                     (i for i, q in enumerate(q_enum) if W.member(q) and F.member(q)), None)
-            found = memo[key]
+            found = answers[W]
             if found is False:  # W misses F (index 0 is not False)
                 continue
             if found is None:
@@ -265,7 +266,8 @@ def build_dense(families: Sequence[ClosedSet], q_enum: Sequence[PointCode],
     intersecting the whole space with the selected sets in index order; a
     stage of width w < I reads sigma padded with zeros.  One memo serves
     every a_f_of_g call of the build, so each point's basis walk and
-    each (W, F) answer are worked out once.
+    each (W, F) answer are worked out once; each F_sigma keeps its own
+    answer table in it.
 
     A stage skips sigma = 0..0.  Its F is the whole space, so G \\ F is
     empty and A^X(G) is empty: it would add no pick, truncation, memo
@@ -302,7 +304,6 @@ def build_dense(families: Sequence[ClosedSet], q_enum: Sequence[PointCode],
         log.append(f"stage={i} seed={seed}")
         # sigma = 0..0 is skipped: its F is X, so G \ F is empty
         for bits in islice(product((0, 1), repeat=width), 1, None):
-            sigma = "".join(map(str, bits))
             F = f_sigma[bits + (0,) * (I - width)]
             picks, trunc = a_f_of_g(F, G, basis, q_enum, m_budget, memo)
             truncations.extend(f"stage={i} {t}" for t in trunc)
@@ -316,6 +317,7 @@ def build_dense(families: Sequence[ClosedSet], q_enum: Sequence[PointCode],
                     G.append(pt)
                     g_members.add(pt)
                     action = "pick"
+                sigma = "".join(map(str, bits))
                 log.append(f"stage={i} sigma={sigma} {action}={pt} via m={via_m} minidx={min_i}")
         # lex largest sigma class first; the stable sort keeps first-appearance
         # order inside a class

@@ -295,7 +295,17 @@ class PathTrace:
         return [s.point for s in self.steps]
 
     def values_under(self, fn) -> list:
-        return [fn(s.point) for s in self.steps]
+        """[fn(s.point) for s in steps], with one call of fn per run of
+        consecutive steps that hold the same point object; fn must be
+        deterministic.  A settled trace's fixed tail shares one object, so
+        it costs one call; equal points held by distinct objects are simply
+        evaluated again."""
+        values, last, value = [], None, None
+        for s in self.steps:
+            if s.point is not last:
+                last, value = s.point, fn(s.point)
+            values.append(value)
+        return values
 
     def visited(self) -> set:
         return set(self.points())
@@ -405,7 +415,14 @@ def route_step(x: PointCode, dense: DenseSequence, current: Dist):
 def _extract(x: PointCode, dense, N: int, mode: str, step) -> PathTrace:
     """s_0 = x_0, then s_{n+1} from step(s_0..s_n), the trace's steps so
     far, until N terms; a term equal to x repeats.  A step that runs out of
-    points ends the trace with an explicit budget stop."""
+    points ends the trace with an explicit budget stop.
+
+    Once a term s_n equals x, every later term is that term again: a fixed
+    step repeats its term, so it equals x too.  The remaining N - 1 - n
+    steps are therefore appended at once.  They share the term's point
+    object and index and one zero distance, and carry no witness, which is
+    the list of steps that copying the term one step at a time gives.
+    """
     if N < 1:
         raise ValueError("horizon must be >= 1")
     trace = PathTrace(x=x, mode=mode, horizon=N)
@@ -414,8 +431,9 @@ def _extract(x: PointCode, dense, N: int, mode: str, step) -> PathTrace:
     for n in range(N - 1):
         cur = trace.steps[-1]
         if cur.point == x:
-            trace.steps.append(TraceStep(n + 1, cur.index, cur.point, Dist.zero()))
-            continue
+            zero = Dist.zero()
+            trace.steps.extend(TraceStep(k, cur.index, cur.point, zero) for k in range(n + 1, N))
+            break
         try:
             p, pt = step(trace.steps)
         except SearchBudgetExceeded as exc:

@@ -118,8 +118,12 @@ def recover_at(f: FunctionOracle, x: PointCode, dense: DenseSequence, mode: str,
                window: int = 16) -> RecoveryResult:
     """Evaluate f along the extracted subsequence for x and classify the tail.
 
-    f is queried on the trace's points plus one ground-truth query at x; the
-    audit follows from the trace, whose points are all terms of the sequence.
+    f is queried on the trace's points plus one ground-truth query at x.
+    `PathTrace.values_under` calls f once per run of steps holding one
+    point, so a trace that settles on x costs one call for its whole fixed
+    tail.  The audit follows from the trace, whose points are all terms of
+    the sequence: it counts the values the verdict reads, one per trace
+    position, not the calls of f.
     """
     if mode == PATH:
         trace = path_trace(x, dense, basis, N)
@@ -129,7 +133,8 @@ def recover_at(f: FunctionOracle, x: PointCode, dense: DenseSequence, mode: str,
         raise ValueError(f"unknown mode {mode!r}")
     values = trace.values_under(f)
     expected = f(x)
-    # s_0 = x_0, each lookup returns some x_p, and a fixed step copies a term
+    # s_0 = x_0, each lookup returns some x_p, and a fixed step copies a
+    # term; positions, not calls of f, so that summary.json keeps its counts
     audit = {"on_dense": len(values), "off_dense": 0, "ground_truth": 1}
     verdict = classify_values(values, f.y_kind, window)
     correct: Optional[bool] = None

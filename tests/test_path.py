@@ -6,7 +6,10 @@ from fractions import Fraction as F
 import pytest
 
 from firstreturn.path import (
+    PATH,
+    ROUTE,
     DenseSequence,
+    PathTrace,
     SearchBudgetExceeded,
     TraceStep,
     _unit_prior_free,
@@ -621,6 +624,87 @@ def test_term_equal_to_x_carries_first_index(space, cantor_basis, unit_basis):
     for tr in (path_trace(x, dense, basis, 6), route_trace(x, dense, 6)):
         hits = [s.index for s in tr.steps if s.point == x]
         assert hits and set(hits) == {first}, tr.mode
+
+
+# ---------------------------------------------------------------------------
+# the fixed tail against the step-by-step loop
+# ---------------------------------------------------------------------------
+
+
+def extract_step_by_step(x, dense, N, mode, basis=None):
+    """The extraction loop that copies a term equal to x one step at a time:
+    the oracle for the fixed tail that the extraction appends at once."""
+    trace = PathTrace(x=x, mode=mode, horizon=N)
+    s0 = dense[0]
+    trace.steps.append(TraceStep(0, 0, s0, dist(x, s0)))
+    for n in range(N - 1):
+        cur = trace.steps[-1]
+        if cur.point == x:
+            trace.steps.append(TraceStep(n + 1, cur.index, cur.point, Dist.zero()))
+            continue
+        try:
+            if mode == PATH:
+                p, pt, cur.witness = path_step(x, dense, trace.steps, basis)
+            else:
+                p, pt = route_step(x, dense, cur.dist_to_x)
+        except SearchBudgetExceeded as exc:
+            trace.terminated, trace.budget = "budget", exc.budget
+            break
+        trace.steps.append(TraceStep(n + 1, p, pt, dist(x, pt)))
+    return trace
+
+
+def assert_matches_step_by_step(x, dense, N, mode, basis=None):
+    """The trace equals the oracle's in every step (step, index, point,
+    distance, witness), in `terminated` and in `budget`; its fixed tail
+    holds one point object.  Returns the trace."""
+    if mode == PATH:
+        tr = path_trace(x, dense, basis, N)
+    else:
+        tr = route_trace(x, dense, N)
+    assert tr == extract_step_by_step(x, dense, N, mode, basis), (str(x), N, mode)
+    tail = [s for s in tr.steps if s.point == x]
+    assert all(s.point is tail[0].point for s in tail), (str(x), N, mode)
+    return tr
+
+
+def distinct_terms(dense, count):
+    return list(dict.fromkeys(itertools.islice(dense, 4 * count)))[:count]
+
+
+def test_prop25_fixed_tail_matches_step_by_step(dense25, view25, cantor_basis):
+    off = [x for x in ROUTE_POINTS if not dense25.contains(x)]
+    off += [cantor_point("", "110"), cantor_point("0", "001"), cantor_point("1", "0001")]
+    stops, filled = set(), 0
+    for dense in (dense25, view25):
+        xs = distinct_terms(dense, 45) + off
+        for x in xs:
+            for mode in (PATH, ROUTE):
+                for N in (1, 2, 5, 40):
+                    tr = assert_matches_step_by_step(x, dense, N, mode, cantor_basis)
+                    stops.add(tr.terminated)
+                    filled += tr.is_eventually_fixed() and len(tr.steps) > 1
+    assert stops == {"horizon", "budget"} and filled >= 300
+
+
+def test_unit_fixed_tail_matches_step_by_step(dyadics, unit_basis):
+    stops, filled = set(), 0
+    for dense in unit_lists(dyadics):
+        for x in distinct_terms(dense, 20) + UNIT_POINTS:
+            for mode in (PATH, ROUTE):
+                for N in (2, 24):
+                    tr = assert_matches_step_by_step(x, dense, N, mode, unit_basis)
+                    stops.add(tr.terminated)
+                    filled += tr.is_eventually_fixed()
+    assert stops == {"horizon", "budget"} and filled >= 120
+
+
+def test_z_route_to_a_term_matches_step_by_step():
+    dense = thm13_dense()
+    for k in (0, 1, 7, 100, 361, len(dense) - 1):
+        tr = assert_matches_step_by_step(dense[k], dense, 400, ROUTE)
+        assert tr.terminated == "horizon" and len(tr.steps) == 400
+        assert tr.steps[-2].point == dense[k], k  # a tail of two steps or more
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from firstreturn import recover
 from firstreturn.dense_builder import ClosedSet
 from firstreturn.gallery import I25, first_one_scale, indicator_of
+from firstreturn.path import PathTrace
 from firstreturn.recover import (
     DISCRETE,
     RATIONAL,
@@ -65,6 +66,62 @@ def test_audit_reads_no_membership(dense25, seq25, cantor_basis, monkeypatch):
                 res = recover_at(f, x, dense, mode, 24, cantor_basis, window=8)
                 assert res.audit == {"on_dense": len(res.trace.steps), "off_dense": 0,
                                      "ground_truth": 1}
+
+
+def counting(f):
+    """f with an evaluator that records each point it is called on."""
+    calls = []
+
+    def evaluator(p):
+        calls.append(p)
+        return f(p)
+
+    return FunctionOracle(f.fid, evaluator, f.y_kind, space=f.space), calls
+
+
+def runs_of(trace):
+    steps = trace.steps
+    return 1 + sum(a.point != b.point for a, b in zip(steps, steps[1:]))
+
+
+def every_position(self, fn):
+    return [fn(s.point) for s in self.steps]
+
+
+def assert_same_as_every_position(res, f, x, dense, mode, cantor_basis, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(PathTrace, "values_under", every_position)
+        assert res == recover_at(f, x, dense, mode, 40, cantor_basis, window=16), str(x)
+    # an evaluator that tells every point apart sees each position's own point
+    assert res.trace.values_under(str) == [str(s.point) for s in res.trace.steps]
+
+
+@pytest.mark.parametrize("mode", ["path", "route"])
+def test_settled_trace_costs_one_call_per_run(view25, cantor_basis, monkeypatch, mode):
+    f = I25(cantor_point("", "110"))
+    for p in (0, 1, 3, 5, 9, 20, 47, 300):
+        x = view25[p]
+        g, calls = counting(f)
+        res = recover_at(g, x, view25, mode, 40, cantor_basis, window=16)
+        assert res.trace.is_eventually_fixed() and len(res.trace.steps) == 40
+        assert len(calls) == runs_of(res.trace) + 1 <= 6, str(x)
+        assert_same_as_every_position(res, f, x, view25, mode, cantor_basis, monkeypatch)
+
+
+@pytest.mark.parametrize("mode", ["path", "route"])
+def test_trace_without_repeats_calls_at_every_position(view25, seq25, cantor_basis,
+                                                       monkeypatch, mode):
+    f = I25(cantor_point("", "110"))
+    stops = set()
+    for dense in (view25, seq25):
+        for x in (cantor_point("1", "01"), cantor_point("0", "001"), cantor_point("", "10")):
+            assert not dense.contains(x)
+            g, calls = counting(f)
+            res = recover_at(g, x, dense, mode, 40, cantor_basis, window=16)
+            assert len(calls) == len(res.trace.steps) + 1, str(x)
+            stops.add((res.trace.terminated, len(res.trace.steps) == 40))
+            assert_same_as_every_position(res, f, x, dense, mode, cantor_basis, monkeypatch)
+    assert stops == {("budget", False), ("horizon", True)}
 
 
 def test_report_empty_points(dense25, cantor_basis):
