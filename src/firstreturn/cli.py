@@ -122,8 +122,8 @@ def _dense_from_config(cfg: dict):
             text = path.read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read dense file: {exc}") from None
-        pts = [_point(ln.strip()) for ln in text.splitlines()
-               if ln.strip() and not ln.startswith("#")]
+        lines = [ln.strip() for ln in text.splitlines()]
+        pts = [_point(ln) for ln in lines if ln and not ln.startswith("#")]
         if not pts:
             raise ConfigError(f"no points in dense file {path}")
         try:
@@ -208,7 +208,10 @@ def validate_config(cfg: dict) -> dict:
         if key not in out:
             continue
         if kind in (COUNT, INT):
+            # an int or its text: int() would truncate a float and take a bool
             try:
+                if isinstance(out[key], bool) or not isinstance(out[key], (int, str)):
+                    raise TypeError
                 out[key] = int(out[key])
             except (TypeError, ValueError):
                 raise ConfigError(f"{key} must be an integer, got {out[key]!r}") from None

@@ -24,7 +24,10 @@ exceeds e (proof at `route_step`).  No step compares list points with x.
 A dense sequence is one of three kinds, and all implement the lookups of
 their space:
 
-* a materialized finite list (`DenseSequence`), indexed on first use;
+* a materialized finite list (`DenseSequence`).  A word or Z list answers
+  its lookups from one prefix trie, keyed by symbols or by entries and
+  split on first use; a unit list answers from its indices sorted by
+  value, with a sparse table of range minima;
 * a bounded closed-form view (`gallery.prop25_dense()`, a bounded
   `gallery.Prop25Sequence`): it answers exactly as the list of its first
   terms would, without building that list or an index;
@@ -68,10 +71,13 @@ ROUTE = "route"
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """An index scan over the dense sequence ran out of materialized points.
+    """A lookup found no term where the next one must lie.
 
-    budget is the bound that ran out: the list length, or the basis alphabet
-    for a Baire path; it is None for a sequence without a length.
+    It marks a finite list or view that holds no such term, a Baire path
+    whose next cylinder needs a symbol past the basis alphabet, and a route
+    asked for a point closer than distance 0.  budget is the bound that ran
+    out: the list length, or the basis alphabet for a Baire path; it is
+    None for a sequence without a length.
     """
 
     def __init__(self, message: str, budget: Optional[int]):
@@ -92,38 +98,29 @@ class PastTableIndex:
         return f">={self.size}"
 
 
-class _ZNode:
-    """The points of a Z list that share one entry prefix: their ascending
-    indices, the running max of their next entry (set on first query) and
-    the nodes of the prefixes one entry longer."""
+class _PrefixNode:
+    """The points of a word or Z list that share one prefix: the least of
+    their indices, and either all of them in ascending order or, once split,
+    the nodes of the prefixes one symbol longer, keyed by that symbol.  A Z
+    query that ends at a split node reads its sorted keys and the least
+    index of each suffix of them, built on first use."""
 
-    __slots__ = ("indices", "running_max", "children")
-
-    def __init__(self, indices: Sequence[int]):
-        self.indices = indices
-        self.running_max: Optional[List[Fraction]] = None
-        self.children = {}
-
-
-class _WordNode:
-    """The points of a word list that share one prefix: the least of their
-    indices, and either all of them in ascending order or, once split, the
-    nodes of the prefixes one symbol longer."""
-
-    __slots__ = ("first", "indices", "children")
+    __slots__ = ("first", "indices", "children", "suffixes")
 
     def __init__(self, indices: List[int]):
         self.first = indices[0]
         self.indices: Optional[List[int]] = indices
         self.children: Optional[dict] = None
+        self.suffixes = None
 
-    def split(self, points: Sequence[WordPoint], d: int):
-        """Partition the indices by symbol d of their points."""
+    def split(self, points: Sequence[PointCode], d: int, symbol) -> dict:
+        """Partition the indices by symbol(point, d) of their points."""
         parts = {}
         for i in self.indices:
-            parts.setdefault(points[i].at(d), []).append(i)
-        self.children = {s: _WordNode(indices) for s, indices in parts.items()}
+            parts.setdefault(symbol(points[i], d), []).append(i)
+        self.children = {s: _PrefixNode(indices) for s, indices in parts.items()}
         self.indices = None
+        return self.children
 
 
 class DenseSequence:
@@ -140,9 +137,7 @@ class DenseSequence:
         self._first_of = {}
         for i, pt in enumerate(self.points):
             self._first_of.setdefault(pt, i)
-        self._trie = None
-        self._buckets = None
-        self._z_root = None
+        self._root = None
         self._unit_order = None
 
     def __len__(self):
@@ -165,40 +160,39 @@ class DenseSequence:
         return point in self._first_of
 
     def _build_word_index(self):
-        trie, buckets = {}, {}
-        depth = self._TRIE_DEPTH
-        for i, pt in enumerate(self.points):
-            w = pt.prefix(depth)
-            for k in range(depth + 1):
-                trie.setdefault(w[:k], i)
-            buckets.setdefault(w, []).append(i)
-        self._trie = trie
-        self._buckets = {w: _WordNode(indices) for w, indices in buckets.items()}
+        """The root of the prefix trie over a word list, every node of the
+        first `_TRIE_DEPTH` levels split at once: a word of at most that
+        many symbols then reaches its node without reading a list point."""
+        self._root = _PrefixNode(list(range(len(self.points))))
+        level = [self._root]
+        for d in range(self._TRIE_DEPTH):
+            level = [child for node in level
+                     for child in node.split(self.points, d, WordPoint.at).values()]
 
-    def first_index_extending(self, word: Tuple[int, ...]) -> Optional[int]:
-        """Minimal p with word a prefix of x_p, or None if none materialized.
-
-        Words up to `_TRIE_DEPTH` symbols are one lookup in a table of first
-        indices.  A longer word starts at the node of the points sharing its
-        first `_TRIE_DEPTH` symbols and walks down one symbol at a time.
-        The first query to pass a node splits it: its ascending index list
-        is partitioned by each point's next symbol into child nodes, so
-        every index stays in exactly one list and the index grows linearly
-        with the list.  The answer is the least index of the node the word
-        reaches; a query that passes only split nodes reads no list point.
-        """
-        if self._trie is None:
-            self._build_word_index()
-        word, depth = tuple(word), self._TRIE_DEPTH
-        if len(word) <= depth:
-            return self._trie.get(word)
-        node = self._buckets.get(word[:depth])
-        for d in range(depth, len(word)):
+    def _walk(self, symbols, symbol) -> Optional[_PrefixNode]:
+        """The node of the points whose symbols 0, 1, ... are `symbols`, or
+        None when no point has that prefix.  symbol(point, d) reads symbol
+        d of a list point; the first walk to pass a node splits it, so every
+        index stays in exactly one list of the trie and a walk that passes
+        only split nodes reads no list point."""
+        node, points = self._root, self.points
+        for d, s in enumerate(symbols):
+            children = node.children
+            if children is None:
+                children = node.split(points, d, symbol)
+            node = children.get(s)
             if node is None:
                 return None
-            if node.children is None:
-                node.split(self.points, d)
-            node = node.children.get(word[d])
+        return node
+
+    def first_index_extending(self, word: Tuple[int, ...]) -> Optional[int]:
+        """Minimal p with word a prefix of x_p, or None if none materialized:
+        the least index of the trie node the word reaches.  The index is
+        built on first use and split down to `_TRIE_DEPTH` symbols then; a
+        longer word splits the deeper nodes it is the first to pass."""
+        if self._root is None:
+            self._build_word_index()
+        node = self._walk(word, WordPoint.at)
         return None if node is None else node.first
 
     def first_extending(self, word: Tuple[int, ...]) -> Tuple[int, PointCode]:
@@ -216,28 +210,27 @@ class DenseSequence:
         SearchBudgetExceeded when no materialized point is that close.
 
         With k the least n such that x_n > e, d(x, y) < 2^-e iff y agrees
-        with x on entries 0..k-1 and y_k > e (see `route_step`).  The index
-        keeps one node per entry prefix, built on first use by filtering its
-        parent: the ascending indices of the points with that prefix and the
-        running max of their next entry.
+        with x on entries 0..k-1 and y_k > e (see `route_step`).  The walk
+        by entries reaches the trie node of x's first k entries.  Its
+        children whose entry k exceeds e are a suffix of its sorted keys,
+        so the answer is one bisect into the keys and one read of the least
+        index of that suffix.
         """
-        if self._z_root is None:
-            self._z_root = _ZNode(range(len(self.points)))
-        node, pts, k = self._z_root, self.points, x.first_entry_above(e)
-        for j in range(k):
-            v = x.entry(j)
-            child = node.children.get(v)
-            if child is None:
-                child = node.children[v] = _ZNode(
-                    [i for i in node.indices if pts[i].entry(j) == v])
-            node = child
-        if node.running_max is None:
-            node.running_max = list(accumulate((pts[i].entry(k) for i in node.indices), max))
-        pos = bisect_right(node.running_max, e)
-        if pos == len(node.indices):
-            raise SearchBudgetExceeded(f"no point within 2^(-{e})", budget=len(self))
-        p = node.indices[pos]
-        return p, pts[p]
+        if self._root is None:
+            self._root = _PrefixNode(list(range(len(self.points))))
+        k = x.first_entry_above(e)
+        node = self._walk(map(x.entry, range(k)), ZPoint.entry)
+        if node is not None:
+            if node.suffixes is None:
+                children = node.children or node.split(self.points, k, ZPoint.entry)
+                keys = sorted(children)
+                firsts = accumulate((children[v].first for v in reversed(keys)), min)
+                node.suffixes = keys, list(firsts)[::-1]
+            keys, firsts = node.suffixes
+            pos = bisect_right(keys, e)
+            if pos < len(keys):
+                return firsts[pos], self.points[firsts[pos]]
+        raise SearchBudgetExceeded(f"no point within 2^(-{e})", budget=len(self))
 
     def first_inside(self, lo: Fraction, hi: Fraction) -> Tuple[int, PointCode]:
         """(p, x_p) for the minimal p with lo < x_p < hi (unit interval);

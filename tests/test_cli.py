@@ -148,6 +148,22 @@ def test_recover_from_dense_file(tmp_path):
     assert code == 0
 
 
+def test_dense_file_skips_indented_comments_and_blank_lines(tmp_path):
+    plain = "cantor:|0\ncantor:|1\ncantor:1|0\ncantor:0|1\n"
+    noted = ("# four points\ncantor:|0\n  # an indented note\n\ncantor:|1\n"
+             "\t# a tabbed note\ncantor:1|0\n   \ncantor:0|1\n")
+    written = []
+    for name, text in (("plain", plain), ("noted", noted)):
+        (tmp_path / f"{name}.txt").write_text(text)
+        out = tmp_path / name
+        code = run_main(["recover", "--fn", "indicator:1", "--dense",
+                         f"file:{tmp_path / name}.txt", "--horizon", "8", "--out", str(out)])
+        written.append((code, {p.relative_to(out).as_posix(): p.read_text()
+                               for p in out.rglob("*")
+                               if p.name == "summary.json" or p.suffix == ".csv"}))
+    assert written[0] == written[1] and len(written[0][1]) > 1
+
+
 def test_gallery_demo_z_artifact(tmp_path):
     out = tmp_path / "g"
     code = run_main(["gallery", "demo-z", "--horizon", "150", "--out", str(out)])
@@ -244,6 +260,9 @@ I25_ARGS = ["recover", "--fn", "I25", "--alpha", "cantor:|110"]
     I25_ARGS + ["--config", "{tmp}/dense_7.json"],
     ["rank", "--config", "{tmp}/diff_yes.cfg"],
     ["rank", "--config", "{tmp}/diff_int.json"],
+    # counts and ints take an int or its text, never a float or a bool
+    ["rank", "--config", "{tmp}/n_float.json"],
+    ["ebc1", "--config", "{tmp}/pairs_true.json"],
     # points that name no point
     I25_ARGS + ["--points", ";"],
     I25_ARGS + ["--points", ""],
@@ -257,6 +276,8 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, args):
     (tmp_path / "dense_7.json").write_text('{"dense": 7}')
     (tmp_path / "diff_yes.cfg").write_text("n=1\nA=10\nB=01\ndiff=yes\n")
     (tmp_path / "diff_int.json").write_text('{"n": 1, "A": "10", "B": "01", "diff": 1}')
+    (tmp_path / "n_float.json").write_text('{"n": 2.9, "A": "1100", "B": "0010"}')
+    (tmp_path / "pairs_true.json").write_text('{"pairs": true}')
     args = [a.replace("{tmp}", str(tmp_path)) for a in args]
     assert run_main(args + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err

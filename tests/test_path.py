@@ -404,6 +404,24 @@ def test_repeated_deep_lookup_reads_no_list_point(ladder_points, monkeypatch):
     assert reads  # the counter does see a read
 
 
+def test_shallow_lookup_after_warm_up_reads_no_list_point(ladder_points, monkeypatch):
+    # the index is split down to _TRIE_DEPTH symbols when it is built, so a
+    # word no longer than that is answered by set-up work alone
+    dense = DenseSequence(ladder_points)
+    dense.first_index_extending(())
+    symbols = [pt.prefix(DenseSequence._TRIE_DEPTH) for pt in ladder_points]
+    reads = []
+    for name in ("at", "_symbols"):
+        original = getattr(WordPoint, name)
+        monkeypatch.setattr(WordPoint, name,
+                            lambda self, n, _f=original: reads.append(n) or _f(self, n))
+    for n in range(DenseSequence._TRIE_DEPTH + 1):
+        for w in itertools.product((0, 1), repeat=n):
+            want = next((p for p, s in enumerate(symbols) if s[:n] == w), None)
+            assert dense.first_index_extending(w) == want, w
+    assert reads == []
+
+
 # ---------------------------------------------------------------------------
 # the word step against a linear scan of exact distances
 # ---------------------------------------------------------------------------
@@ -506,6 +524,68 @@ def test_z_route_matches_linear_scan():
         stops.add(tr.terminated)
         reached += tr.is_eventually_fixed()
     assert stops == {"horizon", "budget"} and reached > 30
+
+
+def closer_queries(rng, points, xs):
+    """(k, x, e) queries for x in xs: e an entry of a list point or of x
+    (so that a point's entry k can equal e), or off the entry grid."""
+    queries = []
+    for x in xs:
+        for _ in range(12):
+            y = rng.choice(points + [x])
+            e = y.entry(rng.randrange(5)) if rng.random() < 0.6 else F(rng.randrange(50), 7)
+            queries.append((x.first_entry_above(e), x, e))
+    return queries
+
+
+def check_closer(points, queries):
+    """Run the queries on a fresh list in ascending k, and on another in
+    descending k, against a linear scan of exact distances: both give the
+    same (p, x_p), or both a budget stop.  Returns how many queries found a
+    point, how many have a prefix that no point has, and how many meet a
+    point that shares the prefix and whose entry k equals e."""
+    xs = dict.fromkeys(x for _, x, _ in queries)
+    dists = {x: [dist(x, pt) for pt in points] for x in xs}
+    agree = {x: [x.first_difference(pt) for pt in points] for x in xs}
+    want = {}
+    for _, x, e in queries:
+        r = Dist.pow2(e)
+        want[x, e] = next(((p, points[p]) for p, d in enumerate(dists[x]) if d < r), None)
+    for order in (sorted(queries, key=lambda q: q[0]),
+                  sorted(queries, key=lambda q: -q[0])):
+        dense = DenseSequence(points)
+        for k, x, e in order:
+            try:
+                got = dense.first_closer(x, e)
+            except SearchBudgetExceeded:
+                got = None
+            assert got == want[x, e], (str(x), e)
+    found = unshared = at_edge = 0
+    for k, x, e in queries:
+        sharing = [y for y, n in zip(points, agree[x]) if n is None or n >= k]
+        found += want[x, e] is not None
+        unshared += not sharing
+        at_edge += any(y.entry(k) == e for y in sharing)
+    return found, unshared, at_edge
+
+
+def test_first_closer_matches_linear_scan():
+    rng = random.Random(19)
+    counts = [0, 0, 0]
+    for _ in range(80):
+        pts = [_random_z(rng) for _ in range(rng.randrange(5, 30))]
+        pts += [rng.choice(pts) for _ in range(rng.randrange(10))]
+        rng.shuffle(pts)
+        xs = rng.sample(pts, 2) + [_random_z(rng), _random_z(rng)]
+        counts = [c + n for c, n in zip(counts, check_closer(pts, closer_queries(rng, pts, xs)))]
+    found, unshared, at_edge = counts
+    assert 0 < found < 80 * 48 and unshared > 50 and at_edge > 50
+    dense = list(thm13_dense())
+    queries = closer_queries(random.Random(13), dense, thm13_route_points())
+    queries += [(x.first_entry_above(e), x, e) for x in thm13_route_points()[:4]
+                for e in (s.dist_to_x.value for s in route_trace(x, thm13_dense(), 60).steps)
+                if e is not None]
+    assert check_closer(dense, queries)[2] > 0
 
 
 def test_z_route_reads_no_list_distance(monkeypatch):
