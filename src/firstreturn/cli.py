@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from itertools import product
@@ -285,7 +286,10 @@ def _run_recover(cfg: dict, out_dir: Path) -> int:
     except NoGoodBasis as exc:
         raise ConfigError(f"{exc}; use mode=route") from None
     if "points" in cfg:
-        points = [_point(t) for t in str(cfg["points"]).split(";") if t]
+        # a Z point's own text holds ";": split only where a point, another
+        # ";" or the end follows
+        items = re.split(r";(?=\s*(?:[a-z]+:|;|$))", str(cfg["points"]))
+        points = [_point(t) for t in items if t]
         if not points:
             raise ConfigError("nothing to run: no points")
         if any(x.space != dense.space for x in points):

@@ -26,8 +26,12 @@ their space:
 
 * a materialized finite list (`DenseSequence`).  A word or Z list answers
   its lookups from one prefix trie, keyed by symbols or by entries and
-  split on first use; a unit list answers from its indices sorted by
-  value, with a sparse table of range minima;
+  split on first use.  A word list sorts its indices once in the
+  lexicographic order of their points, so every node holds one run of
+  that order and a split bisects it (the suffix-array idea); a lookup that
+  extends the last one found walks on from that one's node.  A unit list
+  answers from its indices sorted by value, with a sparse table of range
+  minima;
 * a bounded closed-form view (`gallery.prop25_dense()`, a bounded
   `gallery.Prop25Sequence`): it answers exactly as the list of its first
   terms would, without building that list or an index;
@@ -50,9 +54,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, takewhile
+from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .space import (
+    CANTOR,
     BasicOpen,
     Cylinder,
     Dist,
@@ -100,24 +106,53 @@ class PastTableIndex:
 
 class _PrefixNode:
     """The points of a word or Z list that share one prefix: the least of
-    their indices, and either all of them in ascending order or, once split,
-    the nodes of the prefixes one symbol longer, keyed by that symbol.  A Z
-    query that ends at a split node reads its sorted keys and the least
-    index of each suffix of them, built on first use."""
+    their indices, and either all of them or, once split, the nodes of the
+    prefixes one symbol longer, keyed by that symbol.  A word node's indices
+    are one run of its list's lexicographic order, so its children's runs
+    are consecutive pieces of it; a Z node's indices ascend.  A Z query that
+    ends at a split node reads its sorted keys and the least index of each
+    suffix of them, built on first use."""
 
     __slots__ = ("first", "indices", "children", "suffixes")
 
     def __init__(self, indices: List[int]):
-        self.first = indices[0]
+        self.first = min(indices)
         self.indices: Optional[List[int]] = indices
         self.children: Optional[dict] = None
         self.suffixes = None
 
-    def split(self, points: Sequence[PointCode], d: int, symbol) -> dict:
-        """Partition the indices by symbol(point, d) of their points."""
+    def cut(self, points: Sequence[WordPoint], d: int) -> dict:
+        """Split a run of a word list's lexicographic order by symbol d.
+        Its points share symbols 0..d-1, so symbol d never decreases along
+        the run: each child is the piece up to `bisect_right` of its first
+        point's symbol, and the last child is the piece that holds the
+        run's last symbol.  A deep node most often peels one point off an
+        end of its run, so the two points next to the ends are read before
+        the bisect.  That is one read per child, plus at most two reads and
+        a bisect per child but the last."""
+        run, n, lo = self.indices, len(self.indices), 0
+        key = lambda i: points[i].at(d)
+        children, last = {}, key(run[-1])
+        while lo < n:
+            s = key(run[lo])
+            if s == last:
+                hi = n
+            elif key(run[lo + 1]) != s:
+                hi = lo + 1
+            elif key(run[n - 2]) == s:
+                hi = n - 1
+            else:
+                hi = bisect_right(run, s, lo + 2, n - 2, key=key)
+            children[s] = _PrefixNode(run[lo:hi])
+            lo = hi
+        self.children, self.indices = children, None
+        return children
+
+    def partition(self, points: Sequence[ZPoint], d: int) -> dict:
+        """Split a Z node by entry d, one read per index."""
         parts = {}
         for i in self.indices:
-            parts.setdefault(symbol(points[i], d), []).append(i)
+            parts.setdefault(points[i].entry(d), []).append(i)
         self.children = {s: _PrefixNode(indices) for s, indices in parts.items()}
         self.indices = None
         return self.children
@@ -138,6 +173,7 @@ class DenseSequence:
         for i, pt in enumerate(self.points):
             self._first_of.setdefault(pt, i)
         self._root = None
+        self._finger = None
         self._unit_order = None
 
     def __len__(self):
@@ -162,38 +198,69 @@ class DenseSequence:
     def _build_word_index(self):
         """The root of the prefix trie over a word list, every node of the
         first `_TRIE_DEPTH` levels split at once: a word of at most that
-        many symbols then reaches its node without reading a list point."""
-        self._root = _PrefixNode(list(range(len(self.points))))
+        many symbols then reaches its node without reading a list point.
+
+        The root holds the indices sorted once in the lexicographic order
+        of their points, so every node's indices are one run of that order
+        and a split cuts its run (`_PrefixNode.cut`).  Two distinct
+        canonical words h1.c1^inf and h2.c2^inf differ before
+        max(|h1|, |h2|) + |c1| + |c2| - gcd(|c1|, |c2|) (Fine-Wilf), so any
+        two distinct points of the list differ before L = (longest head) +
+        (the two longest cycles) - 1, and keys of at least L symbols order
+        the points as their infinite words are ordered.  A key is the head
+        and whole cycles; a Cantor key is `bytes`, a Baire key a tuple.
+        """
+        points = self.points
+        cycles = sorted(map(len, map(attrgetter("cycle"), points)))
+        L = max(map(len, map(attrgetter("head"), points))) + sum(cycles[-2:]) - 1
+        enc = bytes if self.space == CANTOR else tuple
+
+        def key(i):
+            pt = points[i]
+            return enc(pt.head) + enc(pt.cycle) * -(-(L - len(pt.head)) // len(pt.cycle))
+
+        self._root = _PrefixNode(sorted(range(len(points)), key=key))
+        self._finger = (), 0, self._root
         level = [self._root]
         for d in range(self._TRIE_DEPTH):
-            level = [child for node in level
-                     for child in node.split(self.points, d, WordPoint.at).values()]
+            level = [child for node in level for child in node.cut(points, d).values()]
 
-    def _walk(self, symbols, symbol) -> Optional[_PrefixNode]:
-        """The node of the points whose symbols 0, 1, ... are `symbols`, or
-        None when no point has that prefix.  symbol(point, d) reads symbol
-        d of a list point; the first walk to pass a node splits it, so every
-        index stays in exactly one list of the trie and a walk that passes
-        only split nodes reads no list point."""
-        node, points = self._root, self.points
-        for d, s in enumerate(symbols):
+    def _walk(self, node: _PrefixNode, d: int, symbols, split) -> Optional[_PrefixNode]:
+        """The node of the points whose symbols d, d + 1, ... are `symbols`,
+        from `node`, the node of their first d symbols; None when no point
+        has that prefix.  split(node, points, d) splits a node at depth d;
+        the first walk to pass a node splits it, so every index stays in
+        exactly one list of the trie and a walk that passes only split
+        nodes reads no list point."""
+        points = self.points
+        for s in symbols:
             children = node.children
             if children is None:
-                children = node.split(points, d, symbol)
+                children = split(node, points, d)
             node = children.get(s)
             if node is None:
                 return None
+            d += 1
         return node
 
     def first_index_extending(self, word: Tuple[int, ...]) -> Optional[int]:
         """Minimal p with word a prefix of x_p, or None if none materialized:
         the least index of the trie node the word reaches.  The index is
         built on first use and split down to `_TRIE_DEPTH` symbols then; a
-        longer word splits the deeper nodes it is the first to pass."""
+        longer word splits the deeper nodes it is the first to pass.  A word
+        that extends the last word found walks on from that word's node, so
+        the lookups of one trace, each extending the one before, walk the
+        trie once between them."""
         if self._root is None:
             self._build_word_index()
-        node = self._walk(word, WordPoint.at)
-        return None if node is None else node.first
+        last, d, node = self._finger
+        if word[:d] != last:
+            node, d = self._root, 0
+        node = self._walk(node, d, word[d:], _PrefixNode.cut)
+        if node is None:
+            return None
+        self._finger = tuple(word), len(word), node
+        return node.first
 
     def first_extending(self, word: Tuple[int, ...]) -> Tuple[int, PointCode]:
         """(p, x_p) for the minimal p with word a prefix of x_p; raises
@@ -214,15 +281,21 @@ class DenseSequence:
         by entries reaches the trie node of x's first k entries.  Its
         children whose entry k exceeds e are a suffix of its sorted keys,
         so the answer is one bisect into the keys and one read of the least
-        index of that suffix.
+        index of that suffix.  A query for the same x object as the last one
+        found, with no fewer entries, walks on from that one's node.
         """
         if self._root is None:
             self._root = _PrefixNode(list(range(len(self.points))))
+            self._finger = None, 0, self._root
         k = x.first_entry_above(e)
-        node = self._walk(map(x.entry, range(k)), ZPoint.entry)
+        last, d, node = self._finger
+        if last is not x or k < d:
+            node, d = self._root, 0
+        node = self._walk(node, d, map(x.entry, range(d, k)), _PrefixNode.partition)
         if node is not None:
+            self._finger = x, k, node
             if node.suffixes is None:
-                children = node.children or node.split(self.points, k, ZPoint.entry)
+                children = node.children or node.partition(self.points, k)
                 keys = sorted(children)
                 firsts = accumulate((children[v].first for v in reversed(keys)), min)
                 node.suffixes = keys, list(firsts)[::-1]
@@ -433,8 +506,18 @@ def _extract(x: PointCode, dense, N: int, mode: str, step) -> PathTrace:
             trace.terminated = "budget"
             trace.budget = exc.budget
             break
-        trace.steps.append(TraceStep(n + 1, p, pt, dist(x, pt)))
+        trace.steps.append(TraceStep(n + 1, p, pt, _term_dist(x, pt, cur.dist_to_x)))
     return trace
+
+
+def _term_dist(x: PointCode, pt: PointCode, prev: Dist) -> Dist:
+    """d(x, pt) for the term a step found after a term at nonzero distance
+    prev from x.  In a word space both steps look that term up by the word
+    x|(k+1), with prev = 2^-k, so the comparison with x starts at k + 1."""
+    if isinstance(x, WordPoint):
+        d = x.first_difference(pt, int(prev.value) + 1)
+        return Dist.zero() if d is None else Dist.pow2(d)
+    return dist(x, pt)
 
 
 def path_trace(x: PointCode, dense: DenseSequence, basis: GoodBasis, N: int) -> PathTrace:

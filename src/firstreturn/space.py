@@ -220,12 +220,21 @@ class WordPoint:
     def starts_with(self, word: Sequence[int]) -> bool:
         return self.prefix(len(word)) == tuple(word)
 
-    def first_difference(self, other: "WordPoint") -> Optional[int]:
-        """Index of the first disagreement, or None if the points are equal."""
+    def first_difference(self, other: "WordPoint", start: int = 0) -> Optional[int]:
+        """Index of the first disagreement, or None if the points are equal.
+        A caller that knows the points agree on symbols 0..start-1 passes
+        start, and the comparison begins there.
+
+        From max(|h1|, |h2|) on, both words are periodic, with periods
+        |c1| and |c2|.  If they agree on the next |c1| + |c2| symbols, that
+        stretch has both periods and so (Fine-Wilf) their gcd, which
+        divides both; both tails then have period gcd and are equal.
+        Distinct canonical forms thus disagree before
+        n = max(|h1|, |h2|) + |c1| + |c2|."""
         _require_same_space(self, other)
-        # canonical forms that differ disagree within this bound
-        n = len(self.head) + len(other.head) + math.lcm(len(self.cycle), len(other.cycle)) + 1
-        return first_mismatch(self._symbols(n), other._symbols(n))
+        n = max(len(self.head), len(other.head)) + len(self.cycle) + len(other.cycle)
+        d = first_mismatch(self._symbols(n)[start:n], other._symbols(n)[start:n])
+        return None if d is None else start + d
 
     def common_prefix_len(self, other: "WordPoint") -> int:
         d = self.first_difference(other)

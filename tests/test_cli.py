@@ -148,6 +148,19 @@ def test_recover_from_dense_file(tmp_path):
     assert code == 0
 
 
+def test_recover_runs_each_of_several_z_points(tmp_path):
+    # a Z point's text holds ";" itself; the list splits only before a prefix
+    out = tmp_path / "z"
+    code = run_main(["recover", "--fn", "zF", "--dense", "thm13", "--mode", "route",
+                     "--points", "z:[];a=1;b=1; z:[];a=1;b=2;", "--out", str(out)])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert [p["x"] for p in summary["report"]["per_point"]] == ["z:[];a=1;b=1", "z:[];a=1;b=2"]
+    assert sorted(p.name for p in (out / "traces").iterdir()) == ["point000.csv", "point001.csv"]
+    rep = replay(out, tmp_path / "fresh")
+    assert rep["ok"] and rep["divergence"] is None
+
+
 def test_dense_file_skips_indented_comments_and_blank_lines(tmp_path):
     plain = "cantor:|0\ncantor:|1\ncantor:1|0\ncantor:0|1\n"
     noted = ("# four points\ncantor:|0\n  # an indented note\n\ncantor:|1\n"

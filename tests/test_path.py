@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -113,7 +114,8 @@ def test_word_path_compares_each_term_with_x_once(dense25, cantor_basis, monkeyp
     calls = []
     original = WordPoint.first_difference
     monkeypatch.setattr(WordPoint, "first_difference",
-                        lambda self, other: calls.append(other) or original(self, other))
+                        lambda self, other, *args, **kwargs:
+                        calls.append(other) or original(self, other, *args, **kwargs))
     tr = path_trace(x, dense25, cantor_basis, 32)
     assert len(tr.steps) > 4
     assert len(calls) == len(tr.steps)
@@ -420,6 +422,86 @@ def test_shallow_lookup_after_warm_up_reads_no_list_point(ladder_points, monkeyp
             want = next((p for p, s in enumerate(symbols) if s[:n] == w), None)
             assert dense.first_index_extending(w) == want, w
     assert reads == []
+
+
+def seeded_word_lists():
+    """Seeded Cantor and Baire lists with repeated points, heads longer
+    than _TRIE_DEPTH and, on one Baire list, symbols past 255; then a Baire
+    list of three points (one repeated) that first differ at index 11, the
+    last symbol the index's sort key must hold: its length is the longest
+    head 11 + the two longest cycles 1 + 1 - 1 = 12."""
+    rng = random.Random(23)
+    lists = []
+    for space, top in ((CANTOR, 1), (BAIRE, 2), (BAIRE, 300)):
+        pts = []
+        for _ in range(90):
+            head = tuple(rng.randint(0, top) for _ in range(rng.randrange(14)))
+            cycle = tuple(rng.randint(0, top) for _ in range(rng.randrange(1, 5)))
+            pts.append(WordPoint(space, head, cycle))
+        pts += rng.sample(pts, 25)
+        rng.shuffle(pts)
+        lists.append(pts)
+    head = (2, 0, 1, 1, 0, 2, 2, 1, 0, 1, 2)
+    lists.append([baire_point(head, (s,)) for s in (5, 3, 4, 3)])
+    return lists
+
+
+def test_word_lookup_matches_linear_scan_in_any_order():
+    # each query order runs on a fresh list: nested (each word extends the
+    # one before, so the walk goes on from the last node), reversed (each
+    # word is shorter, so it starts at the root) and shuffled
+    rng = random.Random(29)
+    for pts in seeded_word_lists():
+        top = max(max(pt.head + pt.cycle) for pt in pts)
+        bases = rng.sample(pts, min(len(pts), 12))
+        bases += [WordPoint(pts[0].space, pt.prefix(rng.randrange(12)), (rng.randint(0, top),))
+                  for pt in bases]
+        nested = [pt.prefix(n) for pt in bases for n in range(40)]
+        want = {w: next((p for p, pt in enumerate(pts) if pt.starts_with(w)), None)
+                for w in nested}
+        assert None in want.values()
+        shuffled = list(nested)
+        rng.shuffle(shuffled)
+        for words in (nested, nested[::-1], shuffled):
+            dense = DenseSequence(pts)
+            for w in words:
+                assert dense.first_index_extending(w) == want[w], (str(pts[0]), w)
+
+
+def test_word_trace_distances_are_exact():
+    rng = random.Random(31)
+    found = 0
+    for pts in seeded_word_lists():
+        dense = DenseSequence(pts)
+        basis = good_basis(pts[0].space)
+        xs = rng.sample(pts, 4) + [WordPoint(pts[0].space, pt.prefix(9), pt.cycle[::-1])
+                                   for pt in rng.sample(pts, 4)]
+        for x in xs:
+            traces = [route_trace(x, dense, 30)]
+            if pts[0].space == CANTOR:
+                traces.append(path_trace(x, dense, basis, 30))
+            for tr in traces:
+                assert [s.dist_to_x for s in tr.steps] == [dist(x, s.point) for s in tr.steps]
+                found += len(tr.steps) - 1
+    assert found > 500
+
+
+def test_cold_ladder_path_reads_few_list_symbols(ladder_points, cantor_basis, monkeypatch):
+    # a cold trace pays for the trie nodes it is the first to pass; a split
+    # reads a logarithmic number of list points per child, not all of them
+    dense = DenseSequence(ladder_points)
+    listed = set(map(id, ladder_points))
+    reads = []
+    for name in ("at", "_symbols"):
+        original = getattr(WordPoint, name)
+        monkeypatch.setattr(WordPoint, name, lambda self, n, _f=original:
+                            (id(self) in listed and reads.append(n)) or _f(self, n))
+    steps = 0
+    for x in LADDER_TARGETS:
+        tr = path_trace(x, dense, cantor_basis, 96)
+        assert tr.terminated == "horizon"
+        steps += len(tr.steps) - 1
+    assert len(reads) <= (2 * math.ceil(math.log2(len(dense))) + 4) * steps
 
 
 # ---------------------------------------------------------------------------

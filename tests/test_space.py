@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction as F
 from itertools import takewhile
 
@@ -169,6 +171,40 @@ def test_first_difference_late_in_the_cycles():
     assert p.first_difference(r) == ref_first_difference(p, r) == 11
     head = (3, 3, 3, 3, 3)
     assert baire_point(head, p.cycle).first_difference(baire_point(head, r.cycle)) == 16
+
+
+def test_first_difference_within_the_fine_wilf_bound():
+    # seeded pairs whose tails share a long stretch: q's cycle is a stretch
+    # of p's tail, so the tails agree on at least |c2| symbols; cycle
+    # lengths run up to 13 and include coprime pairs such as 12 and 13.
+    # The oracle expands both points to |h1| + |h2| + lcm(|c1|, |c2|) + 1
+    # symbols; the answers must agree, from every start up to the answer
+    rng = random.Random(7)
+    gaps, seen = set(), set()
+    for _ in range(600):
+        space, top = rng.choice(((CANTOR, 1), (BAIRE, 2)))
+        c1, c2 = rng.randint(1, 13), rng.randint(1, 13)
+        p = WordPoint(space, tuple(rng.randint(0, top) for _ in range(rng.randrange(5))),
+                      tuple(rng.randint(0, top) for _ in range(c1)))
+        lead = rng.randrange(len(p.head) + 4)
+        head = ref_prefix(p, lead)
+        if rng.random() < 0.5:  # change one symbol of the shared head
+            i = rng.randrange(lead + 1)
+            head = head[:i] + tuple(rng.randint(0, top) for _ in range(lead - i))
+        q = WordPoint(space, head, ref_prefix(p, lead + c2)[lead:])
+        n = len(p.head) + len(q.head) + math.lcm(len(p.cycle), len(q.cycle)) + 1
+        want = next((i for i in range(n) if p.at(i) != q.at(i)), None)
+        assert (want is None) == (p == q)
+        assert p.first_difference(q) == q.first_difference(p) == want
+        for start in range(0, (n if want is None else want) + 1):
+            assert p.first_difference(q, start) == q.first_difference(p, start) == want
+        if want is not None:
+            bound = max(len(p.head), len(q.head)) + len(p.cycle) + len(q.cycle)
+            gaps.add(want - bound)
+            seen.add(math.gcd(len(p.cycle), len(q.cycle)) == 1 < min(len(p.cycle), len(q.cycle)))
+    # some pair disagrees only two symbols before the bound, and some pairs
+    # have coprime cycles longer than one symbol
+    assert max(gaps) == -2 and seen == {False, True}
 
 
 # ---------------------------------------------------------------------------
