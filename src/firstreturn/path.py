@@ -29,9 +29,11 @@ their space:
   split on first use.  A word list sorts its indices once in the
   lexicographic order of their points, so every node holds one run of
   that order and a split bisects it (the suffix-array idea); a lookup that
-  extends the last one found walks on from that one's node.  A unit list
-  answers from its indices sorted by value, with a sparse table of range
-  minima;
+  extends the last one found walks on from that one's node.  A Z node
+  keeps its entries as integers over their lcm denominator D, so a Z
+  lookup ends in one bisect over integers: an integer K has K / D <= e
+  iff K <= floor(e * D).  A unit list answers from its indices sorted by
+  value, with a sparse table of range minima;
 * a bounded closed-form view (`gallery.prop25_dense()`, a bounded
   `gallery.Prop25Sequence`): it answers exactly as the list of its first
   terms would, without building that list or an index;
@@ -54,6 +56,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, takewhile
+from math import lcm
 from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -110,8 +113,9 @@ class _PrefixNode:
     prefixes one symbol longer, keyed by that symbol.  A word node's indices
     are one run of its list's lexicographic order, so its children's runs
     are consecutive pieces of it; a Z node's indices ascend.  A Z query that
-    ends at a split node reads its sorted keys and the least index of each
-    suffix of them, built on first use."""
+    ends at a split node reads `suffixes`, built on first use: D, the lcm
+    of the denominators of the node's keys; the keys times D, integers in
+    ascending order; and the least index of each suffix of them."""
 
     __slots__ = ("first", "indices", "children", "suffixes")
 
@@ -281,8 +285,13 @@ class DenseSequence:
         by entries reaches the trie node of x's first k entries.  Its
         children whose entry k exceeds e are a suffix of its sorted keys,
         so the answer is one bisect into the keys and one read of the least
-        index of that suffix.  A query for the same x object as the last one
-        found, with no fewer entries, walks on from that one's node.
+        index of that suffix.  The bisect runs over integers: the node
+        keeps each key v as K = v * D, with D the lcm of its keys'
+        denominators.  For an integer K, K / D <= e iff K <= e * D iff
+        K <= floor(e * D), so the keys at most e are those at most
+        e.numerator * D // e.denominator.  A query for the same x object
+        as the last one found, with no fewer entries, walks on from that
+        one's node.
         """
         if self._root is None:
             self._root = _PrefixNode(list(range(len(self.points))))
@@ -296,11 +305,13 @@ class DenseSequence:
             self._finger = x, k, node
             if node.suffixes is None:
                 children = node.children or node.partition(self.points, k)
-                keys = sorted(children)
-                firsts = accumulate((children[v].first for v in reversed(keys)), min)
-                node.suffixes = keys, list(firsts)[::-1]
-            keys, firsts = node.suffixes
-            pos = bisect_right(keys, e)
+                D = lcm(*(v.denominator for v in children))
+                scaled = sorted((v.numerator * (D // v.denominator), child.first)
+                                for v, child in children.items())
+                firsts = accumulate((first for _, first in reversed(scaled)), min)
+                node.suffixes = D, [K for K, _ in scaled], list(firsts)[::-1]
+            D, keys, firsts = node.suffixes
+            pos = bisect_right(keys, e.numerator * D // e.denominator)
             if pos < len(keys):
                 return firsts[pos], self.points[firsts[pos]]
         raise SearchBudgetExceeded(f"no point within 2^(-{e})", budget=len(self))
@@ -375,9 +386,6 @@ class PathTrace:
 
     def visited(self) -> set:
         return set(self.points())
-
-    def is_eventually_fixed(self) -> bool:
-        return bool(self.steps) and self.steps[-1].point == self.x
 
 
 # ---------------------------------------------------------------------------

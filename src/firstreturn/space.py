@@ -26,6 +26,7 @@ fixed here is documented on :class:`UnitGoodBasis` and traces depend on it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -88,7 +89,7 @@ class Dist:
     @staticmethod
     def pow2(e) -> "Dist":
         """The value 2^(-e), e rational."""
-        return Dist("pow2", Fraction(e))
+        return Dist("pow2", e if type(e) is Fraction else Fraction(e))
 
     @staticmethod
     def infinity() -> "Dist":
@@ -236,12 +237,6 @@ class WordPoint:
         d = first_mismatch(self._symbols(n)[start:n], other._symbols(n)[start:n])
         return None if d is None else start + d
 
-    def common_prefix_len(self, other: "WordPoint") -> int:
-        d = self.first_difference(other)
-        if d is None:
-            raise ValueError("points are equal; no finite common prefix")
-        return d
-
     def __str__(self):
         return format_point(self)
 
@@ -296,6 +291,15 @@ class ZPoint:
     tail (a > 0) forces strict increase and divergence.  The prefix is
     trimmed so that entries already matching the tail rule are not stored,
     making equality of denoted sequences equality of fields.
+
+    A point caches its entries q_0, q_1, ... in the tuple `_entries`.  The
+    first `first_difference` that reads the point builds it: the prefix and
+    at least the first two tail entries.  A comparison with a point of
+    longer prefix extends it as far as that one's bound.  `entry` reads the
+    cache when it holds entry n, and the fields otherwise.  The cache is an
+    instance attribute over an empty class default, not a field, so
+    equality, hashing, `repr`, `dataclasses.fields`/`asdict` and the
+    point's text ignore it.
     """
 
     prefix: Tuple[Fraction, ...]
@@ -303,6 +307,7 @@ class ZPoint:
     b: Fraction
 
     space = Z
+    _entries = ()
 
     def __post_init__(self):
         prefix = tuple(Fraction(q) for q in self.prefix)
@@ -323,43 +328,52 @@ class ZPoint:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
+    def _entries_to(self, n: int) -> Tuple[Fraction, ...]:
+        """The cache, built or extended to hold at least q_0..q_{n-1}, and
+        never less than the prefix and the first two tail entries."""
+        q = self._entries
+        if len(q) < n:
+            q = q or self.prefix
+            top = max(n, len(self.prefix) + 2)
+            q += tuple(self.a * i + self.b for i in range(len(q), top))
+            object.__setattr__(self, "_entries", q)
+        return q
+
     def entry(self, n: int) -> Fraction:
-        if n < len(self.prefix):
-            return self.prefix[n]
-        return self.a * n + self.b
+        q = self._entries
+        if n < len(q):
+            return q[n]
+        return self.prefix[n] if n < len(self.prefix) else self.a * n + self.b
 
     def first_entry_above(self, e: Fraction) -> int:
-        """The least n with q_n > e (it exists: the entries diverge)."""
-        for n, q in enumerate(self.prefix):
-            if q > e:
-                return n
-        # past the prefix, a*n + b > e iff n > (e - b) / a
-        return max(len(self.prefix), math.floor((e - self.b) / self.a) + 1)
+        """The least n with q_n > e (it exists: the entries diverge): a
+        bisect over the strictly increasing prefix, and past it the least
+        n > (e - b) / a, floored in integers."""
+        n = bisect_right(self.prefix, e)
+        if n < len(self.prefix):
+            return n
+        a, b = self.a, self.b
+        num = (e.numerator * b.denominator - b.numerator * e.denominator) * a.denominator
+        den = e.denominator * b.denominator * a.numerator
+        return max(n, num // den + 1)
 
     def first_difference(self, other: "ZPoint") -> Optional[int]:
         _require_same_space(self, other)
-        if self == other:
+        if self is other:
             return None
         # Beyond both prefixes the sequences are affine; two distinct affine
         # rules agree at most once, so the first difference shows up within
-        # two steps of the longer prefix.
-        bound = max(len(self.prefix), len(other.prefix)) + 1
-        for n in range(bound + 1):
-            if self.entry(n) != other.entry(n):
-                return n
-        return None  # pragma: no cover
+        # two steps of the longer prefix, and points that agree that far are
+        # equal.
+        n = max(len(self.prefix), len(other.prefix)) + 2
+        pairs = zip(range(n), self._entries_to(n), other._entries_to(n))
+        return next((i for i, s, t in pairs if s != t), None)
 
     def __str__(self):
         return format_point(self)
 
 
 PointCode = Union[WordPoint, UnitPoint, ZPoint]
-
-
-def eq(p: PointCode, q: PointCode) -> bool:
-    """Equality of the denoted infinite objects (decided on canonical forms)."""
-    _require_same_space(p, q)
-    return p == q
 
 
 def dist(p: PointCode, q: PointCode) -> Dist:

@@ -50,7 +50,6 @@ from firstreturn.space import (
     ZPoint,
     cantor_point,
     dist,
-    eq,
     good_basis,
     member,
 )
@@ -114,11 +113,11 @@ def _unit_samples(dense, count):
 
 
 def _check_word_trace(x, tr):
-    if tr.is_eventually_fixed():
+    if tr.steps[-1].point == x:
         hit = next(n for n, s in enumerate(tr.steps) if s.point == x)
         assert all(s.point == x for s in tr.steps[hit:])
         return "fixed"
-    lens = [x.common_prefix_len(s.point) for s in tr.steps]
+    lens = [x.first_difference(s.point) for s in tr.steps]
     assert all(a < b for a, b in zip(lens, lens[1:])), "prefix growth broken"
     assert tr.terminated in ("horizon", "budget")
     if tr.terminated == "budget":
@@ -127,7 +126,7 @@ def _check_word_trace(x, tr):
 
 
 def _check_unit_trace(x, tr):
-    if tr.is_eventually_fixed():
+    if tr.steps[-1].point == x:
         return "fixed"
     wits = [s.witness for s in tr.steps if s.witness is not None]
     assert len(set(wits)) == len(wits), "witnesses repeat"
@@ -368,7 +367,7 @@ def test_criterion_5_prop25_suite(psi_table, dense25, seq25, cantor_basis):
             s_n, s_next = tr.steps[n], tr.steps[n + 1]
             if s_n.point == alpha:
                 break
-            M = alpha.common_prefix_len(s_n.point)
+            M = alpha.first_difference(s_n.point)
             p = _linear_scan_extension(dense25, alpha.prefix(M + 1))
             assert p is not None and dense25[p] == s_next.point
             assert p == s_next.index
@@ -583,7 +582,7 @@ def test_criterion_8_z_suite():
     for x, y, z in triples:
         dxy, dyx = dist(x, y), dist(y, x)
         ok = dxy == dyx
-        ok = ok and (dxy.is_zero() == eq(x, y))
+        ok = ok and (dxy.is_zero() == (x == y))
         ok = ok and dist(x, z) <= max(dxy, dist(y, z))  # ultrametric
         dxz, dyz = dist(x, z), dist(y, z)
         le = (lambda a, b: not b < a)
@@ -601,7 +600,7 @@ def test_criterion_8_z_suite():
     samples = 0
     while samples < 200:
         t, x, y = rng.choice(pool), rng.choice(pool), rng.choice(pool)
-        if eq(x, t) or eq(y, t):
+        if x == t or y == t:
             continue
         samples += 1
         bx = ZBall(x, dist(x, t).value)

@@ -444,7 +444,7 @@ def test_priority_pick_precedes_offender(cantor_basis):
             continue
         if staged.stage_of[y] <= 1:
             continue  # the proof's offender enters at a stage beyond i
-        word = x.prefix(x.common_prefix_len(y))  # proof's W contains x and y
+        word = x.prefix(x.first_difference(y))  # proof's W contains x and y
         z = next(qq for qq in q if qq.starts_with(word) and f_sigma.member(qq))
         assert staged.dense.first_index_of(z) is not None
         assert staged.dense.first_index_of(z) < staged.dense.first_index_of(y)

@@ -52,7 +52,6 @@ from firstreturn.space import (
     ZPoint,
     cantor_point,
     dist,
-    eq,
     parse_point,
 )
 
@@ -260,7 +259,7 @@ def test_prop25_sequence_path_reaches_horizon(seq25, cantor_basis):
     x = CP("", "10")
     tr = path_trace(x, seq25, cantor_basis, 32)
     assert tr.terminated == "horizon" and len(tr.steps) == 32
-    lens = [x.common_prefix_len(s.point) for s in tr.steps]
+    lens = [x.first_difference(s.point) for s in tr.steps]
     assert all(a < b for a, b in zip(lens, lens[1:]))
     assert witness_violations(tr) == []
     assert any(isinstance(s.index, PastTableIndex) for s in tr.steps)
@@ -285,7 +284,7 @@ def test_I16_injective_on_split_pairs():
     pairs = [(CP("0", "01"), CP("1", "01")), (CP("10", "0"), CP("11", "0")),
              (CP("010", "1"), CP("011", "1"))]
     for a, ap in pairs:
-        n = a.common_prefix_len(ap)
+        n = a.first_difference(ap)
         lo, hi = (a, ap) if a.at(n) == 0 else (ap, a)
         beta = WordPoint("cantor", lo.prefix(n) + (1,), (0,))
         assert I16(lo)(beta) == 0

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import math
 import random
@@ -36,8 +37,10 @@ from firstreturn.space import (
     baire_point,
     cantor_point,
     dist,
+    format_point,
     good_basis,
     member,
+    parse_point,
 )
 from firstreturn.dense_builder import ClosedSet, build_dense
 from firstreturn.gallery import thm13_dense, thm13_target, x_seq_point, z_F_member
@@ -101,7 +104,7 @@ def test_strict_common_prefix_growth_off_dense(dense25, cantor_basis):
     x = cantor_point("", "10")  # 1^inf shifted: (10)^inf, not in D
     assert not dense25.contains(x)
     tr = path_trace(x, dense25, cantor_basis, 32)
-    lens = [x.common_prefix_len(s.point) for s in tr.steps]
+    lens = [x.first_difference(s.point) for s in tr.steps]
     assert all(a < b for a, b in zip(lens, lens[1:]))
     assert len(tr.steps) >= 8
     assert tr.terminated == "budget" and tr.budget == len(dense25)
@@ -237,7 +240,7 @@ def test_witness_checker_reports_tampered_witnesses(dense25, cantor_basis):
     tr = path_trace(x, dense25, cantor_basis, 8)
     assert witness_violations(tr) == [] and len(tr.steps) == 8
     n, nxt = 3, tr.steps[4].point
-    k_next = x.common_prefix_len(nxt)
+    k_next = x.first_difference(nxt)
     for witness, problem in [
             (Cylinder(CANTOR, nxt.prefix(k_next + 1)), "step 3: witness misses x"),
             (Cylinder(CANTOR, x.prefix(k_next + 1)), "step 3: witness misses s_4"),
@@ -604,7 +607,7 @@ def test_z_route_matches_linear_scan():
         got = ([s.index for s in tr.steps], tr.points(), tr.terminated)
         assert got == linear_route(x, pts, 30), str(x)
         stops.add(tr.terminated)
-        reached += tr.is_eventually_fixed()
+        reached += tr.steps[-1].point == x
     assert stops == {"horizon", "budget"} and reached > 30
 
 
@@ -685,6 +688,110 @@ def test_z_route_reads_no_list_distance(monkeypatch):
         calls.clear()
         tr = route_trace(x, dense, 400)
         assert calls == tr.points(), str(x)
+
+
+_PLATEAU_DENS = (211 * 4, 223 * 4, 722)
+
+
+def _plateau_z(rng):
+    """A Z point that starts 1/2, 3/2 and whose next entries have the large
+    denominators 211 * 4, 223 * 4 or 722, as the plateau and ladder points
+    of `thm13_dense()` have: a node of a list of them holds keys over
+    several denominators at once."""
+    v = 2 + F(rng.randrange(1, 30), rng.choice(_PLATEAU_DENS))
+    if rng.random() < 0.5:
+        return ZPoint((F(1, 2), F(3, 2)), 1, v - 2)  # q_2 = v, a plateau
+    w = 3 + F(rng.randrange(1, 30), rng.choice(_PLATEAU_DENS))
+    return ZPoint((F(1, 2), F(3, 2), v), 1, w - 3)  # q_3 = w
+
+
+def plateau_queries(rng, points, xs):
+    """(k, x, e) queries for x in xs, with e an entry 2 or 3 of a list
+    point: equal to it, or 1/(D*q) below or above it, where D is the lcm of
+    the denominators of every entry in play (a multiple of every node's own
+    lcm) and q is prime to D; and a few e off the grid."""
+    D = math.lcm(*(y.entry(n).denominator for y in points + xs for n in range(6)))
+    qs = [q for q in (3, 5, 7, 11, 13, 17) if math.gcd(q, D) == 1]
+    queries = []
+    for x in xs:
+        es = [F(rng.randrange(1, 400), rng.choice((97, 101, 7))) for _ in range(4)]
+        for y in rng.sample(points, 6):
+            v = y.entry(rng.choice((2, 3)))
+            es += [v, v - F(1, D * rng.choice(qs)), v + F(1, D * rng.choice(qs))]
+        queries += [(x.first_entry_above(e), x, e) for e in es]
+    return queries
+
+
+def test_first_closer_over_large_denominators():
+    rng = random.Random(23)
+    counts = [0, 0, 0]
+    for _ in range(25):
+        pts = [_plateau_z(rng) for _ in range(rng.randrange(10, 40))]
+        pts += [_random_z(rng) for _ in range(rng.randrange(4))]
+        pts += [rng.choice(pts) for _ in range(rng.randrange(6))]
+        rng.shuffle(pts)
+        xs = rng.sample(pts, 2) + [_plateau_z(rng), ZPoint((F(1, 2), F(3, 2)), 1, 4)]
+        counts = [c + n for c, n in zip(counts, check_closer(pts, plateau_queries(rng, pts, xs)))]
+    found, unshared, at_edge = counts
+    assert found > 1000 and unshared > 100 and at_edge > 100
+
+
+def test_warm_z_entries_cache_is_invisible():
+    # points hashed into a list's first-index table while their entries
+    # caches are cold, then filled by routes and a comparison that reads
+    # past every prefix
+    rng = random.Random(29)
+    xs = thm13_route_points() + [_random_z(rng) for _ in range(20)]
+    xs += [_plateau_z(rng) for _ in range(20)]
+    cold = DenseSequence(xs)
+    texts, reprs = [format_point(x) for x in xs], [repr(x) for x in xs]
+    dense = thm13_dense()
+    longest = max(dense, key=lambda y: len(y.prefix))
+    for x in xs:
+        route_trace(x, dense, 40)
+        x.first_difference(longest)
+    assert all(len(x._entries) >= len(longest.prefix) + 2 for x in xs)
+    for i, x in enumerate(xs):
+        fresh = ZPoint(x.prefix, x.a, x.b)
+        assert x == fresh and fresh == x and hash(x) == hash(fresh)
+        assert cold.first_index_of(x) == cold.first_index_of(fresh) == xs.index(x)
+        assert x in cold._first_of and fresh in cold._first_of
+        assert dataclasses.fields(x) == dataclasses.fields(fresh)
+        assert [f.name for f in dataclasses.fields(x)] == ["prefix", "a", "b"]
+        assert dataclasses.asdict(x) == dataclasses.asdict(fresh) == \
+            {"prefix": x.prefix, "a": x.a, "b": x.b}
+        assert repr(x) == repr(fresh) == reprs[i]
+        assert format_point(x) == format_point(fresh) == texts[i]
+        assert parse_point(texts[i]) == x and hash(parse_point(texts[i])) == hash(x)
+
+
+def test_warm_z_route_step_compares_few_fractions(monkeypatch):
+    """Fraction comparisons per step of warm routes to the four Theorem-13
+    candidates, counted by wrapping Fraction's comparison methods.
+
+    The terms these routes find agree with x on at most 3 entries, and x's
+    prefix has at most 3.  So a step makes: at most 2 ordering comparisons
+    in `first_entry_above`'s bisect over x's prefix; at most 4 equality
+    tests in `first_difference` (the agreement and the first difference)
+    and 1 `min` in `dist`; at most 3 equality tests when the extraction
+    compares the new term with x (their prefixes, up to the shorter one).
+    The trie's bisect compares integers.  That is at most 10 per step; the
+    walk adds one equality test per trie level it enters, a few per route.
+    With each entry rebuilt on every read and a bisect over Fraction keys,
+    these routes made about 19 per step."""
+    dense = thm13_dense()
+    xs = thm13_route_points()[:4]
+    for x in xs:
+        route_trace(x, dense, 100)  # trie nodes, integer keys, entries caches
+    compared = []
+    for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
+        def counting(a, b, real=getattr(F, name)):
+            compared.append(name)
+            return real(a, b)
+        monkeypatch.setattr(F, name, counting)
+    steps = sum(len(route_trace(x, dense, 100).steps) for x in xs)
+    monkeypatch.undo()
+    assert steps == 305 and len(compared) < 10 * steps
 
 
 UNIT_POINTS = [UnitPoint(F(v)) for v in ("1/3", "2/7", "0", "1", "5/8", "999/1000")]
@@ -845,7 +952,7 @@ def test_prop25_fixed_tail_matches_step_by_step(dense25, view25, cantor_basis):
                 for N in (1, 2, 5, 40):
                     tr = assert_matches_step_by_step(x, dense, N, mode, cantor_basis)
                     stops.add(tr.terminated)
-                    filled += tr.is_eventually_fixed() and len(tr.steps) > 1
+                    filled += tr.steps[-1].point == x and len(tr.steps) > 1
     assert stops == {"horizon", "budget"} and filled >= 300
 
 
@@ -857,7 +964,7 @@ def test_unit_fixed_tail_matches_step_by_step(dyadics, unit_basis):
                 for N in (2, 24):
                     tr = assert_matches_step_by_step(x, dense, N, mode, unit_basis)
                     stops.add(tr.terminated)
-                    filled += tr.is_eventually_fixed()
+                    filled += tr.steps[-1].point == x
     assert stops == {"horizon", "budget"} and filled >= 120
 
 

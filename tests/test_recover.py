@@ -103,7 +103,7 @@ def test_settled_trace_costs_one_call_per_run(view25, cantor_basis, monkeypatch,
         x = view25[p]
         g, calls = counting(f)
         res = recover_at(g, x, view25, mode, 40, cantor_basis, window=16)
-        assert res.trace.is_eventually_fixed() and len(res.trace.steps) == 40
+        assert res.trace.steps[-1].point == x and len(res.trace.steps) == 40
         assert len(calls) == runs_of(res.trace) + 1 <= 6, str(x)
         assert_same_as_every_position(res, f, x, view25, mode, cantor_basis, monkeypatch)
 

@@ -24,7 +24,6 @@ from firstreturn.space import (
     baire_point,
     cantor_point,
     dist,
-    eq,
     first_mismatch,
     format_point,
     good_basis,
@@ -39,24 +38,26 @@ from firstreturn.space import (
 
 
 def test_eq_eventually_zero_representations():
-    assert eq(cantor_point("", "0"), cantor_point("0", "00"))
+    assert cantor_point("", "0") == cantor_point("0", "00")
 
 
 def test_eq_unit_identity():
-    assert eq(UnitPoint(F(1, 3)), UnitPoint(F(1, 3)))
+    assert UnitPoint(F(1, 3)) == UnitPoint(F(1, 3))
 
 
 def test_eq_z_prefix_absorbed_into_tail():
     a = ZPoint((F(1, 2),), 1, F(1, 2))
     b = ZPoint((), 1, F(1, 2))
-    assert eq(a, b)
+    assert a == b
     # same ten initial terms
     assert [a.entry(n) for n in range(10)] == [b.entry(n) for n in range(10)]
 
 
 def test_eq_space_mismatch():
+    a, b = cantor_point("", "0"), baire_point((), (0,))
+    assert a != b
     with pytest.raises(SpaceMismatch):
-        eq(cantor_point("", "0"), baire_point((), (0,)))
+        dist(a, b)
 
 
 def test_canonical_head_is_minimal():
@@ -152,7 +153,6 @@ def test_first_difference_matches_symbols(pair):
     assert p.first_difference(q) == q.first_difference(p) == want
     assert (want is None) == (p == q)
     if want is not None:
-        assert p.common_prefix_len(q) == want
         assert dist(p, q) == Dist.pow2(want)
 
 
@@ -251,7 +251,7 @@ def test_z_metric_identity_and_symmetry(i, j):
     x, y = _ZPOINTS[i], _ZPOINTS[j]
     d = dist(x, y)
     assert d == dist(y, x)
-    assert d.is_zero() == eq(x, y)
+    assert d.is_zero() == (x == y)
 
 
 def test_z_ultrametric_inequality_exhaustive_sample():
@@ -460,3 +460,66 @@ def test_z_first_entry_above_is_least(q, e):
     n = q.first_entry_above(e)
     assert q.entry(n) > e
     assert all(q.entry(m) <= e for m in range(n))
+
+
+def ref_z_entry(p, n):
+    """q_n read from the fields, not from the point's entries cache."""
+    return p.prefix[n] if n < len(p.prefix) else p.a * n + p.b
+
+
+def ref_z_first_difference(p, q):
+    n = max(len(p.prefix), len(q.prefix)) + 8
+    return next((i for i in range(n) if ref_z_entry(p, i) != ref_z_entry(q, i)), None)
+
+
+@st.composite
+def _z_pairs(draw):
+    """(p, q): unrelated, or q sharing p's first j entries and then
+    following its own affine rule, or a fresh copy of p."""
+    p = draw(_z_points())
+    kind = draw(st.sampled_from(["other", "shared", "equal"]))
+    if kind == "other":
+        return p, draw(_z_points())
+    if kind == "equal":
+        return p, ZPoint(p.prefix, p.a, p.b)
+    j = draw(st.integers(1, len(p.prefix) + 3))
+    a = draw(st.sampled_from([p.a, p.a / 2, 2 * p.a, F(1, 3)]))
+    step = draw(st.sampled_from([F(1, 8), F(1, 3), p.a, p.a + 1]))
+    shared = tuple(ref_z_entry(p, n) for n in range(j))
+    return p, ZPoint(shared, a, shared[-1] + step - a * j)
+
+
+# first differences at the last index the bound reaches, max(|p1|, |p2|) + 1
+_Z_LATE_PAIRS = [
+    (ZPoint((), 1, 0), ZPoint((), 2, 0)),
+    (ZPoint((F(1, 2),), 1, 1), ZPoint((F(1, 2),), 2, 0)),
+    (ZPoint((), 1, 0), ZPoint((F(0), F(1)), 2, -2)),
+]
+
+
+@given(pair=_z_pairs(), warm=st.sampled_from([None, "pair", "long"]))
+@settings(max_examples=300, deadline=None)
+def test_z_first_difference_matches_fields(pair, warm):
+    # the entries caches start cold, filled by comparing the pair, or
+    # filled past both prefixes by comparing each with a long prefix
+    p, q = pair
+    if warm == "pair":
+        p.first_difference(q)
+    if warm == "long":
+        long = ZPoint(tuple(F(n, 3) for n in range(12)), 1, 0)
+        p.first_difference(long), q.first_difference(long)
+    want = ref_z_first_difference(p, q)
+    assert (want is None) == (p == q)
+    assert p.first_difference(q) == q.first_difference(p) == want
+    if want is not None:
+        assert dist(p, q) == Dist.pow2(min(ref_z_entry(p, want), ref_z_entry(q, want)))
+    assert [p.entry(n) for n in range(20)] == [ref_z_entry(p, n) for n in range(20)]
+
+
+@pytest.mark.parametrize("k", range(len(_Z_LATE_PAIRS)))
+def test_z_first_difference_reads_the_whole_bound(k):
+    p, q = _Z_LATE_PAIRS[k]
+    n = max(len(p.prefix), len(q.prefix)) + 1
+    assert ref_z_first_difference(p, q) == n
+    assert p.first_difference(q) == q.first_difference(p) == n
+    assert p.first_difference(p) is None and p.first_difference(ZPoint(p.prefix, p.a, p.b)) is None
