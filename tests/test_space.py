@@ -498,7 +498,7 @@ _Z_LATE_PAIRS = [
 
 
 @given(pair=_z_pairs(), warm=st.sampled_from([None, "pair", "long"]))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_z_first_difference_matches_fields(pair, warm):
     # the entries caches start cold, filled by comparing the pair, or
     # filled past both prefixes by comparing each with a long prefix
