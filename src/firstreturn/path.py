@@ -15,11 +15,16 @@ metric is an ultrametric, so d(x, x_p) < d(x, s_n) iff x_p extends that
 word, and each path term extends the previous term's common prefix with x.
 On the unit interval it is the interval lookup `first_inside(lo, hi)`: a
 route asks for the ball (x - r, x + r), a path for the union of the basis
-intervals through x that avoid the prior terms.  Z has no good basis, so
-it has routes only; their lookup is the entry-prefix lookup
-`first_closer(x, e)`: with k the least n such that x_n > e, a point is
-within 2^-e of x iff it agrees with x on entries 0..k-1 and its entry k
-exceeds e (proof at `route_step`).  No step compares list points with x.
+intervals through x that avoid the prior terms.  An interval through x
+holds a prior term iff it holds a or b, the nearest priors below and above
+x (a prior s in it below x has s <= a < x, so a lies in it too; likewise
+above), so a path step finds a and b in one pass and tests each block's
+intervals through x against them with integer comparisons (see
+`_unit_prior_free`).  Z has no good basis, so it has routes only; their
+lookup is the entry-prefix lookup `first_closer(x, e)`: with k the least
+n such that x_n > e, a point is within 2^-e of x iff it agrees with x on
+entries 0..k-1 and its entry k exceeds e (proof at `route_step`).  No step
+compares list points with x.
 
 A dense sequence is one of three kinds, and all implement the lookups of
 their space:
@@ -55,7 +60,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, takewhile
+from itertools import accumulate
 from math import lcm
 from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple, Union
@@ -67,6 +72,7 @@ from .space import (
     Dist,
     GoodBasis,
     PointCode,
+    UnitGoodBasis,
     UnitPoint,
     WordPoint,
     ZPoint,
@@ -322,7 +328,9 @@ class DenseSequence:
 
         The indices are sorted by value once, with a sparse table of range
         minima over them: the open bounds are two bisects, and the least
-        index between them is one lookup in the table.
+        index between them is one lookup in the table.  The values stay
+        Fractions: integer keys over one lcm denominator, as a Z node keeps,
+        would grow with the whole list and not with one node's keys.
         """
         if self._unit_order is None:
             self._build_unit_index()
@@ -393,23 +401,45 @@ class PathTrace:
 # ---------------------------------------------------------------------------
 
 
-def _unit_prior_free(basis: GoodBasis, x: UnitPoint, prior_vals: Sequence[Fraction]):
+def _unit_prior_free(basis: UnitGoodBasis, x: UnitPoint, prior_vals: Sequence[Fraction]):
     """The basis intervals through x that avoid the prior terms, in basis
-    order: a filter over the basis walk through x.
+    order, from scale 0 to the last scale R.
 
     All of them contain x, so their union is one open interval: the set of
-    x_p admitting a common prior-free interval with x.  The walk stops after
-    the first scale whose intervals are no longer than the distance from x
-    to the prior set (from there on every interval through x avoids the
-    priors and both grid neighbours of x are usable, covering everything
-    finer scales could add); a scale 2^-r is walked iff 2^-(r-1) exceeds
-    that distance.
+    x_p admitting a common prior-free interval with x.  R is the first
+    scale whose intervals are no longer than gap, the distance from x to
+    the prior set: from there on every interval through x avoids the priors
+    and both grid neighbours of x are usable, covering everything finer
+    scales could add.  With gap = g / G in lowest terms, 2^-r <= gap iff
+    2^r >= ceil(G / g), so R = (ceil(G / g) - 1).bit_length().
+
+    An interval (lo, hi) through x holds a prior term iff it holds a or b,
+    the largest prior below x and the smallest prior above it: a prior s
+    in it below x has lo < s <= a < x < hi, and one above x has
+    lo < x < b <= s < hi.  So it is prior-free iff a <= lo and hi <= b, and
+    one pass over the priors gives a, b and gap.  Block r's intervals are
+    (k / D, (k + 2) / D) with D = 2^(r+1), so with a = an / ad and
+    b = bn / bd both tests compare integers: an * D <= k * ad and
+    (k + 2) * bd <= bn * D.  Only a free interval is built.
     """
-    half_gap = min(abs(x.value - s) for s in prior_vals) / 2
-    if half_gap == 0:
-        raise ValueError(f"{x} is a prior term; every interval through it meets one")
-    walk = takewhile(lambda o: o[1].length() > half_gap, basis.opens_through(x))
-    return [iv for _, iv in walk if not any(iv.lo < s < iv.hi for s in prior_vals)]
+    v = x.value
+    # stand-ins for a missing neighbour: outside every basis interval, and
+    # at least 1 from x, so no nearer than a prior on the other side
+    a, b = Fraction(-1), Fraction(2)
+    for s in prior_vals:
+        if s < v:
+            if s > a:
+                a = s
+        elif s > v:
+            if s < b:
+                b = s
+        else:
+            raise ValueError(f"{x} is a prior term; every interval through it meets one")
+    gap = min(v - a, b - v)
+    R = (-(-gap.denominator // gap.numerator) - 1).bit_length()
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    return [basis.interval(r, k) for r in range(R + 1) for k in basis.blocks_containing(r, v)
+            if an << (r + 1) <= k * ad and (k + 2) * bd <= bn << (r + 1)]
 
 
 def path_step(x: PointCode, dense: DenseSequence, prior: Sequence[TraceStep],
@@ -495,7 +525,9 @@ def _extract(x: PointCode, dense, N: int, mode: str, step) -> PathTrace:
     step repeats its term, so it equals x too.  The remaining N - 1 - n
     steps are therefore appended at once.  They share the term's point
     object and index and one zero distance, and carry no witness, which is
-    the list of steps that copying the term one step at a time gives.
+    the list of steps that copying the term one step at a time gives.  The
+    test is d(x, s_n) = 0, which holds iff s_n = x in every space: words
+    and Z points are canonical, so distinct fields denote distinct points.
     """
     if N < 1:
         raise ValueError("horizon must be >= 1")
@@ -504,7 +536,7 @@ def _extract(x: PointCode, dense, N: int, mode: str, step) -> PathTrace:
     trace.steps.append(TraceStep(0, 0, s0, dist(x, s0)))
     for n in range(N - 1):
         cur = trace.steps[-1]
-        if cur.point == x:
+        if cur.dist_to_x.is_zero():
             zero = Dist.zero()
             trace.steps.extend(TraceStep(k, cur.index, cur.point, zero) for k in range(n + 1, N))
             break

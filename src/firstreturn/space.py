@@ -25,7 +25,6 @@ fixed here is documented on :class:`UnitGoodBasis` and traces depend on it.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -274,10 +273,12 @@ class UnitPoint:
     space = UNIT
 
     def __post_init__(self):
-        v = Fraction(self.value)
+        v = self.value
+        if type(v) is not Fraction:
+            v = Fraction(v)
+            object.__setattr__(self, "value", v)
         if not 0 <= v <= 1:
             raise ValueError("unit point outside [0,1]")
-        object.__setattr__(self, "value", v)
 
     def __str__(self):
         return format_point(self)
@@ -540,8 +541,8 @@ class UnitGoodBasis:
         return 2 ** (r + 1) - 2 + r
 
     def interval(self, r: int, k: int) -> RationalInterval:
-        h = Fraction(1, 2 ** (r + 1))
-        return RationalInterval(k * h, k * h + 2 * h)
+        D = 2 ** (r + 1)
+        return RationalInterval(Fraction(k, D), Fraction(k + 2, D))
 
     def index_of(self, r: int, k: int) -> int:
         return self._block_start(r) + (k + 1)
@@ -553,14 +554,13 @@ class UnitGoodBasis:
         k = m - self._block_start(r) - 1
         return self.interval(r, k)
 
-    def blocks_containing(self, r: int, v: Fraction):
-        """The one or two block-r intervals containing v, as (k, interval)."""
-        # k*h < v < (k+2)*h  <=>  k < q < k + 2 with q = v/h, so k is
-        # floor(q) - 1 or floor(q); for v in [0,1] a k that passes lies in
-        # the block's range -1 .. 2^(r+1) - 1
-        q = v * 2 ** (r + 1)
-        top = math.floor(q)
-        return [(k, self.interval(r, k)) for k in (top - 1, top) if k < q < k + 2]
+    def blocks_containing(self, r: int, v: Fraction) -> Tuple[int, ...]:
+        """The k of the one or two block-r intervals containing v, ascending."""
+        # k*h < v < (k+2)*h  <=>  k < q < k + 2 with q = v/h = v * 2^(r+1), so
+        # k is floor(q) - 1, and floor(q) too unless q is an integer; for v in
+        # [0,1] both lie in the block's range -1 .. 2^(r+1) - 1
+        top, rem = divmod(v.numerator << (r + 1), v.denominator)
+        return (top - 1, top) if rem else (top - 1,)
 
     def scale_block(self, r: int) -> range:
         return range(self._block_start(r), self._block_start(r + 1))
@@ -569,8 +569,8 @@ class UnitGoodBasis:
         """(m, W_m) for every basic open containing x, ascending m: the one
         or two intervals through x of each block, block by block."""
         for r in count():
-            for k, iv in self.blocks_containing(r, x.value):
-                yield self.index_of(r, k), iv
+            for k in self.blocks_containing(r, x.value):
+                yield self.index_of(r, k), self.interval(r, k)
 
 
 GoodBasis = Union[CylinderGoodBasis, UnitGoodBasis]

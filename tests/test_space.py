@@ -322,7 +322,8 @@ def test_unit_block_one_covers_each_point(unit_basis):
     for v in (F(0), F(1, 3), F(1, 2), F(99, 100), F(1)):
         hits = unit_basis.blocks_containing(1, v)
         assert hits, v
-        for _, iv in hits:
+        for k in hits:
+            iv = unit_basis.interval(1, k)
             assert iv.length() == F(1, 2)
             assert member(UnitPoint(v), iv)
 
