@@ -864,8 +864,9 @@ def test_unit_path_witness_is_least_basis_index(dyadics, unit_basis):
 def prior_free_cases(rng):
     """(x, priors) pairs for the prior-free oracle: dyadic x with a few
     priors; priors on one side of x only; up to 40 priors; x off the
-    dyadic grid; priors on the end points of blocks through x, both
-    unclamped ends of one interval among them; and x = 0 and x = 1."""
+    dyadic grid; priors on the ends of a block interval through x (those
+    in [0, 1]) and one more point of that block's grid; and x = 0 and
+    x = 1."""
     def dyadic(den):
         return F(rng.randrange(0, den + 1), den)
 
@@ -918,7 +919,7 @@ def test_warm_unit_path_step_compares_few_fractions(dyadics, unit_basis, monkeyp
     points off its grid, counted by wrapping Fraction's comparison methods.
 
     A step with n prior terms and F prior-free intervals makes: at most 3
-    per prior in the neighbour pass (s < x, then s > a; or s > x, then
+    per prior in the neighbour pass (s < x, and then s > a, or s > x and
     s < b) and 1 for the smaller of the two gaps; at most 22 in
     `first_inside`'s two bisects over the 1,025 sorted values (11 each);
     2(F - 1) for the union's bounds and at most 2F for the witness in
