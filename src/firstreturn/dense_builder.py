@@ -366,19 +366,3 @@ def approximates_check(dense: DenseSequence, F: ClosedSet,
     clean = sum(1 for r in per_point if r["verdict"] == "finitely many so far")
     return {"set": str(F), "points": per_point,
             "clean": clean, "total": len(per_point)}
-
-
-def closed_family_from_function(oracle) -> List[ClosedSet]:
-    """Flatten a function's declared closed preimage decomposition.
-
-    Every gallery function carries, per value y of its (discrete or finite
-    rational) range, a list of closed pieces whose union is f^{-1}({y}).
-    The pieces come value by value, values in string order; none is dropped.
-    """
-    if getattr(oracle, "decomposition", None) is None:
-        raise ValueError(f"unknown function spec: {getattr(oracle, 'fid', oracle)!r} "
-                         "has no declared decomposition")
-    pieces: List[ClosedSet] = []
-    for value in sorted(oracle.decomposition, key=str):
-        pieces.extend(oracle.decomposition[value])
-    return pieces

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .dense_builder import ClosedSet, closed_family_from_function
+from .dense_builder import ClosedSet
 from .recover import FunctionOracle, y_distance
 from .space import Dist, PointCode, common_space, dist
 
@@ -107,10 +107,12 @@ def ebc1_check(family: Sequence[FunctionOracle], cover: ClosedCover,
 def cover_from_function(f: FunctionOracle, eps: Fraction) -> ClosedCover:
     """Cover by the declared closed preimage pieces, one group per range
     value (a point cover of the range by eps/2 balls); each piece has image
-    diameter zero, hence below eps by construction."""
+    diameter zero, hence below eps by construction.  The groups come in the
+    string order of their values, and no piece is dropped."""
     if f.decomposition is None:
         raise CoverViolation(f"missing decomposition for {f.fid}")
-    return ClosedCover(Fraction(eps), closed_family_from_function(f))
+    return ClosedCover(Fraction(eps), [piece for value in sorted(f.decomposition, key=str)
+                                       for piece in f.decomposition[value]])
 
 
 def piece_image_diameter(f: FunctionOracle, piece: ClosedSet,

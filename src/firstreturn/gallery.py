@@ -219,17 +219,15 @@ def prop25_dense() -> Prop25Sequence:
 
 
 class Prop25Sequence:
-    """The sequence (x_p), looked up by the closed form in the module
+    """The sequence (x_p) as a dense source (the contract is in the module
+    docstring of `path`), looked up by the closed form in the module
     docstring.
 
-    Unbounded (the default), a trace never runs out of terms: indices come
-    from the default psi table, and a term past it carries a
-    `PastTableIndex` marker.  Bounded, it is a view of the first 2 * size
-    terms, the ones the table counts, and answers exactly as their list
-    would.  The least index in the whole sequence is the answer when it lies
-    in the table; otherwise no listed term qualifies, so a term past the
-    table is a miss: `first_extending` raises the budget signal with budget
-    2 * size, `first_index_extending` and `first_index_of` return None.
+    Unbounded is the default.  Bounded, it is the view of the first
+    2 * size terms, the ones the default psi table counts, and answers
+    exactly as their list would.  The least index in the whole sequence is
+    the answer when it lies in the table; a term past the table is a miss
+    of the view and a `PastTableIndex` marker of the unbounded sequence.
 
     Terms in the table are built on first use and memoized by index, in
     either mode; the memo holds at most 2 * size terms, and terms past the

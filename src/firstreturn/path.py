@@ -26,33 +26,26 @@ n such that x_n > e, a point is within 2^-e of x iff it agrees with x on
 entries 0..k-1 and its entry k exceeds e (proof at `route_step`).  No step
 compares list points with x.
 
-A dense sequence is one of three kinds, and all implement the lookups of
-their space:
+Every dense source D, whatever holds its terms, keeps one contract:
 
-* a materialized finite list (`DenseSequence`).  A word or Z list answers
-  its lookups from one prefix trie, keyed by symbols or by entries and
-  split on first use.  A word list sorts its indices once in the
-  lexicographic order of their points, so every node holds one run of
-  that order and a split bisects it (the suffix-array idea); a lookup that
-  extends the last one found walks on from that one's node.  A Z node
-  keeps its entries as integers over their lcm denominator D, so a Z
-  lookup ends in one bisect over integers: an integer K has K / D <= e
-  iff K <= floor(e * D).  A unit list answers from its indices sorted by
-  value, with a sparse table of range minima;
-* a bounded closed-form view (`gallery.prop25_dense()`, a bounded
-  `gallery.Prop25Sequence`): it answers exactly as the list of its first
-  terms would, without building that list or an index;
-* an unbounded sequence with a closed-form lookup (an unbounded
-  `gallery.Prop25Sequence`).
+* `space`, the space of its terms;
+* `budget`: its length, or None when it is unbounded;
+* `__getitem__`, and `__iter__` over the terms it can count;
+* `first_index_of(point)`, the point's least index or None, and
+  `contains(point)`;
+* the one lookup of its space, `first_extending(word)` on Cantor and Baire
+  space, `first_closer(x, e)` on Z or `first_inside(lo, hi)` on the unit
+  interval, which returns (p, x_p) for the least p whose term qualifies.
+  On a miss it raises `SearchBudgetExceeded` carrying `budget`, which the
+  extraction records as the trace's `budget` stop: a trace neither raises
+  nor silently truncates.  An unbounded source never misses; a term whose
+  index lies past the table it can count is answered with a
+  `PastTableIndex` marker in place of the index.
 
-Each carries its `space`, which a list reads from its points, and its
-`budget`: its length, or None when the sequence is unbounded.  A lookup
-over a finite list or view that finds no term raises an explicit budget
-signal, which the extraction always records as the trace's `budget` stop:
-a trace neither raises nor silently truncates.  An unbounded sequence
-always finds the next term, and where its index lies past the table it
-can count exactly, it reports a `PastTableIndex` marker instead of a
-number.
+No caller reads `len()` of a source: an unbounded one has none.  The
+sources are the list `DenseSequence`, which answers from an index built on
+first use, and the closed-form `gallery.Prop25Sequence`, unbounded or as
+the bounded view `gallery.prop25_dense()` of the terms its table counts.
 """
 
 from __future__ import annotations
@@ -78,7 +71,6 @@ from .space import (
     ZPoint,
     common_space,
     dist,
-    member,
 )
 
 PATH = "path"
@@ -91,8 +83,8 @@ class SearchBudgetExceeded(RuntimeError):
     It marks a finite list or view that holds no such term, a Baire path
     whose next cylinder needs a symbol past the basis alphabet, and a route
     asked for a point closer than distance 0.  budget is the bound that ran
-    out: the list length, or the basis alphabet for a Baire path; it is
-    None for a sequence without a length.
+    out: the source's `budget` (None for an unbounded one), or the basis
+    alphabet for a Baire path.
     """
 
     def __init__(self, message: str, budget: Optional[int]):
@@ -170,7 +162,9 @@ class _PrefixNode:
 
 class DenseSequence:
     """Indexed, possibly repeating, ordered list of points of one space;
-    a list that mixes spaces raises SpaceMismatch."""
+    a list that mixes spaces raises SpaceMismatch.  A word or Z list
+    answers its lookup from one prefix trie and a unit list from a sparse
+    table of range minima, each built on first use."""
 
     _TRIE_DEPTH = 8
 
@@ -278,7 +272,7 @@ class DenseSequence:
         p = self.first_index_extending(word)
         if p is None:
             raise SearchBudgetExceeded(
-                f"no point extending prefix of length {len(word)}", budget=len(self)
+                f"no point extending prefix of length {len(word)}", budget=self.budget
             )
         return p, self.points[p]
 
@@ -320,7 +314,7 @@ class DenseSequence:
             pos = bisect_right(keys, e.numerator * D // e.denominator)
             if pos < len(keys):
                 return firsts[pos], self.points[firsts[pos]]
-        raise SearchBudgetExceeded(f"no point within 2^(-{e})", budget=len(self))
+        raise SearchBudgetExceeded(f"no point within 2^(-{e})", budget=self.budget)
 
     def first_inside(self, lo: Fraction, hi: Fraction) -> Tuple[int, PointCode]:
         """(p, x_p) for the minimal p with lo < x_p < hi (unit interval);
@@ -337,7 +331,7 @@ class DenseSequence:
         values, mins = self._unit_order
         a, b = bisect_right(values, lo), bisect_left(values, hi)
         if a >= b:
-            raise SearchBudgetExceeded(f"no point inside ({lo}, {hi})", budget=len(self))
+            raise SearchBudgetExceeded(f"no point inside ({lo}, {hi})", budget=self.budget)
         j = (b - a).bit_length() - 1
         p = min(mins[j][a], mins[j][b - (1 << j)])
         return p, self.points[p]
@@ -447,6 +441,9 @@ def path_step(x: PointCode, dense: DenseSequence, prior: Sequence[TraceStep],
     """One non-fixed path step: minimal p with {x, x_p} inside a basic open
     avoiding the prior terms.  Returns (p, point, witness), the least-index
     such open; its index only orders the choice and is never computed.
+    On a word space the step is the route's lookup of x|(k+1), with
+    2^-k = d(x, s_n), plus the witness N_{x|(k+1)}, so a word path has the
+    terms of the word route; the Baire alphabet stop is the one exception.
 
     Precondition: prior is the trace's steps s_0..s_n, and x differs from
     s_n (the caller handles the fixed-point branch of the extraction).
@@ -588,12 +585,12 @@ def witness_violations(trace: PathTrace) -> List[str]:
         if w is None:
             continue
         nxt = trace.steps[n + 1]
-        if not member(trace.x, w):
+        if not w.member(trace.x):
             problems.append(f"step {n}: witness misses x")
-        if not member(nxt.point, w):
+        if not w.member(nxt.point):
             problems.append(f"step {n}: witness misses s_{n + 1}")
         for k in range(n + 1):
-            if member(trace.steps[k].point, w):
+            if w.member(trace.steps[k].point):
                 problems.append(f"step {n}: witness contains s_{k}")
     return problems
 

@@ -458,11 +458,6 @@ class ZBall:
 BasicOpen = Union[Cylinder, RationalInterval, ZBall]
 
 
-def member(p: PointCode, W: BasicOpen) -> bool:
-    """Exact membership of a point in a basic open."""
-    return W.member(p)
-
-
 # ---------------------------------------------------------------------------
 # Good bases
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import pytest
 
+from firstreturn.dense_builder import ClosedSet, build_dense
 from firstreturn.gallery import Prop25Sequence, default_table, prop25_dense, x_seq_point
 from firstreturn.path import DenseSequence
 from firstreturn.space import CANTOR, UNIT, good_basis
@@ -40,3 +41,11 @@ def unit_basis():
 @pytest.fixture(scope="session")
 def dyadics():
     return dyadic_dense(depth=10)
+
+
+@pytest.fixture(scope="session")
+def builder_dense(cantor_basis):
+    """A builder list for N(1) and N(01) u N(11) over the first 512 Prop-25 terms."""
+    families = [ClosedSet(CANTOR, cylinders=((1,),), name="F0"),
+                ClosedSet(CANTOR, cylinders=((0, 1), (1, 1)), name="F1")]
+    return build_dense(families, [x_seq_point(p) for p in range(512)], cantor_basis).dense

@@ -51,7 +51,6 @@ from firstreturn.space import (
     cantor_point,
     dist,
     good_basis,
-    member,
 )
 
 
@@ -605,8 +604,8 @@ def test_criterion_8_z_suite():
         samples += 1
         bx = ZBall(x, dist(x, t).value)
         by = ZBall(y, dist(y, t).value)
-        in_x = [member(p, bx) for p in probes]
-        in_y = [member(p, by) for p in probes]
+        in_x = [bx.member(p) for p in probes]
+        in_y = [by.member(p) for p in probes]
         both = any(a and b for a, b in zip(in_x, in_y))
         if not both or in_x == in_y:
             balls_ok += 1

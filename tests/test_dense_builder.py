@@ -13,9 +13,9 @@ from firstreturn.dense_builder import (
     a_f_of_g,
     approximates_check,
     build_dense,
-    closed_family_from_function,
     whole_space,
 )
+from firstreturn.ebc1 import cover_from_function
 from firstreturn.gallery import I16, indicator_of, x_seq_point
 from firstreturn.path import DenseSequence, path_trace
 from firstreturn.space import (
@@ -496,7 +496,7 @@ def test_approximates_preconditions(q64, cantor_basis):
 
 def test_family_from_clopen_indicator():
     f = indicator_of(ClosedSet(CANTOR, cylinders=((1,),), name="N(1)"))
-    pieces = closed_family_from_function(f)
+    pieces = cover_from_function(f, F(1, 2)).pieces
     names = {str(p) for p in pieces}
     assert "N(1)" in names and any("N(0" in n for n in names)
 
@@ -504,7 +504,7 @@ def test_family_from_clopen_indicator():
 def test_family_from_singleton_indicator():
     zero = cantor_point("", "0")
     f = indicator_of(ClosedSet(CANTOR, singletons=(zero,), name="{0^inf}"))
-    pieces = closed_family_from_function(f)
+    pieces = cover_from_function(f, F(1, 2)).pieces
     # the 0-part consists of cylinders 0^k 1
     cyl_words = [p.cylinders[0] for p in pieces if p.cylinders]
     assert (1,) in cyl_words and (0, 1) in cyl_words and (0, 0, 1) in cyl_words
@@ -514,7 +514,7 @@ def test_family_from_singleton_indicator():
 def test_family_from_I16_mentions_zero_point():
     alpha = cantor_point("", "1")
     f = I16(alpha)
-    pieces = closed_family_from_function(f)
+    pieces = cover_from_function(f, F(1, 2)).pieces
     zero = cantor_point("", "0")
     assert any(zero in p.singletons for p in pieces)
     # the 1-set contains alpha|(n+1).0^inf at 1s of alpha
@@ -523,7 +523,7 @@ def test_family_from_I16_mentions_zero_point():
 
 def test_family_from_I16_keeps_every_piece():
     f = I16(cantor_point("", "1"))
-    assert len(closed_family_from_function(f)) == 37
+    assert len(cover_from_function(f, F(1, 2)).pieces) == 37
 
 
 def test_family_requires_decomposition():
@@ -531,4 +531,4 @@ def test_family_requires_decomposition():
 
     plain = FunctionOracle("anon", lambda p: 0, space=CANTOR)
     with pytest.raises(ValueError):
-        closed_family_from_function(plain)
+        cover_from_function(plain, F(1, 2))

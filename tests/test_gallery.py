@@ -1,5 +1,4 @@
 import itertools
-import random
 from fractions import Fraction as F
 
 import pytest
@@ -39,7 +38,6 @@ from firstreturn.gallery import (
 from firstreturn.path import (
     DenseSequence,
     PastTableIndex,
-    SearchBudgetExceeded,
     path_trace,
     trace_to_csv,
     witness_violations,
@@ -47,7 +45,6 @@ from firstreturn.path import (
 from firstreturn.space import (
     BAIRE,
     BAIRE_ALPHABET,
-    CANTOR,
     WordPoint,
     ZPoint,
     cantor_point,
@@ -144,93 +141,6 @@ def test_x_seq_examples():
     assert x_seq_point(2) == CP("", "1")  # duplicate of x_0
     assert x_seq_point(3) == CP("1", "0")
     assert x_seq_point(4) == CP("01", "1")
-
-
-def _first_extension_by_scan(dense, max_len):
-    """Oracle: one pass over the materialized list recording, for every word
-    up to max_len, the first index whose point extends it."""
-    first = {}
-    for p, pt in enumerate(dense.points):
-        for k in range(max_len + 1):
-            first.setdefault(pt.prefix(k), p)
-    return first
-
-
-def test_prop25_sequence_lookup_matches_materialized_list(dense25, seq25):
-    first = _first_extension_by_scan(dense25, 14)
-    assert len(first) == 16604
-    past = 0
-    for length in range(15):
-        for u in itertools.product((0, 1), repeat=length):
-            p, pt = seq25.first_extending(u)
-            assert pt.starts_with(u)
-            if u in first:
-                assert (p, pt) == (first[u], dense25[first[u]]), u
-            else:
-                assert p == PastTableIndex(len(dense25)), u
-                past += 1
-    assert past == 2 ** 15 - 1 - 16604
-
-
-def test_prop25_sequence_membership_and_first_index(dense25, seq25):
-    for pt in dense25.points:
-        assert seq25.contains(pt)
-        assert seq25.first_index_of(pt) == dense25.first_index_of(pt)
-    deep = CP("0" * 20 + "1", "0")
-    assert seq25.contains(deep) and not dense25.contains(deep)
-    assert seq25.first_index_of(deep) == PastTableIndex(len(dense25))
-    for off in (CP("", "10"), CP("1", "011"), CP("", "001")):
-        assert not seq25.contains(off)
-        assert seq25.first_index_of(off) is None
-
-
-def test_prop25_sequence_iterates_the_indexed_terms(dense25, seq25):
-    assert list(seq25) == list(dense25)
-
-
-def _lookup(dense, word):
-    """first_extending's answer, or its budget signal's text and budget."""
-    try:
-        return dense.first_extending(word)
-    except SearchBudgetExceeded as exc:
-        return str(exc), exc.budget
-
-
-def test_prop25_view_lookup_matches_materialized_list(dense25, view25):
-    rng = random.Random(25)
-    words = [u for n in range(13) for u in itertools.product((0, 1), repeat=n)]
-    words += [tuple(rng.randrange(2) for _ in range(rng.randrange(13, 40)))
-              for _ in range(20000)]
-    misses = 0
-    for u in words:
-        p = view25.first_index_extending(u)
-        assert p == dense25.first_index_extending(u), u
-        assert _lookup(view25, u) == _lookup(dense25, u), u
-        misses += p is None
-    assert 0 < misses < len(words)
-    msg, budget = _lookup(view25, (0,) * 20 + (1,))
-    assert msg.startswith("no point extending prefix of length 21") and budget == 5864
-
-
-def test_prop25_view_membership_matches_materialized_list(dense25, view25):
-    rng = random.Random(26)
-    points = list(dense25) + [
-        WordPoint(CANTOR, tuple(rng.randrange(2) for _ in range(rng.randrange(0, 24))),
-                  (rng.randrange(2),))
-        for _ in range(20000)]
-    for pt in points:
-        assert view25.contains(pt) == dense25.contains(pt), pt
-        assert view25.first_index_of(pt) == dense25.first_index_of(pt), pt
-    assert any(not dense25.contains(pt) for pt in points)
-    assert not view25.contains(CP("", "10")) and view25.first_index_of(CP("", "10")) is None
-
-
-def test_prop25_view_terms_match_materialized_list(dense25, view25):
-    assert len(view25) == view25.budget == len(dense25) == 5864
-    assert list(view25) == list(dense25)
-    assert all(view25[p] == dense25[p] for p in range(len(dense25)))
-    with pytest.raises(IndexError):
-        view25[5864]
 
 
 def test_negative_indices_are_rejected(psi_table, seq25, view25):

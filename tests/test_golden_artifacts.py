@@ -19,7 +19,7 @@ from fractions import Fraction as F
 import pytest
 
 from firstreturn import cli
-from firstreturn.dense_builder import ClosedSet, build_dense
+from firstreturn.dense_builder import ClosedSet
 from firstreturn.gallery import (
     I25,
     ebc1_cover,
@@ -28,14 +28,12 @@ from firstreturn.gallery import (
     prop25_dense,
     thm13_dense,
     thm13_target,
-    x_seq_point,
     z_F_indicator,
 )
 from firstreturn.path import PATH, ROUTE, DenseSequence, PastTableIndex, trace_to_csv
 from firstreturn.recover import recover_at
 from firstreturn.space import (
     BAIRE,
-    CANTOR,
     UnitPoint,
     baire_point,
     cantor_point,
@@ -129,13 +127,6 @@ def test_golden_function_sources(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _builder_dense(cantor_basis):
-    families = [ClosedSet(CANTOR, cylinders=((1,),), name="F0"),
-                ClosedSet(CANTOR, cylinders=((0, 1), (1, 1)), name="F1")]
-    q = [x_seq_point(p) for p in range(512)]
-    return build_dense(families, q, cantor_basis).dense
-
-
 def _baire_list():
     # the path off x stops once the next cylinder through x needs symbol 9
     x = baire_point((1, 9), (2,))
@@ -144,13 +135,12 @@ def _baire_list():
 
 
 @pytest.fixture(scope="module")
-def trace_runs(dense25, seq25, dyadics, cantor_basis, unit_basis):
+def trace_runs(dense25, seq25, dyadics, builder_dense, cantor_basis, unit_basis):
     """(name, f, dense, RecoveryResult) for path and route recoveries over the
     Prop-25 list and sequence, the dyadics, the Theorem-13 list over Z, a
     builder list and a short Baire list; each sequence has a point off it
     and a point on it, whose trace ends in fixed steps."""
     i25 = I25(cantor_point("", "110"))
-    builder = _builder_dense(cantor_basis)
     baire = _baire_list()
     z_dense = thm13_dense()
     cantor_points = [cantor_point("", "10"), cantor_point("1", "0011"),
@@ -163,8 +153,8 @@ def trace_runs(dense25, seq25, dyadics, cantor_basis, unit_basis):
          [cantor_point("", "10"), cantor_point("0", "001"), seq25[7]], 32),
         ("dyadics", ebc1_cover("unit-step")[1][0], dyadics, unit_basis,
          [UnitPoint(F(1, 3)), UnitPoint(F(5, 7)), UnitPoint(F(2, 3)), UnitPoint(F(3, 4))], 24),
-        ("builder", i25, builder, cantor_basis,
-         [cantor_point("101", "0110"), cantor_point("", "10"), builder[20]], 32),
+        ("builder", i25, builder_dense, cantor_basis,
+         [cantor_point("101", "0110"), cantor_point("", "10"), builder_dense[20]], 32),
         ("baire", indicator_of(ClosedSet(BAIRE, cylinders=((1,),), name="N(1)")), baire,
          good_basis(BAIRE), [baire[2], baire_point((1, 9, 2), (1,)), baire[1]], 8),
     ]

@@ -9,7 +9,7 @@ toolchain, so the check reads the source with ast.
 The same reading guards against dead definitions: every module-level
 function, class and constant of the package, and every method that is not a
 dunder, is named somewhere in src/, tests/ or bench/ outside its own
-definition."""
+definition, and no module reads len() of a dense source."""
 
 import ast
 import re
@@ -143,3 +143,34 @@ def test_a_definition_named_only_by_itself_is_dead():
                                    "    def __len__(self):\n        return 0\n"),
              "bench/t.py": ast.parse("TARGETS = ('C.used',)\n")}
     assert _dead(trees) == [("src/m.py", "J"), ("src/m.py", "rec")]
+
+
+def _len_reads(tree):
+    """The lines of each len() call on a name `dense`, or on a parameter
+    annotated with DenseSequence in the function that reads it: an
+    unbounded dense source has no length (see `path`'s contract)."""
+    reads = set()
+    for fn in [tree] + [n for n in ast.walk(tree) if isinstance(n, _FUNCTIONS)]:
+        sources = {"dense"}
+        if isinstance(fn, _FUNCTIONS):
+            params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            sources |= {a.arg for a in params
+                        if a.annotation is not None and "DenseSequence" in ast.unparse(a.annotation)}
+        reads |= {node.lineno for node in ast.walk(fn)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "len" and len(node.args) == 1
+                  and isinstance(node.args[0], ast.Name) and node.args[0].id in sources}
+    return sorted(reads)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_len_read_of_a_dense_source(module):
+    assert _len_reads(ast.parse((SRC / module).read_text())) == []
+
+
+def test_a_len_read_of_a_dense_source_is_found():
+    tree = ast.parse("def f(seq: DenseSequence, n: int, s: 'Optional[DenseSequence]'):\n"
+                     "    return len(seq) + len(n) + len(s.points)\n"
+                     "def g(points):\n    return len(points)\n"
+                     "def h(s: 'Optional[DenseSequence]'):\n    return len(dense) + len(s)\n")
+    assert _len_reads(tree) == [2, 6]

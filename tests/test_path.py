@@ -39,11 +39,10 @@ from firstreturn.space import (
     dist,
     format_point,
     good_basis,
-    member,
     parse_point,
 )
 from firstreturn.dense_builder import ClosedSet, build_dense
-from firstreturn.gallery import thm13_dense, thm13_target, x_seq_point, z_F_member
+from firstreturn.gallery import thm13_dense, thm13_target, z_F_member
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +58,7 @@ def least_witness(basis, x, nxt, prior, own):
     is not the least qualifying open fails the comparison instead of
     leaving the scan unbounded."""
     return next((W for W in map(basis.at, range(own + 1))
-                 if member(x, W) and member(nxt, W) and not any(member(s, W) for s in prior)),
+                 if W.member(x) and W.member(nxt) and not any(W.member(s) for s in prior)),
                 None)
 
 
@@ -165,14 +164,14 @@ def test_path_hitting_set_is_open_on_samples(dense25, cantor_basis):
     step = tr.steps[2]
     W = step.witness
     xq = tr.steps[3].point
-    assert W is not None and member(t0, W) and member(xq, W)
+    assert W is not None and W.member(t0) and W.member(xq)
     samples = [
         WordPoint(CANTOR, W.word, (0, 1)),
         WordPoint(CANTOR, W.word + (0,), (1, 0, 0)),
         WordPoint(CANTOR, W.word + (1, 1), (0, 1, 1)),
     ]
     for xp in samples:
-        assert member(xp, W)
+        assert W.member(xp)
         tr2 = path_trace(xp, dense25, cantor_basis, 16)
         assert xq in tr2.visited()
 
@@ -186,7 +185,7 @@ def test_unit_path_progresses_and_respects_witnesses(dyadics, unit_basis):
     # every nonempty witness contains x and has dyadic-scale length
     for s in tr.steps:
         if s.witness is not None:
-            assert member(x, s.witness)
+            assert s.witness.member(x)
     # at most two witnesses per scale (they are pairwise distinct intervals
     # through x, and each block holds at most two through any point)
     lengths = [s.witness.length() for s in tr.steps if s.witness is not None]
@@ -295,27 +294,9 @@ def test_route_is_first_point_in_ball():
         cur, prev = tr.steps[n], tr.steps[n - 1]
         ball_exp = prev.dist_to_x.value  # 2^-e ball radius exponent
         ball = ZBall(x, ball_exp)
-        assert member(cur.point, ball)
+        assert ball.member(cur.point)
         for p in range(cur.index):
-            assert not member(dense[p], ball)
-
-
-def test_route_budget_message(dyadics, dense25):
-    # exhaust: demand a closer point than distance zero
-    for x, dense in ((UnitPoint(F(1, 3)), dyadics), (cantor_point("", "10"), dense25),
-                     (thm13_target(), thm13_dense())):
-        with pytest.raises(SearchBudgetExceeded) as exc:
-            route_step(x, dense, Dist.zero())
-        assert exc.value.budget == len(dense)
-
-
-def test_zero_radius_stop_reports_the_sequences_budget(dense25, seq25):
-    # a list's budget is its length; the unbounded sequence has none
-    assert (dense25.budget, seq25.budget) == (5864, None)
-    for dense in (dense25, seq25):
-        with pytest.raises(SearchBudgetExceeded) as exc:
-            route_step(cantor_point("", "10"), dense, Dist.zero())
-        assert exc.value.budget == dense.budget
+            assert not ball.member(dense[p])
 
 
 def test_dense_sequence_takes_its_space_from_its_points():
@@ -325,15 +306,6 @@ def test_dense_sequence_takes_its_space_from_its_points():
         DenseSequence([UnitPoint(F(0)), cantor_point("", "1")])
     with pytest.raises(SpaceMismatch):
         DenseSequence([cantor_point("", "1"), baire_point((), (1,))])
-
-
-def test_zero_radius_over_unbounded_sequence_is_a_budget_stop(seq25):
-    # the unbounded Prop-25 sequence has no length to report as the budget
-    with pytest.raises(SearchBudgetExceeded) as exc:
-        route_step(cantor_point("", "10"), seq25, Dist.zero())
-    assert exc.value.budget is None
-    assert str(exc.value) == ("no point closer than distance 0 "
-                              "(search budget exceeded, budget=None)")
 
 
 # ---------------------------------------------------------------------------
@@ -538,15 +510,8 @@ def linear_route(x, dense, N):
     return idx, pts, terminated
 
 
-def builder_dense(cantor_basis):
-    families = [ClosedSet(CANTOR, cylinders=((1,),), name="F0"),
-                ClosedSet(CANTOR, cylinders=((0, 1), (1, 1)), name="F1")]
-    q = [x_seq_point(p) for p in range(512)]
-    return build_dense(families, q, cantor_basis).dense
-
-
-def test_word_route_matches_linear_scan(dense25, cantor_basis):
-    for name, dense in (("prop25", dense25), ("builder", builder_dense(cantor_basis))):
+def test_word_route_matches_linear_scan(dense25, builder_dense):
+    for name, dense in (("prop25", dense25), ("builder", builder_dense)):
         for x in ROUTE_POINTS:
             tr = route_trace(x, dense, 32)
             got = ([s.index for s in tr.steps], tr.points(), tr.terminated)
@@ -908,7 +873,7 @@ def test_unit_prior_free_matches_a_basis_scan(unit_basis):
         gap = min(abs(x.value - s) for s in prior)
         R = next(r for r in itertools.count() if F(1, 2 ** r) <= gap)
         scan = [W for W in map(unit_basis.at, range(unit_basis.scale_block(R).stop))
-                if member(x, W) and not any(W.lo < s < W.hi for s in prior)]
+                if W.member(x) and not any(W.lo < s < W.hi for s in prior)]
         assert _unit_prior_free(unit_basis, x, prior) == scan, (x, prior)
         checked += 1
     assert checked >= 140

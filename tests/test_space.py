@@ -27,7 +27,6 @@ from firstreturn.space import (
     first_mismatch,
     format_point,
     good_basis,
-    member,
     parse_point,
 )
 
@@ -283,12 +282,12 @@ def test_cantor_ultrametric(x, y, z):
 
 
 def test_member_examples():
-    assert not member(cantor_point("", "0"), Cylinder(CANTOR, (0, 1)))
-    assert member(UnitPoint(F(1, 2)), RationalInterval(F(1, 4), F(3, 4)))
+    assert not Cylinder(CANTOR, (0, 1)).member(cantor_point("", "0"))
+    assert RationalInterval(F(1, 4), F(3, 4)).member(UnitPoint(F(1, 2)))
     q = ZPoint((), 1, F(1, 2))
     qp = ZPoint((F(1, 2), F(7, 4)), 1, F(1, 2))
-    assert member(q, ZBall(qp, F(1)))  # 2^-3/2 < 2^-1
-    assert not member(q, ZBall(qp, F(2)))
+    assert ZBall(qp, F(1)).member(q)  # 2^-3/2 < 2^-1
+    assert not ZBall(qp, F(2)).member(q)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +312,7 @@ def test_cylinder_nesting_gives_good_basis_property(cantor_basis):
     m0 = cantor_basis.scale_block(1).start
     for m in range(m0, m0 + 126):
         W = cantor_basis.at(m)
-        if member(x, W):
+        if W.member(x):
             assert len(W.word) >= 1 and x.starts_with(W.word[:1])
             assert W.word[0] == 1  # hence N_w subset of N_1
 
@@ -325,7 +324,7 @@ def test_unit_block_one_covers_each_point(unit_basis):
         for k in hits:
             iv = unit_basis.interval(1, k)
             assert iv.length() == F(1, 2)
-            assert member(UnitPoint(v), iv)
+            assert iv.member(UnitPoint(v))
 
 
 def test_unit_index_round_trip(unit_basis):
@@ -347,14 +346,14 @@ def test_good_basis_finite_horizon_check(cantor_basis, unit_basis):
     m0 = cantor_basis.scale_block(2).start
     for m in range(m0, m0 + H):
         W = cantor_basis.at(m)
-        if member(x, W):
+        if W.member(x):
             assert W.word[:2] == (1, 0)  # inside U = N(10)
     xv = UnitPoint(F(1, 3))
     # U = (1/4, 1/2); intervals of length <= 1/16 containing x sit inside U
     m0 = unit_basis.scale_block(4).start
     for m in range(m0, m0 + H):
         iv = unit_basis.at(m)
-        if member(xv, iv):
+        if iv.member(xv):
             assert iv.lo > F(1, 4) and iv.hi < F(1, 2)
 
 
@@ -381,7 +380,7 @@ def test_opens_through_matches_a_basis_scan(space, x):
     # oracle: every W_m with m <= M that contains x, by a scan of at(m)
     basis, M = good_basis(space), 600
     walk = list(takewhile(lambda o: o[0] <= M, basis.opens_through(x)))
-    scan = [(m, basis.at(m)) for m in range(M + 1) if member(x, basis.at(m))]
+    scan = [(m, basis.at(m)) for m in range(M + 1) if basis.at(m).member(x)]
     assert walk == scan
 
 
