@@ -21,6 +21,11 @@ closed rational intervals on the unit interval.  Both membership and
 "does this basic open meet F" are decided exactly, as is distance to F.
 The output holds the stage blocks and their flattened `DenseSequence`, in
 which a point's position is `dense.first_index_of(point)`.
+
+Inside a build a point is an int id, its first index in (q_i), so each
+point is hashed once per build; G, the picks and the memo tables shared by
+the build's a_f_of_g calls are all keyed by ints.  The log is kept as
+small records and formatted only when read.
 """
 
 from __future__ import annotations
@@ -182,50 +187,57 @@ def whole_space(space: str) -> ClosedSet:
 # ---------------------------------------------------------------------------
 
 
-def a_f_of_g(F: ClosedSet, G: Sequence[PointCode], basis: GoodBasis,
+def a_f_of_g(F: ClosedSet, G: Sequence[int], basis: GoodBasis,
              q_enum: Sequence[PointCode], m_budget: int,
              pick_cache: Optional[dict] = None):
     """One augmentation step.
 
-    For each x in G\\F and each basic open W_m (m <= m_budget) with x in W_m
-    and W_m meeting F, picks the first q_i lying in W_m /\\ F.  Returns
-    (picks, truncations) where picks are (point, via_m, min_index) in
-    deterministic first-found order and truncations record min-index scans
-    that exhausted the enumeration.
+    G holds point ids: the id of a point is its first index in q_enum.
+    For each x in G\\F and each basic open W_m (m <= m_budget) with q_enum[x]
+    in W_m and W_m meeting F, picks the first q_i lying in W_m /\\ F.  Returns
+    (picks, truncations) where picks are (i, via_m) in deterministic
+    first-found order -- the first such i is its point's id -- and
+    truncations record min-index scans that exhausted the enumeration.
 
     `pick_cache` may be shared by calls over one basis, enumeration and
-    m_budget.  It maps each point x to the start of its basis walk,
-    [(m, W_m)] for m <= m_budget, and each closed set F to its own answer
-    table, which maps each W to False if W misses F, to None if the scan
-    for a q_i in W /\\ F exhausted the enumeration, and else to the first
-    such i.  F is looked up once per call, so a lookup hashes only W.
+    m_budget.  It maps each id x to the start of its point's basis walk,
+    [(m, W_m)] for m <= m_budget, and each closed set F to two int-keyed
+    tables: membership in F by id, a bytearray holding 0 until asked and
+    then 1 outside F and 2 inside, and answers by basis index m, each
+    False if W_m misses F, None if the scan for a q_i in W_m /\\ F
+    exhausted the enumeration, and else the first such i.  F is looked up
+    once per call, so no lookup hashes a point or an open.
     """
     memo = pick_cache if pick_cache is not None else {}
-    answers = memo.setdefault(F, {})
-    picks: List[Tuple[PointCode, int, int]] = []
+    tables = memo.get(F)
+    if tables is None:
+        tables = memo[F] = (bytearray(len(q_enum)), {})
+    inside, answers = tables
+    picks: List[Tuple[int, int]] = []
     seen = set()
     truncations: List[str] = []
     for x in G:
-        if F.member(x):
+        if not inside[x]:
+            inside[x] = 1 + F.member(q_enum[x])
+        if inside[x] == 2:
             continue
         opens = memo.get(x)
         if opens is None:
             opens = memo[x] = list(takewhile(lambda o: o[0] <= m_budget,
-                                             basis.opens_through(x)))
+                                             basis.opens_through(q_enum[x])))
         for m, W in opens:
-            if W not in answers:
-                answers[W] = F.meets(W) and next(
+            if m not in answers:
+                answers[m] = F.meets(W) and next(
                     (i for i, q in enumerate(q_enum) if W.member(q) and F.member(q)), None)
-            found = answers[W]
+            found = answers[m]
             if found is False:  # W misses F (index 0 is not False)
                 continue
             if found is None:
                 truncations.append(f"minidx scan exhausted for W={W} F={F}")
                 continue
-            pt = q_enum[found]
-            if pt not in seen:
-                seen.add(pt)
-                picks.append((pt, m, found))
+            if found not in seen:
+                seen.add(found)
+                picks.append((found, m))
     return picks, truncations
 
 
@@ -247,8 +259,26 @@ class StagedDense:
     blocks: List[List[PointCode]]
     stage_of: Dict[PointCode, int]
     dense: DenseSequence
-    log: List[str] = field(default_factory=list)
+    records: List[tuple] = field(default_factory=list)
     truncations: List[str] = field(default_factory=list)
+
+    @property
+    def log(self) -> List[str]:
+        """The build log, one line per stage seed and per pick or drop.
+
+        The build keeps small records, (i, seed) and (i, bits, action,
+        point, via_m, id), and they are formatted on read, so a caller
+        that never reads the log formats no line.
+        """
+        lines = []
+        for r in self.records:
+            if len(r) == 2:
+                lines.append(f"stage={r[0]} seed={r[1]}")
+            else:
+                i, bits, action, pt, via_m, x = r
+                sigma = "".join(map(str, bits))
+                lines.append(f"stage={i} sigma={sigma} {action}={pt} via m={via_m} minidx={x}")
+        return lines
 
 
 def build_dense(families: Sequence[ClosedSet], q_enum: Sequence[PointCode],
@@ -264,10 +294,12 @@ def build_dense(families: Sequence[ClosedSet], q_enum: Sequence[PointCode],
 
     Each build forms all 2^I sets F_sigma once, before the first stage, by
     intersecting the whole space with the selected sets in index order; a
-    stage of width w < I reads sigma padded with zeros.  One memo serves
-    every a_f_of_g call of the build, so each point's basis walk and
-    each (W, F) answer are worked out once; each F_sigma keeps its own
-    answer table in it.
+    stage of width w < I reads sigma padded with zeros.  Points are
+    tracked by id, their first index in q_enum, so each point is hashed
+    once per build.  One memo serves every a_f_of_g call of the build, so
+    each point's basis walk, its membership in each F_sigma and each
+    (W, F) answer are worked out once; each F_sigma keeps its own tables
+    in it.
 
     A stage skips sigma = 0..0.  Its F is the whole space, so G \\ F is
     empty and A^X(G) is empty: it would add no pick, truncation, memo
@@ -288,47 +320,51 @@ def build_dense(families: Sequence[ClosedSet], q_enum: Sequence[PointCode],
             if b:
                 F = F.intersect(families[j])
         f_sigma[bits] = F
+    # the (sigma, F_sigma) a stage of width w walks, in lex order; sigma =
+    # 0..0 is skipped: its F is X, so G \ F is empty
+    sigmas = [[(bits, f_sigma[bits + (0,) * (I - w)])
+               for bits in islice(product((0, 1), repeat=w), 1, None)]
+              for w in range(I + 1)]
 
-    blocks: List[List[PointCode]] = []
-    stage_of: Dict[PointCode, int] = {}
-    flat: List[PointCode] = []
-    log: List[str] = []
+    first: Dict[PointCode, int] = {}
+    canon = [first.setdefault(q, k) for k, q in enumerate(q_enum)]
+    id_blocks: List[List[int]] = []
+    placed = set()
+    records: List[tuple] = []
     truncations: List[str] = []
     memo: dict = {}
 
     for i in range(stages):
-        seed = q_enum[i]
+        seed = canon[i]
         width = min(i, I)
-        G: List[PointCode] = [seed]
+        G = [seed]
         g_members = {seed}
-        log.append(f"stage={i} seed={seed}")
-        # sigma = 0..0 is skipped: its F is X, so G \ F is empty
-        for bits in islice(product((0, 1), repeat=width), 1, None):
-            F = f_sigma[bits + (0,) * (I - width)]
+        records.append((i, q_enum[i]))
+        for bits, F in sigmas[width]:
             picks, trunc = a_f_of_g(F, G, basis, q_enum, m_budget, memo)
             truncations.extend(f"stage={i} {t}" for t in trunc)
-            for pt, via_m, min_i in picks:
-                if pt in g_members:
+            for x, via_m in picks:
+                if x in g_members:
                     continue
                 if len(G) >= G_CAP:
                     truncations.append(f"stage={i} g_cap reached; pick dropped")
                     action = "drop"
                 else:
-                    G.append(pt)
-                    g_members.add(pt)
+                    G.append(x)
+                    g_members.add(x)
                     action = "pick"
-                sigma = "".join(map(str, bits))
-                log.append(f"stage={i} sigma={sigma} {action}={pt} via m={via_m} minidx={min_i}")
+                records.append((i, bits, action, q_enum[x], via_m, x))
         # lex largest sigma class first; the stable sort keeps first-appearance
         # order inside a class
-        block = sorted((pt for pt in G if pt not in stage_of),
-                       key=lambda pt: [not F.member(pt) for F in families[:width]])
-        for pt in block:
-            stage_of[pt] = i
-        blocks.append(block)
-        flat.extend(block)
+        block = sorted((x for x in G if x not in placed),
+                       key=lambda x: [not F.member(q_enum[x]) for F in families[:width]])
+        placed.update(block)
+        id_blocks.append(block)
 
-    return StagedDense(blocks, stage_of, DenseSequence(flat), log, truncations)
+    blocks = [[q_enum[x] for x in block] for block in id_blocks]
+    stage_of = {pt: i for i, block in enumerate(blocks) for pt in block}
+    flat = [pt for block in blocks for pt in block]
+    return StagedDense(blocks, stage_of, DenseSequence(flat), records, truncations)
 
 
 # ---------------------------------------------------------------------------

@@ -239,7 +239,8 @@ def gdelta_witness(f: FunctionOracle, F_y, dense: DenseSequence,
                    j_budget: int = 64) -> GdeltaWitness:
     """Materialize the (p_j) subsequence and the H_k membership test; k >= 1,
     since at k = 0 a discrete value set's closed O_k is the whole range.  A
-    note says whether the list stopped at j_budget or at the last term."""
+    note says whether the list stopped at j_budget, at the last term, or,
+    on an unbounded source, at the end of the table its iteration counts."""
     if k < 1:
         raise ValueError(f"level k must be >= 1, got {k}")
     wit = GdeltaWitness(f, tuple(F_y), k, i_max, horizon, [], dense, basis)
@@ -254,8 +255,9 @@ def gdelta_witness(f: FunctionOracle, F_y, dense: DenseSequence,
                 wit.notes.append(f"p_list truncated at {j_budget}")
                 break
     else:
-        wit.notes.append(f"enumeration ended at {len(seen_points)} distinct terms "
-                         f"with {len(wit.p_list)} of {j_budget} p_j")
+        counts = f"{len(seen_points)} distinct terms with {len(wit.p_list)} of {j_budget} p_j"
+        wit.notes.append(f"enumeration ended at {counts}" if dense.budget is not None else
+                         f"the sequence's table ended after {counts}; the sequence goes on")
     return wit
 
 

@@ -204,12 +204,12 @@ def q64():
 
 
 def test_afog_subset_of_f_yields_nothing(q64, cantor_basis):
-    picks, trunc = a_f_of_g(F0, [cantor_point("", "1")], cantor_basis, q64, 6)
+    picks, trunc = a_f_of_g(F0, [q64.index(cantor_point("", "1"))], cantor_basis, q64, 6)
     assert picks == [] and trunc == []
 
 
 def test_afog_whole_space_yields_nothing(q64, cantor_basis):
-    picks, _ = a_f_of_g(whole_space(CANTOR), [cantor_point("", "0")],
+    picks, _ = a_f_of_g(whole_space(CANTOR), [q64.index(cantor_point("", "0"))],
                         cantor_basis, q64, 6)
     assert picks == []
 
@@ -218,16 +218,16 @@ def test_afog_hand_evaluation(q64, cantor_basis):
     # x = 0^inf outside F0 = N(1): among cylinders of length <= 2 only the
     # empty one contains x and meets F0, so the single pick is the first
     # enumerated point with first symbol 1, which is x_0 = 1^inf.
-    picks, trunc = a_f_of_g(F0, [cantor_point("", "0")], cantor_basis, q64, 6)
+    picks, trunc = a_f_of_g(F0, [q64.index(cantor_point("", "0"))], cantor_basis, q64, 6)
     assert trunc == []
-    assert picks == [(cantor_point("", "1"), 0, 0)]
+    assert picks == [(0, 0)] and q64[0] == cantor_point("", "1")
 
 
 def test_afog_records_truncation(cantor_basis):
     # F reachable in the basis but with no representative in the enumeration
     lonely = ClosedSet(CANTOR, singletons=(cantor_point("", "01"),), name="L")
-    q = [bword(), bword(1)]
-    picks, trunc = a_f_of_g(lonely, [bword(1, 1)], cantor_basis, q, 6)
+    q = [bword(), bword(1), bword(1, 1)]
+    picks, trunc = a_f_of_g(lonely, [q.index(bword(1, 1))], cantor_basis, q, 6)
     assert picks == []
     assert trunc and "exhausted" in trunc[0]
 
@@ -235,9 +235,11 @@ def test_afog_records_truncation(cantor_basis):
 def afog_by_definition(F, G, basis, q_enum, m_budget):
     """A^F(G) read off its definition: for each x in G\\F and m = 0..m_budget
     with x in W_m = basis.at(m) and W_m meeting F, the first q_i in W_m /\\ F
-    by a linear scan.  Returns (picks, truncations, opens missing F)."""
+    by a linear scan.  G's ids are read as the points q_enum[x], and a pick
+    is (i, m) for a point not picked before.  Returns (picks, truncations,
+    opens missing F)."""
     picks, seen, truncations, misses = [], set(), [], 0
-    for x in G:
+    for x in (q_enum[x] for x in G):
         if F.member(x):
             continue
         for m in range(m_budget + 1):
@@ -252,18 +254,20 @@ def afog_by_definition(F, G, basis, q_enum, m_budget):
                 truncations.append(f"minidx scan exhausted for W={W} F={F}")
             elif q_enum[found] not in seen:
                 seen.add(q_enum[found])
-                picks.append((q_enum[found], m, found))
+                picks.append((found, m))
     return picks, truncations, misses
 
 
 def _builder_calls(monkeypatch, families, q, basis, m_budget, stages=None):
     """(F, G, result) of every a_f_of_g call of one build, in its order; the
-    calls share the build's memo."""
+    calls share the build's memo.  G holds ids, and every id is the first
+    index of its point q[x]."""
     calls = []
     real = dense_builder.a_f_of_g
 
     def spy(F, G, *rest):
         result = real(F, G, *rest)
+        assert all(q.index(q[x]) == x for x in G), [str(q[x]) for x in G]
         calls.append((F, list(G), result))
         return result
 
@@ -298,7 +302,7 @@ def test_afog_matches_definition(monkeypatch, q64, cantor_basis, unit_basis, cas
     truncations = misses = 0
     for F_, G, shared in calls:
         picks, trunc, missed = afog_by_definition(F_, G, basis, q, m_budget)
-        assert shared == (picks, trunc), (str(F_), [str(x) for x in G])
+        assert shared == (picks, trunc), (str(F_), [str(q[x]) for x in G])
         assert a_f_of_g(F_, G, basis, q, m_budget) == shared
         truncations += len(trunc)
         misses += missed
@@ -456,6 +460,128 @@ def test_priority_pick_precedes_offender(cantor_basis):
     tr = path_trace(x, staged.dense, cantor_basis, 10)
     for step in tr.steps[2:]:
         assert f_sigma.member(step.point)
+
+
+def _point_keyed_afog(F, G, basis, q_enum, m_budget, memo):
+    """The point-keyed A^F(G) of the builder before point ids: G holds
+    points, picks are (point, via_m, min_index), and the memo is keyed by
+    points, closed sets and opens."""
+    answers = memo.setdefault(F, {})
+    picks, seen, truncations = [], set(), []
+    for x in G:
+        if F.member(x):
+            continue
+        opens = memo.get(x)
+        if opens is None:
+            opens = memo[x] = list(itertools.takewhile(lambda o: o[0] <= m_budget,
+                                                       basis.opens_through(x)))
+        for m, W in opens:
+            if W not in answers:
+                answers[W] = F.meets(W) and next(
+                    (i for i, q in enumerate(q_enum) if W.member(q) and F.member(q)), None)
+            found = answers[W]
+            if found is False:
+                continue
+            if found is None:
+                truncations.append(f"minidx scan exhausted for W={W} F={F}")
+                continue
+            pt = q_enum[found]
+            if pt not in seen:
+                seen.add(pt)
+                picks.append((pt, m, found))
+    return picks, truncations
+
+
+def point_keyed_build(families, q_enum, basis, stages=None, m_budget=30):
+    """The staged build before point ids, as the oracle of build_dense: G,
+    the memo and stage_of are keyed by points, and each log line is
+    formatted when it is made."""
+    I = len(families)
+    stages = len(q_enum) if stages is None else min(stages, len(q_enum))
+    f_sigma = {}
+    for bits in itertools.product((0, 1), repeat=I):
+        F_ = whole_space(q_enum[0].space)
+        for j, b in enumerate(bits):
+            if b:
+                F_ = F_.intersect(families[j])
+        f_sigma[bits] = F_
+    blocks, stage_of, flat, log, truncations, memo = [], {}, [], [], [], {}
+    for i in range(stages):
+        seed = q_enum[i]
+        width = min(i, I)
+        G, g_members = [seed], {seed}
+        log.append(f"stage={i} seed={seed}")
+        for bits in itertools.islice(itertools.product((0, 1), repeat=width), 1, None):
+            F_ = f_sigma[bits + (0,) * (I - width)]
+            picks, trunc = _point_keyed_afog(F_, G, basis, q_enum, m_budget, memo)
+            truncations.extend(f"stage={i} {t}" for t in trunc)
+            for pt, via_m, min_i in picks:
+                if pt in g_members:
+                    continue
+                if len(G) >= G_CAP:
+                    truncations.append(f"stage={i} g_cap reached; pick dropped")
+                    action = "drop"
+                else:
+                    G.append(pt)
+                    g_members.add(pt)
+                    action = "pick"
+                sigma = "".join(map(str, bits))
+                log.append(f"stage={i} sigma={sigma} {action}={pt} via m={via_m} minidx={min_i}")
+        block = sorted((pt for pt in G if pt not in stage_of),
+                       key=lambda pt: [not F_.member(pt) for F_ in families[:width]])
+        for pt in block:
+            stage_of[pt] = i
+        blocks.append(block)
+        flat.extend(block)
+    return {"blocks": blocks, "stage_of": list(stage_of.items()), "log": log,
+            "truncations": truncations, "dense": flat}
+
+
+def _oracle_cases(ladder_inputs):
+    """(name, families, q, stages, m_budget) of the build oracle test."""
+    families, q = ladder_inputs
+    # an earlier point after every third one, so many points repeat and a
+    # point's first and last index differ
+    repeated = [pt for k, p in enumerate(q) for pt in ((p, q[k // 2]) if k % 3 == 2 else (p,))]
+    targets = ClosedSet(CANTOR, singletons=tuple(q[-3:]), name="targets")
+    q64 = [x_seq_point(p) for p in range(64)]
+    lonely = ClosedSet(CANTOR, singletons=(cantor_point("", "01"),), name="L")
+    unit = list(dyadic_dense(7))
+    random.Random(5).shuffle(unit)
+    spikes = [bword(*(0,) * k, 1) for k in range(1, 71)]
+    spiky = ClosedSet(CANTOR, singletons=tuple(spikes), name="spikes")
+    return [
+        ("ladder-repeated", families, repeated, None, 14),
+        ("ladder-singletons", [targets, F0], repeated, None, 14),
+        ("short-stages", [F0, F1], q64, 24, 6),
+        ("unit-sorted", [_UNIT_A, _UNIT_B], sorted(unit, key=lambda p: p.value), 40, 60),
+        ("unit-shuffled", [_UNIT_A, _UNIT_B], unit, 40, 60),
+        ("g-cap-drops", [spiky], [cantor_point("", "1"), cantor_point("", "0")] + spikes,
+         None, 2 ** 70 - 1),
+        ("exhausted-scan", [lonely, F0], q64, 40, 6),
+    ]
+
+
+def test_build_matches_the_point_keyed_build(cantor_basis, unit_basis, ladder_inputs):
+    # the id-keyed build with its log formatted on read gives the blocks,
+    # stage_of, log lines, truncations and sequence of the point-keyed one
+    seen = Counter()
+    for name, families, q, stages, m_budget in _oracle_cases(ladder_inputs):
+        basis = unit_basis if q[0].space == UNIT else cantor_basis
+        staged = build_dense(families, q, basis, stages=stages, m_budget=m_budget)
+        want = point_keyed_build(families, q, basis, stages=stages, m_budget=m_budget)
+        got = {"blocks": staged.blocks, "stage_of": list(staged.stage_of.items()),
+               "log": staged.log, "truncations": staged.truncations,
+               "dense": list(staged.dense)}
+        for key in want:
+            assert got[key] == want[key], (name, key)
+        seen["repeats"] += len(q) - len(set(q))
+        seen["drops"] += sum(" drop=" in ln for ln in want["log"])
+        seen["exhausted"] += sum("exhausted" in t for t in want["truncations"])
+        seen["narrow picks"] += sum(" sigma=" in ln and len(ln.split(" sigma=")[1].split()[0])
+                                    < len(families) for ln in want["log"])
+    assert seen["repeats"] >= 300 and seen["drops"] >= 7
+    assert seen["exhausted"] >= 1 and seen["narrow picks"] >= 4, seen
 
 
 # ---------------------------------------------------------------------------

@@ -230,13 +230,26 @@ def test_gdelta_level_zero_rejected(dense25, cantor_basis):
 
 
 def test_gdelta_notes_the_end_of_the_terms(dense25, seq25, cantor_basis):
-    # no term takes the value 7: the enumeration ends, and a note says so
+    # no term takes the value 7: the enumeration ends, and a note says so;
+    # the unbounded sequence's note says that only its table ended
     f = I25(cantor_point("", "110"))
-    for dense in (dense25, seq25):
+    counts = f"{len(set(dense25))} distinct terms with 0 of 64 p_j"
+    for dense, note in ((dense25, f"enumeration ended at {counts}"),
+                        (seq25, f"the sequence's table ended after {counts}; "
+                                "the sequence goes on")):
         wit = gdelta_witness(f, (7,), dense, cantor_basis, k=1, i_max=4, horizon=16)
         assert wit.p_list == []
-        assert wit.notes == [f"enumeration ended at {len(set(dense25))} distinct terms "
-                             "with 0 of 64 p_j"]
+        assert wit.notes == [note]
+
+
+def test_gdelta_over_the_unbounded_sequence_notes_its_table(dense25, seq25, cantor_basis):
+    # infinitely many terms lie in N(1^12), but only one of the terms the
+    # table counts: the note says the table ended, not the sequence
+    f = indicator_of(ClosedSet(CANTOR, cylinders=((1,) * 12,), name="N(1^12)"))
+    wit = gdelta_witness(f, (1,), seq25, cantor_basis, 1, 4, 12, j_budget=5000)
+    assert len(wit.p_list) == 1
+    assert wit.notes == [f"the sequence's table ended after {len(set(dense25))} distinct "
+                         "terms with 1 of 5000 p_j; the sequence goes on"]
 
 
 def test_gdelta_singleton_indicator(dense25, cantor_basis):
