@@ -8,10 +8,11 @@ subsets of {0..I-1}, augments G with
     A^F(G) = union over x in G\\F and basic opens W <= m_budget with
              x in W and W meeting F, of the first enumerated q inside W /\\ F
 
-where F is the intersection of the sigma-selected closed sets (sigma = 0..0
-selects none, so F = X and A^X(G) is empty).  Within a stage, points whose
-own sigma-class is lexicographically largest are put first.  The
-stage-priority ordering is what later makes paths extracted from the
+where F is the intersection of the sigma-selected closed sets.  When G
+lies inside F (always so at sigma = 0..0, which selects none, so F = X),
+G\\F is empty, A^F(G) is empty and the step is skipped.  Within a stage,
+points whose own sigma-class is lexicographically largest are put first.
+The stage-priority ordering is what later makes paths extracted from the
 flattened sequence stay inside each F_i at almost every step.
 
 All truncations (index bounds, scan budgets, per-stage caps) are recorded
@@ -24,15 +25,17 @@ which a point's position is `dense.first_index_of(point)`.
 
 Inside a build a point is an int id, its first index in (q_i), so each
 point is hashed once per build; G, the picks and the memo tables shared by
-the build's a_f_of_g calls are all keyed by ints.  The log is kept as
-small records and formatted only when read.
+the build's a_f_of_g calls are all keyed by ints.  Each id's membership in
+the I closed sets is decided once, as a bit mask, and the masks decide
+membership in every F_sigma, which steps to skip and the stage order.  The
+log is kept as small records and formatted only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, product, takewhile
+from itertools import product, takewhile
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .path import DenseSequence, path_trace
@@ -78,6 +81,18 @@ class ClosedSet:
                 raise ValueError("empty interval piece")
             ivs.append((lo, hi))
         object.__setattr__(self, "intervals", tuple(sorted(ivs)))
+
+    # The fields never change, so their hash is taken on first use and
+    # kept, not on construction: most sets (complement pieces) are never
+    # hashed.  It is an instance attribute over a class default, not a
+    # field, so equality and repr ignore it.
+    _hash = None
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(
+                (self.space, self.cylinders, self.singletons, self.intervals, self.name)))
+        return self._hash
 
     # -- membership / tree oracle ------------------------------------------
 
@@ -206,7 +221,11 @@ def a_f_of_g(F: ClosedSet, G: Sequence[int], basis: GoodBasis,
     then 1 outside F and 2 inside, and answers by basis index m, each
     False if W_m misses F, None if the scan for a q_i in W_m /\\ F
     exhausted the enumeration, and else the first such i.  F is looked up
-    once per call, so no lookup hashes a point or an open.
+    once per call, so no lookup hashes a point or an open, and a
+    `ClosedSet` keeps its hash.  A standalone call fills the membership
+    table as it asks; `build_dense` hands its calls tables already filled
+    from its per-point family masks, so they ask no F.member of a point
+    of G.
     """
     memo = pick_cache if pick_cache is not None else {}
     tables = memo.get(F)
@@ -297,14 +316,24 @@ def build_dense(families: Sequence[ClosedSet], q_enum: Sequence[PointCode],
     stage of width w < I reads sigma padded with zeros.  Points are
     tracked by id, their first index in q_enum, so each point is hashed
     once per build.  One memo serves every a_f_of_g call of the build, so
-    each point's basis walk, its membership in each F_sigma and each
-    (W, F) answer are worked out once; each F_sigma keeps its own tables
-    in it.
+    each point's basis walk and each (W, F) answer are worked out once;
+    each F_sigma keeps its own tables in it.
 
-    A stage skips sigma = 0..0.  Its F is the whole space, so G \\ F is
-    empty and A^X(G) is empty: it would add no pick, truncation, memo
-    entry or log line.  A stage's fresh points are then ordered by one
-    stable sort, members of the earlier sets first.
+    Each id's membership in the I families is decided once, as a mask
+    whose bit j is set iff the point lies in F_j.  `intersect` is exact,
+    so a point lies in F_sigma iff its mask holds `need`, sigma's bits;
+    each F_sigma's membership table in the memo is filled from the masks
+    before the first stage, and no a_f_of_g call of the build asks
+    F.member of a point of G.
+
+    A stage keeps the AND of its G's masks and skips every sigma whose
+    `need` it holds: then G lies inside F_sigma, G \\ F is empty and
+    A^F(G) is empty, so the step would add no pick, truncation, memo entry
+    or log line.  Sigma = 0..0 (need 0, F = X) is always skipped.  A
+    stage's fresh points are then ordered by one stable sort on an int
+    key, members of the earlier sets first: bit I-1-j of a point's key is
+    set when it lies outside F_j, and a stage of width w shifts the key
+    right by I - w.
     """
     I = len(families)
     if I > MAX_FAMILIES:
@@ -312,35 +341,56 @@ def build_dense(families: Sequence[ClosedSet], q_enum: Sequence[PointCode],
     space = families[0].space if families else q_enum[0].space
     stages = len(q_enum) if stages is None else min(stages, len(q_enum))
 
+    first: Dict[PointCode, int] = {}
+    canon = [first.setdefault(q, k) for k, q in enumerate(q_enum)]
+    # masks[k]: bit j set iff q_k lies in F_j; outside[k]: bit I-1-j set
+    # iff it does not, so the sort key of width w is outside[k] >> (I - w);
+    # I <= MAX_FAMILIES = 8, so each fits a byte
+    masks = bytearray(len(q_enum))
+    outside = bytearray(len(q_enum))
+    for k, x in enumerate(canon):
+        if x < k:
+            masks[k], outside[k] = masks[x], outside[x]
+            continue
+        for j, F in enumerate(families):
+            if F.member(q_enum[k]):
+                masks[k] |= 1 << j
+            else:
+                outside[k] |= 1 << (I - 1 - j)
+
+    memo: dict = {}
     full = whole_space(space)
-    f_sigma: Dict[Tuple[int, ...], ClosedSet] = {}
+    f_sigma: Dict[Tuple[int, ...], Tuple[ClosedSet, int]] = {}
     for bits in product((0, 1), repeat=I):
-        F = full
+        F, need = full, 0
         for j, b in enumerate(bits):
             if b:
                 F = F.intersect(families[j])
-        f_sigma[bits] = F
-    # the (sigma, F_sigma) a stage of width w walks, in lex order; sigma =
-    # 0..0 is skipped: its F is X, so G \ F is empty
-    sigmas = [[(bits, f_sigma[bits + (0,) * (I - w)])
-               for bits in islice(product((0, 1), repeat=w), 1, None)]
+                need |= 1 << j
+        f_sigma[bits] = F, need
+        if need:  # sigma = 0..0 is always skipped, so X needs no tables
+            # a_f_of_g's membership table: 2 inside F, 1 outside
+            memo[F] = (bytearray(masks.translate(
+                bytes(1 + (m & need == need) for m in range(256)))), {})
+    # the (sigma, F_sigma, need) a stage of width w walks, in lex order
+    sigmas = [[(bits, *f_sigma[bits + (0,) * (I - w)]) for bits in product((0, 1), repeat=w)]
               for w in range(I + 1)]
 
-    first: Dict[PointCode, int] = {}
-    canon = [first.setdefault(q, k) for k, q in enumerate(q_enum)]
     id_blocks: List[List[int]] = []
     placed = set()
     records: List[tuple] = []
     truncations: List[str] = []
-    memo: dict = {}
 
     for i in range(stages):
         seed = canon[i]
         width = min(i, I)
         G = [seed]
         g_members = {seed}
+        inside_all = masks[seed]
         records.append((i, q_enum[i]))
-        for bits, F in sigmas[width]:
+        for bits, F, need in sigmas[width]:
+            if inside_all & need == need:  # G lies inside F
+                continue
             picks, trunc = a_f_of_g(F, G, basis, q_enum, m_budget, memo)
             truncations.extend(f"stage={i} {t}" for t in trunc)
             for x, via_m in picks:
@@ -352,12 +402,13 @@ def build_dense(families: Sequence[ClosedSet], q_enum: Sequence[PointCode],
                 else:
                     G.append(x)
                     g_members.add(x)
+                    inside_all &= masks[x]
                     action = "pick"
                 records.append((i, bits, action, q_enum[x], via_m, x))
         # lex largest sigma class first; the stable sort keeps first-appearance
         # order inside a class
-        block = sorted((x for x in G if x not in placed),
-                       key=lambda x: [not F.member(q_enum[x]) for F in families[:width]])
+        shift = I - width
+        block = sorted((x for x in G if x not in placed), key=lambda x: outside[x] >> shift)
         placed.update(block)
         id_blocks.append(block)
 

@@ -505,19 +505,23 @@ class CylinderGoodBasis:
             value //= self.base
         return Cylinder(self.space, tuple(reversed(word)))
 
-    def scale_block(self, r: int) -> range:
-        """Index range of the cylinders of length r (diameter <= 2^(-r))."""
-        return range(self._block_start(r), self._block_start(r + 1))
-
     def opens_through(self, x: WordPoint) -> Iterator[Tuple[int, Cylinder]]:
         """(m, W_m) for every basic open containing x, ascending m: the
         cylinders of x's prefixes, shortest first.  The walk ends before the
-        first prefix with a symbol past the alphabet."""
-        for length in count():
-            word = x.prefix(length)
-            if word and word[-1] >= self.base:
+        first prefix with a symbol past the alphabet.
+
+        The index is carried from prefix to prefix: one symbol s more moves
+        the block start to start * base + 1 and the value within the block
+        to value * base + s, so their sum m to m * base + s + 1."""
+        m, word = 0, ()
+        yield m, Cylinder(self.space, word)
+        for i in count():
+            s = x.at(i)
+            if s >= self.base:
                 return
-            yield self.index_of_word(word), Cylinder(self.space, word)
+            m = m * self.base + s + 1
+            word += (s,)
+            yield m, Cylinder(self.space, word)
 
 
 class UnitGoodBasis:
@@ -556,9 +560,6 @@ class UnitGoodBasis:
         # [0,1] both lie in the block's range -1 .. 2^(r+1) - 1
         top, rem = divmod(v.numerator << (r + 1), v.denominator)
         return (top - 1, top) if rem else (top - 1,)
-
-    def scale_block(self, r: int) -> range:
-        return range(self._block_start(r), self._block_start(r + 1))
 
     def opens_through(self, x: UnitPoint) -> Iterator[Tuple[int, RationalInterval]]:
         """(m, W_m) for every basic open containing x, ascending m: the one

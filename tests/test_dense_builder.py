@@ -223,6 +223,21 @@ def test_afog_hand_evaluation(q64, cantor_basis):
     assert picks == [(0, 0)] and q64[0] == cantor_point("", "1")
 
 
+def test_equal_closed_sets_share_one_memo_entry(q64, cantor_basis):
+    # a ClosedSet hashes its fields once; two equal sets built separately
+    # hash equal, so a_f_of_g's calls over them share one memo entry
+    def make(cyl):
+        return ClosedSet(CANTOR, cylinders=cyl, singletons=(cantor_point("1", "0"),), name="S")
+
+    a, b = make(((0, 1, 1), (0, 0))), make([[0, 0], (0, 1, 1)])
+    assert a is not b and a == b and hash(a) == hash(b)
+    memo = {}
+    G = [q64.index(cantor_point("", "1"))]  # outside S
+    first = a_f_of_g(a, G, cantor_basis, q64, 6, memo)
+    assert first[0] and a_f_of_g(b, G, cantor_basis, q64, 6, memo) == first
+    assert [k for k in memo if isinstance(k, ClosedSet)] == [a]
+
+
 def test_afog_records_truncation(cantor_basis):
     # F reachable in the basis but with no representative in the enumeration
     lonely = ClosedSet(CANTOR, singletons=(cantor_point("", "01"),), name="L")
@@ -371,12 +386,44 @@ def test_build_no_constraints_keeps_enumeration_order(q64, cantor_basis):
     assert list(staged.dense) == seen
 
 
+def _f_sigmas(families, space):
+    """Each sigma's F_sigma, the whole space intersected with the selected
+    sets in index order."""
+    f_sigma = {}
+    for bits in itertools.product((0, 1), repeat=len(families)):
+        F_ = whole_space(space)
+        for j, b in enumerate(bits):
+            if b:
+                F_ = F_.intersect(families[j])
+        f_sigma[bits] = F_
+    return f_sigma
+
+
 def test_build_skips_the_empty_sigma(monkeypatch, q64, cantor_basis):
-    # sigma = 0..0 selects F = X, and A^X(G) is empty: a stage of width w
-    # asks a_f_of_g for the 2^w - 1 other classes only
-    calls = _builder_calls(monkeypatch, [F0, F1], q64, cantor_basis, 6, stages=24)
-    assert len(calls) == sum(2 ** min(i, 2) - 1 for i in range(24))
-    assert whole_space(CANTOR) not in [F_ for F_, _, _ in calls]
+    # A^F(G) is empty when G lies inside F, so a stage asks a_f_of_g for a
+    # sigma != 0..0 only when its G, as the stage's picks grow it, has a
+    # point outside F_sigma; sigma = 0..0 selects F = X and is never asked
+    families, stages = [F0, F1], 24
+    calls = _builder_calls(monkeypatch, families, q64, cantor_basis, 6, stages=stages)
+    staged = build_dense(families, q64, cantor_basis, m_budget=6, stages=stages)
+    f_sigma = _f_sigmas(families, CANTOR)
+    picked = {}
+    for r in staged.records:
+        if len(r) == 6 and r[2] == "pick":
+            picked.setdefault(r[:2], []).append(r[5])
+    want = []
+    for i in range(stages):
+        G, width = [q64.index(q64[i])], min(i, 2)
+        for bits in itertools.product((0, 1), repeat=width):
+            F_ = f_sigma[bits + (0,) * (2 - width)]
+            if any(bits) and not all(F_.member(q64[x]) for x in G):
+                want.append((F_, list(G)))
+            G += picked.get((i, bits), [])
+    assert [(F_, G) for F_, G, _ in calls] == want
+    assert 0 < len(want) < sum(2 ** min(i, 2) - 1 for i in range(stages))
+    for F_, G, _ in calls:
+        assert F_ != whole_space(CANTOR)
+        assert any(not F_.member(q64[x]) for x in G), (str(F_), G)
 
 
 def test_build_drops_picks_past_the_stage_cap(cantor_basis):
@@ -405,6 +452,19 @@ def test_build_one_set_orders_members_first(q64, cantor_basis):
             continue
         flags = [1 if F0.member(pt) else 0 for pt in block]
         assert flags == sorted(flags, reverse=True), (i, flags)
+
+
+def test_build_narrow_stage_sorts_on_its_own_width(cantor_basis):
+    # stage 1 has width 1 of I = 2: its picks p1 = 010^inf and
+    # p2 = 0010^inf both lie in F_0 and tie there, so they keep their pick
+    # order although only p2 lies in F_1; the seed 0^inf, outside F_0, is last
+    p1, p2, seed = bword(0, 1), bword(0, 0, 1), cantor_point("", "0")
+    families = [ClosedSet(CANTOR, singletons=(p1, p2), name="P"),
+                ClosedSet(CANTOR, singletons=(p2,), name="P2")]
+    q = [cantor_point("", "1"), seed, p1, p2]
+    staged = build_dense(families, q, cantor_basis, stages=2, m_budget=6)
+    assert staged.blocks[1] == [p1, p2, seed]
+    assert staged.blocks == point_keyed_build(families, q, cantor_basis, 2, 6)["blocks"]
 
 
 def test_build_deterministic(q64, cantor_basis):
@@ -560,6 +620,21 @@ def _oracle_cases(ladder_inputs):
          None, 2 ** 70 - 1),
         ("exhausted-scan", [lonely, F0], q64, 40, 6),
     ]
+
+
+def test_f_sigma_membership_is_the_conjunction(ladder_inputs):
+    # the build reads membership in F_sigma off per-point family masks,
+    # which holds as intersect is exact: over every enumeration of the
+    # build oracle, a point lies in F_sigma iff it lies in each selected set
+    seen = Counter()
+    for name, families, q, _, _ in _oracle_cases(ladder_inputs):
+        for bits, F_ in _f_sigmas(families, q[0].space).items():
+            for pt in set(q):
+                inside = F_.member(pt)
+                assert inside == all(F.member(pt) for F, b in zip(families, bits) if b), \
+                    (name, bits, str(pt))
+                seen[inside] += 1
+    assert seen[True] >= 1000 and seen[False] >= 1000, seen
 
 
 def test_build_matches_the_point_keyed_build(cantor_basis, unit_basis, ladder_inputs):

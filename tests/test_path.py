@@ -872,7 +872,7 @@ def test_unit_prior_free_matches_a_basis_scan(unit_basis):
             continue
         gap = min(abs(x.value - s) for s in prior)
         R = next(r for r in itertools.count() if F(1, 2 ** r) <= gap)
-        scan = [W for W in map(unit_basis.at, range(unit_basis.scale_block(R).stop))
+        scan = [W for W in map(unit_basis.at, range(unit_basis.index_of(R + 1, -1)))
                 if W.member(x) and not any(W.lo < s < W.hi for s in prior)]
         assert _unit_prior_free(unit_basis, x, prior) == scan, (x, prior)
         checked += 1

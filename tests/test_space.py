@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
-from itertools import takewhile
+from itertools import islice, takewhile
 
 import pytest
 from hypothesis import given, settings
@@ -309,7 +309,7 @@ def test_cylinder_nesting_gives_good_basis_property(cantor_basis):
     # block on are subsets of U
     x = cantor_point("", "1")
     U = Cylinder(CANTOR, (1,))
-    m0 = cantor_basis.scale_block(1).start
+    m0 = cantor_basis.index_of_word((0,))
     for m in range(m0, m0 + 126):
         W = cantor_basis.at(m)
         if W.member(x):
@@ -343,14 +343,14 @@ def test_good_basis_finite_horizon_check(cantor_basis, unit_basis):
     # the Def-1 property over [m0, m0 + H].
     H = 200
     x = cantor_point("10", "1")
-    m0 = cantor_basis.scale_block(2).start
+    m0 = cantor_basis.index_of_word((0, 0))
     for m in range(m0, m0 + H):
         W = cantor_basis.at(m)
         if W.member(x):
             assert W.word[:2] == (1, 0)  # inside U = N(10)
     xv = UnitPoint(F(1, 3))
     # U = (1/4, 1/2); intervals of length <= 1/16 containing x sit inside U
-    m0 = unit_basis.scale_block(4).start
+    m0 = unit_basis.index_of(4, -1)
     for m in range(m0, m0 + H):
         iv = unit_basis.at(m)
         if iv.member(xv):
@@ -382,6 +382,31 @@ def test_opens_through_matches_a_basis_scan(space, x):
     walk = list(takewhile(lambda o: o[0] <= M, basis.opens_through(x)))
     scan = [(m, basis.at(m)) for m in range(M + 1) if basis.at(m).member(x)]
     assert walk == scan
+
+
+_PREFIX_WALK_POINTS = [
+    cantor_point("", "0"),
+    cantor_point("1011", "01"),
+    baire_point((7, 3), (1, 7)),
+    baire_point((4, 9), (0,)),  # a 9 in the head
+    baire_point((2, 5, 1), (3, 11)),  # an 11 past the head
+    baire_point((), (6, 8)),
+]
+
+
+@pytest.mark.parametrize("x", _PREFIX_WALK_POINTS, ids=str)
+def test_opens_through_carries_the_index_of_each_prefix(x):
+    # oracle: index_of_word of each prefix x|l, up to the first prefix with
+    # a symbol past the alphabet or to length 40
+    basis = good_basis(x.space)
+    want = []
+    for length in range(41):
+        word = x.prefix(length)
+        if any(s >= basis.base for s in word):
+            break
+        want.append((basis.index_of_word(word), Cylinder(x.space, word)))
+    assert list(islice(basis.opens_through(x), 41)) == want
+    assert len(want) == 41 or x.space == BAIRE
 
 
 def test_no_good_basis_for_z():
