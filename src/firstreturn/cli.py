@@ -187,6 +187,10 @@ _KEYS = {
                 "alpha": (TEXT, None), "beta": (TEXT, None), "horizon": (COUNT, 400)},
 }
 
+# A trace that settles on its point still builds, and writes, one step per
+# horizon step, so the horizon of a run is bounded.
+MAX_HORIZON = 100_000
+
 _HELP = {
     "recover": "recover a function along a dense sequence",
     "build-dense": "run the staged dense-set builder",
@@ -218,6 +222,8 @@ def validate_config(cfg: dict) -> dict:
                 raise ConfigError(f"{key} must be an integer, got {out[key]!r}") from None
             if kind == COUNT and out[key] < 1:
                 raise ConfigError(f"{key} must be >= 1, got {out[key]}")
+            if key == "horizon" and out[key] > MAX_HORIZON:
+                raise ConfigError(f"horizon must be <= {MAX_HORIZON}, got {out[key]}")
         elif kind == TEXT and not isinstance(out[key], str):
             raise ConfigError(f"{key} must be text, got {out[key]!r}")
         elif kind == FLAG and not (isinstance(out[key], bool)

@@ -132,12 +132,8 @@ class ClosedSet:
         if self.is_empty():
             return Dist.infinity()
         if isinstance(p, UnitPoint):
-            best: Optional[Dist] = None
-            for lo, hi in self.intervals:
-                gap = max(Fraction(0), lo - p.value, p.value - hi)
-                d = Dist.rational(gap)
-                best = d if best is None or d < best else best
-            return best
+            v = p.value
+            return Dist.rational(min(max(0, lo - v, v - hi) for lo, hi in self.intervals))
         if self.member(p):
             return Dist.zero()
         n = 0

@@ -78,8 +78,7 @@ def ebc1_check(family: Sequence[FunctionOracle], cover: ClosedCover,
     for x, xp in pairs:
         dx, dxp = delta_from_cover(cover, x), delta_from_cover(cover, xp)
         d = dist(x, xp)
-        bound = dx.delta if dx.delta < dxp.delta else dxp.delta
-        if not d < bound:
+        if not d < min(dx.delta, dxp.delta):
             continue
         constrained += 1
         problems = []

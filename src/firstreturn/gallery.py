@@ -541,7 +541,17 @@ def thm13_target(offset: Fraction = Fraction(1, 97)) -> ZPoint:
                   Fraction(1, 2) + offset)
 
 
-def thm13_dense(ladder: int = 360, approach_depth: int = 60) -> DenseSequence:
+# thm13_dense's layout: THM13_LADDER ladder points, then approach points
+# that agree with the target on entries 0..m-1 for m = 3..THM13_APPROACH_DEPTH
+THM13_LADDER = 360
+THM13_APPROACH_DEPTH = 60
+# thm13_demo counts a trace's flips from step THM13_AFTER_STEP on, and a
+# witness needs at least THM13_FLIP_THRESHOLD of them
+THM13_AFTER_STEP = 50
+THM13_FLIP_THRESHOLD = 5
+
+
+def thm13_dense() -> DenseSequence:
     """The repo's fixed dense sequence over Z.
 
     Layout: an alternating in-F/out-of-F ladder at strictly decreasing
@@ -553,13 +563,13 @@ def thm13_dense(ladder: int = 360, approach_depth: int = 60) -> DenseSequence:
     target = thm13_target()
     pts: List[ZPoint] = []
     half = Fraction(1, 2)
-    for k in range(ladder):
-        v = 2 + Fraction(k + 1, 2 * (ladder + 1))
+    for k in range(THM13_LADDER):
+        v = 2 + Fraction(k + 1, 2 * (THM13_LADDER + 1))
         if k % 2 == 0:
             pts.append(ZPoint((half, 3 * half, v), 1, half))  # inside F
         else:
             pts.append(ZPoint((half, 3 * half, v), 1, 4))  # outside F
-    for m in range(3, approach_depth + 1):
+    for m in range(3, THM13_APPROACH_DEPTH + 1):
         prefix = tuple(target.entry(n) for n in range(m))
         if m % 2 == 0:
             pts.append(ZPoint(prefix, 1, target.b + Fraction(1, 4)))
@@ -613,8 +623,7 @@ class Thm13Report:
                  "the flip counts are observed values, not a proof")
 
 
-def thm13_demo(horizon: int = 400, after_step: int = 50,
-               flip_threshold: int = 5) -> Thm13Report:
+def thm13_demo(horizon: int = 400) -> Thm13Report:
     """Search proof-shaped candidates for a route trace of 1_F that keeps
     flipping; returns the best witness found (or an honest failure report)."""
     dense = thm13_dense()
@@ -626,7 +635,7 @@ def thm13_demo(horizon: int = 400, after_step: int = 50,
         ZPoint((), 1, 10),
         dense[0],  # excluded: member of D
     ]
-    report = Thm13Report(False, None, 0, 0, horizon, after_step)
+    report = Thm13Report(False, None, 0, 0, horizon, THM13_AFTER_STEP)
     best = None
     for cand in candidates:
         if dense.contains(cand):
@@ -634,7 +643,7 @@ def thm13_demo(horizon: int = 400, after_step: int = 50,
             continue
         trace = route_trace(cand, dense, horizon)
         values = trace.values_under(f)
-        fa = _flips_in(values[after_step:])
+        fa = _flips_in(values[THM13_AFTER_STEP:])
         entry = {"x": str(cand), "steps": len(trace.steps),
                  "terminated": trace.terminated,
                  "flips_after": fa, "total_flips": _flips_in(values),
@@ -642,7 +651,7 @@ def thm13_demo(horizon: int = 400, after_step: int = 50,
         report.candidates.append(entry)
         if best is None or fa > best[0]:
             best = (fa, cand, values)
-    if best and best[0] >= flip_threshold:
+    if best and best[0] >= THM13_FLIP_THRESHOLD:
         report.found = True
         report.witness = str(best[1])
         report.flips_after = best[0]

@@ -453,7 +453,7 @@ def path_step(x: PointCode, dense: DenseSequence, prior: Sequence[TraceStep],
         # |x /\ x_p| > max_i |x /\ s_i|; each term extends the previous one's
         # common prefix with x, so that maximum is k in d(x, s_n) = 2^-k, and
         # N_want, the shortest such cylinder through x, has the least index.
-        want = x.prefix(int(prior[-1].dist_to_x.value) + 1)
+        want = x.prefix(prior[-1].dist_to_x.value + 1)
         if max(want) >= basis.base:
             # a Baire symbol past the basis alphabet: every cylinder through
             # x that avoids the priors extends want, so none is enumerated
@@ -505,7 +505,7 @@ def route_step(x: PointCode, dense: DenseSequence, current: Dist):
         raise SearchBudgetExceeded("no point closer than distance 0", budget=dense.budget)
     if isinstance(x, ZPoint):
         return dense.first_closer(x, current.value)
-    return dense.first_extending(x.prefix(int(current.value) + 1))
+    return dense.first_extending(x.prefix(current.value + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +552,7 @@ def _term_dist(x: PointCode, pt: PointCode, prev: Dist) -> Dist:
     prev from x.  In a word space both steps look that term up by the word
     x|(k+1), with prev = 2^-k, so the comparison with x starts at k + 1."""
     if isinstance(x, WordPoint):
-        d = x.first_difference(pt, int(prev.value) + 1)
+        d = x.first_difference(pt, prev.value + 1)
         return Dist.zero() if d is None else Dist.pow2(d)
     return dist(x, pt)
 

@@ -10,8 +10,10 @@ Points are finite symbolic objects denoting infinite ones:
   rationals given by a finite prefix and an affine tail q_n = a*n + b.
 
 Distances are returned exactly: either a rational or a symbolic power
-2^(-e) with rational exponent e (the Z metric produces irrational values,
-so exponents are compared instead of the powers themselves).
+2^(-e) (the Z metric produces irrational values, so exponents are compared
+instead of the powers themselves).  The exponent is an int on Cantor and
+Baire space, the index of the first disagreement, and a Fraction on Z; an
+int and an equal Fraction compare, hash and print alike.
 
 Basic opens are cylinders N_s (Cantor/Baire), open rational intervals
 clamped to [0, 1] (unit), and metric balls of radius 2^(-r) (Z).  A good
@@ -67,28 +69,33 @@ def common_space(items: Iterable) -> str:
 class Dist:
     """Exact nonnegative distance: 0, a rational, 2^(-e), or +infinity.
 
+    The value is kept as given, an int or a Fraction: a word distance's
+    exponent is the int index of the first disagreement, and a Z exponent
+    or a unit distance is a Fraction.  An int and an equal Fraction
+    compare, hash and print alike, so equal distances are equal whichever
+    type holds them.
+
     The +infinity sentinel exists for the delta gauge (distance to an empty
     union); it compares greater than everything else.
     """
 
     kind: str  # "zero" | "rat" | "pow2" | "inf"
-    value: Optional[Fraction] = None  # rational value, or exponent e for pow2
+    value: Union[int, Fraction, None] = None  # rational value, or exponent e for pow2
 
     @staticmethod
     def zero() -> "Dist":
         return Dist("zero")
 
     @staticmethod
-    def rational(q) -> "Dist":
-        q = Fraction(q)
+    def rational(q: Union[int, Fraction]) -> "Dist":
         if q < 0:
             raise ValueError("distances are nonnegative")
         return Dist("zero") if q == 0 else Dist("rat", q)
 
     @staticmethod
-    def pow2(e) -> "Dist":
-        """The value 2^(-e), e rational."""
-        return Dist("pow2", e if type(e) is Fraction else Fraction(e))
+    def pow2(e: Union[int, Fraction]) -> "Dist":
+        """The value 2^(-e), e an int on word spaces and a Fraction on Z."""
+        return Dist("pow2", e)
 
     @staticmethod
     def infinity() -> "Dist":
@@ -190,11 +197,8 @@ class WordPoint:
             raise ValueError(f"not a word space: {self.space}")
         if not self.cycle:
             raise ValueError("cycle must be nonempty")
-        alphabet_ok = all(
-            s >= 0 and (self.space != CANTOR or s <= 1)
-            for s in tuple(self.head) + tuple(self.cycle)
-        )
-        if not alphabet_ok:
+        symbols = (*self.head, *self.cycle)
+        if min(symbols) < 0 or (self.space == CANTOR and max(symbols) > 1):
             raise ValueError("symbol out of alphabet")
         head, cycle = _canonical_word(self.head, self.cycle)
         object.__setattr__(self, "head", head)

@@ -622,7 +622,7 @@ def test_criterion_8_z_suite():
 
 def test_criterion_9_thm13_demo():
     t0 = time.monotonic()
-    rep = thm13_demo(horizon=400, after_step=50, flip_threshold=5)
+    rep = thm13_demo(horizon=400)
     elapsed = time.monotonic() - t0
     detail = (f"witness {rep.witness} with {rep.flips_after} flips after "
               f"step 50 at horizon 400 ({elapsed:.1f}s < 120s)")

@@ -14,6 +14,7 @@ from firstreturn.cli import (
     COUNT,
     FLAG,
     INT,
+    MAX_HORIZON,
     ConfigError,
     _KEYS,
     builder_families,
@@ -235,6 +236,21 @@ def test_counts_below_one_rejected(command, key):
     assert validate_config({"command": command, key: "1"})[key] == 1
     with pytest.raises(ConfigError, match=f"{key} must be >= 1"):
         validate_config({"command": command, key: 0})
+
+
+@pytest.mark.parametrize("command", ["recover", "gallery"])
+def test_horizon_above_bound_rejected(command):
+    assert validate_config({"command": command, "horizon": MAX_HORIZON})["horizon"] == MAX_HORIZON
+    with pytest.raises(ConfigError, match=f"^horizon must be <= {MAX_HORIZON}, got"):
+        validate_config({"command": command, "horizon": str(MAX_HORIZON + 1)})
+
+
+def test_horizon_above_bound_exits_2_with_one_line(tmp_path, capsys):
+    assert run_main(["recover", "--fn", "I25", "--alpha", "cantor:|110", "--horizon",
+                     str(MAX_HORIZON + 1), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: horizon must be <=") and err.count("\n") == 1
+    assert not (tmp_path / "r").exists()
 
 
 I25_ARGS = ["recover", "--fn", "I25", "--alpha", "cantor:|110"]

@@ -315,7 +315,7 @@ def test_density_report_records_a_budget_stop():
 
 
 def test_thm13_demo_small_horizon_still_flips():
-    rep = thm13_demo(horizon=150, after_step=20)
+    rep = thm13_demo(horizon=150)
     assert isinstance(rep, Thm13Report)
     assert rep.found and rep.flips_after >= 5
     assert any(c.get("skipped") == "x in D" for c in rep.candidates)
@@ -323,6 +323,6 @@ def test_thm13_demo_small_horizon_still_flips():
 
 
 def test_thm13_ladder_membership_alternates():
-    dense = thm13_dense(ladder=10, approach_depth=10)
+    dense = thm13_dense()
     flags = [z_F_member(dense[k]) for k in range(10)]
     assert flags == [True, False] * 5

@@ -461,6 +461,46 @@ def test_word_trace_distances_are_exact():
     assert found > 500
 
 
+def test_warm_word_traces_construct_no_fraction(dense25, view25, cantor_basis, monkeypatch):
+    """A word distance is 2^-k with k the int index of the first
+    disagreement, and the next step reads k back from it as it is.  Warm
+    Cantor path and route traces over a list and over the Prop-25 view, and
+    Baire paths over a Baire list, construct no Fraction: counted by
+    wrapping `Fraction.__new__`.  Wrapping k in a Fraction at every step
+    made one per step."""
+    rng = random.Random(5)
+    baire = DenseSequence([baire_point((), (0,))] + [
+        baire_point(tuple(rng.randrange(8) for _ in range(rng.randrange(1, 6))),
+                    (rng.randrange(8),)) for _ in range(300)])
+    baire_basis = good_basis(BAIRE)
+    cantor_xs = [cantor_point("", "110"), cantor_point("1", "01"), cantor_point("0110", "1"),
+                 dense25[77], dense25[400]]
+    baire_xs = [baire_point((3,), (1,)), baire_point((7, 0, 2), (5,)), baire[40]]
+
+    def traces():
+        out = []
+        for dense in (dense25, view25):
+            for x in cantor_xs:
+                out += [path_trace(x, dense, cantor_basis, 40), route_trace(x, dense, 40)]
+        return out + [path_trace(x, baire, baire_basis, 12) for x in baire_xs]
+
+    warm = traces()
+    made = []
+
+    def counting(cls, *args, real=F.__new__, **kwargs):
+        made.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting))
+    counted = traces()
+    monkeypatch.undo()
+    assert made == []
+    assert list(map(trace_to_csv, counted)) == list(map(trace_to_csv, warm))
+    exponents = [s.dist_to_x.value for tr in counted for s in tr.steps
+                 if not s.dist_to_x.is_zero()]
+    assert len(exponents) > 100 and set(map(type, exponents)) == {int}
+
+
 def test_cold_ladder_path_reads_few_list_symbols(ladder_points, cantor_basis, monkeypatch):
     # a cold trace pays for the trie nodes it is the first to pass; a split
     # reads a logarithmic number of list points per child, not all of them

@@ -82,6 +82,19 @@ def test_canonical_form_invariant_under_unrolling(head, cycle, shift):
     assert [p.at(i) for i in range(12)] == [q.at(i) for i in range(12)]
 
 
+@pytest.mark.parametrize("space,head,cycle", [
+    (CANTOR, (2,), (0,)), (CANTOR, (), (0, 2)),
+    (BAIRE, (-1,), (0,)), (BAIRE, (3,), (1, -1)),
+])
+def test_symbol_out_of_alphabet_rejected(space, head, cycle):
+    with pytest.raises(ValueError, match="^symbol out of alphabet$"):
+        WordPoint(space, head, cycle)
+
+
+def test_baire_symbols_past_the_basis_alphabet_accepted():
+    assert WordPoint(BAIRE, (9,), (9, 0)).head == (9,)
+
+
 # ---------------------------------------------------------------------------
 # the word kernel against the per-symbol definitions
 # ---------------------------------------------------------------------------
@@ -231,6 +244,21 @@ def test_dist_comparisons_exact():
     assert Dist.rational(F(1, 3)) < Dist.pow2(F(3, 2))  # 1/3 < 2^-1.5 ~ 0.3535
     assert Dist.pow2(F(3, 2)) < Dist.rational(F(3, 8))
     assert Dist.zero() < Dist.rational(F(1, 10 ** 9)) < Dist.infinity()
+
+
+def test_int_and_fraction_exponents_are_one_distance():
+    # a word distance keeps the int index of the first disagreement; it is
+    # the same distance as the Fraction exponent it once was
+    k, f = Dist.pow2(3), Dist.pow2(F(3))
+    assert type(k.value) is int and type(f.value) is F
+    assert k == f and hash(k) == hash(f)
+    assert str(k) == str(f) == "2^(-3)"
+    for r in (F(1, 9), F(1, 8), F(1, 7)):
+        d = Dist.rational(r)
+        assert (k < d, k <= d, k > d, k >= d) == (f < d, f <= d, f > d, f >= d)
+        assert (d < k, d > k) == (d < f, d > f)
+    assert Dist.rational(F(1, 8)) <= k <= Dist.rational(F(1, 8))
+    assert Dist.pow2(4) < f < Dist.pow2(F(5, 2)) and k.as_fraction() == F(1, 8)
 
 
 _ZPOINTS = [
