@@ -188,8 +188,11 @@ _KEYS = {
 }
 
 # A trace that settles on its point still builds, and writes, one step per
-# horizon step, so the horizon of a run is bounded.
+# horizon step, and an ebc1 run builds and holds every pair, so both are
+# bounded: key -> largest value.
 MAX_HORIZON = 100_000
+MAX_PAIRS = 100_000
+_BOUNDS = {"horizon": MAX_HORIZON, "pairs": MAX_PAIRS}
 
 _HELP = {
     "recover": "recover a function along a dense sequence",
@@ -222,8 +225,8 @@ def validate_config(cfg: dict) -> dict:
                 raise ConfigError(f"{key} must be an integer, got {out[key]!r}") from None
             if kind == COUNT and out[key] < 1:
                 raise ConfigError(f"{key} must be >= 1, got {out[key]}")
-            if key == "horizon" and out[key] > MAX_HORIZON:
-                raise ConfigError(f"horizon must be <= {MAX_HORIZON}, got {out[key]}")
+            if key in _BOUNDS and out[key] > _BOUNDS[key]:
+                raise ConfigError(f"{key} must be <= {_BOUNDS[key]}, got {out[key]}")
         elif kind == TEXT and not isinstance(out[key], str):
             raise ConfigError(f"{key} must be text, got {out[key]!r}")
         elif kind == FLAG and not (isinstance(out[key], bool)

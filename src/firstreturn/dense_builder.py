@@ -272,7 +272,6 @@ class StagedDense:
     """Builder output: per-stage blocks plus the flattened dense sequence."""
 
     blocks: List[List[PointCode]]
-    stage_of: Dict[PointCode, int]
     dense: DenseSequence
     records: List[tuple] = field(default_factory=list)
     truncations: List[str] = field(default_factory=list)
@@ -409,9 +408,8 @@ def build_dense(families: Sequence[ClosedSet], q_enum: Sequence[PointCode],
         id_blocks.append(block)
 
     blocks = [[q_enum[x] for x in block] for block in id_blocks]
-    stage_of = {pt: i for i, block in enumerate(blocks) for pt in block}
     flat = [pt for block in blocks for pt in block]
-    return StagedDense(blocks, stage_of, DenseSequence(flat), records, truncations)
+    return StagedDense(blocks, DenseSequence(flat), records, truncations)
 
 
 # ---------------------------------------------------------------------------

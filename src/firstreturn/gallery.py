@@ -321,7 +321,7 @@ class Prop25Sequence:
 # ---------------------------------------------------------------------------
 
 
-def _complement_pieces(avoid: ClosedSet, depth: int) -> List[ClosedSet]:
+def _complement_pieces(avoid: ClosedSet) -> List[ClosedSet]:
     """Clopen pieces exhausting the complement of a closed set, to a depth.
 
     The pieces are cylinders of the set's own word space, over its basis
@@ -338,7 +338,7 @@ def _complement_pieces(avoid: ClosedSet, depth: int) -> List[ClosedSet]:
         if not avoid.hits(word):
             pieces.append(ClosedSet(space, cylinders=(word,), name=str(Cylinder(space, word))))
             return
-        if len(word) >= depth or any(word[:len(w)] == w for w in avoid.cylinders):
+        if len(word) >= DECOMP_DEPTH or any(word[:len(w)] == w for w in avoid.cylinders):
             return
         for a in alphabet:
             rec(word + (a,))
@@ -363,7 +363,7 @@ def _singleton(pt: WordPoint) -> ClosedSet:
     return ClosedSet(CANTOR, singletons=(pt,), name=f"{{{pt}}}")
 
 
-# complement depth of the I16, I25 and first-one-scale decompositions
+# the depth of `_complement_pieces`, so of every declared decomposition
 DECOMP_DEPTH = 8
 
 
@@ -385,7 +385,7 @@ def I16(alpha: WordPoint) -> FunctionOracle:
     ones += [WordPoint(CANTOR, word[:n + 1], (0,))
              for n in [n for n, bit in enumerate(word) if bit == 1][:DECOMP_DEPTH - 1]]
     avoid = ClosedSet(CANTOR, singletons=tuple(ones) + (alpha,))
-    zero_pieces = _complement_pieces(avoid, DECOMP_DEPTH)
+    zero_pieces = _complement_pieces(avoid)
     if not is_P_f(alpha):
         zero_pieces = zero_pieces + [_singleton(alpha)]
     decomposition = {1: [_singleton(pt) for pt in ones], 0: zero_pieces}
@@ -406,17 +406,16 @@ def I25(alpha: WordPoint) -> FunctionOracle:
     avoid = ClosedSet(CANTOR, singletons=tuple(zeros) + (alpha,))
     decomposition = {
         0: [_singleton(pt) for pt in zeros],
-        1: _complement_pieces(avoid, DECOMP_DEPTH) + [_singleton(alpha)],
+        1: _complement_pieces(avoid) + [_singleton(alpha)],
     }
     return FunctionOracle(f"I25({alpha})", ev, DISCRETE, decomposition, space=CANTOR)
 
 
-def indicator_of(closed: ClosedSet, fid: Optional[str] = None,
-                 complement_depth: int = DECOMP_DEPTH) -> FunctionOracle:
+def indicator_of(closed: ClosedSet, fid: Optional[str] = None) -> FunctionOracle:
     """Indicator of an exact closed set, with a declared decomposition."""
     decomposition = {
         1: [closed],
-        0: _complement_pieces(closed, complement_depth),
+        0: _complement_pieces(closed),
     }
     return FunctionOracle(fid or f"1_{closed}", lambda p: 1 if closed.member(p) else 0,
                           DISCRETE, decomposition, space=closed.space)

@@ -18,10 +18,10 @@ route asks for the ball (x - r, x + r), a path for the union of the basis
 intervals through x that avoid the prior terms.  An interval through x
 holds a prior term iff it holds a or b, the nearest priors below and above
 x (a prior s in it below x has s <= a < x, so a lies in it too; likewise
-above), so a path step finds a and b in one pass and tests each block's
-intervals through x against them with integer comparisons (see
-`_unit_prior_free`).  Z has no good basis, so it has routes only; their
-lookup is the entry-prefix lookup `first_closer(x, e)`: with k the least
+above).  Terms lie between a and b, so a step reads a and b off the
+trace's last terms on each side of x and tests each block's intervals
+through x against them with integer comparisons (see `_unit_prior_free`).
+Z has no good basis, so it has routes only; their lookup is the entry-prefix lookup `first_closer(x, e)`: with k the least
 n such that x_n > e, a point is within 2^-e of x iff it agrees with x on
 entries 0..k-1 and its entry k exceeds e (proof at `route_step`).  No step
 compares list points with x.
@@ -395,44 +395,29 @@ class PathTrace:
 # ---------------------------------------------------------------------------
 
 
-def _unit_prior_free(basis: UnitGoodBasis, x: UnitPoint, prior_vals: Sequence[Fraction]):
-    """The basis intervals through x that avoid the prior terms, in basis
-    order, from scale 0 to the last scale R.
+def _unit_prior_free(basis: UnitGoodBasis, v: Fraction, a: Fraction, b: Fraction):
+    """The basis intervals through v that avoid the prior terms, as (r, k)
+    pairs for the block-r interval (k / D, (k + 2) / D), D = 2^(r+1), in
+    basis order, from scale 0 to the last scale R.
 
-    All of them contain x, so their union is one open interval: the set of
-    x_p admitting a common prior-free interval with x.  R is the first
-    scale whose intervals are no longer than gap, the distance from x to
-    the prior set: from there on every interval through x avoids the priors
-    and both grid neighbours of x are usable, covering everything finer
-    scales could add.  With gap = g / G in lowest terms, 2^-r <= gap iff
-    2^r >= ceil(G / g), so R = (ceil(G / g) - 1).bit_length().
+    a and b are the nearest priors below and above v, or -1 and 2 where
+    there is none: outside every basis interval, and at least 1 from v.
+    An interval (lo, hi) through v holds a prior term iff it holds a or b:
+    a prior s in it below v has lo < s <= a < v, and one above v has
+    v < b <= s < hi.  So it is prior-free iff a <= lo and hi <= b, and with
+    a = an / ad and b = bn / bd both tests compare integers:
+    an * D <= k * ad and (k + 2) * bd <= bn * D.
 
-    An interval (lo, hi) through x holds a prior term iff it holds a or b,
-    the largest prior below x and the smallest prior above it: a prior s
-    in it below x has lo < s <= a < x < hi, and one above x has
-    lo < x < b <= s < hi.  So it is prior-free iff a <= lo and hi <= b, and
-    one pass over the priors gives a, b and gap.  Block r's intervals are
-    (k / D, (k + 2) / D) with D = 2^(r+1), so with a = an / ad and
-    b = bn / bd both tests compare integers: an * D <= k * ad and
-    (k + 2) * bd <= bn * D.  Only a free interval is built.
+    All of them contain v, so their union is one open interval: the set of
+    x_p admitting a common prior-free interval with v.  R is the first
+    scale whose intervals are no longer than v - a and b - v: from there on
+    every interval through v avoids the priors and both grid neighbours of
+    v are usable, covering everything finer scales could add.  With
+    g / G such a distance, 2^-r <= g / G iff 2^r >= ceil(G / g).
     """
-    v = x.value
-    # stand-ins for a missing neighbour: outside every basis interval, and
-    # at least 1 from x, so no nearer than a prior on the other side
-    a, b = Fraction(-1), Fraction(2)
-    for s in prior_vals:
-        if s < v:
-            if s > a:
-                a = s
-        elif s > v:
-            if s < b:
-                b = s
-        else:
-            raise ValueError(f"{x} is a prior term; every interval through it meets one")
-    gap = min(v - a, b - v)
-    R = (-(-gap.denominator // gap.numerator) - 1).bit_length()
+    R = max((-(-g.denominator // g.numerator) - 1).bit_length() for g in (v - a, b - v))
     an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-    return [basis.interval(r, k) for r in range(R + 1) for k in basis.blocks_containing(r, v)
+    return [(r, k) for r in range(R + 1) for k in basis.blocks_containing(r, v)
             if an << (r + 1) <= k * ad and (k + 2) * bd <= bn << (r + 1)]
 
 
@@ -465,13 +450,24 @@ def path_step(x: PointCode, dense: DenseSequence, prior: Sequence[TraceStep],
         p, pt = dense.first_extending(want)
         return p, pt, Cylinder(x.space, want)
     if isinstance(x, UnitPoint):
-        free = _unit_prior_free(basis, x, [s.point.value for s in prior])
-        # the region straddles x strictly (both grid neighbours at the final
-        # scale are usable), so x itself qualifies whenever it is enumerated
-        p, pt = dense.first_inside(min(iv.lo for iv in free), max(iv.hi for iv in free))
+        # a term lies inside the union of the intervals that avoid the terms
+        # before it, so terms below x increase and terms above x decrease
+        v = x.value
+        a = next((s.point.value for s in reversed(prior) if s.point.value < v), Fraction(-1))
+        b = next((s.point.value for s in reversed(prior) if s.point.value > v), Fraction(2))
+        free = _unit_prior_free(basis, v, a, b)
+        # the union's ends on the last scale's grid; it straddles x strictly
+        # (both grid neighbours at that scale are usable), so x itself
+        # qualifies whenever it is enumerated
+        R = free[-1][0]
+        lo = min(k << (R - r) for r, k in free)
+        hi = max((k + 2) << (R - r) for r, k in free)
+        p, pt = dense.first_inside(Fraction(lo, 2 << R), Fraction(hi, 2 << R))
         # every later scale has larger indices, so the first listed interval
-        # holding x_p is the minimal-index witness
-        return p, pt, next(iv for iv in free if iv.lo < pt.value < iv.hi)
+        # holding x_p = n / d is the minimal-index witness
+        n, d = pt.value.numerator, pt.value.denominator
+        r, k = next((r, k) for r, k in free if k * d < n << (r + 1) < (k + 2) * d)
+        return p, pt, basis.interval(r, k)
     raise ValueError(f"path mode needs a good basis; unsupported for {x.space}")
 
 

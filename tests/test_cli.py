@@ -15,6 +15,7 @@ from firstreturn.cli import (
     FLAG,
     INT,
     MAX_HORIZON,
+    MAX_PAIRS,
     ConfigError,
     _KEYS,
     builder_families,
@@ -238,11 +239,15 @@ def test_counts_below_one_rejected(command, key):
         validate_config({"command": command, key: 0})
 
 
-@pytest.mark.parametrize("command", ["recover", "gallery"])
-def test_horizon_above_bound_rejected(command):
-    assert validate_config({"command": command, "horizon": MAX_HORIZON})["horizon"] == MAX_HORIZON
-    with pytest.raises(ConfigError, match=f"^horizon must be <= {MAX_HORIZON}, got"):
-        validate_config({"command": command, "horizon": str(MAX_HORIZON + 1)})
+@pytest.mark.parametrize("command,key,bound", [
+    pytest.param("recover", "horizon", MAX_HORIZON, id="recover"),
+    pytest.param("gallery", "horizon", MAX_HORIZON, id="gallery"),
+    pytest.param("ebc1", "pairs", MAX_PAIRS, id="ebc1"),
+])
+def test_horizon_above_bound_rejected(command, key, bound):
+    assert validate_config({"command": command, key: bound})[key] == bound
+    with pytest.raises(ConfigError, match=f"^{key} must be <= {bound}, got {bound + 1}$"):
+        validate_config({"command": command, key: str(bound + 1)})
 
 
 def test_horizon_above_bound_exits_2_with_one_line(tmp_path, capsys):
@@ -251,6 +256,10 @@ def test_horizon_above_bound_exits_2_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: horizon must be <=") and err.count("\n") == 1
     assert not (tmp_path / "r").exists()
+    assert run_main(["ebc1", "--pairs", str(MAX_PAIRS + 1), "--out", str(tmp_path / "e")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: pairs must be <=") and err.count("\n") == 1
+    assert not (tmp_path / "e").exists()
 
 
 I25_ARGS = ["recover", "--fn", "I25", "--alpha", "cantor:|110"]

@@ -426,6 +426,11 @@ def test_build_skips_the_empty_sigma(monkeypatch, q64, cantor_basis):
         assert any(not F_.member(q64[x]) for x in G), (str(F_), G)
 
 
+def stage_of(staged):
+    """point -> the stage whose block holds it, from the build's blocks"""
+    return {pt: i for i, block in enumerate(staged.blocks) for pt in block}
+
+
 def test_build_drops_picks_past_the_stage_cap(cantor_basis):
     # at stage 1, x = 0^inf lies outside F = {0^k 1 0^inf : 1 <= k <= 70},
     # and for k <= 70 the first point of F in N(0^k) is 0^k 1 0^inf: 70
@@ -442,7 +447,7 @@ def test_build_drops_picks_past_the_stage_cap(cantor_basis):
     assert [ln.split(" via ")[0] for ln in drops] == [f"stage=1 sigma=1 drop={pt}" for pt in dropped]
     assert staged.truncations == ["stage=1 g_cap reached; pick dropped"] * len(dropped)
     # a dropped point still enters the sequence by its own stage
-    assert all(staged.stage_of[pt] == q.index(pt) for pt in dropped)
+    assert all(stage_of(staged)[pt] == q.index(pt) for pt in dropped)
 
 
 def test_build_one_set_orders_members_first(q64, cantor_basis):
@@ -502,11 +507,11 @@ def test_priority_pick_precedes_offender(cantor_basis):
     # share x's membership in F_0, and they entered at a stage j > i where
     # the full sigma machinery was active
     f_sigma = F0.intersect(F1)
-    checked = 0
+    checked, stages = 0, stage_of(staged)
     for y in staged.dense:
         if f_sigma.member(y) or not y.starts_with((1, 0)):
             continue
-        if staged.stage_of[y] <= 1:
+        if stages[y] <= 1:
             continue  # the proof's offender enters at a stage beyond i
         word = x.prefix(x.first_difference(y))  # proof's W contains x and y
         z = next(qq for qq in q if qq.starts_with(word) and f_sigma.member(qq))
@@ -645,7 +650,7 @@ def test_build_matches_the_point_keyed_build(cantor_basis, unit_basis, ladder_in
         basis = unit_basis if q[0].space == UNIT else cantor_basis
         staged = build_dense(families, q, basis, stages=stages, m_budget=m_budget)
         want = point_keyed_build(families, q, basis, stages=stages, m_budget=m_budget)
-        got = {"blocks": staged.blocks, "stage_of": list(staged.stage_of.items()),
+        got = {"blocks": staged.blocks, "stage_of": list(stage_of(staged).items()),
                "log": staged.log, "truncations": staged.truncations,
                "dense": list(staged.dense)}
         for key in want:

@@ -143,8 +143,7 @@ def test_cover_from_clopen_indicator():
 
 def test_cover_from_singleton_indicator():
     zero = cantor_point("", "0")
-    f = indicator_of(ClosedSet(CANTOR, singletons=(zero,), name="{0^inf}"),
-                     complement_depth=10)
+    f = indicator_of(ClosedSet(CANTOR, singletons=(zero,), name="{0^inf}"))
     cover = cover_from_function(f, F(1, 2))
     probes = [zero, cantor_point("", "1"), cantor_point("0001", "1"),
               cantor_point("00000001", "1")]

@@ -914,7 +914,10 @@ def test_unit_prior_free_matches_a_basis_scan(unit_basis):
         R = next(r for r in itertools.count() if F(1, 2 ** r) <= gap)
         scan = [W for W in map(unit_basis.at, range(unit_basis.index_of(R + 1, -1)))
                 if W.member(x) and not any(W.lo < s < W.hi for s in prior)]
-        assert _unit_prior_free(unit_basis, x, prior) == scan, (x, prior)
+        a = max((s for s in prior if s < x.value), default=F(-1))
+        b = min((s for s in prior if s > x.value), default=F(2))
+        free = _unit_prior_free(unit_basis, x.value, a, b)
+        assert [unit_basis.interval(r, k) for r, k in free] == scan, (x, prior)
         checked += 1
     assert checked >= 140
 
@@ -923,16 +926,17 @@ def test_warm_unit_path_step_compares_few_fractions(dyadics, unit_basis, monkeyp
     """Fraction comparisons of warm path traces over dyadic_dense(10) to
     points off its grid, counted by wrapping Fraction's comparison methods.
 
-    A step with n prior terms and F prior-free intervals makes: at most 3
-    per prior in the neighbour pass (s < x, and then s > a, or s > x and
-    s < b) and 1 for the smaller of the two gaps; at most 22 in
-    `first_inside`'s two bisects over the 1,025 sorted values (11 each);
-    2(F - 1) for the union's bounds and at most 2F for the witness in
-    `path_step`; 2 in `Dist.rational` for the new term's distance.  The
-    block candidates, the last scale and both bound tests compare
-    integers.  That is at most 3n + 4F + 23 per step, plus 2 per trace for
-    d(x, s_0).  Testing every basis interval through x against every prior,
-    these traces made 13,197 in 57 steps, about 230 per step."""
+    A step reads the priors back from the last one, 1 comparison per term
+    read, until the first term below x (or through all of them when there
+    is none), and again until the first term above x.  Then: at most 22 in
+    `first_inside`'s two bisects over the 1,025 sorted values (11 each),
+    and 2 in `Dist.rational` for the new term's distance.  The last scale,
+    the block candidates, both bound tests, the union's ends and the
+    witness compare integers.  That is the terms read plus 24 per step,
+    plus 2 per trace for d(x, s_0).  With a pass over every prior for a
+    and b, and the union's ends and the witness found over Fractions,
+    these traces made 2,856; testing every basis interval through x
+    against every prior, 13,197 in 57 steps, about 230 per step."""
     xs = [UnitPoint(F(v)) for v in ("1/3", "2/7", "5/13", "17/19", "999/1000")]
     for x in xs:
         path_trace(x, dyadics, unit_basis, 40)  # the sorted values and range minima
@@ -947,17 +951,40 @@ def test_warm_unit_path_step_compares_few_fractions(dyadics, unit_basis, monkeyp
     # no x is a term, so every trace ends in a budget stop, and each of its
     # steps, the failed last one included, had the terms before it as priors
     assert {tr.terminated for tr in traces} == {"budget"}
+
+    def read_back(prior, on_side):
+        # the terms read from the last prior back to the first on that side
+        return next((i for i, s in enumerate(reversed(prior), 1) if on_side(s)), len(prior))
+
     bound = 0
     for tr in traces:
-        values = [s.point.value for s in tr.steps]
-        bound += 2 + sum(3 * n + 4 * len(_unit_prior_free(unit_basis, tr.x, values[:n])) + 23
+        values, v = [s.point.value for s in tr.steps], tr.x.value
+        bound += 2 + sum(read_back(values[:n], lambda s: s < v)
+                         + read_back(values[:n], lambda s: s > v) + 24
                          for n in range(1, len(values) + 1))
     assert len(compared) <= bound
 
 
-def test_unit_prior_free_rejects_a_prior_term(unit_basis):
-    with pytest.raises(ValueError, match="is a prior term"):
-        _unit_prior_free(unit_basis, UnitPoint(F(1, 3)), [F(1, 2), F(1, 3)])
+def test_last_unit_term_on_each_side_is_the_nearest_prior(dyadics, unit_basis):
+    # a unit path step reads a and b off the trace's last terms on each side
+    # of x; oracle: the largest prior below x and the smallest above it, by a
+    # scan over all the priors of every step of every trace
+    checked = 0
+    for dense in unit_lists(dyadics):
+        for x in UNIT_POINTS:
+            values = [s.point.value for s in path_trace(x, dense, unit_basis, 40).steps]
+            for n in range(1, len(values) + 1):
+                prior = values[:n]
+                if prior[-1] == x.value:
+                    break  # the extraction takes no further step
+                below = [s for s in prior if s < x.value]
+                above = [s for s in prior if s > x.value]
+                if below:
+                    assert below[-1] == max(below), (str(x), n)
+                if above:
+                    assert above[-1] == min(above), (str(x), n)
+                checked += 1
+    assert checked >= 100
 
 
 @pytest.mark.parametrize("space", [CANTOR, UNIT])
