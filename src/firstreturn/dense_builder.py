@@ -127,19 +127,19 @@ class ClosedSet:
 
         On a word space it is 0 on the set and otherwise 2^-n for the
         largest n with hits(p|n): the set is closed, so a point off it has
-        a prefix whose cylinder misses the set.
+        a prefix whose cylinder misses the set.  That n is read off each
+        piece once: p|n meets a cylinder w iff n <= first_mismatch(p|len(w), w),
+        and extends a singleton s iff n <= p.first_difference(s); either
+        index is None iff p lies on that piece.
         """
         if self.is_empty():
             return Dist.infinity()
         if isinstance(p, UnitPoint):
             v = p.value
             return Dist.rational(min(max(0, lo - v, v - hi) for lo, hi in self.intervals))
-        if self.member(p):
-            return Dist.zero()
-        n = 0
-        while self.hits(p.prefix(n + 1)):
-            n += 1
-        return Dist.pow2(n)
+        agree = [first_mismatch(p.prefix(len(w)), w) for w in self.cylinders]
+        agree += [p.first_difference(s) for s in self.singletons]
+        return Dist.zero() if None in agree else Dist.pow2(max(agree))
 
     # -- algebra -------------------------------------------------------------
 

@@ -105,53 +105,43 @@ class PastTableIndex:
         return f">={self.size}"
 
 
+def _range_index(keys: list):
+    """The keys in ascending order, and a sparse table of range minima over
+    the list indices in that order: mins[j][a] is the least index at sorted
+    positions a..a + 2^j - 1."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    mins = [order]
+    while 1 << len(mins) <= len(order):
+        prev, half = mins[-1], 1 << (len(mins) - 1)
+        mins.append(list(map(min, prev[:-half], prev[half:])))
+    return [keys[i] for i in order], mins
+
+
+def _least(mins, a: int, b: int) -> int:
+    """The least index at sorted positions a..b-1, a < b: two runs of 2^j
+    positions, the longest that fit, cover them from each end."""
+    j = (b - a).bit_length() - 1
+    return min(mins[j][a], mins[j][b - (1 << j)])
+
+
 class _PrefixNode:
-    """The points of a word or Z list that share one prefix: the least of
-    their indices, and either all of them or, once split, the nodes of the
-    prefixes one symbol longer, keyed by that symbol.  A word node's indices
-    are one run of its list's lexicographic order, so its children's runs
-    are consecutive pieces of it; a Z node's indices ascend.  A Z query that
-    ends at a split node reads `suffixes`, built on first use: D, the lcm
-    of the denominators of the node's keys; the keys times D, integers in
-    ascending order; and the least index of each suffix of them."""
+    """The points of a Z list that share a prefix of entries: the least of
+    their indices, and either all of them, ascending, or, once split, the
+    nodes of the prefixes one entry longer, keyed by that entry.  A query
+    that ends at a split node reads `suffixes`, built on first use: D, the
+    lcm of the denominators of the node's keys; the keys times D, integers
+    in ascending order; and the least index of each suffix of them."""
 
     __slots__ = ("first", "indices", "children", "suffixes")
 
     def __init__(self, indices: List[int]):
-        self.first = min(indices)
+        self.first = indices[0]
         self.indices: Optional[List[int]] = indices
         self.children: Optional[dict] = None
         self.suffixes = None
 
-    def cut(self, points: Sequence[WordPoint], d: int) -> dict:
-        """Split a run of a word list's lexicographic order by symbol d.
-        Its points share symbols 0..d-1, so symbol d never decreases along
-        the run: each child is the piece up to `bisect_right` of its first
-        point's symbol, and the last child is the piece that holds the
-        run's last symbol.  A deep node most often peels one point off an
-        end of its run, so the two points next to the ends are read before
-        the bisect.  That is one read per child, plus at most two reads and
-        a bisect per child but the last."""
-        run, n, lo = self.indices, len(self.indices), 0
-        key = lambda i: points[i].at(d)
-        children, last = {}, key(run[-1])
-        while lo < n:
-            s = key(run[lo])
-            if s == last:
-                hi = n
-            elif key(run[lo + 1]) != s:
-                hi = lo + 1
-            elif key(run[n - 2]) == s:
-                hi = n - 1
-            else:
-                hi = bisect_right(run, s, lo + 2, n - 2, key=key)
-            children[s] = _PrefixNode(run[lo:hi])
-            lo = hi
-        self.children, self.indices = children, None
-        return children
-
     def partition(self, points: Sequence[ZPoint], d: int) -> dict:
-        """Split a Z node by entry d, one read per index."""
+        """Split the node by entry d, one read per index."""
         parts = {}
         for i in self.indices:
             parts.setdefault(points[i].entry(d), []).append(i)
@@ -162,10 +152,14 @@ class _PrefixNode:
 
 class DenseSequence:
     """Indexed, possibly repeating, ordered list of points of one space;
-    a list that mixes spaces raises SpaceMismatch.  A word or Z list
-    answers its lookup from one prefix trie and a unit list from a sparse
-    table of range minima, each built on first use."""
+    a list that mixes spaces raises SpaceMismatch.  A word or unit list
+    answers its lookup from its points' keys in ascending order and a
+    sparse table of range minima over them (`_range_index`), a Z list from
+    a prefix trie.  Each index is built on first use, and so is the table
+    of first indices that `first_index_of` and `contains` read."""
 
+    # No lookup reads this depth: the benchmark's tracer counts words longer
+    # than it as deep lookups (its `deep_share` metric).
     _TRIE_DEPTH = 8
 
     def __init__(self, points: Sequence[PointCode]):
@@ -173,12 +167,10 @@ class DenseSequence:
             raise ValueError("dense sequence must be nonempty")
         self.points: List[PointCode] = list(points)
         self.space = common_space(self.points)
-        self._first_of = {}
-        for i, pt in enumerate(self.points):
-            self._first_of.setdefault(pt, i)
+        self._first_of = None
+        self._order = None
         self._root = None
         self._finger = None
-        self._unit_order = None
 
     def __len__(self):
         return len(self.points)
@@ -194,77 +186,58 @@ class DenseSequence:
         return iter(self.points)
 
     def first_index_of(self, point: PointCode) -> Optional[int]:
+        if self._first_of is None:
+            self._first_of = {}
+            for i, pt in enumerate(self.points):
+                self._first_of.setdefault(pt, i)
         return self._first_of.get(point)
 
     def contains(self, point: PointCode) -> bool:
-        return point in self._first_of
+        return self.first_index_of(point) is not None
 
     def _build_word_index(self):
-        """The root of the prefix trie over a word list, every node of the
-        first `_TRIE_DEPTH` levels split at once: a word of at most that
-        many symbols then reaches its node without reading a list point.
+        """The sorted keys of a word list with their range-minima table, the
+        key length L, and the key type: `bytes` on Cantor space, tuple on
+        Baire space.
 
-        The root holds the indices sorted once in the lexicographic order
-        of their points, so every node's indices are one run of that order
-        and a split cuts its run (`_PrefixNode.cut`).  Two distinct
-        canonical words h1.c1^inf and h2.c2^inf differ before
+        Two distinct canonical words h1.c1^inf and h2.c2^inf differ before
         max(|h1|, |h2|) + |c1| + |c2| - gcd(|c1|, |c2|) (Fine-Wilf), so any
         two distinct points of the list differ before L = (longest head) +
         (the two longest cycles) - 1, and keys of at least L symbols order
         the points as their infinite words are ordered.  A key is the head
-        and whole cycles; a Cantor key is `bytes`, a Baire key a tuple.
+        and whole cycles.
         """
         points = self.points
         cycles = sorted(map(len, map(attrgetter("cycle"), points)))
         L = max(map(len, map(attrgetter("head"), points))) + sum(cycles[-2:]) - 1
         enc = bytes if self.space == CANTOR else tuple
-
-        def key(i):
-            pt = points[i]
-            return enc(pt.head) + enc(pt.cycle) * -(-(L - len(pt.head)) // len(pt.cycle))
-
-        self._root = _PrefixNode(sorted(range(len(points)), key=key))
-        self._finger = (), 0, self._root
-        level = [self._root]
-        for d in range(self._TRIE_DEPTH):
-            level = [child for node in level for child in node.cut(points, d).values()]
-
-    def _walk(self, node: _PrefixNode, d: int, symbols, split) -> Optional[_PrefixNode]:
-        """The node of the points whose symbols d, d + 1, ... are `symbols`,
-        from `node`, the node of their first d symbols; None when no point
-        has that prefix.  split(node, points, d) splits a node at depth d;
-        the first walk to pass a node splits it, so every index stays in
-        exactly one list of the trie and a walk that passes only split
-        nodes reads no list point."""
-        points = self.points
-        for s in symbols:
-            children = node.children
-            if children is None:
-                children = split(node, points, d)
-            node = children.get(s)
-            if node is None:
-                return None
-            d += 1
-        return node
+        keys = [enc(pt.head) + enc(pt.cycle) * -(-(L - len(pt.head)) // len(pt.cycle))
+                for pt in points]
+        self._order = *_range_index(keys), L, enc
 
     def first_index_extending(self, word: Tuple[int, ...]) -> Optional[int]:
-        """Minimal p with word a prefix of x_p, or None if none materialized:
-        the least index of the trie node the word reaches.  The index is
-        built on first use and split down to `_TRIE_DEPTH` symbols then; a
-        longer word splits the deeper nodes it is the first to pass.  A word
-        that extends the last word found walks on from that word's node, so
-        the lookups of one trace, each extending the one before, walk the
-        trie once between them."""
-        if self._root is None:
+        """Minimal p with word a prefix of x_p, or None if none materialized.
+
+        The keys a word w of at most L symbols begins are one run of the
+        sorted keys, from bisect_left(keys, w) up to bisect_left(keys, w'),
+        with w' the word w with its last symbol raised by one; the least
+        index of the run is one lookup in the table.  Distinct points differ
+        before L, so the run of a longer word's first L symbols holds one
+        point, perhaps repeated, and that point is asked whether it extends
+        the whole word.  A lookup reads no list point for a word of at most
+        L symbols, and one for a longer word.
+        """
+        if self._order is None:
             self._build_word_index()
-        last, d, node = self._finger
-        if word[:d] != last:
-            node, d = self._root, 0
-        node = self._walk(node, d, word[d:], _PrefixNode.cut)
-        if node is None:
-            return None
-        self._finger = tuple(word), len(word), node
-        return node.first
+        keys, mins, L, enc = self._order
+        w = enc(word[:L])
+        a = bisect_left(keys, w)
+        b = bisect_left(keys, w[:-1] + enc((w[-1] + 1,)), a) if w else len(keys)
+        if a < b:
+            p = _least(mins, a, b)
+            if len(word) <= L or self.points[p].starts_with(word):
+                return p
+        return None
 
     def first_extending(self, word: Tuple[int, ...]) -> Tuple[int, PointCode]:
         """(p, x_p) for the minimal p with word a prefix of x_p; raises
@@ -282,16 +255,16 @@ class DenseSequence:
 
         With k the least n such that x_n > e, d(x, y) < 2^-e iff y agrees
         with x on entries 0..k-1 and y_k > e (see `route_step`).  The walk
-        by entries reaches the trie node of x's first k entries.  Its
-        children whose entry k exceeds e are a suffix of its sorted keys,
-        so the answer is one bisect into the keys and one read of the least
-        index of that suffix.  The bisect runs over integers: the node
-        keeps each key v as K = v * D, with D the lcm of its keys'
-        denominators.  For an integer K, K / D <= e iff K <= e * D iff
-        K <= floor(e * D), so the keys at most e are those at most
-        e.numerator * D // e.denominator.  A query for the same x object
-        as the last one found, with no fewer entries, walks on from that
-        one's node.
+        by entries reaches the trie node of x's first k entries, splitting
+        each node it is the first to pass.  Its children whose entry k
+        exceeds e are a suffix of its sorted keys, so the answer is one
+        bisect into the keys and one read of the least index of that
+        suffix.  The bisect runs over integers: the node keeps each key v as
+        K = v * D, with D the lcm of its keys' denominators.  For an integer
+        K, K / D <= e iff K <= e * D iff K <= floor(e * D), so the keys at
+        most e are those at most e.numerator * D // e.denominator.  A query
+        for the same x object as the last one found, with no fewer entries,
+        walks on from that one's node.
         """
         if self._root is None:
             self._root = _PrefixNode(list(range(len(self.points))))
@@ -300,7 +273,10 @@ class DenseSequence:
         last, d, node = self._finger
         if last is not x or k < d:
             node, d = self._root, 0
-        node = self._walk(node, d, map(x.entry, range(d, k)), _PrefixNode.partition)
+        for d in range(d, k):
+            node = (node.children or node.partition(self.points, d)).get(x.entry(d))
+            if node is None:
+                break
         if node is not None:
             self._finger = x, k, node
             if node.suffixes is None:
@@ -320,29 +296,21 @@ class DenseSequence:
         """(p, x_p) for the minimal p with lo < x_p < hi (unit interval);
         raises SearchBudgetExceeded when no materialized point lies there.
 
-        The indices are sorted by value once, with a sparse table of range
-        minima over them: the open bounds are two bisects, and the least
-        index between them is one lookup in the table.  The values stay
-        Fractions: integer keys over one lcm denominator, as a Z node keeps,
-        would grow with the whole list and not with one node's keys.
+        The values are sorted once, with a sparse table of range minima
+        over their indices (`_range_index`): the open bounds are two
+        bisects, and the least index between them is one lookup in the
+        table.  The values stay Fractions: integer keys over one lcm
+        denominator, as a Z node keeps, would grow with the whole list and
+        not with one node's keys.
         """
-        if self._unit_order is None:
-            self._build_unit_index()
-        values, mins = self._unit_order
+        if self._order is None:
+            self._order = _range_index([pt.value for pt in self.points])
+        values, mins = self._order
         a, b = bisect_right(values, lo), bisect_left(values, hi)
         if a >= b:
             raise SearchBudgetExceeded(f"no point inside ({lo}, {hi})", budget=self.budget)
-        j = (b - a).bit_length() - 1
-        p = min(mins[j][a], mins[j][b - (1 << j)])
+        p = _least(mins, a, b)
         return p, self.points[p]
-
-    def _build_unit_index(self):
-        order = sorted(range(len(self.points)), key=lambda i: self.points[i].value)
-        mins = [order]
-        while 1 << len(mins) <= len(order):
-            prev, half = mins[-1], 1 << (len(mins) - 1)
-            mins.append([min(prev[i], prev[i + half]) for i in range(len(prev) - half)])
-        self._unit_order = [self.points[i].value for i in order], mins
 
 
 @dataclass

@@ -167,6 +167,38 @@ def test_closed_set_distance_matches_the_per_piece_oracle(monkeypatch, space):
     assert on >= 100 and off >= 300
 
 
+def word_dist_by_depth(S, p):
+    """The definition of a word-space distance to a nonempty closed set: 0
+    on the set, else 2^-n for the largest n with hits(p|n), found by asking
+    the tree oracle one depth after another."""
+    if S.member(p):
+        return Dist.zero()
+    n = 0
+    while S.hits(p.prefix(n + 1)):
+        n += 1
+    return Dist.pow2(n)
+
+
+@pytest.mark.parametrize("space", [CANTOR, BAIRE])
+def test_closed_set_distance_matches_its_definition(space):
+    # on seeded sets, at random points and at points that follow one of
+    # the set's pieces for a while and then leave it
+    rng = random.Random(37)
+    cases = 0
+    for cyl, sing in random_word_sets(rng, space, 300):
+        if not (cyl or sing):
+            continue
+        S = ClosedSet(space, cylinders=cyl, singletons=sing)
+        near = [w for w in cyl] + [s.prefix(rng.randrange(12)) for s in sing]
+        points = [random_word_point(rng, space) for _ in range(6)]
+        points += [WordPoint(space, w[:rng.randrange(len(w) + 1)] + random_word(rng, space, 0, 4),
+                             random_word(rng, space, 1, 3)) for w in near]
+        for p in points:
+            assert S.dist(p) == word_dist_by_depth(S, p), (S, str(p))
+            cases += 1
+    assert cases >= 2000
+
+
 @pytest.mark.parametrize("space", [CANTOR, BAIRE])
 def test_closed_set_intersection_membership(space):
     # membership in A /\ B is membership in both, on seeded points and on

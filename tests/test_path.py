@@ -358,7 +358,7 @@ def test_deep_lookup_matches_linear_scan(ladder_points):
     rng = random.Random(5)
     for first in (words, sorted(words, key=len, reverse=True)):
         # one list answers a shuffled pass on top of a pass in another
-        # order, so queries meet both unsplit and split nodes
+        # order: no answer depends on the lookups before it
         dense = DenseSequence(ladder_points)
         second = list(words)
         rng.shuffle(second)
@@ -366,32 +366,54 @@ def test_deep_lookup_matches_linear_scan(ladder_points):
             assert dense.first_index_extending(w) == want[w], (len(w), w)
 
 
-def test_repeated_deep_lookup_reads_no_list_point(ladder_points, monkeypatch):
-    dense = DenseSequence(ladder_points)
-    words = [w for w in ladder_words(ladder_points) if len(w) > DenseSequence._TRIE_DEPTH]
-    first = [dense.first_index_extending(w) for w in words]
+def key_length(points):
+    """L = longest head + the two longest cycles - 1: distinct list points
+    differ before L (Fine-Wilf)."""
+    cycles = sorted(len(pt.cycle) for pt in points)
+    return max(len(pt.head) for pt in points) + sum(cycles[-2:]) - 1
+
+
+def count_point_reads(monkeypatch):
+    """The list of points whose symbols are read from now on, once per read."""
     reads = []
     for name in ("at", "_symbols"):
         original = getattr(WordPoint, name)
         monkeypatch.setattr(WordPoint, name,
-                            lambda self, n, _f=original: reads.append(n) or _f(self, n))
-    assert [dense.first_index_extending(w) for w in words] == first
-    assert reads == []
+                            lambda self, n, _f=original: reads.append(self) or _f(self, n))
+    return reads
+
+
+def test_lookup_reads_at_most_the_one_point_its_first_L_symbols_hold(ladder_points,
+                                                                      monkeypatch):
+    # from a cold list: a word of at most L symbols is answered from the
+    # sorted keys alone, and a longer word reads at most the one point,
+    # perhaps repeated, whose first L symbols are the word's
+    L = key_length(ladder_points)
+    words = ladder_words(ladder_points)
+    by_prefix = {pt.prefix(L): pt for pt in ladder_points}
+    assert len(by_prefix) == len(set(ladder_points))
+    want = [next((p for p, pt in enumerate(ladder_points) if pt.starts_with(w)), None)
+            for w in words]
+    dense = DenseSequence(ladder_points)
+    reads = count_point_reads(monkeypatch)
+    long_reads = 0
+    for w, p in zip(words, want):
+        del reads[:]
+        assert dense.first_index_extending(w) == p, w
+        if len(w) <= L:
+            assert reads == [], w
+        else:
+            assert len(reads) <= 1 and all(pt == by_prefix.get(w[:L]) for pt in reads), w
+            long_reads += len(reads)
+    assert long_reads > 20 and sum(len(w) <= L for w in words) > 100
     ladder_points[0].prefix(3)
     assert reads  # the counter does see a read
 
 
 def test_shallow_lookup_after_warm_up_reads_no_list_point(ladder_points, monkeypatch):
-    # the index is split down to _TRIE_DEPTH symbols when it is built, so a
-    # word no longer than that is answered by set-up work alone
     dense = DenseSequence(ladder_points)
-    dense.first_index_extending(())
     symbols = [pt.prefix(DenseSequence._TRIE_DEPTH) for pt in ladder_points]
-    reads = []
-    for name in ("at", "_symbols"):
-        original = getattr(WordPoint, name)
-        monkeypatch.setattr(WordPoint, name,
-                            lambda self, n, _f=original: reads.append(n) or _f(self, n))
+    reads = count_point_reads(monkeypatch)
     for n in range(DenseSequence._TRIE_DEPTH + 1):
         for w in itertools.product((0, 1), repeat=n):
             want = next((p for p, s in enumerate(symbols) if s[:n] == w), None)
@@ -423,8 +445,7 @@ def seeded_word_lists():
 
 def test_word_lookup_matches_linear_scan_in_any_order():
     # each query order runs on a fresh list: nested (each word extends the
-    # one before, so the walk goes on from the last node), reversed (each
-    # word is shorter, so it starts at the root) and shuffled
+    # one before), reversed (each word is shorter) and shuffled
     rng = random.Random(29)
     for pts in seeded_word_lists():
         top = max(max(pt.head + pt.cycle) for pt in pts)
@@ -502,8 +523,9 @@ def test_warm_word_traces_construct_no_fraction(dense25, view25, cantor_basis, m
 
 
 def test_cold_ladder_path_reads_few_list_symbols(ladder_points, cantor_basis, monkeypatch):
-    # a cold trace pays for the trie nodes it is the first to pass; a split
-    # reads a logarithmic number of list points per child, not all of them
+    # a cold trace reads a list point where a lookup's word is longer than
+    # the list's key length and where a term's distance to x is taken,
+    # not once per point of the list
     dense = DenseSequence(ladder_points)
     listed = set(map(id, ladder_points))
     reads = []
