@@ -332,10 +332,18 @@ def ladder_points(cantor_basis):
     return build_dense(families, q, cantor_basis, m_budget=14).dense.points
 
 
+def key_length(points):
+    """L = longest head + the two longest cycles - 1: distinct list points
+    differ before L (Fine-Wilf)."""
+    cycles = sorted(len(pt.cycle) for pt in points)
+    return max(len(pt.head) for pt in points) + sum(cycles[-2:]) - 1
+
+
 def ladder_words(points):
     """Words of every length 0..142 along each target (no point extends
     those past length 141), along some list points, and along the targets
-    with random tails."""
+    with random tails; and list points' prefixes of the list's key length L
+    and one more."""
     rng = random.Random(11)
     words = [x.prefix(n) for x in LADDER_TARGETS for n in range(LADDER_DEPTH + 3)]
     words += [pt.prefix(n) for pt in rng.sample(points, 20) for n in range(0, 150, 7)]
@@ -343,8 +351,10 @@ def ladder_words(points):
         x = rng.choice(LADDER_TARGETS)
         n = rng.randrange(DenseSequence._TRIE_DEPTH, LADDER_DEPTH)
         words.append(x.prefix(n) + tuple(rng.randrange(2) for _ in range(rng.randrange(1, 6))))
+    L = key_length(points)
+    words += [pt.prefix(n) for pt in points[::97] for n in (L, L + 1)]
     depth = DenseSequence._TRIE_DEPTH
-    assert {depth, depth + 1} <= {len(w) for w in words}
+    assert {depth, depth + 1, L, L + 1} <= {len(w) for w in words}
     return words
 
 
@@ -364,13 +374,6 @@ def test_deep_lookup_matches_linear_scan(ladder_points):
         rng.shuffle(second)
         for w in first + second:
             assert dense.first_index_extending(w) == want[w], (len(w), w)
-
-
-def key_length(points):
-    """L = longest head + the two longest cycles - 1: distinct list points
-    differ before L (Fine-Wilf)."""
-    cycles = sorted(len(pt.cycle) for pt in points)
-    return max(len(pt.head) for pt in points) + sum(cycles[-2:]) - 1
 
 
 def count_point_reads(monkeypatch):
