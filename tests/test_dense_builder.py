@@ -189,7 +189,7 @@ def test_closed_set_distance_matches_its_definition(space):
         if not (cyl or sing):
             continue
         S = ClosedSet(space, cylinders=cyl, singletons=sing)
-        near = [w for w in cyl] + [s.prefix(rng.randrange(12)) for s in sing]
+        near = list(cyl) + [s.prefix(rng.randrange(12)) for s in sing]
         points = [random_word_point(rng, space) for _ in range(6)]
         points += [WordPoint(space, w[:rng.randrange(len(w) + 1)] + random_word(rng, space, 0, 4),
                              random_word(rng, space, 1, 3)) for w in near]

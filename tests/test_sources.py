@@ -108,8 +108,8 @@ def random_word(rng, space, top, heads=14):
 
 def word_case(rng, space, top, x, misses):
     """A seeded list with repeated points; queries are prefixes of its
-    points and of fresh ones, up to 24 symbols, so they run past the list's
-    key length (at most 13 + 4 + 4 - 1 = 20) as well as below it."""
+    points and of fresh ones, up to 24 symbols, which can run past the
+    list's key length (at most 13 + 4 + 4 - 1 = 20)."""
     pts = [random_word(rng, space, top) for _ in range(90)]
     pts += rng.sample(pts, 25)
     rng.shuffle(pts)
