@@ -43,7 +43,6 @@ from .space import (
     UNIT,
     BasicOpen,
     Cylinder,
-    CylinderGoodBasis,
     Dist,
     GoodBasis,
     PointCode,
@@ -166,9 +165,14 @@ class ClosedSet:
         return ClosedSet(self.space, tuple(set(cyl)), tuple(sing), tuple(ivs), name)
 
     def tree_consistency_violations(self, depth: int) -> List[str]:
-        """Pruned-tree check to a depth, over the set's basis alphabet: a
-        word hits iff some child hits."""
-        problems, alphabet = [], range(CylinderGoodBasis(self.space).base)
+        """Pruned-tree check to a depth: a word hits iff some child hits.
+        The children run over the symbols up to the largest in the set, and
+        at least 0 and 1: a child with a larger symbol hits only when the
+        word itself lies in one of the set's cylinders, and then every child
+        hits."""
+        symbols = [s for w in self.cylinders for s in w]
+        symbols += [s for p in self.singletons for s in p.head + p.cycle]
+        problems, alphabet = [], range(max((1, *symbols)) + 1)
 
         def rec(word):
             if len(word) >= depth:

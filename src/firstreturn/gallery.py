@@ -63,7 +63,6 @@ from .space import (
     UNIT,
     Z,
     Cylinder,
-    CylinderGoodBasis,
     Dist,
     PointCode,
     WordPoint,
@@ -324,15 +323,16 @@ class Prop25Sequence:
 def _complement_pieces(avoid: ClosedSet) -> List[ClosedSet]:
     """Clopen pieces exhausting the complement of a closed set, to a depth.
 
-    The pieces are cylinders of the set's own word space, over its basis
-    alphabet: {0,1}, or the symbols below BAIRE_ALPHABET.  Every emitted
-    cylinder genuinely misses the set (exact tree oracle); regions still
-    meeting it at the depth cap are left uncovered, so the piece list is
-    sound but only budget-complete.  No piece lies inside one of the set's
-    cylinders, so the search does not descend into them.
+    The pieces are cylinders of the set's own word space, of length at
+    most DECOMP_DEPTH and, on Baire space, with symbols below it.  Every
+    emitted cylinder genuinely misses the set (exact tree oracle); regions
+    still meeting it at the depth cap, and Baire cylinders with a larger
+    symbol, are left uncovered, so the piece list is sound but only
+    budget-complete.  No piece lies inside one of the set's cylinders, so
+    the search does not descend into them.
     """
     space, pieces = avoid.space, []
-    alphabet = range(CylinderGoodBasis(space).base)
+    alphabet = range(2 if space == CANTOR else DECOMP_DEPTH)
 
     def rec(word):
         if not avoid.hits(word):
@@ -363,7 +363,8 @@ def _singleton(pt: WordPoint) -> ClosedSet:
     return ClosedSet(CANTOR, singletons=(pt,), name=f"{{{pt}}}")
 
 
-# the depth of `_complement_pieces`, so of every declared decomposition
+# the depth of `_complement_pieces`, and its bound on Baire symbols, so of
+# every declared decomposition
 DECOMP_DEPTH = 8
 
 

@@ -13,6 +13,9 @@ Each space has one lookup that both steps call.  In Cantor and Baire space
 it is the word lookup `first_extending(x|(k+1))` with k = |x /\\ s_n|: the
 metric is an ultrametric, so d(x, x_p) < d(x, s_n) iff x_p extends that
 word, and each path term extends the previous term's common prefix with x.
+Both cylinder bases list every cylinder and give an extension a larger
+index than its word, so the path's witness is N_{x|(k+1)} and its term is
+the route's, whatever the symbols of x.
 On the unit interval it is the interval lookup `first_inside(lo, hi)`: a
 route asks for the ball (x - r, x + r), a path for the union of the basis
 intervals through x that avoid the prior terms.  An interval through x
@@ -21,9 +24,10 @@ x (a prior s in it below x has s <= a < x, so a lies in it too; likewise
 above).  Terms lie between a and b, so a step reads a and b off the
 trace's last terms on each side of x and tests each block's intervals
 through x against them with integer comparisons (see `_unit_prior_free`).
-Z has no good basis, so it has routes only; their lookup is the entry-prefix lookup `first_closer(x, e)`: with k the least
-n such that x_n > e, a point is within 2^-e of x iff it agrees with x on
-entries 0..k-1 and its entry k exceeds e (proof at `route_step`).  No step
+Z has no good basis, so it has routes only; their lookup is the
+entry-prefix lookup `first_closer(x, e)`: with k the least n such that
+x_n > e, a point is within 2^-e of x iff it agrees with x on entries
+0..k-1 and its entry k exceeds e (proof at `route_step`).  No step
 compares list points with x.
 
 Every dense source D, whatever holds its terms, keeps one contract:
@@ -80,11 +84,9 @@ ROUTE = "route"
 class SearchBudgetExceeded(RuntimeError):
     """A lookup found no term where the next one must lie.
 
-    It marks a finite list or view that holds no such term, a Baire path
-    whose next cylinder needs a symbol past the basis alphabet, and a route
-    asked for a point closer than distance 0.  budget is the bound that ran
-    out: the source's `budget` (None for an unbounded one), or the basis
-    alphabet for a Baire path.
+    It marks a finite list or view that holds no such term, and a route
+    asked for a point closer than distance 0.  budget is the source's
+    `budget`, the bound that ran out (None for an unbounded one).
     """
 
     def __init__(self, message: str, budget: Optional[int]):
@@ -396,7 +398,7 @@ def path_step(x: PointCode, dense: DenseSequence, prior: Sequence[TraceStep],
     such open; its index only orders the choice and is never computed.
     On a word space the step is the route's lookup of x|(k+1), with
     2^-k = d(x, s_n), plus the witness N_{x|(k+1)}, so a word path has the
-    terms of the word route; the Baire alphabet stop is the one exception.
+    terms of the word route and reads nothing from the basis.
 
     Precondition: prior is the trace's steps s_0..s_n, and x differs from
     s_n (the caller handles the fixed-point branch of the extraction).
@@ -405,16 +407,9 @@ def path_step(x: PointCode, dense: DenseSequence, prior: Sequence[TraceStep],
         # A cylinder through x and x_p misses every prior term iff
         # |x /\ x_p| > max_i |x /\ s_i|; each term extends the previous one's
         # common prefix with x, so that maximum is k in d(x, s_n) = 2^-k, and
-        # N_want, the shortest such cylinder through x, has the least index.
+        # N_want, the shortest such cylinder through x, has the least index
+        # (an extension's index is larger in both cylinder bases).
         want = x.prefix(prior[-1].dist_to_x.value + 1)
-        if max(want) >= basis.base:
-            # a Baire symbol past the basis alphabet: every cylinder through
-            # x that avoids the priors extends want, so none is enumerated
-            bad = next(s for s in want if s >= basis.base)
-            raise SearchBudgetExceeded(
-                f"prefix of length {len(want)}: symbol {bad} outside alphabet bound {basis.base}"
-                "; no basis cylinder through x avoids the prior terms, path exhausted",
-                budget=basis.base)
         p, pt = dense.first_extending(want)
         return p, pt, Cylinder(x.space, want)
     if isinstance(x, UnitPoint):

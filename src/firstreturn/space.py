@@ -17,10 +17,10 @@ int and an equal Fraction compare, hash and print alike.
 
 Basic opens are cylinders N_s (Cantor/Baire), open rational intervals
 clamped to [0, 1] (unit), and metric balls of radius 2^(-r) (Z).  A good
-basis is a fixed total enumeration of basic opens: all cylinders ordered
-by length then lexicographically (in Baire space, over the symbols below
-BAIRE_ALPHABET), or interval blocks of shrinking scale.  Each basis walks
-the basic opens through a point in enumeration order (`opens_through`).
+basis is a fixed total enumeration of basic opens: all cylinders, ordered
+by length (on Baire space, length plus symbol sum) then lexicographically,
+or interval blocks of shrinking scale.  Each basis walks the basic opens
+through a point in enumeration order (`opens_through`).
 The unit interval basis has no canonical order in the literature; the one
 fixed here is documented on :class:`UnitGoodBasis` and traces depend on it.
 """
@@ -37,10 +37,6 @@ CANTOR = "cantor"
 BAIRE = "baire"
 UNIT = "unit"
 Z = "z"
-
-# The Baire good basis enumerates the cylinders over the symbols below this
-# bound (see CylinderGoodBasis).
-BAIRE_ALPHABET = 8
 
 
 class SpaceMismatch(ValueError):
@@ -472,58 +468,62 @@ class NoGoodBasis(ValueError):
 
 
 class CylinderGoodBasis:
-    """All cylinders, ordered by word length then lexicographically.
+    """All cylinders, in one total order.
 
-    Cantor: index 0 is the empty word; the length-l block starts at 2^l - 1.
-    Baire: the alphabet is truncated to the symbols below BAIRE_ALPHABET
-    (the full countable basis cannot be totally ordered by length
-    otherwise); this is a documented approximation, and a cylinder whose
-    word uses a larger symbol is not enumerated.
+    Cantor: by word length, then lexicographically; index 0 is the empty
+    word and the length-l block starts at 2^l - 1.
+
+    Baire: by key len(t) + sum(t), then lexicographically.  Each key class
+    is finite and extending a word raises its key, so the order lists every
+    cylinder, and a cylinder before each of its extensions.  Writing each
+    symbol s as 0 1^s and dropping the first 0 maps the words of key K >= 1
+    onto the binary words of length K - 1, order kept; a word's index is 0
+    for the empty word and otherwise 1 + the Cantor index of its binary
+    word.
     """
 
     def __init__(self, space: str):
         if space not in (CANTOR, BAIRE):
             raise ValueError("cylinder basis needs a word space")
         self.space = space
-        self.base = 2 if space == CANTOR else BAIRE_ALPHABET
 
-    def _block_start(self, length: int) -> int:
-        return (self.base ** length - 1) // (self.base - 1)
+    def _extend(self, m: int, s: int) -> int:
+        """The index of word + (s,), from the index m of word.
+
+        Cantor: one bit s more moves the block start b to 2b + 1 and the
+        value v within the block to 2v + s, so m = b + v goes to
+        2m + s + 1.  Baire: the binary word u gains 0 1^s, or only 1^s
+        after the empty word; with m = 2^|u| + value(u), that takes m to
+        (2m + 1) * 2^s - 1, and 0 to 2^(s+1) - 1."""
+        if self.space == CANTOR:
+            return 2 * m + s + 1
+        return ((2 * m + 1) << s) - 1 if m else (2 << s) - 1
 
     def index_of_word(self, word: Sequence[int]) -> int:
-        value = 0
+        m = 0
         for s in word:
-            if s >= self.base:
-                raise ValueError(f"symbol {s} outside alphabet bound {self.base}")
-            value = value * self.base + s
-        return self._block_start(len(word)) + value
+            m = self._extend(m, s)
+        return m
 
     def at(self, m: int) -> Cylinder:
-        length = 0
-        while self._block_start(length + 1) <= m:
-            length += 1
-        value = m - self._block_start(length)
-        word = []
-        for _ in range(length):
-            word.append(value % self.base)
-            value //= self.base
-        return Cylinder(self.space, tuple(reversed(word)))
+        if self.space == CANTOR:
+            return Cylinder(CANTOR, tuple(map(int, bin(m + 1)[3:])))
+        if m == 0:
+            return Cylinder(BAIRE, ())
+        # the binary word of Cantor index m - 1, with its first 0 put back:
+        # each symbol is the run of 1s after a 0
+        runs = ("0" + bin(m)[3:]).split("0")[1:]
+        return Cylinder(BAIRE, tuple(map(len, runs)))
 
     def opens_through(self, x: WordPoint) -> Iterator[Tuple[int, Cylinder]]:
         """(m, W_m) for every basic open containing x, ascending m: the
-        cylinders of x's prefixes, shortest first.  The walk ends before the
-        first prefix with a symbol past the alphabet.
-
-        The index is carried from prefix to prefix: one symbol s more moves
-        the block start to start * base + 1 and the value within the block
-        to value * base + s, so their sum m to m * base + s + 1."""
+        cylinders of x's prefixes, shortest first, each index carried from
+        the one before (`_extend`)."""
         m, word = 0, ()
         yield m, Cylinder(self.space, word)
         for i in count():
             s = x.at(i)
-            if s >= self.base:
-                return
-            m = m * self.base + s + 1
+            m = self._extend(m, s)
             word += (s,)
             yield m, Cylinder(self.space, word)
 

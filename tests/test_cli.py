@@ -455,14 +455,16 @@ def test_build_dense_unread_keys_rejected(tmp_path, capsys, key):
     assert capsys.readouterr().err.startswith("config error: unknown keys for build-dense")
 
 
-def test_baire_alphabet_overflow_is_a_budget_stop(tmp_path):
+def test_baire_path_past_symbol_8_converges(tmp_path):
+    # the path runs through the 9 to the point itself, a term of the list
     dense = tmp_path / "dense.txt"
     dense.write_text("baire:|0\nbaire:9|0\nbaire:9,1|2\n")
     out = tmp_path / "b"
     code = run_main(["recover", "--dense", f"file:{dense}", "--fn", "singleton:baire:9|0",
                      "--points", "baire:9,1|2", "--out", str(out)])
     point = json.loads((out / "summary.json").read_text())["report"]["per_point"][0]
-    assert code == 1 and point["terminated"] == "budget" and point["correct"] is None
+    assert code == 0 and point["terminated"] == "horizon" and point["steps"] == 64
+    assert point["verdict"] == "converged(0, since=2)" and point["correct"] is True
 
 
 # every key of every command, each set to a value other than its default

@@ -44,7 +44,6 @@ from firstreturn.path import (
 )
 from firstreturn.space import (
     BAIRE,
-    BAIRE_ALPHABET,
     WordPoint,
     ZPoint,
     cantor_point,
@@ -229,14 +228,14 @@ def test_baire_indicator_zero_pieces_are_baire_cylinders(closed, monkeypatch):
     f = indicator_of(closed)
     # the search stops at the set's own cylinders: a full descent to depth
     # 8 over 8 symbols would ask millions of words
-    assert calls[0] <= BAIRE_ALPHABET * (DECOMP_DEPTH + 1)
+    assert calls[0] <= DECOMP_DEPTH * (DECOMP_DEPTH + 1)
     monkeypatch.setattr(ClosedSet, "hits", real)
     zeros = f.decomposition[0]
     assert zeros
     for piece in zeros:
         assert piece.space == BAIRE and not piece.singletons
         (word,) = piece.cylinders
-        assert all(s < BAIRE_ALPHABET for s in word)
+        assert all(s < DECOMP_DEPTH for s in word)
         assert not closed.hits(word), piece  # the piece misses the set
     for text in _BAIRE_PROBES:
         x = parse_point(text)

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -200,36 +201,58 @@ def test_unit_path_point_in_dense_fixes(dyadics, unit_basis):
     assert witness_violations(tr) == []
 
 
-def test_baire_symbol_past_alphabet_bound_is_a_budget_stop():
-    # the basis enumerates Baire cylinders over symbols < 8; once the next
-    # cylinder through x needs the 9, no basis cylinder can serve
+def same_steps(a, b):
+    return [(s.index, s.point, s.dist_to_x) for s in a.steps] == \
+        [(s.index, s.point, s.dist_to_x) for s in b.steps]
+
+
+def test_baire_path_runs_through_a_symbol_past_8():
+    # the basis lists the cylinders of every symbol, so the path through
+    # the 9 goes on as the route does, with the witnesses N_{x|(k+1)}
     basis = good_basis(BAIRE)
     x = baire_point((1, 9), (2,))
     dense = DenseSequence([baire_point((), (0,)), baire_point((1,), (0,)), x])
     tr = path_trace(x, dense, basis, 6)
-    assert tr.points() == [dense[0], dense[1]]
-    assert tr.terminated == "budget" and tr.budget == 8
-    with pytest.raises(SearchBudgetExceeded,
-                       match="prefix of length 2: symbol 9 outside alphabet bound 8"):
-        path_step(x, dense, tr.steps, basis)
+    assert tr.points() == [dense[0], dense[1]] + [x] * 4
+    assert tr.terminated == "horizon" and tr.budget is None
+    assert same_steps(tr, route_trace(x, dense, 6))
+    assert [s.witness for s in tr.steps] == \
+        [Cylinder(BAIRE, (1,)), Cylinder(BAIRE, (1, 9))] + [None] * 4
+    assert_word_witnesses_least(tr, basis)
 
 
-def test_baire_stop_sees_a_bad_symbol_inside_the_prefix():
+def test_baire_path_runs_through_a_large_symbol_inside_the_prefix():
     # the second term agrees with x on five symbols, so the next cylinder is
     # x|6 = (1,9,2,2,2,2): the 9 sits inside it, not at its end
     basis = good_basis(BAIRE)
     x = baire_point((1, 9), (2,))
     dense = DenseSequence([baire_point((), (0,)), baire_point((1, 9, 2, 2, 2), (0,)), x])
     tr = path_trace(x, dense, basis, 6)
-    assert tr.points() == [dense[0], dense[1]]
-    assert tr.steps[0].witness == Cylinder(BAIRE, (1,))
-    assert tr.terminated == "budget" and tr.budget == 8
-    with pytest.raises(SearchBudgetExceeded) as exc:
-        path_step(x, dense, tr.steps, basis)
-    assert exc.value.budget == 8
-    assert str(exc.value) == (
-        "prefix of length 6: symbol 9 outside alphabet bound 8; no basis cylinder "
-        "through x avoids the prior terms, path exhausted (search budget exceeded, budget=8)")
+    assert tr.points() == [dense[0], dense[1]] + [x] * 4
+    assert tr.terminated == "horizon" and tr.budget is None
+    assert same_steps(tr, route_trace(x, dense, 6))
+    assert [s.witness for s in tr.steps] == \
+        [Cylinder(BAIRE, (1,)), Cylinder(BAIRE, x.prefix(6))] + [None] * 4
+    assert witness_violations(tr) == []
+
+
+class _UnreadBasis:
+    def __getattr__(self, name):
+        raise AssertionError(f"the word path read basis.{name}")
+
+
+def test_word_path_computes_no_basis_index():
+    # one basis index of a cylinder through the symbol 10**9 is a number of
+    # a billion bits, which takes a tenth of a second or more to compute
+    x = baire_point((3, 10 ** 9), (0,))
+    dense = DenseSequence([baire_point((), (0,)), baire_point((3,), (1,)),
+                           baire_point((3, 10 ** 9, 0, 0), (5,)), x])
+    start = time.perf_counter()
+    tr = path_trace(x, dense, good_basis(BAIRE), 8)
+    assert time.perf_counter() - start < 0.05
+    assert tr.points() == list(dense)[:3] + [x] * 5
+    assert [s.witness for s in tr.steps[:3]] == [Cylinder(BAIRE, x.prefix(n)) for n in (1, 2, 5)]
+    assert trace_to_csv(path_trace(x, dense, _UnreadBasis(), 8)) == trace_to_csv(tr)
 
 
 def test_witness_checker_reports_tampered_witnesses(dense25, cantor_basis):

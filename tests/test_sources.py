@@ -34,7 +34,6 @@ from firstreturn.path import (
 from firstreturn.recover import evaluation_map, gdelta_witness, recover_at, recovery_report
 from firstreturn.space import (
     BAIRE,
-    BAIRE_ALPHABET,
     CANTOR,
     Cylinder,
     Dist,
@@ -142,7 +141,7 @@ def z_case(rng):
             y = rng.choice(pts + [x])
             e = y.entry(rng.randrange(5)) if rng.random() < 0.6 else F(rng.randrange(50), 7)
             queries.append((x, e))
-    return Case(DenseSequence(pts), pts, "first_closer", queries, pts + fresh, len(pts), 53,
+    return Case(DenseSequence(pts), pts, "first_closer", queries, pts + fresh, len(pts), 83,
                 fresh[0])
 
 
@@ -159,7 +158,7 @@ def unit_case(rng):
         lo = F(rng.randrange(-20, 1040), 1024) - F(rng.randrange(3), 3 * 1024)
         queries.append((lo, lo + F(rng.randrange(1, 9), rng.choice((4096, 1024, 7 * 64, 9)))))
     fresh = [UnitPoint(F(k, 4096)) for k in range(1, 4096, 97)] + [UnitPoint(F(1, 7))]
-    return Case(DenseSequence(pts), pts, "first_inside", queries, pts + fresh, len(pts), 184,
+    return Case(DenseSequence(pts), pts, "first_inside", queries, pts + fresh, len(pts), 168,
                 UnitPoint(F(1, 3)))
 
 
@@ -197,8 +196,7 @@ def cases(dense25, view25, seq25):
     words, points, oracle = prop25_words(), prop25_points(dense25), list(dense25)
     return {
         "cantor-list": word_case(rng, CANTOR, 1, CP("", "10"), 155),
-        "baire-list": word_case(rng, BAIRE, BAIRE_ALPHABET - 1, WordPoint(BAIRE, (), (3, 1)),
-                                252),
+        "baire-list": word_case(rng, BAIRE, 30, WordPoint(BAIRE, (), (3, 1)), 233),
         "z-list": z_case(rng),
         "unit-list": unit_case(rng),
         "view25": Case(view25, oracle, "first_extending", words, points, 5864,
@@ -286,6 +284,24 @@ def test_budget_signal(cases, name):
     assert str(exc.value) == f"{what} (search budget exceeded, budget={case.budget})"
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_budget_stops_carry_the_source_budget(cases, name):
+    # a trace that runs out of terms stops with its source's budget, in
+    # either mode: no basis bounds a path
+    case = cases[name]
+    src = case.source
+    modes = (ROUTE,) if case.lookup == "first_closer" else (PATH, ROUTE)
+    basis = None if case.lookup == "first_closer" else good_basis(src.space)
+    stops = 0
+    for x in case.probes[::len(case.probes) // 60 + 1]:
+        for mode in modes:
+            tr = path_trace(x, src, basis, 20) if mode == PATH else route_trace(x, src, 20)
+            if tr.terminated == "budget":
+                assert tr.budget == case.budget, (mode, str(x))
+                stops += 1
+    assert (stops > 0) == (case.budget is not None)
+
+
 # ---------------------------------------------------------------------------
 # on word spaces the path is the route plus a witness
 # ---------------------------------------------------------------------------
@@ -295,7 +311,7 @@ def test_budget_signal(cases, name):
 def test_word_path_is_the_route_plus_a_witness(cases, builder_dense, name):
     src = builder_dense if name == "builder" else cases[name].source
     space, basis = src.space, good_basis(src.space)
-    horizon, top = (40, 1) if space == CANTOR else (20, BAIRE_ALPHABET - 1)
+    horizon, top = (40, 1) if space == CANTOR else (20, 30)
     rng = random.Random(9)
     xs = [random_word(rng, space, top) for _ in range(100)] + [src[p] for p in range(0, 50, 7)]
     witnesses = 0

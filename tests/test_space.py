@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from firstreturn.space import (
     BAIRE,
-    BAIRE_ALPHABET,
     CANTOR,
     UNIT,
     Cylinder,
@@ -392,7 +392,7 @@ _WALK_POINTS = [
     (BAIRE, baire_point((), (0,))),
     (BAIRE, baire_point((7, 3), (1, 7))),
     (BAIRE, baire_point((2,), (5,))),
-    (BAIRE, baire_point((4, 9), (0,))),  # the 9 is past the alphabet
+    (BAIRE, baire_point((4, 9), (0,))),
     (UNIT, UnitPoint(F(0))),
     (UNIT, UnitPoint(F(1))),
     (UNIT, UnitPoint(F(1, 2))),
@@ -416,25 +416,20 @@ _PREFIX_WALK_POINTS = [
     cantor_point("", "0"),
     cantor_point("1011", "01"),
     baire_point((7, 3), (1, 7)),
-    baire_point((4, 9), (0,)),  # a 9 in the head
-    baire_point((2, 5, 1), (3, 11)),  # an 11 past the head
+    baire_point((4, 9), (0,)),
+    baire_point((2, 5, 1), (3, 11)),
     baire_point((), (6, 8)),
+    baire_point((30,), (0, 1000)),
 ]
 
 
 @pytest.mark.parametrize("x", _PREFIX_WALK_POINTS, ids=str)
 def test_opens_through_carries_the_index_of_each_prefix(x):
-    # oracle: index_of_word of each prefix x|l, up to the first prefix with
-    # a symbol past the alphabet or to length 40
+    # oracle: index_of_word of each prefix x|l, l = 0..40
     basis = good_basis(x.space)
-    want = []
-    for length in range(41):
-        word = x.prefix(length)
-        if any(s >= basis.base for s in word):
-            break
-        want.append((basis.index_of_word(word), Cylinder(x.space, word)))
+    want = [(basis.index_of_word(x.prefix(n)), Cylinder(x.space, x.prefix(n)))
+            for n in range(41)]
     assert list(islice(basis.opens_through(x), 41)) == want
-    assert len(want) == 41 or x.space == BAIRE
 
 
 def test_no_good_basis_for_z():
@@ -442,13 +437,32 @@ def test_no_good_basis_for_z():
         good_basis("z")
 
 
-def test_baire_alphabet_bound_documented():
-    assert BAIRE_ALPHABET == 8
+def baire_words_of_key(K):
+    """The Baire words t with len(t) + sum(t) = K, ascending lexicographically."""
+    if K == 0:
+        return [()]
+    return [(s,) + t for s in range(K) for t in baire_words_of_key(K - 1 - s)]
+
+
+def test_cylinder_bases_match_a_brute_force_enumeration():
+    # Baire: every word of key at most 14, by key then lexicographically;
+    # Cantor: every word of length at most 11, by length then lexicographically
+    baire = [t for K in range(15) for t in baire_words_of_key(K)]
+    cantor = [w for n in range(12) for w in itertools.product((0, 1), repeat=n)]
+    assert len(baire) == 2 ** 14 and len(cantor) == 2 ** 12 - 1
+    for words, basis in [(baire, good_basis(BAIRE)), (cantor, good_basis(CANTOR))]:
+        assert [basis.at(m).word for m in range(len(words))] == words
+        assert [basis.index_of_word(w) for w in words] == list(range(len(words)))
+
+
+def test_baire_basis_lists_cylinders_of_every_symbol():
     b = good_basis(BAIRE)
-    assert b.at(1).word == (0,)
-    assert b.at(8).word == (7,)
-    with pytest.raises(ValueError):
-        b.index_of_word((8,))
+    assert [b.at(m).word for m in range(5)] == [(), (0,), (0, 0), (1,), (0, 0, 0)]
+    assert b.index_of_word((7,)) == 255 and b.at(511) == Cylinder(BAIRE, (8,))
+    assert b.index_of_word((9, 0)) == (2 * 1023 + 1) - 1
+    big = (10 ** 3, 2)
+    assert b.index_of_word(big) == (2 * (2 ** 1001 - 1) + 1) * 4 - 1
+    assert b.at(b.index_of_word(big)).word == big
 
 
 # ---------------------------------------------------------------------------
