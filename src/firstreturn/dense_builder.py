@@ -166,10 +166,8 @@ class ClosedSet:
 
     def tree_consistency_violations(self, depth: int) -> List[str]:
         """Pruned-tree check to a depth: a word hits iff some child hits.
-        The children run over the symbols up to the largest in the set, and
-        at least 0 and 1: a child with a larger symbol hits only when the
-        word itself lies in one of the set's cylinders, and then every child
-        hits."""
+        Children run over 0, 1 and up to the set's largest symbol; a larger
+        one hits only inside a cylinder of the set, where all children hit."""
         symbols = [s for w in self.cylinders for s in w]
         symbols += [s for p in self.singletons for s in p.head + p.cycle]
         problems, alphabet = [], range(max((1, *symbols)) + 1)

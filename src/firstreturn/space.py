@@ -470,16 +470,12 @@ class NoGoodBasis(ValueError):
 class CylinderGoodBasis:
     """All cylinders, in one total order.
 
-    Cantor: by word length, then lexicographically; index 0 is the empty
-    word and the length-l block starts at 2^l - 1.
-
-    Baire: by key len(t) + sum(t), then lexicographically.  Each key class
-    is finite and extending a word raises its key, so the order lists every
-    cylinder, and a cylinder before each of its extensions.  Writing each
-    symbol s as 0 1^s and dropping the first 0 maps the words of key K >= 1
-    onto the binary words of length K - 1, order kept; a word's index is 0
-    for the empty word and otherwise 1 + the Cantor index of its binary
-    word.
+    Cantor: by length, then lexicographically; the length-l block starts
+    at 2^l - 1.  Baire: by key len(t) + sum(t), then lexicographically;
+    each key class is finite and an extension has a larger key.  Writing
+    each symbol s as 0 1^s and dropping the first 0 maps the words of key
+    K >= 1, in order, onto the binary words of length K - 1, so a nonempty
+    word's index is 1 + the Cantor index of its binary word.
     """
 
     def __init__(self, space: str):
@@ -488,13 +484,10 @@ class CylinderGoodBasis:
         self.space = space
 
     def _extend(self, m: int, s: int) -> int:
-        """The index of word + (s,), from the index m of word.
-
-        Cantor: one bit s more moves the block start b to 2b + 1 and the
-        value v within the block to 2v + s, so m = b + v goes to
-        2m + s + 1.  Baire: the binary word u gains 0 1^s, or only 1^s
-        after the empty word; with m = 2^|u| + value(u), that takes m to
-        (2m + 1) * 2^s - 1, and 0 to 2^(s+1) - 1."""
+        """The index of word + (s,), from the index m of word.  Cantor: the
+        block start b goes to 2b + 1 and the value v in the block to 2v + s.
+        Baire: m = 2^|u| + value(u) for the binary word u, which gains
+        0 1^s, or only 1^s after the empty word (m = 0)."""
         if self.space == CANTOR:
             return 2 * m + s + 1
         return ((2 * m + 1) << s) - 1 if m else (2 << s) - 1
