@@ -57,8 +57,8 @@ def test_closed_set_membership_and_tree_oracle():
 
 
 def test_tree_consistency_walks_the_sets_own_alphabet():
-    # the children of a Baire word run over the Baire basis symbols, so the
-    # exact oracle of N(3) is consistent at the root
+    # the children of a Baire word run over the symbols up to the set's
+    # largest, so the exact oracle of N(3) is consistent at the root
     assert ClosedSet(BAIRE, cylinders=((3,),)).tree_consistency_violations(3) == []
     assert ClosedSet(BAIRE, singletons=(WordPoint(BAIRE, (7, 1), (2,)),)
                      ).tree_consistency_violations(3) == []
