@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product, takewhile
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .path import DenseSequence, path_trace
@@ -240,8 +240,7 @@ def a_f_of_g(F: ClosedSet, G: Sequence[int], basis: GoodBasis,
             continue
         opens = memo.get(x)
         if opens is None:
-            opens = memo[x] = list(takewhile(lambda o: o[0] <= m_budget,
-                                             basis.opens_through(q_enum[x])))
+            opens = memo[x] = list(basis.opens_through(q_enum[x], m_budget))
         for m, W in opens:
             if m not in answers:
                 answers[m] = F.meets(W) and next(

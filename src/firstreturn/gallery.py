@@ -103,7 +103,7 @@ def pf_decomposition(p: WordPoint) -> Tuple[int, ...]:
         raise ValueError(f"{p} has infinitely many 1s")
     # canonical form of an eventually-0 point has cycle (0,) and a head
     # that is empty or ends in 1
-    return p.head
+    return tuple(p.head)
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +275,13 @@ class Prop25Sequence:
     def first_index_of(self, point: PointCode):
         """The point's least index, or None when it is no term (of the view)."""
         if not (isinstance(point, WordPoint) and point.space == CANTOR
-                and point.cycle in ((0,), (1,))):
+                and point.cycle in (b"\x00", b"\x01")):
             return None  # the terms are exactly the eventually constant points
-        if point.cycle == (0,):
-            return self._index(point.head, 0)  # canonical head is in S
+        head = tuple(point.head)  # the table's words are tuples
+        if point.cycle == b"\x00":
+            return self._index(head, 0)  # canonical head is in S
         # canonical head of h.1^inf is empty or ends in 0
-        return self._index(point.head + (1,) if point.head else (), 1)
+        return self._index(head + (1,) if head else (), 1)
 
     def contains(self, point: PointCode) -> bool:
         return self.first_index_of(point) is not None

@@ -63,7 +63,6 @@ from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .space import (
-    CANTOR,
     BasicOpen,
     Cylinder,
     Dist,
@@ -199,25 +198,24 @@ class DenseSequence:
 
     def _build_word_index(self):
         """The sorted keys of a word list with their range-minima table, the
-        key length L, and the key type: `bytes` on Cantor space, tuple on
-        Baire space.
+        key length L, and the word type of the space (`space.Word`).
 
         Two distinct canonical words h1.c1^inf and h2.c2^inf differ before
         max(|h1|, |h2|) + |c1| + |c2| - gcd(|c1|, |c2|) (Fine-Wilf), so any
         two distinct points of the list differ before L = (longest head) +
         (the two longest cycles) - 1, and keys of at least L symbols order
         the points as their infinite words are ordered.  A key is the head
-        and whole cycles.
+        and whole cycles, in the point's own word type: bytes on Cantor
+        space, so no symbol is converted, and a tuple on Baire space.
         """
         points = self.points
         cycles = sorted(map(len, map(attrgetter("cycle"), points)))
         L = max(map(len, map(attrgetter("head"), points))) + sum(cycles[-2:]) - 1
-        enc = bytes if self.space == CANTOR else tuple
-        keys = [enc(pt.head) + enc(pt.cycle) * -(-(L - len(pt.head)) // len(pt.cycle))
+        keys = [pt.head + pt.cycle * -(-(L - len(pt.head)) // len(pt.cycle))
                 for pt in points]
-        self._order = *_range_index(keys), L, enc
+        self._order = *_range_index(keys), L, type(points[0].head)
 
-    def first_index_extending(self, word: Tuple[int, ...]) -> Optional[int]:
+    def first_index_extending(self, word: Sequence[int]) -> Optional[int]:
         """Minimal p with word a prefix of x_p, or None if none materialized.
 
         The keys a word w of at most L symbols begins are one run of the
@@ -227,21 +225,24 @@ class DenseSequence:
         before L, so the run of a longer word's first L symbols holds one
         point, perhaps repeated, and that point is asked whether it extends
         the whole word.  A lookup reads no list point for a word of at most
-        L symbols, and one for a longer word.
+        L symbols, and one for a longer word.  A word of the keys' type, as
+        `WordPoint.word` gives, is used as it is; any other is converted.
         """
         if self._order is None:
             self._build_word_index()
-        keys, mins, L, enc = self._order
-        w = enc(word[:L])
+        keys, mins, L, kind = self._order
+        w = word[:L]
+        if type(w) is not kind:
+            w = kind(w)
         a = bisect_left(keys, w)
-        b = bisect_left(keys, w[:-1] + enc((w[-1] + 1,)), a) if w else len(keys)
+        b = bisect_left(keys, w[:-1] + kind((w[-1] + 1,)), a) if w else len(keys)
         if a < b:
             p = _least(mins, a, b)
             if len(word) <= L or self.points[p].starts_with(word):
                 return p
         return None
 
-    def first_extending(self, word: Tuple[int, ...]) -> Tuple[int, PointCode]:
+    def first_extending(self, word: Sequence[int]) -> Tuple[int, PointCode]:
         """(p, x_p) for the minimal p with word a prefix of x_p; raises
         SearchBudgetExceeded when no materialized point extends word."""
         p = self.first_index_extending(word)
@@ -409,9 +410,9 @@ def path_step(x: PointCode, dense: DenseSequence, prior: Sequence[TraceStep],
         # common prefix with x, so that maximum is k in d(x, s_n) = 2^-k, and
         # N_want, the shortest such cylinder through x, has the least index
         # (an extension's index is larger in both cylinder bases).
-        want = x.prefix(prior[-1].dist_to_x.value + 1)
+        want = x.word(prior[-1].dist_to_x.value + 1)
         p, pt = dense.first_extending(want)
-        return p, pt, Cylinder(x.space, want)
+        return p, pt, Cylinder(x.space, tuple(want))
     if isinstance(x, UnitPoint):
         # a term lies inside the union of the intervals that avoid the terms
         # before it, so terms below x increase and terms above x decrease
@@ -464,7 +465,7 @@ def route_step(x: PointCode, dense: DenseSequence, current: Dist):
         raise SearchBudgetExceeded("no point closer than distance 0", budget=dense.budget)
     if isinstance(x, ZPoint):
         return dense.first_closer(x, current.value)
-    return dense.first_extending(x.prefix(current.value + 1))
+    return dense.first_extending(x.word(current.value + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Points are finite symbolic objects denoting infinite ones:
 
 * Cantor / Baire points are eventually periodic words ``head . cycle^inf``,
   canonicalized (minimal head, primitive cycle) so that equality of the
-  denoted sequences is equality of the stored tuples.
+  denoted sequences is equality of the stored words: bytes on Cantor
+  space, one byte per bit, and tuples of ints on Baire space, whose
+  symbols need not fit in a byte.
 * Unit points are rationals in [0, 1].
 * Z points are strictly increasing, divergent sequences of nonnegative
   rationals given by a finite prefix and an affine tail q_n = a*n + b.
@@ -163,7 +165,11 @@ class Dist:
 # ---------------------------------------------------------------------------
 
 
-def _primitive_cycle(cycle: Tuple[int, ...]) -> Tuple[int, ...]:
+# A word of a point's own space: bytes on Cantor space, a tuple on Baire space.
+Word = Union[bytes, Tuple[int, ...]]
+
+
+def _primitive_cycle(cycle: Word) -> Word:
     n = len(cycle)
     for d in range(1, n + 1):
         if n % d == 0 and cycle == cycle[:d] * (n // d):
@@ -171,32 +177,49 @@ def _primitive_cycle(cycle: Tuple[int, ...]) -> Tuple[int, ...]:
     return cycle
 
 
-def _canonical_word(head, cycle):
-    cycle = _primitive_cycle(tuple(cycle))
-    head = list(head)
-    while head and head[-1] == cycle[-1]:
-        head.pop()
-        cycle = (cycle[-1],) + cycle[:-1]
-    return tuple(head), cycle
+def _canonical_word(head: Word, cycle: Word) -> Tuple[Word, Word]:
+    """The minimal head and primitive cycle of head.cycle^inf: the trailing
+    head symbols that repeat the cycle backwards move into it."""
+    cycle = _primitive_cycle(cycle)
+    c, k = len(cycle), 0
+    while k < len(head) and head[-1 - k] == cycle[-1 - k % c]:
+        k += 1
+    if not k:
+        return head, cycle
+    r = k % c
+    return head[:-k], (cycle[-r:] + cycle[:-r] if r else cycle)
 
 
 @dataclass(frozen=True)
 class WordPoint:
-    """Eventually periodic point of Cantor space (bits) or Baire space (naturals)."""
+    """Eventually periodic point of Cantor space (bits) or Baire space (naturals).
+
+    head and cycle may be given as any sequences of ints and are stored in
+    the space's word type (`Word`): bytes on Cantor space, tuples on Baire
+    space.  `prefix` returns a tuple on both spaces, `word` the space's type.
+    """
 
     space: str
-    head: Tuple[int, ...]
-    cycle: Tuple[int, ...]
+    head: Word
+    cycle: Word
 
     def __post_init__(self):
-        if self.space not in (CANTOR, BAIRE):
+        if self.space == CANTOR:
+            try:
+                head, cycle = bytes(self.head), bytes(self.cycle)
+            except ValueError:  # a symbol outside range(256)
+                raise ValueError("symbol out of alphabet") from None
+            bad = (head + cycle).translate(None, b"\x00\x01")
+        elif self.space == BAIRE:
+            head, cycle = tuple(self.head), tuple(self.cycle)
+            bad = min(head + cycle, default=0) < 0
+        else:
             raise ValueError(f"not a word space: {self.space}")
-        if not self.cycle:
+        if not cycle:
             raise ValueError("cycle must be nonempty")
-        symbols = (*self.head, *self.cycle)
-        if min(symbols) < 0 or (self.space == CANTOR and max(symbols) > 1):
+        if bad:
             raise ValueError("symbol out of alphabet")
-        head, cycle = _canonical_word(self.head, self.cycle)
+        head, cycle = _canonical_word(head, cycle)
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "cycle", cycle)
 
@@ -205,20 +228,27 @@ class WordPoint:
             return self.head[i]
         return self.cycle[(i - len(self.head)) % len(self.cycle)]
 
-    def _symbols(self, n: int) -> Tuple[int, ...]:
-        """At least the first n symbols, as one tuple: the head and enough
-        whole cycles.  Built per call and not kept: a copy on every point
-        costs more memory than rebuilding saves."""
+    def _symbols(self, n: int) -> Word:
+        """At least the first n symbols, in the space's word type: the head
+        and enough whole cycles."""
         short = n - len(self.head)
         if short <= 0:
             return self.head
         return self.head + self.cycle * -(-short // len(self.cycle))
 
-    def prefix(self, n: int) -> Tuple[int, ...]:
+    def word(self, n: int) -> Word:
+        """The first n symbols in the space's word type: bytes on Cantor."""
         return self._symbols(n)[:n]
 
+    def prefix(self, n: int) -> Tuple[int, ...]:
+        """The first n symbols as a tuple of ints, on either space."""
+        return tuple(self._symbols(n)[:n])
+
     def starts_with(self, word: Sequence[int]) -> bool:
-        return self.prefix(len(word)) == tuple(word)
+        mine = self.word(len(word))
+        if type(mine) is type(word):
+            return mine == word
+        return tuple(mine) == tuple(word)
 
     def first_difference(self, other: "WordPoint", start: int = 0) -> Optional[int]:
         """Index of the first disagreement, or None if the points are equal.
@@ -240,11 +270,16 @@ class WordPoint:
         return format_point(self)
 
 
-def first_mismatch(a: Sequence[int], b: Sequence[int]) -> Optional[int]:
-    """The least i with a[i] != b[i] within the shorter of two words (both
-    tuples), or None if one is a prefix of the other.  Bisects on slice
-    equality, so the symbols are compared in C."""
+def first_mismatch(a: Word, b: Word) -> Optional[int]:
+    """The least i with a[i] != b[i] within the shorter of two words of one
+    type, or None if one is a prefix of the other.  Two bytes words are
+    read as big-endian ints: the highest set bit of their XOR lies in the
+    first differing byte, counted from the end.  Tuples are bisected on
+    slice equality, so their symbols are compared in C too."""
     n = min(len(a), len(b))
+    if type(a) is bytes and type(b) is bytes:
+        d = int.from_bytes(a[:n], "big") ^ int.from_bytes(b[:n], "big")
+        return n - 1 - ((d.bit_length() - 1) >> 3) if d else None
     if a[:n] == b[:n]:
         return None
     lo, hi = 0, n - 1  # a[:lo] == b[:lo], a[:hi + 1] != b[:hi + 1]
@@ -259,7 +294,7 @@ def first_mismatch(a: Sequence[int], b: Sequence[int]) -> Optional[int]:
 
 def cantor_point(head: str, cycle: str) -> WordPoint:
     """Cantor point from bit strings, e.g. cantor_point("10", "0") = 10 0^inf."""
-    return WordPoint(CANTOR, tuple(int(c) for c in head), tuple(int(c) for c in cycle))
+    return WordPoint(CANTOR, bytes(map(int, head)), bytes(map(int, cycle)))
 
 
 def baire_point(head: Iterable[int], cycle: Iterable[int]) -> WordPoint:
@@ -508,15 +543,25 @@ class CylinderGoodBasis:
         runs = ("0" + bin(m)[3:]).split("0")[1:]
         return Cylinder(BAIRE, tuple(map(len, runs)))
 
-    def opens_through(self, x: WordPoint) -> Iterator[Tuple[int, Cylinder]]:
-        """(m, W_m) for every basic open containing x, ascending m: the
-        cylinders of x's prefixes, shortest first, each index carried from
-        the one before (`_extend`)."""
+    def opens_through(self, x: WordPoint,
+                      top: Optional[int] = None) -> Iterator[Tuple[int, Cylinder]]:
+        """(m, W_m) for every basic open containing x, ascending m, up to
+        index top when it is given: the cylinders of x's prefixes, shortest
+        first, each index carried from the one before (`_extend`).
+
+        On Baire space a word ending in symbol s has index at least
+        2^(s+1) - 1, past top once s >= top.bit_length(), so the walk stops
+        at such a symbol without building its index, an s-bit int."""
         m, word = 0, ()
         yield m, Cylinder(self.space, word)
+        far = top.bit_length() if top is not None and self.space == BAIRE else None
         for i in count():
             s = x.at(i)
+            if far is not None and s >= far:
+                return
             m = self._extend(m, s)
+            if top is not None and m > top:
+                return
             word += (s,)
             yield m, Cylinder(self.space, word)
 
@@ -558,12 +603,17 @@ class UnitGoodBasis:
         top, rem = divmod(v.numerator << (r + 1), v.denominator)
         return (top - 1, top) if rem else (top - 1,)
 
-    def opens_through(self, x: UnitPoint) -> Iterator[Tuple[int, RationalInterval]]:
-        """(m, W_m) for every basic open containing x, ascending m: the one
-        or two intervals through x of each block, block by block."""
+    def opens_through(self, x: UnitPoint,
+                      top: Optional[int] = None) -> Iterator[Tuple[int, RationalInterval]]:
+        """(m, W_m) for every basic open containing x, ascending m, up to
+        index top when it is given: the one or two intervals through x of
+        each block, block by block."""
         for r in count():
             for k in self.blocks_containing(r, x.value):
-                yield self.index_of(r, k), self.interval(r, k)
+                m = self.index_of(r, k)
+                if top is not None and m > top:
+                    return
+                yield m, self.interval(r, k)
 
 
 GoodBasis = Union[CylinderGoodBasis, UnitGoodBasis]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction as F
 
@@ -26,6 +27,7 @@ from firstreturn.space import (
     Dist,
     UnitPoint,
     WordPoint,
+    baire_point,
     cantor_point,
     dist,
     first_mismatch,
@@ -358,6 +360,32 @@ def test_afog_matches_definition(monkeypatch, q64, cantor_basis, unit_basis, cas
         assert truncations > 0
 
 
+def test_baire_walks_stop_before_a_huge_symbol(monkeypatch):
+    # a prefix ending in symbol s has index at least 2^(s+1) - 1, so under
+    # m_budget 30 no basis walk reads past a symbol of 5 bits or more, and
+    # none builds the index of a prefix ending in 10**9, a 10**9-bit int;
+    # the picks are those of the definition's walk over m = 0..30
+    basis, big, m_budget = good_basis(BAIRE), 10 ** 9, 30
+    huge = [baire_point((big,), (0,)), baire_point((1, big), (2,)),
+            baire_point((2,), (big, 0))]
+    q = [baire_point((), (0,)), huge[0], huge[1], baire_point((1,), (0,)),
+         baire_point((0, 1), (1,)), huge[2], baire_point((1, 0), (0,)),
+         baire_point((0,), (3,))]
+    families = [ClosedSet(BAIRE, cylinders=((1,),), name="N(1)"),
+                ClosedSet(BAIRE, cylinders=((0,), (1, 0)), name="N(0)+N(1,0)")]
+    symbols, real = [], type(basis)._extend
+    monkeypatch.setattr(type(basis), "_extend",
+                        lambda self, m, s: symbols.append(s) or real(self, m, s))
+    start = time.process_time()
+    calls = _builder_calls(monkeypatch, families, q, basis, m_budget)
+    assert time.process_time() - start < 0.5
+    assert symbols and max(symbols) < m_budget.bit_length()
+    assert any(q[x] in huge and not F_.member(q[x]) for F_, G, _ in calls for x in G)
+    for F_, G, shared in calls:
+        picks, trunc, _ = afog_by_definition(F_, G, basis, q, m_budget)
+        assert shared == (picks, trunc), (str(F_), [str(q[x]) for x in G])
+
+
 @pytest.fixture(scope="module")
 def ladder_inputs():
     """Criterion 3's ladder enumeration for three targets, with I = 3."""
@@ -379,9 +407,9 @@ def test_build_covers_each_point_once(monkeypatch, cantor_basis, ladder_inputs):
     covered = Counter()
     real = type(cantor_basis).opens_through
 
-    def cover(self, x):
+    def cover(self, x, top=None):
         covered[x] += 1
-        return real(self, x)
+        return real(self, x, top)
 
     monkeypatch.setattr(type(cantor_basis), "opens_through", cover)
     build_dense(families, q, cantor_basis, m_budget=14)

@@ -44,6 +44,7 @@ from firstreturn.path import (
 )
 from firstreturn.space import (
     BAIRE,
+    CANTOR,
     WordPoint,
     ZPoint,
     cantor_point,
@@ -162,6 +163,30 @@ def test_prop25_view_builds_no_term_for_a_lookup(monkeypatch):
     view = prop25_dense()
     assert view.first_index_extending(()) == 0
     assert calls == [] and not isinstance(view, DenseSequence)
+
+
+def test_prop25_lookups_from_every_symbol_type(seq25, view25):
+    # a term rebuilt from tuples, from bytes, or with a cycle unrolled into
+    # its head is looked up by its least index; first_index_of compares the
+    # cycle with the packed constant cycles, so a cycle held in another type
+    # must not read as a non-term
+    first = {}
+    for p in range(200):
+        first.setdefault(x_seq_point(p), p)
+    for p in range(200):
+        pt = x_seq_point(p)
+        head, cycle = tuple(pt.head), tuple(pt.cycle)
+        for h, c in ((head, cycle), (bytes(head), bytes(cycle)), (list(head), list(cycle)),
+                     (head + cycle * 3, cycle)):
+            q = WordPoint(pt.space, h, c)
+            for dense in (seq25, view25):
+                assert dense.first_index_of(q) == first[pt], (p, h, c)
+                assert dense.contains(q)
+    # a cycle that is not constant: no term of either sequence
+    for q in (CP("", "10"), CP("1", "01"), WordPoint(CANTOR, (0, 1), (0, 0, 1)),
+              WordPoint(CANTOR, b"", b"\x01\x01\x00")):
+        for dense in (seq25, view25):
+            assert dense.first_index_of(q) is None and not dense.contains(q)
 
 
 def test_prop25_sequence_path_reaches_horizon(seq25, cantor_basis):

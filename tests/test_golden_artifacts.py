@@ -14,7 +14,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +120,39 @@ def fn_digest(root):
 
 def test_golden_artifacts(tmp_path):
     assert artifacts_digest(tmp_path) == GOLDEN
+
+
+# criterion 10's jobs over Cantor words: recover I25, build-dense two-bits,
+# ebc1 cantor-bits and gallery eval
+WORD_JOBS = [CONFIGS[i] for i in (1, 2, 3, 5)]
+
+
+def test_word_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
+    # Cantor words are bytes, and bytes hash differently under each
+    # PYTHONHASHSEED; each seed writes the jobs in a fresh interpreter, and
+    # every artifact but the run.meta sidecar must be byte-identical
+    script = ("import json, sys\n"
+              "from pathlib import Path\n"
+              "from firstreturn import cli\n"
+              "for i, cfg in enumerate(json.loads(sys.argv[2])):\n"
+              "    print(cli.run_config(cfg, Path(sys.argv[1]) / f'job{i}'))\n")
+    src = str(Path(cli.__file__).parents[1])
+    runs = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"seed{seed}"
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-c", script, str(out), json.dumps(WORD_JOBS)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        files = {p.relative_to(out).as_posix(): p.read_bytes()
+                 for p in sorted(out.rglob("*")) if p.is_file() and p.name != "run.meta"}
+        runs.append((proc.stdout, files))
+    assert runs[0][0] == "0\n" * len(WORD_JOBS)
+    assert len(runs[0][1]) > len(WORD_JOBS) and runs[0] == runs[1]
+    # and this interpreter, under its own seed, replays them unchanged
+    for i in range(len(WORD_JOBS)):
+        rep = cli.replay(tmp_path / "seed1" / f"job{i}", tmp_path / f"replay{i}")
+        assert rep["ok"] and rep["divergence"] is None, rep
 
 
 def test_golden_function_sources(tmp_path):

@@ -202,7 +202,7 @@ def cases(dense25, view25, seq25):
         "view25": Case(view25, oracle, "first_extending", words, points, 5864,
                        PROP25_MISSES, CP("", "10")),
         "seq25": Case(seq25, oracle, "first_extending", words, points, None,
-                      PROP25_MISSES, CP("", "10"), lambda pt: pt.cycle in ((0,), (1,))),
+                      PROP25_MISSES, CP("", "10"), lambda pt: tuple(pt.cycle) in ((0,), (1,))),
     }
 
 

@@ -63,7 +63,7 @@ def test_canonical_head_is_minimal():
     p = cantor_point("0110", "10")  # 0,1,1,0,1,0,... = 01 (10)^inf
     q = cantor_point("011", "01")
     assert p == q
-    assert p.head == (0, 1) and p.cycle == (1, 0)
+    assert p.head == b"\x00\x01" and p.cycle == b"\x01\x00"
 
 
 @given(
@@ -85,6 +85,7 @@ def test_canonical_form_invariant_under_unrolling(head, cycle, shift):
 @pytest.mark.parametrize("space,head,cycle", [
     (CANTOR, (2,), (0,)), (CANTOR, (), (0, 2)),
     (BAIRE, (-1,), (0,)), (BAIRE, (3,), (1, -1)),
+    (CANTOR, (-1,), (0,)), (CANTOR, (), (256,)),
 ])
 def test_symbol_out_of_alphabet_rejected(space, head, cycle):
     with pytest.raises(ValueError, match="^symbol out of alphabet$"):
@@ -93,6 +94,28 @@ def test_symbol_out_of_alphabet_rejected(space, head, cycle):
 
 def test_baire_symbols_past_the_basis_alphabet_accepted():
     assert WordPoint(BAIRE, (9,), (9, 0)).head == (9,)
+
+
+@pytest.mark.parametrize("space,head,cycle", [
+    (CANTOR, (0, 1, 1, 0), (1, 0)), (CANTOR, (), (0, 0)), (CANTOR, (1,), (1,)),
+    (BAIRE, (3, 0, 7), (2, 7)), (BAIRE, (300,), (0, 300, 0, 300)),
+])
+def test_points_from_any_symbol_sequence_are_one_point(space, head, cycle):
+    # tuples, lists and bytes of the same symbols give one point: equal,
+    # hashed alike and printed alike, stored in the space's word type
+    kind = bytes if space == CANTOR else tuple
+    forms = [(head, cycle), (list(head), list(cycle))]
+    if space == CANTOR:
+        forms.append((bytes(head), bytes(cycle)))
+    points = [WordPoint(space, h, c) for h, c in forms]
+    assert len(set(points)) == 1 and all(p == points[0] for p in points)
+    assert len({hash(p) for p in points}) == 1
+    assert len({format_point(p) for p in points}) == 1
+    assert parse_point(format_point(points[0])) == points[0]
+    for p in points:
+        assert type(p.head) is kind and type(p.cycle) is kind
+        assert type(p.word(9)) is kind and type(p.prefix(9)) is tuple
+        assert p.prefix(9) == tuple(p.word(9)) == ref_prefix(p, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +154,7 @@ def point_pairs(draw):
     if kind == "shared":
         rest = draw(word_points(p.space))
         k = draw(st.integers(0, 30))
-        return p, WordPoint(p.space, ref_prefix(p, k) + rest.head, rest.cycle)
+        return p, WordPoint(p.space, ref_prefix(p, k) + tuple(rest.head), rest.cycle)
     shift = draw(st.integers(0, 20))
     cycle = ref_prefix(p, len(p.head) + shift + len(p.cycle))[-len(p.cycle):]
     q = WordPoint(p.space, ref_prefix(p, len(p.head) + shift), cycle)
@@ -144,6 +167,9 @@ def point_pairs(draw):
 def test_prefix_matches_symbols(p, n):
     assert p.prefix(n) == ref_prefix(p, n)
     assert isinstance(p.prefix(n), tuple)
+    # word: the same symbols, packed as bytes on Cantor space
+    kind = bytes if p.space == CANTOR else tuple
+    assert type(p.word(n)) is kind and p.word(n) == kind(ref_prefix(p, n))
 
 
 @given(p=word_points(), n=st.integers(0, 40), flip=st.integers(-1, 39), data=st.data())
@@ -155,6 +181,8 @@ def test_starts_with_matches_symbols(p, n, flip, data):
         word[flip] = data.draw(st.integers(0, 1 if p.space == CANTOR else 4))
     want = all(p.at(i) == s for i, s in enumerate(word))
     assert p.starts_with(word) == p.starts_with(tuple(word)) == want
+    # a bytes word, the Cantor word type, on both spaces
+    assert p.starts_with(bytes(word)) == want
 
 
 @given(pair=point_pairs())
@@ -173,6 +201,30 @@ def test_first_difference_matches_symbols(pair):
 def test_first_mismatch_is_least_disagreement(a, b):
     want = next((i for i, (s, t) in enumerate(zip(a, b)) if s != t), None)
     assert first_mismatch(tuple(a), tuple(b)) == want
+    assert first_mismatch(bytes(a), bytes(b)) == want
+
+
+@given(a=st.binary(max_size=40), b=st.binary(max_size=40))
+@settings(max_examples=150)
+def test_first_mismatch_on_bytes_is_least_disagreement(a, b):
+    # any byte values: a differing high bit tests the byte count of the XOR
+    want = next((i for i, (s, t) in enumerate(zip(a, b)) if s != t), None)
+    assert first_mismatch(a, b) == first_mismatch(tuple(a), tuple(b)) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 141, 300])
+def test_first_mismatch_on_bytes_at_either_end(n):
+    # the XOR of the packed words, differing at index 0, at index n - 1 or
+    # nowhere, by the lowest bit and by the highest bit of a byte
+    rng = random.Random(n)
+    a = bytes(rng.randrange(2) for _ in range(n))
+    for i in (0, n - 1):
+        for bit in (1, 0x80):
+            b = a[:i] + bytes((a[i] ^ bit,)) + a[i + 1:]
+            assert first_mismatch(a, b) == first_mismatch(b, a) == i
+            assert first_mismatch(a, b + a) == first_mismatch(b[:i + 1], a + b) == i
+    assert first_mismatch(a, a) is None and first_mismatch(a, a + a) is None
+    assert first_mismatch(a[:n - 1], a) is None and first_mismatch(b"", a) is None
 
 
 def test_first_difference_late_in_the_cycles():
