@@ -245,10 +245,14 @@ class WordPoint:
         return tuple(self._symbols(n)[:n])
 
     def starts_with(self, word: Sequence[int]) -> bool:
-        mine = self.word(len(word))
-        if type(mine) is type(word):
-            return mine == word
-        return tuple(mine) == tuple(word)
+        n = len(word)
+        mine = self._symbols(n)[:n]
+        if type(word) is not type(mine):
+            try:
+                word = type(mine)(word)
+            except ValueError:  # a symbol that no byte holds
+                return False
+        return mine == word
 
     def first_difference(self, other: "WordPoint", start: int = 0) -> Optional[int]:
         """Index of the first disagreement, or None if the points are equal.
@@ -633,11 +637,15 @@ def good_basis(space: str) -> GoodBasis:
 # ---------------------------------------------------------------------------
 
 
+# the text of a Cantor word's bytes, b"\x00\x01" -> "01"; other bytes stay
+_BIT_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def format_point(p: PointCode) -> str:
     """Canonical textual form; parse_point(format_point(p)) == p."""
     if isinstance(p, WordPoint):
         if p.space == CANTOR:
-            return f"cantor:{''.join(map(str, p.head))}|{''.join(map(str, p.cycle))}"
+            return "cantor:" + (p.head + b"|" + p.cycle).translate(_BIT_TEXT).decode()
         head = ",".join(map(str, p.head))
         cycle = ",".join(map(str, p.cycle))
         return f"baire:{head}|{cycle}"
