@@ -183,6 +183,9 @@ def test_starts_with_matches_symbols(p, n, flip, data):
     assert p.starts_with(word) == p.starts_with(tuple(word)) == want
     # a bytes word, the Cantor word type, on both spaces
     assert p.starts_with(bytes(word)) == want
+    # a symbol in neither point's words here, and one that no byte holds
+    assert not p.starts_with(ref_prefix(p, n) + (5,))
+    assert not p.starts_with(ref_prefix(p, n) + (256,))
 
 
 @given(pair=point_pairs())
