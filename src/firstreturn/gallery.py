@@ -171,7 +171,7 @@ class PsiTable:
         grow((), 1)  # the product over no primes; phi(()) = 0 is listed above
         entries.sort()
         self.words: List[Tuple[int, ...]] = [w for _, w in entries]
-        self.index: Dict[Tuple[int, ...], int] = {w: n for n, w in enumerate(self.words)}
+        self.index: Dict[bytes, int] = {bytes(w): n for n, w in enumerate(self.words)}
 
     @property
     def size(self) -> int:
@@ -186,12 +186,12 @@ class PsiTable:
         return self.words[n]
 
     def psi_inv(self, word: Sequence[int]) -> int:
-        word = tuple(word)
         if not in_S(word):
             raise ValueError(f"{word} is not in S")
-        if word not in self.index:
-            raise PsiBudgetExceeded(f"psi_inv({word}) beyond materialized table")
-        return self.index[word]
+        try:
+            return self.index[bytes(word)]
+        except (KeyError, ValueError):  # past the table, or a symbol no byte holds
+            raise PsiBudgetExceeded(f"psi_inv({word}) beyond materialized table") from None
 
 
 @lru_cache(maxsize=None)
@@ -266,7 +266,7 @@ class Prop25Sequence:
         """The terms whose index the table counts, x_0 .. x_{2 size - 1}."""
         return map(self._term, range(self._size))
 
-    def _index(self, s: Tuple[int, ...], c: int):
+    def _index(self, s: bytes, c: int):
         n = self.table.index.get(s)
         if n is None:
             return self._past
@@ -277,41 +277,45 @@ class Prop25Sequence:
         if not (isinstance(point, WordPoint) and point.space == CANTOR
                 and point.cycle in (b"\x00", b"\x01")):
             return None  # the terms are exactly the eventually constant points
-        head = tuple(point.head)  # the table's words are tuples
         if point.cycle == b"\x00":
-            return self._index(head, 0)  # canonical head is in S
+            return self._index(point.head, 0)  # canonical head is in S
         # canonical head of h.1^inf is empty or ends in 0
-        return self._index(head + (1,) if head else (), 1)
+        return self._index(point.head + b"\x01" if point.head else b"", 1)
 
     def contains(self, point: PointCode) -> bool:
         return self.first_index_of(point) is not None
 
     @staticmethod
-    def _least(word: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
-        """(s, c) with s.c^inf the least term extending word."""
-        u = tuple(word)
-        r = u[::-1]
-        if u and u[-1] == 0:
+    def _least(word: Sequence[int]) -> Optional[Tuple[bytes, int]]:
+        """(s, c) with s.c^inf the least term extending word; None if none does."""
+        try:
+            u = bytes(word)
+        except ValueError:  # a symbol that no byte holds
+            return None
+        if u.translate(None, b"\x00\x01"):  # a symbol that is no bit
+            return None
+        if u.endswith(b"\x00"):
             # u without its trailing 0s: the other candidates are longer
-            return (u[:len(u) - r.index(1)] if 1 in r else ()), 0
+            return u[:u.rfind(1) + 1], 0
         # u is in S, so the 1-cycle candidate, u up to its last 0 and one 1
         # (the empty word if u has no 0), is no longer than u
-        return (u[:len(u) - r.index(0) + 1] if 0 in r else ()), 1
+        return (u[:u.rfind(0) + 2] if 0 in u else b""), 1
 
     def first_index_extending(self, word: Sequence[int]):
         """Minimal p with word a prefix of x_p; past the table, None on a
         bounded view and a `PastTableIndex` marker otherwise."""
-        return self._index(*self._least(word))
+        least = self._least(word)
+        return None if least is None else self._index(*least)
 
     def first_extending(self, word: Sequence[int]):
-        """(p, x_p) for the minimal p with word a prefix of x_p; a bounded
-        view raises SearchBudgetExceeded when that term is past the table."""
-        s, c = self._least(word)
-        p = self._index(s, c)
+        """(p, x_p) for the minimal p with word a prefix of x_p; raises
+        SearchBudgetExceeded where `first_index_extending` answers None."""
+        p = self.first_index_extending(word)
         if p is None:
             raise SearchBudgetExceeded(
                 f"no point extending prefix of length {len(word)}", budget=self.budget)
         if p is self._past:
+            s, c = self._least(word)
             return p, WordPoint(CANTOR, s, (c,))
         return p, self._term(p)
 
@@ -380,7 +384,7 @@ def I16(alpha: WordPoint) -> FunctionOracle:
     def ev(beta: WordPoint) -> int:
         if not is_P_f(beta):
             return 0
-        return 1 if alpha.starts_with(pf_decomposition(beta)) else 0
+        return 1 if alpha.starts_with(beta.head) else 0  # pf_decomposition(beta)
 
     word = alpha.prefix(64)
     ones = [WordPoint(CANTOR, (), (0,))]
@@ -400,8 +404,7 @@ def I25(alpha: WordPoint) -> FunctionOracle:
     def ev(beta: WordPoint) -> int:
         if not is_P_f(beta):
             return 1
-        s = pf_decomposition(beta)
-        return 0 if alpha.starts_with(s + (1,)) else 1
+        return 0 if alpha.starts_with(beta.head + b"\x01") else 1
 
     word = alpha.prefix(64)
     zeros = [WordPoint(CANTOR, word[:n], (0,)) for n in _s_before_one(word)[:DECOMP_DEPTH]]

@@ -42,9 +42,9 @@ Every dense source D, whatever holds its terms, keeps one contract:
   interval, which returns (p, x_p) for the least p whose term qualifies.
   On a miss it raises `SearchBudgetExceeded` carrying `budget`, which the
   extraction records as the trace's `budget` stop: a trace neither raises
-  nor silently truncates.  An unbounded source never misses; a term whose
-  index lies past the table it can count is answered with a
-  `PastTableIndex` marker in place of the index.
+  nor silently truncates.  An unbounded source never misses a word of its
+  alphabet; a term whose index lies past the table it can count is
+  answered with a `PastTableIndex` marker in place of the index.
 
 No caller reads `len()` of a source: an unbounded one has none.  The
 sources are the list `DenseSequence`, which answers from an index built on
@@ -232,10 +232,13 @@ class DenseSequence:
             self._build_word_index()
         keys, mins, L, kind = self._order
         w = word[:L]
-        if type(w) is not kind:
-            w = kind(w)
-        a = bisect_left(keys, w)
-        b = bisect_left(keys, w[:-1] + kind((w[-1] + 1,)), a) if w else len(keys)
+        try:
+            if type(w) is not kind:
+                w = kind(w)
+            b = bisect_left(keys, w[:-1] + kind((w[-1] + 1,))) if w else len(keys)
+        except ValueError:  # no Cantor key holds a symbol past 1
+            return None
+        a = bisect_left(keys, w, 0, b)
         if a < b:
             p = _least(mins, a, b)
             if len(word) <= L or self.points[p].starts_with(word):

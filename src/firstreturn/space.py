@@ -11,11 +11,9 @@ Points are finite symbolic objects denoting infinite ones:
 * Z points are strictly increasing, divergent sequences of nonnegative
   rationals given by a finite prefix and an affine tail q_n = a*n + b.
 
-Distances are returned exactly: either a rational or a symbolic power
-2^(-e) (the Z metric produces irrational values, so exponents are compared
-instead of the powers themselves).  The exponent is an int on Cantor and
-Baire space, the index of the first disagreement, and a Fraction on Z; an
-int and an equal Fraction compare, hash and print alike.
+Distances are returned exactly (`Dist`): a rational on [0, 1], and a
+symbolic power 2^(-e) elsewhere (the Z metric produces irrational values),
+so one space's distances are all of one kind.
 
 Basic opens are cylinders N_s (Cantor/Baire), open rational intervals
 clamped to [0, 1] (unit), and metric balls of radius 2^(-r) (Z).  A good
@@ -62,6 +60,8 @@ def common_space(items: Iterable) -> str:
 # Exact distances
 # ---------------------------------------------------------------------------
 
+_RANK = {"zero": 0, "rat": 1, "pow2": 1, "inf": 2}  # 0 < positive < infinity
+
 
 @dataclass(frozen=True)
 class Dist:
@@ -74,7 +74,8 @@ class Dist:
     type holds them.
 
     The +infinity sentinel exists for the delta gauge (distance to an empty
-    union); it compares greater than everything else.
+    union); it compares greater than everything else.  A rational and a
+    power come from different spaces: comparing them raises SpaceMismatch.
     """
 
     kind: str  # "zero" | "rat" | "pow2" | "inf"
@@ -102,41 +103,25 @@ class Dist:
     def is_zero(self) -> bool:
         return self.kind == "zero"
 
-    def is_infinite(self) -> bool:
-        return self.kind == "inf"
-
     def as_fraction(self) -> Fraction:
-        """Exact rational value; fails for irrational powers and infinity."""
+        """Exact value of a unit-interval distance; fails for powers and infinity."""
         if self.kind == "zero":
             return Fraction(0)
         if self.kind == "rat":
             return self.value
-        if self.kind == "pow2" and self.value.denominator == 1:
-            e = self.value.numerator
-            return Fraction(1, 2 ** e) if e >= 0 else Fraction(2 ** (-e))
-        raise ValueError(f"not an exact rational: {self}")
+        raise ValueError(f"not a rational distance: {self}")
 
     def _cmp(self, other: "Dist") -> int:
-        a, b = self, other
-        if a.kind == b.kind:
-            if a.kind in ("zero", "inf"):
-                return 0
-            if a.kind == "rat":
-                return (a.value > b.value) - (a.value < b.value)
-            # pow2: 2^(-e) < 2^(-e') iff e > e'
-            return (b.value > a.value) - (b.value < a.value)
-        order = {"zero": 0, "rat": 1, "pow2": 1, "inf": 2}
-        if order[a.kind] != order[b.kind]:
-            return order[a.kind] - order[b.kind]
-        # rational vs power of two, both positive
-        if a.kind == "pow2":
-            return -b._cmp(a)
-        # a rational r vs 2^(-e): compare r^den vs 2^(-num) exactly
-        r, e = a.value, b.value
-        num, den = e.numerator, e.denominator
-        lhs = r ** den
-        rhs = Fraction(1, 2 ** num) if num >= 0 else Fraction(2 ** (-num))
-        return (lhs > rhs) - (lhs < rhs)
+        a, b = self.kind, other.kind
+        if a == b:
+            if a == "pow2":  # 2^(-e) < 2^(-e') iff e > e'
+                return (other.value > self.value) - (other.value < self.value)
+            if a == "rat":
+                return (self.value > other.value) - (self.value < other.value)
+            return 0
+        if _RANK[a] == _RANK[b]:
+            raise SpaceMismatch(f"a rational and a power of two: {self} vs {other}")
+        return _RANK[a] - _RANK[b]
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -278,22 +263,15 @@ def first_mismatch(a: Word, b: Word) -> Optional[int]:
     """The least i with a[i] != b[i] within the shorter of two words of one
     type, or None if one is a prefix of the other.  Two bytes words are
     read as big-endian ints: the highest set bit of their XOR lies in the
-    first differing byte, counted from the end.  Tuples are bisected on
-    slice equality, so their symbols are compared in C too."""
+    first differing byte, counted from the end.  Tuples (Baire points and
+    cylinder words) are compared in C, then scanned for the difference."""
     n = min(len(a), len(b))
     if type(a) is bytes and type(b) is bytes:
         d = int.from_bytes(a[:n], "big") ^ int.from_bytes(b[:n], "big")
         return n - 1 - ((d.bit_length() - 1) >> 3) if d else None
     if a[:n] == b[:n]:
         return None
-    lo, hi = 0, n - 1  # a[:lo] == b[:lo], a[:hi + 1] != b[:hi + 1]
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if a[:mid + 1] == b[:mid + 1]:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    return next(i for i in range(n) if a[i] != b[i])
 
 
 def cantor_point(head: str, cycle: str) -> WordPoint:

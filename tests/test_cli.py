@@ -18,6 +18,8 @@ from firstreturn.cli import (
     MAX_PAIRS,
     ConfigError,
     _KEYS,
+    _dense_from_config,
+    _fn_from_config,
     builder_families,
     load_config_file,
     main,
@@ -347,6 +349,50 @@ def test_replay_flags_extra_files(tmp_path):
     assert not rep["ok"]
     assert rep["divergence"] == {"file": "rank.txt", "line": 0, "reason": "extra on replay"}
     assert rep["files_compared"] == 2
+
+
+def test_replay_flags_missing_files(tmp_path):
+    out = tmp_path / "a"
+    assert run_main(["rank", "--n", "1", "--A", "10", "--B", "01", "--out", str(out)]) == 0
+    (out / "notes.txt").write_text("not written by the run\n")
+    rep = replay(out, tmp_path / "fresh")
+    assert not rep["ok"]
+    assert rep["divergence"] == {"file": "notes.txt", "line": 0, "reason": "missing on replay"}
+
+
+def test_replay_flags_a_trailing_line(tmp_path):
+    out = tmp_path / "a"
+    assert run_main(["rank", "--n", "1", "--A", "10", "--B", "01", "--out", str(out)]) == 0
+    target = out / "rank.txt"
+    n = len(target.read_text().splitlines())
+    target.write_text(target.read_text() + "one more line\n")
+    rep = replay(out, tmp_path / "fresh")
+    assert not rep["ok"]
+    assert rep["divergence"] == {"file": "rank.txt", "line": n + 1, "reason": "length differs"}
+
+
+def test_every_listed_name_is_parsed(tmp_path):
+    # a name `gallery list` shows is one the configuration accepts; a
+    # pattern name runs through one example of the pattern
+    out = tmp_path / "list"
+    assert run_main(["gallery", "list", "--out", str(out)]) == 0
+    listed = json.loads((out / "summary.json").read_text())
+    dense_file = tmp_path / "two.txt"
+    dense_file.write_text("cantor:|0\ncantor:1|0\n")
+    examples = {
+        "I16(alpha)": {"fn": "I16", "alpha": "cantor:|110"},
+        "I25(alpha)": {"fn": "I25", "alpha": "cantor:|110"},
+        "indicator:<bits>": {"fn": "indicator:01"},
+        "singleton:<point>": {"fn": "singleton:cantor:|01"},
+        "file:<path>": {"dense": f"file:{dense_file}"},
+    }
+    spaces = {"cantor", "baire", "unit", "z"}
+    assert listed["functions"] and listed["dense_sources"]
+    for name in listed["functions"]:
+        assert _fn_from_config(examples.get(name, {"fn": name})).space in spaces, name
+    for name in listed["dense_sources"]:
+        assert _dense_from_config(examples.get(name, {"dense": name})).space in spaces, name
+    assert _dense_from_config(examples["file:<path>"]).budget == 2
 
 
 def _damage_unknown_key(text, tmp_path):

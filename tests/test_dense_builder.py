@@ -74,7 +74,7 @@ def test_closed_set_exact_distance():
     u = ClosedSet(UNIT, intervals=((F(0), F(1, 2)),))
     assert u.dist(UnitPoint(F(3, 5))) == Dist.rational(F(1, 10))
     assert u.dist(UnitPoint(F(1, 4))).is_zero()
-    assert ClosedSet(CANTOR).dist(cantor_point("", "0")).is_infinite()
+    assert ClosedSet(CANTOR).dist(cantor_point("", "0")) == Dist.infinity()
 
 
 def test_closed_set_intersection_exact():

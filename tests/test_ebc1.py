@@ -39,12 +39,12 @@ def test_delta_second_piece_distance():
 
 def test_delta_first_piece_is_infinite():
     res = delta_from_cover(HALVES, u((3, 10)))
-    assert res.index == 0 and res.delta.is_infinite()
+    assert res.index == 0 and res.delta == Dist.infinity()
 
 
 def test_delta_boundary_point_takes_least_index():
     res = delta_from_cover(HALVES, u((1, 2)))
-    assert res.index == 0 and res.delta.is_infinite()
+    assert res.index == 0 and res.delta == Dist.infinity()
 
 
 def test_cover_takes_its_space_from_its_pieces():

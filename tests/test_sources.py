@@ -13,7 +13,7 @@ table counts; the lists against their own points.
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction as F
 from typing import Callable, Optional
 
@@ -248,6 +248,29 @@ def test_lookup_matches_linear_scan(cases, name):
             assert src.first_index_extending(*q) == index, q
         misses += want is None
     assert misses == case.misses and misses < len(case.queries)
+
+
+# words holding a symbol that is no bit: some no byte holds, some end in
+# the byte 255, which the list's bisect cannot raise, and some run past the
+# list's key length
+OFF_ALPHABET = [(2,), (0, 255), (1, 256), (-1,), (255,), (300,), b"\x02", b"\x01\xff",
+                (0,) * 24 + (2,), (1,) * 24 + (255,)]
+
+
+@pytest.mark.parametrize("name", ["cantor-list", "view25", "seq25"])
+def test_words_off_the_alphabet_extend_no_term(cases, name):
+    # answered as starts_with answers them: no term extends such a word,
+    # so an unbounded source misses it too
+    case = cases[name]
+    src, queries = case.source, [(u,) for u in OFF_ALPHABET]
+    assert scan(replace(case, queries=queries)) == [None] * len(queries)
+    for u in OFF_ALPHABET:
+        assert src.first_index_extending(u) is None, u
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            src.first_extending(u)
+        assert exc.value.budget == case.budget
+        assert str(exc.value) == (f"{MISS['first_extending'](u)} "
+                                  f"(search budget exceeded, budget={case.budget})")
 
 
 @pytest.mark.parametrize("name", NAMES)

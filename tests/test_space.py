@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction as F
 from itertools import islice, takewhile
@@ -296,8 +297,12 @@ def test_dist_unit_absolute_difference():
 
 def test_dist_comparisons_exact():
     assert Dist.pow2(F(3, 2)) < Dist.pow2(1)
-    assert Dist.rational(F(1, 3)) < Dist.pow2(F(3, 2))  # 1/3 < 2^-1.5 ~ 0.3535
-    assert Dist.pow2(F(3, 2)) < Dist.rational(F(3, 8))
+    # a rational and a power come from different spaces: they have no order
+    for r in (Dist.rational(F(1, 3)), Dist.rational(F(3, 8))):
+        for a, b in ((r, Dist.pow2(F(3, 2))), (Dist.pow2(F(3, 2)), r)):
+            for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+                with pytest.raises(SpaceMismatch):
+                    compare(a, b)
     assert Dist.zero() < Dist.rational(F(1, 10 ** 9)) < Dist.infinity()
 
 
@@ -308,12 +313,31 @@ def test_int_and_fraction_exponents_are_one_distance():
     assert type(k.value) is int and type(f.value) is F
     assert k == f and hash(k) == hash(f)
     assert str(k) == str(f) == "2^(-3)"
-    for r in (F(1, 9), F(1, 8), F(1, 7)):
-        d = Dist.rational(r)
+    for e in (4, F(13, 4), 3, F(3), F(11, 4), 2):
+        d = Dist.pow2(e)
         assert (k < d, k <= d, k > d, k >= d) == (f < d, f <= d, f > d, f >= d)
         assert (d < k, d > k) == (d < f, d > f)
-    assert Dist.rational(F(1, 8)) <= k <= Dist.rational(F(1, 8))
-    assert Dist.pow2(4) < f < Dist.pow2(F(5, 2)) and k.as_fraction() == F(1, 8)
+    assert Dist.pow2(F(3)) <= k <= Dist.pow2(F(3))
+    assert Dist.pow2(4) < f < Dist.pow2(F(5, 2))
+    with pytest.raises(ValueError):
+        k.as_fraction()
+
+
+# distances of one kind, each with its exact value as a (rank, value) key:
+# zero, a positive rational r or 2^-e, infinity
+_RATIONALS = st.fractions(min_value=0, max_value=2, max_denominator=8).map(
+    lambda r: (Dist.rational(r), (1, r) if r else (0, 0)))
+_POWERS = st.one_of(st.integers(0, 12), st.integers(0, 12).map(F)).map(
+    lambda e: (Dist.pow2(e), (1, F(1, 2 ** e))))
+_ENDS = st.sampled_from([(Dist.zero(), (0, 0)), (Dist.infinity(), (2, 0))])
+
+
+@given(positive=st.sampled_from([_RATIONALS, _POWERS]), data=st.data())
+@settings(max_examples=300)
+def test_dist_order_matches_exact_values(positive, data):
+    one_kind = st.one_of(positive, _ENDS)
+    (a, x), (b, y) = data.draw(one_kind), data.draw(one_kind)
+    assert (a < b, a <= b, a > b, a >= b) == (x < y, x <= y, x > y, x >= y)
 
 
 _ZPOINTS = [
