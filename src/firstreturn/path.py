@@ -25,10 +25,14 @@ above).  Terms lie between a and b, so a step reads a and b off the
 trace's last terms on each side of x and tests each block's intervals
 through x against them with integer comparisons (see `_unit_prior_free`).
 Z has no good basis, so it has routes only; their lookup is the
-entry-prefix lookup `first_closer(x, e)`: with k the least n such that
+entry-prefix lookup `first_closer(x, e, k)`: with k the least n such that
 x_n > e, a point is within 2^-e of x iff it agrees with x on entries
-0..k-1 and its entry k exceeds e (proof at `route_step`).  No step
-compares list points with x.
+0..k-1 and its entry k exceeds e.  A Z trace carries k from step to step:
+the new term agrees with x on entries 0..k-1, so its distance is one
+comparison of entries from k, and the entry n0 where it first differs
+from x gives the next k with no search of x's entries, n0 + 1 if x_n0 is
+the smaller entry and n0 otherwise (proofs at `route_step`).  No step
+compares a list point other than the new term with x.
 
 Every dense source D, whatever holds its terms, keeps one contract:
 
@@ -38,8 +42,9 @@ Every dense source D, whatever holds its terms, keeps one contract:
 * `first_index_of(point)`, the point's least index or None, and
   `contains(point)`;
 * the one lookup of its space, `first_extending(word)` on Cantor and Baire
-  space, `first_closer(x, e)` on Z or `first_inside(lo, hi)` on the unit
-  interval, which returns (p, x_p) for the least p whose term qualifies.
+  space, `first_closer(x, e, k=None)` on Z or `first_inside(lo, hi)` on
+  the unit interval, which returns (p, x_p) for the least p whose term
+  qualifies.
   On a miss it raises `SearchBudgetExceeded` carrying `budget`, which the
   extraction records as the trace's `budget` stop: a trace neither raises
   nor silently truncates.  An unbounded source never misses a word of its
@@ -255,12 +260,16 @@ class DenseSequence:
             )
         return p, self.points[p]
 
-    def first_closer(self, x: ZPoint, e: Fraction) -> Tuple[int, PointCode]:
+    def first_closer(self, x: ZPoint, e: Fraction,
+                     k: Optional[int] = None) -> Tuple[int, PointCode]:
         """(p, x_p) for the minimal p with d(x, x_p) < 2^-e (space Z); raises
         SearchBudgetExceeded when no materialized point is that close.
 
         With k the least n such that x_n > e, d(x, y) < 2^-e iff y agrees
-        with x on entries 0..k-1 and y_k > e (see `route_step`).  The walk
+        with x on entries 0..k-1 and y_k > e (see `route_step`).  A caller
+        that knows k passes it, as a Z route trace does, which carries it
+        from the step before; otherwise it is `x.first_entry_above(e)`, a
+        bisect over x's prefix in Fractions.  The walk
         by entries reaches the trie node of x's first k entries, splitting
         each node it is the first to pass.  Its children whose entry k
         exceeds e are a suffix of its sorted keys, so the answer is one
@@ -275,7 +284,8 @@ class DenseSequence:
         if self._root is None:
             self._root = _PrefixNode(list(range(len(self.points))))
             self._finger = None, 0, self._root
-        k = x.first_entry_above(e)
+        if k is None:
+            k = x.first_entry_above(e)
         last, d, node = self._finger
         if last is not x or k < d:
             node, d = self._root, 0
@@ -440,7 +450,9 @@ def path_step(x: PointCode, dense: DenseSequence, prior: Sequence[TraceStep],
 
 def route_step(x: PointCode, dense: DenseSequence, current: Dist):
     """Minimal p with d(x, x_p) < current; exact comparisons, and no list
-    point is compared with x.
+    point is compared with x.  Word and unit route traces step with it; a
+    Z route trace steps with `_z_route_step`, which gives the same terms
+    and distances, and route_step stays its reference.
 
     On the unit interval d(x, x_p) < r iff x - r < x_p < x + r, the
     interval lookup.  Cantor, Baire and Z distances are powers 2^-e:
@@ -457,6 +469,18 @@ def route_step(x: PointCode, dense: DenseSequence, current: Dist):
         - n0 > k: y_k = x_k > e, and both sequences increase strictly, so
           x_n0 > x_k and y_n0 > y_k: y is closer, and y satisfies the test.
       This is the entry-prefix lookup `first_closer`.
+
+      A Z trace carries k, so no step searches x's entries for it.  The
+      term y that the lookup found agrees with x on entries 0..k-1, so the
+      first index n0 where they differ is at least k, and the comparison
+      of entries starts at k.  If there is no n0, y = x and the trace is
+      fixed.  Otherwise d(x, y) = 2^-e' with e' = min(x_n0, y_n0), and k',
+      the least n with x_n > e', is:
+        - n0 + 1 when x_n0 < y_n0: then e' = x_n0, and x increases
+          strictly, so x_n <= x_n0 for n <= n0 and x_(n0+1) > x_n0;
+        - n0 when y_n0 < x_n0: then e' = y_n0, x_n = y_n < y_n0 for n < n0
+          (y increases strictly too), and x_n0 > y_n0.
+      So one comparison of x_n0 with y_n0 gives both e' and k'.
 
     Nothing is closer than distance 0: that is a budget stop as well, on
     every sequence, with the sequence's own budget.
@@ -477,9 +501,9 @@ def route_step(x: PointCode, dense: DenseSequence, current: Dist):
 
 
 def _extract(x: PointCode, dense, N: int, mode: str, step) -> PathTrace:
-    """s_0 = x_0, then s_{n+1} from step(s_0..s_n), the trace's steps so
-    far, until N terms; a term equal to x repeats.  A step that runs out of
-    points ends the trace with an explicit budget stop.
+    """s_0 = x_0, then (p, s_{n+1}, d(x, s_{n+1})) from step(s_0..s_n), the
+    trace's steps so far, until N terms; a term equal to x repeats.  A step
+    that runs out of points ends the trace with an explicit budget stop.
 
     Once a term s_n equals x, every later term is that term again: a fixed
     step repeats its term, so it equals x too.  The remaining N - 1 - n
@@ -501,19 +525,20 @@ def _extract(x: PointCode, dense, N: int, mode: str, step) -> PathTrace:
             trace.steps.extend(TraceStep(k, cur.index, cur.point, zero) for k in range(n + 1, N))
             break
         try:
-            p, pt = step(trace.steps)
+            p, pt, d = step(trace.steps)
         except SearchBudgetExceeded as exc:
             trace.terminated = "budget"
             trace.budget = exc.budget
             break
-        trace.steps.append(TraceStep(n + 1, p, pt, _term_dist(x, pt, cur.dist_to_x)))
+        trace.steps.append(TraceStep(n + 1, p, pt, d))
     return trace
 
 
 def _term_dist(x: PointCode, pt: PointCode, prev: Dist) -> Dist:
-    """d(x, pt) for the term a step found after a term at nonzero distance
-    prev from x.  In a word space both steps look that term up by the word
-    x|(k+1), with prev = 2^-k, so the comparison with x starts at k + 1."""
+    """d(x, pt) for the term a path step or a word or unit route step found
+    after a term at nonzero distance prev from x.  In a word space both
+    steps look that term up by the word x|(k+1), with prev = 2^-k, so the
+    comparison with x starts at k + 1."""
     if isinstance(x, WordPoint):
         d = x.first_difference(pt, prev.value + 1)
         return Dist.zero() if d is None else Dist.pow2(d)
@@ -524,14 +549,47 @@ def path_trace(x: PointCode, dense: DenseSequence, basis: GoodBasis, N: int) -> 
     """Path-mode trace of length <= N with witnesses."""
     def step(steps: List[TraceStep]):
         p, pt, steps[-1].witness = path_step(x, dense, steps, basis)
-        return p, pt
+        return p, pt, _term_dist(x, pt, steps[-1].dist_to_x)
 
     return _extract(x, dense, N, PATH, step)
 
 
 def route_trace(x: PointCode, dense: DenseSequence, N: int) -> PathTrace:
     """Route-mode trace: strictly decreasing exact distances to x."""
-    return _extract(x, dense, N, ROUTE, lambda steps: route_step(x, dense, steps[-1].dist_to_x))
+    if isinstance(x, ZPoint):
+        return _extract(x, dense, N, ROUTE, _z_route_step(x, dense))
+
+    def step(steps: List[TraceStep]):
+        p, pt = route_step(x, dense, steps[-1].dist_to_x)
+        return p, pt, _term_dist(x, pt, steps[-1].dist_to_x)
+
+    return _extract(x, dense, N, ROUTE, step)
+
+
+def _z_route_step(x: ZPoint, dense: DenseSequence):
+    """The step of a Z route trace: the terms and distances of `route_step`
+    and `dist`, with k, the least n such that x_n > e for the last term's
+    distance 2^-e, carried from one step to the next (see `route_step`).
+    Only the first step finds k by `first_entry_above`."""
+    k = None
+
+    def step(steps: List[TraceStep]):
+        nonlocal k
+        e = steps[-1].dist_to_x.value
+        if k is None:
+            k = x.first_entry_above(e)
+        p, pt = dense.first_closer(x, e, k)
+        n0 = x.first_difference(pt, k)
+        if n0 is None:
+            return p, pt, Dist.zero()
+        a, b = x.entry(n0), pt.entry(n0)
+        if a < b:
+            k, e = n0 + 1, a
+        else:
+            k, e = n0, b
+        return p, pt, Dist.pow2(e)
+
+    return step
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,13 @@ Distances are returned exactly (`Dist`): a rational on [0, 1], and a
 symbolic power 2^(-e) elsewhere (the Z metric produces irrational values),
 so one space's distances are all of one kind.
 
-Basic opens are cylinders N_s (Cantor/Baire), open rational intervals
-clamped to [0, 1] (unit), and metric balls of radius 2^(-r) (Z).  A good
-basis is a fixed total enumeration of basic opens: all cylinders, ordered
-by length (on Baire space, length plus symbol sum) then lexicographically,
-or interval blocks of shrinking scale.  Each basis walks the basic opens
-through a point in enumeration order (`opens_through`).
+Basic opens are cylinders N_s (Cantor/Baire) and open rational intervals
+clamped to [0, 1] (unit); Z has no good basis here, so it needs none.  A
+good basis is a fixed total enumeration of basic opens: all cylinders,
+ordered by length (on Baire space, length plus symbol sum) then
+lexicographically, or interval blocks of shrinking scale.  Each basis
+walks the basic opens through a point in enumeration order
+(`opens_through`).
 The unit interval basis has no canonical order in the literature; the one
 fixed here is documented on :class:`UnitGoodBasis` and traces depend on it.
 """
@@ -375,7 +376,10 @@ class ZPoint:
         den = e.denominator * b.denominator * a.numerator
         return max(n, num // den + 1)
 
-    def first_difference(self, other: "ZPoint") -> Optional[int]:
+    def first_difference(self, other: "ZPoint", start: int = 0) -> Optional[int]:
+        """Index of the first entry where the points differ, or None if they
+        are equal.  A caller that knows the points agree on entries
+        0..start-1 passes start, and the comparison begins there."""
         _require_same_space(self, other)
         if self is other:
             return None
@@ -384,8 +388,11 @@ class ZPoint:
         # two steps of the longer prefix, and points that agree that far are
         # equal.
         n = max(len(self.prefix), len(other.prefix)) + 2
-        pairs = zip(range(n), self._entries_to(n), other._entries_to(n))
-        return next((i for i, s, t in pairs if s != t), None)
+        q, r = self._entries_to(n), other._entries_to(n)
+        for i in range(start, n):
+            if q[i] != r[i]:
+                return i
+        return None
 
     def __str__(self):
         return format_point(self)
@@ -455,24 +462,7 @@ class RationalInterval:
         return f"({self.lo},{self.hi})"
 
 
-@dataclass(frozen=True)
-class ZBall:
-    """Open ball of radius 2^(-radius_exp) around a Z point."""
-
-    center: ZPoint
-    radius_exp: Fraction
-
-    space = Z
-
-    def member(self, p: PointCode) -> bool:
-        _require_same_space(self, p)
-        return dist(p, self.center) < Dist.pow2(self.radius_exp)
-
-    def __str__(self):
-        return f"B({self.center}, 2^(-{self.radius_exp}))"
-
-
-BasicOpen = Union[Cylinder, RationalInterval, ZBall]
+BasicOpen = Union[Cylinder, RationalInterval]
 
 
 # ---------------------------------------------------------------------------

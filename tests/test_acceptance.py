@@ -46,12 +46,13 @@ from firstreturn.space import (
     Dist,
     UnitPoint,
     WordPoint,
-    ZBall,
     ZPoint,
     cantor_point,
     dist,
     good_basis,
 )
+
+from oracles import ZBall
 
 
 def crit(number: int, ok: bool, detail: str):

@@ -33,7 +33,6 @@ from firstreturn.space import (
     UnitPoint,
     WordPoint,
     SpaceMismatch,
-    ZBall,
     ZPoint,
     baire_point,
     cantor_point,
@@ -44,6 +43,8 @@ from firstreturn.space import (
 )
 from firstreturn.dense_builder import ClosedSet, build_dense
 from firstreturn.gallery import thm13_dense, thm13_target, z_F_member
+
+from oracles import ZBall
 
 
 # ---------------------------------------------------------------------------
@@ -644,9 +645,12 @@ def thm13_route_points():
 
 
 def test_z_route_matches_linear_scan():
+    # indices, points and stops against a linear scan of exact distances,
+    # and every step, distances included, against the extraction that
+    # steps with `route_step` and `dist`
     dense = thm13_dense()
     for x in thm13_route_points():
-        tr = route_trace(x, dense, 400)
+        tr = assert_matches_step_by_step(x, dense, 400, ROUTE)
         got = ([s.index for s in tr.steps], tr.points(), tr.terminated)
         assert got == linear_route(x, dense, 400), str(x)
     rng = random.Random(7)
@@ -656,12 +660,22 @@ def test_z_route_matches_linear_scan():
         pts += [rng.choice(pts) for _ in range(rng.randrange(16))]
         rng.shuffle(pts)
         x = rng.choice(pts) if rng.random() < 0.3 else _random_z(rng)
-        tr = route_trace(x, DenseSequence(pts), 30)
+        tr = assert_matches_step_by_step(x, DenseSequence(pts), 30, ROUTE)
         got = ([s.index for s in tr.steps], tr.points(), tr.terminated)
         assert got == linear_route(x, pts, 30), str(x)
         stops.add(tr.terminated)
         reached += tr.steps[-1].point == x
     assert stops == {"horizon", "budget"} and reached > 30
+    rng = random.Random(31)
+    for _ in range(40):
+        pts = [_plateau_z(rng) for _ in range(rng.randrange(10, 40))]
+        pts += [_random_z(rng) for _ in range(rng.randrange(4))]
+        pts += [rng.choice(pts) for _ in range(rng.randrange(6))]
+        rng.shuffle(pts)
+        for x in (rng.choice(pts), _plateau_z(rng), ZPoint((F(1, 2), F(3, 2)), 1, 4)):
+            tr = assert_matches_step_by_step(x, DenseSequence(pts), 30, ROUTE)
+            got = ([s.index for s in tr.steps], tr.points(), tr.terminated)
+            assert got == linear_route(x, pts, 30), str(x)
 
 
 def closer_queries(rng, points, xs):
@@ -678,8 +692,9 @@ def closer_queries(rng, points, xs):
 
 def check_closer(points, queries):
     """Run the queries on a fresh list in ascending k, and on another in
-    descending k, against a linear scan of exact distances: both give the
-    same (p, x_p), or both a budget stop.  Returns how many queries found a
+    descending k, each once with k passed and once without, against a
+    linear scan of exact distances: all four give the same (p, x_p), or
+    all a budget stop.  Returns how many queries found a
     point, how many have a prefix that no point has, and how many meet a
     point that shares the prefix and whose entry k equals e."""
     xs = dict.fromkeys(x for _, x, _ in queries)
@@ -691,13 +706,14 @@ def check_closer(points, queries):
         want[x, e] = next(((p, points[p]) for p, d in enumerate(dists[x]) if d < r), None)
     for order in (sorted(queries, key=lambda q: q[0]),
                   sorted(queries, key=lambda q: -q[0])):
-        dense = DenseSequence(points)
-        for k, x, e in order:
-            try:
-                got = dense.first_closer(x, e)
-            except SearchBudgetExceeded:
-                got = None
-            assert got == want[x, e], (str(x), e)
+        for passed in (False, True):
+            dense = DenseSequence(points)
+            for k, x, e in order:
+                try:
+                    got = dense.first_closer(x, e, k) if passed else dense.first_closer(x, e)
+                except SearchBudgetExceeded:
+                    got = None
+                assert got == want[x, e], (str(x), e, passed)
     found = unshared = at_edge = 0
     for k, x, e in queries:
         sharing = [y for y, n in zip(points, agree[x]) if n is None or n >= k]
@@ -726,21 +742,41 @@ def test_first_closer_matches_linear_scan():
     assert check_closer(dense, queries)[2] > 0
 
 
+def new_terms(tr):
+    """The terms a trace compared with x: s_0 and each term a lookup found,
+    not the copies of a fixed tail."""
+    return [s.point for n, s in enumerate(tr.steps)
+            if n == 0 or not tr.steps[n - 1].dist_to_x.is_zero()]
+
+
 def test_z_route_reads_no_list_distance(monkeypatch):
-    # the extraction computes dist_to_x once per new term; a Z step that
-    # compared list points with x would add calls here
-    calls = []
+    # the extraction compares each new term with x once, with one
+    # `first_difference`; a Z step that compared other list points with x
+    # would add calls here, and one that searched x's entries for k would
+    # call `first_entry_above` more than once per trace
+    compared, searched = [], []
 
-    def counting_dist(p, q):
-        calls.append(q)
-        return dist(p, q)
+    def counting_difference(p, q, *start, real=ZPoint.first_difference):
+        compared.append((p, q))
+        return real(p, q, *start)
 
-    monkeypatch.setattr("firstreturn.path.dist", counting_dist)
+    def counting_search(p, e, real=ZPoint.first_entry_above):
+        searched.append(p)
+        return real(p, e)
+
+    monkeypatch.setattr(ZPoint, "first_difference", counting_difference)
+    monkeypatch.setattr(ZPoint, "first_entry_above", counting_search)
     dense = thm13_dense()
+    terms = 0
     for x in thm13_route_points()[:4]:
-        calls.clear()
+        compared.clear()
+        searched.clear()
         tr = route_trace(x, dense, 400)
-        assert calls == tr.points(), str(x)
+        assert [p for p, _ in compared] == [x] * len(compared), str(x)
+        assert [q for _, q in compared] == new_terms(tr), str(x)
+        assert len(searched) <= 1 and set(searched) <= {x}, str(x)
+        terms += len(compared)
+    assert terms > 900
 
 
 _PLATEAU_DENS = (211 * 4, 223 * 4, 722)
@@ -822,17 +858,18 @@ def test_warm_z_route_step_compares_few_fractions(monkeypatch):
     """Fraction comparisons per step of warm routes to the four Theorem-13
     candidates, counted by wrapping Fraction's comparison methods.
 
-    The terms these routes find agree with x on at most 3 entries, and x's
-    prefix has at most 3.  So a step makes: at most 2 ordering comparisons
-    in `first_entry_above`'s bisect over x's prefix; at most 4 equality
-    tests in `first_difference` (the agreement and the first difference)
-    and 1 `min` in `dist`.  The trie's bisect compares integers, and the
-    extraction tests the new term's distance for zero, not the term for
-    equality with x.  That is at most 7 per step; the walk adds one
-    equality test per trie level it enters, a few per route.  With each
-    entry rebuilt on every read and a bisect over Fraction keys, these
-    routes made about 19 per step, and with the extraction's point
-    equality test about 7.6."""
+    A Z trace carries k from step to step.  So each step after s_0 makes
+    the equality tests of `first_difference` from entry k up to the first
+    difference (one, on these routes: each term found differs from x at
+    entry k) and one ordering comparison of x_n0 with the term's entry n0,
+    which gives both the distance and the next k: 2 per step.  Once per
+    trace, s_0's distance compares entries from entry 0 and takes one
+    `min`, and the first step bisects x's prefix for k; the trie walk adds
+    one equality test per level it enters, a few per route.  The trie's
+    bisect compares integers, and the extraction tests the new term's
+    distance for zero, not the term for equality with x.  That makes 626
+    on these 305 steps.  With a bisect for k at every step and each term's
+    distance compared from entry 0 by `dist`, these routes made 1,612."""
     dense = thm13_dense()
     xs = thm13_route_points()[:4]
     for x in xs:
@@ -845,7 +882,7 @@ def test_warm_z_route_step_compares_few_fractions(monkeypatch):
         monkeypatch.setattr(F, name, counting)
     steps = sum(len(route_trace(x, dense, 100).steps) for x in xs)
     monkeypatch.undo()
-    assert steps == 305 and len(compared) < 7 * steps
+    assert steps == 305 and len(compared) < 3 * steps
 
 
 UNIT_POINTS = [UnitPoint(F(v)) for v in ("1/3", "2/7", "0", "1", "5/8", "999/1000")]

@@ -20,7 +20,6 @@ from firstreturn.space import (
     SpaceMismatch,
     UnitPoint,
     WordPoint,
-    ZBall,
     ZPoint,
     baire_point,
     cantor_point,
@@ -30,6 +29,8 @@ from firstreturn.space import (
     good_basis,
     parse_point,
 )
+
+from oracles import ZBall
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +648,9 @@ _Z_LATE_PAIRS = [
 @settings(max_examples=120, deadline=None)
 def test_z_first_difference_matches_fields(pair, warm):
     # the entries caches start cold, filled by comparing the pair, or
-    # filled past both prefixes by comparing each with a long prefix
+    # filled past both prefixes by comparing each with a long prefix; a
+    # comparison that starts at any entry up to the first difference (any
+    # entry, for equal points) gives the same answer
     p, q = pair
     if warm == "pair":
         p.first_difference(q)
@@ -657,6 +660,9 @@ def test_z_first_difference_matches_fields(pair, warm):
     want = ref_z_first_difference(p, q)
     assert (want is None) == (p == q)
     assert p.first_difference(q) == q.first_difference(p) == want
+    top = max(len(p.prefix), len(q.prefix)) + 4 if want is None else want
+    for start in range(top + 1):
+        assert p.first_difference(q, start) == q.first_difference(p, start) == want
     if want is not None:
         assert dist(p, q) == Dist.pow2(min(ref_z_entry(p, want), ref_z_entry(q, want)))
     assert [p.entry(n) for n in range(20)] == [ref_z_entry(p, n) for n in range(20)]
@@ -668,4 +674,5 @@ def test_z_first_difference_reads_the_whole_bound(k):
     n = max(len(p.prefix), len(q.prefix)) + 1
     assert ref_z_first_difference(p, q) == n
     assert p.first_difference(q) == q.first_difference(p) == n
+    assert all(p.first_difference(q, start) == n for start in range(n + 1))
     assert p.first_difference(p) is None and p.first_difference(ZPoint(p.prefix, p.a, p.b)) is None
