@@ -164,27 +164,6 @@ class ClosedSet:
         name = f"{self.name}&{other.name}" if self.name or other.name else ""
         return ClosedSet(self.space, tuple(set(cyl)), tuple(sing), tuple(ivs), name)
 
-    def tree_consistency_violations(self, depth: int) -> List[str]:
-        """Pruned-tree check to a depth: a word hits iff some child hits.
-        Children run over 0, 1 and up to the set's largest symbol; a larger
-        one hits only inside a cylinder of the set, where all children hit."""
-        symbols = [s for w in self.cylinders for s in w]
-        symbols += [s for p in self.singletons for s in p.head + p.cycle]
-        problems, alphabet = [], range(max((1, *symbols)) + 1)
-
-        def rec(word):
-            if len(word) >= depth:
-                return
-            h = self.hits(word)
-            child = any(self.hits(word + (a,)) for a in alphabet)
-            if h != child:
-                problems.append(f"inconsistent at {word}")
-            for a in alphabet:
-                rec(word + (a,))
-
-        rec(())
-        return problems
-
     def __str__(self):
         return self.name or f"ClosedSet({self.space})"
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .dense_builder import ClosedSet
 from .recover import FunctionOracle, y_distance
@@ -113,15 +113,3 @@ def cover_from_function(f: FunctionOracle, eps: Fraction) -> ClosedCover:
     return ClosedCover(Fraction(eps), [piece for value in sorted(f.decomposition, key=str)
                                        for piece in f.decomposition[value]])
 
-
-def piece_image_diameter(f: FunctionOracle, piece: ClosedSet,
-                         probes: Sequence[PointCode]) -> Optional[Fraction]:
-    """Probe-grid estimate of diam(f[piece]); None if no probe lands in it."""
-    values = [f(p) for p in probes if piece.member(p)]
-    if not values:
-        return None
-    worst = Fraction(0)
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            worst = max(worst, y_distance(f.y_kind, values[i], values[j]))
-    return worst

@@ -32,7 +32,11 @@ the new term agrees with x on entries 0..k-1, so its distance is one
 comparison of entries from k, and the entry n0 where it first differs
 from x gives the next k with no search of x's entries, n0 + 1 if x_n0 is
 the smaller entry and n0 otherwise (proofs at `route_step`).  No step
-compares a list point other than the new term with x.
+compares a list point other than the new term with x.  Z entries are
+compared as the int pairs (numerator, denominator) that each point caches
+(`ZPoint.pair`): equal iff the pairs are, ordered by the cross-product of
+the pairs, and the trie keys its nodes by pairs, so a Z step after a
+trace's first makes no Fraction comparison and hashes no Fraction.
 
 Every dense source D, whatever holds its terms, keeps one contract:
 
@@ -133,10 +137,11 @@ def _least(mins, a: int, b: int) -> int:
 class _PrefixNode:
     """The points of a Z list that share a prefix of entries: the least of
     their indices, and either all of them, ascending, or, once split, the
-    nodes of the prefixes one entry longer, keyed by that entry.  A query
-    that ends at a split node reads `suffixes`, built on first use: D, the
-    lcm of the denominators of the node's keys; the keys times D, integers
-    in ascending order; and the least index of each suffix of them."""
+    nodes of the prefixes one entry longer, keyed by that entry's pair
+    (numerator, denominator) (`ZPoint.pair`).  A query that ends at a split
+    node reads `suffixes`, built on first use: D, the lcm of the
+    denominators of the node's keys; the keys times D, integers in
+    ascending order; and the least index of each suffix of them."""
 
     __slots__ = ("first", "indices", "children", "suffixes")
 
@@ -147,10 +152,10 @@ class _PrefixNode:
         self.suffixes = None
 
     def partition(self, points: Sequence[ZPoint], d: int) -> dict:
-        """Split the node by entry d, one read per index."""
+        """Split the node by the pair of entry d, one read per index."""
         parts = {}
         for i in self.indices:
-            parts.setdefault(points[i].entry(d), []).append(i)
+            parts.setdefault(points[i].pair(d), []).append(i)
         self.children = {s: _PrefixNode(indices) for s, indices in parts.items()}
         self.indices = None
         return self.children
@@ -269,17 +274,18 @@ class DenseSequence:
         with x on entries 0..k-1 and y_k > e (see `route_step`).  A caller
         that knows k passes it, as a Z route trace does, which carries it
         from the step before; otherwise it is `x.first_entry_above(e)`, a
-        bisect over x's prefix in Fractions.  The walk
-        by entries reaches the trie node of x's first k entries, splitting
-        each node it is the first to pass.  Its children whose entry k
-        exceeds e are a suffix of its sorted keys, so the answer is one
-        bisect into the keys and one read of the least index of that
-        suffix.  The bisect runs over integers: the node keeps each key v as
-        K = v * D, with D the lcm of its keys' denominators.  For an integer
-        K, K / D <= e iff K <= e * D iff K <= floor(e * D), so the keys at
-        most e are those at most e.numerator * D // e.denominator.  A query
-        for the same x object as the last one found, with no fewer entries,
-        walks on from that one's node.
+        bisect over x's prefix in Fractions.  The walk by the pairs of
+        x's entries (`ZPoint.pair`) reaches the trie node of x's first k
+        entries, splitting each node it is the first to pass.  Its children
+        whose entry k exceeds e are a suffix of its sorted keys, so the
+        answer is one bisect into the keys and one read of the least index
+        of that suffix.  The bisect runs over integers: the node keeps each
+        key n / d, a pair (n, d), as K = n * (D // d), with D the lcm of its
+        keys' denominators.  For an integer K, K / D <= e iff K <= e * D iff
+        K <= floor(e * D), so the keys at most e are those at most
+        e.numerator * D // e.denominator.  A query for the same x object as
+        the last one found, with no fewer entries, walks on from that one's
+        node.
         """
         if self._root is None:
             self._root = _PrefixNode(list(range(len(self.points))))
@@ -290,16 +296,16 @@ class DenseSequence:
         if last is not x or k < d:
             node, d = self._root, 0
         for d in range(d, k):
-            node = (node.children or node.partition(self.points, d)).get(x.entry(d))
+            node = (node.children or node.partition(self.points, d)).get(x.pair(d))
             if node is None:
                 break
         if node is not None:
             self._finger = x, k, node
             if node.suffixes is None:
                 children = node.children or node.partition(self.points, k)
-                D = lcm(*(v.denominator for v in children))
-                scaled = sorted((v.numerator * (D // v.denominator), child.first)
-                                for v, child in children.items())
+                D = lcm(*(den for _, den in children))
+                scaled = sorted((num * (D // den), child.first)
+                                for (num, den), child in children.items())
                 firsts = accumulate((first for _, first in reversed(scaled)), min)
                 node.suffixes = D, [K for K, _ in scaled], list(firsts)[::-1]
             D, keys, firsts = node.suffixes
@@ -480,7 +486,9 @@ def route_step(x: PointCode, dense: DenseSequence, current: Dist):
           strictly, so x_n <= x_n0 for n <= n0 and x_(n0+1) > x_n0;
         - n0 when y_n0 < x_n0: then e' = y_n0, x_n = y_n < y_n0 for n < n0
           (y increases strictly too), and x_n0 > y_n0.
-      So one comparison of x_n0 with y_n0 gives both e' and k'.
+      So one comparison of x_n0 with y_n0 gives both e' and k'.  It is
+      made on the entries' pairs (n, d) and (n', d'), both in lowest terms
+      with positive denominators: x_n0 < y_n0 iff n * d' < n' * d.
 
     Nothing is closer than distance 0: that is a budget stop as well, on
     every sequence, with the sequence's own budget.
@@ -570,7 +578,10 @@ def _z_route_step(x: ZPoint, dense: DenseSequence):
     """The step of a Z route trace: the terms and distances of `route_step`
     and `dist`, with k, the least n such that x_n > e for the last term's
     distance 2^-e, carried from one step to the next (see `route_step`).
-    Only the first step finds k by `first_entry_above`."""
+    Only the first step finds k by `first_entry_above`.  The entries are
+    compared as int pairs: `first_difference` tests the pairs for equality,
+    and x_n0 and y_n0 are ordered by the cross-product of theirs, so a step
+    makes no Fraction comparison; the distance keeps the Fraction entry."""
     k = None
 
     def step(steps: List[TraceStep]):
@@ -582,11 +593,11 @@ def _z_route_step(x: ZPoint, dense: DenseSequence):
         n0 = x.first_difference(pt, k)
         if n0 is None:
             return p, pt, Dist.zero()
-        a, b = x.entry(n0), pt.entry(n0)
-        if a < b:
-            k, e = n0 + 1, a
+        (an, ad), (bn, bd) = x.pair(n0), pt.pair(n0)
+        if an * bd < bn * ad:
+            k, e = n0 + 1, x.entry(n0)
         else:
-            k, e = n0, b
+            k, e = n0, pt.entry(n0)
         return p, pt, Dist.pow2(e)
 
     return step

@@ -183,11 +183,21 @@ class WordPoint:
     head and cycle may be given as any sequences of ints and are stored in
     the space's word type (`Word`): bytes on Cantor space, tuples on Baire
     space.  `prefix` returns a tuple on both spaces, `word` the space's type.
+
+    `word` keeps the point's expansion in `_expanded`, at least doubling it
+    when a longer word is asked for, and `first_difference` reads it when
+    it is long enough.  Only path and route steps call `word`, on the
+    point x they trace, so list points stay unexpanded.  The cache is an
+    instance attribute over a class default of None, not a field, so
+    equality, hashing, `repr`, `dataclasses.fields`/`asdict` and the
+    point's text ignore it.
     """
 
     space: str
     head: Word
     cycle: Word
+
+    _expanded = None
 
     def __post_init__(self):
         if self.space == CANTOR:
@@ -224,7 +234,11 @@ class WordPoint:
 
     def word(self, n: int) -> Word:
         """The first n symbols in the space's word type: bytes on Cantor."""
-        return self._symbols(n)[:n]
+        w = self._expanded
+        if w is None or len(w) < n:
+            w = self._symbols(max(n, 2 * len(w or ())))
+            object.__setattr__(self, "_expanded", w)
+        return w[:n]
 
     def prefix(self, n: int) -> Tuple[int, ...]:
         """The first n symbols as a tuple of ints, on either space."""
@@ -253,7 +267,10 @@ class WordPoint:
         n = max(|h1|, |h2|) + |c1| + |c2|."""
         _require_same_space(self, other)
         n = max(len(self.head), len(other.head)) + len(self.cycle) + len(other.cycle)
-        d = first_mismatch(self._symbols(n)[start:n], other._symbols(n)[start:n])
+        mine = self._expanded
+        if mine is None or len(mine) < n:
+            mine = self._symbols(n)
+        d = first_mismatch(mine[start:n], other._symbols(n)[start:n])
         return None if d is None else start + d
 
     def __str__(self):
@@ -311,14 +328,19 @@ class ZPoint:
     trimmed so that entries already matching the tail rule are not stored,
     making equality of denoted sequences equality of fields.
 
-    A point caches its entries q_0, q_1, ... in the tuple `_entries`.  The
-    first `first_difference` that reads the point builds it: the prefix and
-    at least the first two tail entries.  A comparison with a point of
-    longer prefix extends it as far as that one's bound.  `entry` reads the
-    cache when it holds entry n, and the fields otherwise.  The cache is an
-    instance attribute over an empty class default, not a field, so
-    equality, hashing, `repr`, `dataclasses.fields`/`asdict` and the
-    point's text ignore it.
+    A point caches its entries q_0, q_1, ... twice: as Fractions in the
+    tuple `_entries`, and as the int pairs (numerator, denominator) of
+    those Fractions in the tuple `_pairs`.  The first `first_difference`
+    that reads the point builds both: the prefix and at least the first
+    two tail entries.  A comparison with a point of longer prefix extends
+    both as far as that one's bound.  `entry` and `pair` read a cache when
+    it holds entry n, and the fields otherwise.  A Fraction is kept in
+    lowest terms with a positive denominator, so two entries are equal iff
+    their pairs are, and q_m < q_n iff the integer cross-product
+    num_m * den_n < num_n * den_m: comparisons of entries need no Fraction
+    arithmetic.  Each cache is an instance attribute over an empty class
+    default, not a field, so equality, hashing, `repr`,
+    `dataclasses.fields`/`asdict` and the point's text ignore it.
     """
 
     prefix: Tuple[Fraction, ...]
@@ -327,6 +349,7 @@ class ZPoint:
 
     space = Z
     _entries = ()
+    _pairs = ()
 
     def __post_init__(self):
         prefix = tuple(Fraction(q) for q in self.prefix)
@@ -347,22 +370,34 @@ class ZPoint:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    def _entries_to(self, n: int) -> Tuple[Fraction, ...]:
-        """The cache, built or extended to hold at least q_0..q_{n-1}, and
-        never less than the prefix and the first two tail entries."""
-        q = self._entries
-        if len(q) < n:
-            q = q or self.prefix
+    def _entries_to(self, n: int) -> Tuple[Tuple[int, int], ...]:
+        """The pair cache, with both caches built or extended to hold at
+        least q_0..q_{n-1}, and never less than the prefix and the first
+        two tail entries."""
+        r = self._pairs
+        if len(r) < n:
+            q = self._entries or self.prefix
             top = max(n, len(self.prefix) + 2)
             q += tuple(self.a * i + self.b for i in range(len(q), top))
+            r += tuple((v.numerator, v.denominator) for v in q[len(r):])
             object.__setattr__(self, "_entries", q)
-        return q
+            object.__setattr__(self, "_pairs", r)
+        return r
 
     def entry(self, n: int) -> Fraction:
         q = self._entries
         if n < len(q):
             return q[n]
         return self.prefix[n] if n < len(self.prefix) else self.a * n + self.b
+
+    def pair(self, n: int) -> Tuple[int, int]:
+        """(numerator, denominator) of q_n, in lowest terms with a positive
+        denominator, as the Fraction keeps them."""
+        r = self._pairs
+        if n < len(r):
+            return r[n]
+        v = self.entry(n)
+        return v.numerator, v.denominator
 
     def first_entry_above(self, e: Fraction) -> int:
         """The least n with q_n > e (it exists: the entries diverge): a
@@ -390,7 +425,7 @@ class ZPoint:
         n = max(len(self.prefix), len(other.prefix)) + 2
         q, r = self._entries_to(n), other._entries_to(n)
         for i in range(start, n):
-            if q[i] != r[i]:
+            if q[i] != r[i]:  # int pairs: equal iff the entries are
                 return i
         return None
 

@@ -34,6 +34,8 @@ from firstreturn.space import (
     good_basis,
 )
 
+from oracles import tree_consistency_violations
+
 F0 = ClosedSet(CANTOR, cylinders=((1,),), name="F0")
 F1 = ClosedSet(CANTOR, cylinders=((0, 1), (1, 1)), name="F1")
 
@@ -55,15 +57,15 @@ def test_closed_set_membership_and_tree_oracle():
     assert not s.member(cantor_point("10", "0"))
     assert s.hits((1,)) and s.hits((0,)) and s.hits((1, 1, 0))
     assert not s.hits((1, 0)) and not s.hits((0, 1))
-    assert s.tree_consistency_violations(depth=6) == []
+    assert tree_consistency_violations(s, depth=6) == []
 
 
 def test_tree_consistency_walks_the_sets_own_alphabet():
     # the children of a Baire word run over the symbols up to the set's
     # largest, so the exact oracle of N(3) is consistent at the root
-    assert ClosedSet(BAIRE, cylinders=((3,),)).tree_consistency_violations(3) == []
-    assert ClosedSet(BAIRE, singletons=(WordPoint(BAIRE, (7, 1), (2,)),)
-                     ).tree_consistency_violations(3) == []
+    assert tree_consistency_violations(ClosedSet(BAIRE, cylinders=((3,),)), 3) == []
+    assert tree_consistency_violations(
+        ClosedSet(BAIRE, singletons=(WordPoint(BAIRE, (7, 1), (2,)),)), 3) == []
 
 
 def test_closed_set_exact_distance():

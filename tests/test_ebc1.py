@@ -10,11 +10,12 @@ from firstreturn.ebc1 import (
     cover_from_function,
     delta_from_cover,
     ebc1_check,
-    piece_image_diameter,
 )
 from firstreturn.gallery import indicator_of
 from firstreturn.recover import DISCRETE, RATIONAL, FunctionOracle
 from firstreturn.space import CANTOR, UNIT, Dist, SpaceMismatch, UnitPoint, cantor_point
+
+from oracles import piece_image_diameter
 
 HALVES = ClosedCover(F(1, 3), [
     ClosedSet(UNIT, intervals=((F(0), F(1, 2)),), name="[0,1/2]"),

@@ -840,6 +840,9 @@ def test_warm_z_entries_cache_is_invisible():
         route_trace(x, dense, 40)
         x.first_difference(longest)
     assert all(len(x._entries) >= len(longest.prefix) + 2 for x in xs)
+    # the pair cache is filled with the entries cache, pair for entry
+    assert all(x._pairs == tuple((v.numerator, v.denominator) for v in x._entries)
+               for x in xs)
     for i, x in enumerate(xs):
         fresh = ZPoint(x.prefix, x.a, x.b)
         assert x == fresh and fresh == x and hash(x) == hash(fresh)
@@ -854,35 +857,74 @@ def test_warm_z_entries_cache_is_invisible():
         assert parse_point(texts[i]) == x and hash(parse_point(texts[i])) == hash(x)
 
 
-def test_warm_z_route_step_compares_few_fractions(monkeypatch):
-    """Fraction comparisons per step of warm routes to the four Theorem-13
-    candidates, counted by wrapping Fraction's comparison methods.
+def test_warm_word_expansion_is_invisible():
+    # points hashed into a table of first indices before any expansion,
+    # then expanded by path and route traces and by words longer than any
+    # the traces asked for
+    rng = random.Random(31)
+    xs = [cantor_point("", "0"), cantor_point("1", "01"), baire_point((3,), (0, 7))]
+    xs += [WordPoint(space, tuple(rng.randrange(top) for _ in range(rng.randrange(6))),
+                     tuple(rng.randrange(top) for _ in range(rng.randrange(1, 5))))
+           for space, top in ((CANTOR, 2), (BAIRE, 9)) for _ in range(10)]
+    cold = {}
+    for i, x in enumerate(xs):
+        cold.setdefault(x, i)
+    texts, reprs = [format_point(x) for x in xs], [repr(x) for x in xs]
+    lists = {CANTOR: DenseSequence([x for x in xs if x.space == CANTOR]),
+             BAIRE: DenseSequence([x for x in xs if x.space == BAIRE])}
+    for x in xs:
+        route_trace(x, lists[x.space], 12)
+        path_trace(x, lists[x.space], good_basis(x.space), 12)
+        x.word(40)
+    assert all(len(x._expanded) >= 40 for x in xs)
+    for i, x in enumerate(xs):
+        fresh = WordPoint(x.space, x.head, x.cycle)
+        assert fresh._expanded is None
+        assert x == fresh and fresh == x and hash(x) == hash(fresh)
+        assert cold[x] == cold[fresh] == xs.index(x)
+        assert dataclasses.fields(x) == dataclasses.fields(fresh)
+        assert [f.name for f in dataclasses.fields(x)] == ["space", "head", "cycle"]
+        assert dataclasses.asdict(x) == dataclasses.asdict(fresh) == \
+            {"space": x.space, "head": x.head, "cycle": x.cycle}
+        assert repr(x) == repr(fresh) == reprs[i]
+        assert format_point(x) == format_point(fresh) == texts[i]
+        assert parse_point(texts[i]) == x and hash(parse_point(texts[i])) == hash(x)
+        assert x.word(7) == fresh.word(7) and x.prefix(40) == fresh.prefix(40)
 
-    A Z trace carries k from step to step.  So each step after s_0 makes
-    the equality tests of `first_difference` from entry k up to the first
-    difference (one, on these routes: each term found differs from x at
-    entry k) and one ordering comparison of x_n0 with the term's entry n0,
-    which gives both the distance and the next k: 2 per step.  Once per
-    trace, s_0's distance compares entries from entry 0 and takes one
-    `min`, and the first step bisects x's prefix for k; the trie walk adds
-    one equality test per level it enters, a few per route.  The trie's
+
+def test_warm_z_route_step_compares_few_fractions(monkeypatch):
+    """Fraction comparisons and hashes in warm routes to the four
+    Theorem-13 candidates, counted by wrapping Fraction's comparison
+    methods and `__hash__`.
+
+    A Z trace carries k from step to step, and each point caches its
+    entries as int pairs (numerator, denominator).  So each step after s_0
+    tests pairs for equality in `first_difference` from entry k, orders
+    x_n0 against the term's entry n0 by the cross-product of their pairs,
+    and walks the trie by x's pairs: no Fraction is compared or hashed.
+    Once per trace, s_0's distance takes one `min` of two entries in
+    `dist`, and the first step bisects x's prefix for k
+    (`first_entry_above`), one comparison per halving of the prefix.  These
+    traces make 1 to 3 each, 8 in all: at most 2 per trace.  The trie's
     bisect compares integers, and the extraction tests the new term's
-    distance for zero, not the term for equality with x.  That makes 626
-    on these 305 steps.  With a bisect for k at every step and each term's
-    distance compared from entry 0 by `dist`, these routes made 1,612."""
+    distance for zero, not the term for equality with x.  Comparing
+    entries as Fractions, with the trie keyed by Fractions, these 305 steps
+    made 626 comparisons and 6 hashes; with a bisect for k at every step
+    and each term's distance compared from entry 0 by `dist`, 1,612
+    comparisons."""
     dense = thm13_dense()
     xs = thm13_route_points()[:4]
     for x in xs:
         route_trace(x, dense, 100)  # trie nodes, integer keys, entries caches
     compared = []
-    for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
-        def counting(a, b, real=getattr(F, name)):
+    for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__hash__"):
+        def counting(*args, real=getattr(F, name)):
             compared.append(name)
-            return real(a, b)
+            return real(*args)
         monkeypatch.setattr(F, name, counting)
     steps = sum(len(route_trace(x, dense, 100).steps) for x in xs)
     monkeypatch.undo()
-    assert steps == 305 and len(compared) < 3 * steps
+    assert steps == 305 and len(compared) <= 2 * len(xs)
 
 
 UNIT_POINTS = [UnitPoint(F(v)) for v in ("1/3", "2/7", "0", "1", "5/8", "999/1000")]

@@ -174,6 +174,25 @@ def test_prefix_matches_symbols(p, n):
     assert type(p.word(n)) is kind and p.word(n) == kind(ref_prefix(p, n))
 
 
+@given(pair=point_pairs(), ns=st.lists(st.integers(0, 60), min_size=1, max_size=5))
+@settings(max_examples=150)
+def test_word_expansion_cache_matches_symbols(pair, ns):
+    # words asked for in any order, each from the expansion that the
+    # longest one before it left on the point, and first differences that
+    # read that expansion, from entry 0 and from the first difference
+    p, q = pair
+    kind = bytes if p.space == CANTOR else tuple
+    want, longest = ref_first_difference(p, q), 0
+    for n in ns:
+        w = p.word(n)
+        longest = max(longest, n)
+        assert type(w) is kind and w == kind(ref_prefix(p, n))
+        assert len(p._expanded) >= longest
+        assert p.first_difference(q) == q.first_difference(p) == want
+        assert p.first_difference(q, want or 0) == want
+    assert q._expanded is None
+
+
 @given(p=word_points(), n=st.integers(0, 40), flip=st.integers(-1, 39), data=st.data())
 @settings(max_examples=150)
 def test_starts_with_matches_symbols(p, n, flip, data):
@@ -666,6 +685,33 @@ def test_z_first_difference_matches_fields(pair, warm):
     if want is not None:
         assert dist(p, q) == Dist.pow2(min(ref_z_entry(p, want), ref_z_entry(q, want)))
     assert [p.entry(n) for n in range(20)] == [ref_z_entry(p, n) for n in range(20)]
+
+
+@given(pair=_z_pairs(), warm=st.sampled_from([None, "pair", "long", "pair+long"]))
+@settings(max_examples=120, deadline=None)
+def test_z_pairs_are_the_entries_in_lowest_terms(pair, warm):
+    # the pair of entry n is (numerator, denominator) of entry n on cold
+    # caches, caches filled by comparing the pair, and caches extended by a
+    # partner of longer prefix; and the cross-product of two pairs orders
+    # the entries as Fractions do, equal entries included
+    p, q = pair
+    if warm in ("pair", "pair+long"):
+        p.first_difference(q)
+    if warm in ("long", "pair+long"):
+        long = ZPoint(tuple(F(n, 3) for n in range(12)), 1, 0)
+        p.first_difference(long), q.first_difference(long)
+    for y in (p, q):
+        assert len(y._pairs) == len(y._entries)
+        for n in range(16):
+            v = ref_z_entry(y, n)
+            assert y.pair(n) == (v.numerator, v.denominator) and y.entry(n) == v
+    for m in range(8):
+        for n in range(8):
+            (an, ad), (bn, bd) = p.pair(m), q.pair(n)
+            v, w = ref_z_entry(p, m), ref_z_entry(q, n)
+            assert ad > 0 and bd > 0
+            assert (an * bd < bn * ad) == (v < w) and (bn * ad < an * bd) == (w < v)
+            assert ((an, ad) == (bn, bd)) == (v == w)
 
 
 @pytest.mark.parametrize("k", range(len(_Z_LATE_PAIRS)))
