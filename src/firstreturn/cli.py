@@ -433,12 +433,10 @@ def _run_gallery(cfg: dict, out_dir: Path) -> int:
         return _emit(out_dir, cfg, {"fn": f.fid, "beta": str(beta),
                                     "value": value}, ok=True)
     # demo-z
-    import dataclasses
-
     from . import gallery
 
     rep = gallery.thm13_demo(horizon=cfg["horizon"])
-    return _emit(out_dir, cfg, dataclasses.asdict(rep), ok=rep.found)
+    return _emit(out_dir, cfg, rep.as_dict(), ok=rep.found)
 
 
 _RUNNERS = {

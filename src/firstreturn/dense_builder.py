@@ -33,11 +33,11 @@ log is kept as small records and formatted only when read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import Record
 from .path import DenseSequence, path_trace
 from .space import (
     UNIT,
@@ -53,8 +53,7 @@ from .space import (
 )
 
 
-@dataclass(frozen=True)
-class ClosedSet:
+class ClosedSet(Record):
     """Exact closed set: union of cylinders/singletons (word spaces) or of
     closed rational intervals (unit).  Degenerate intervals are points.
 
@@ -62,24 +61,22 @@ class ClosedSet:
     depth: hits(w) holds iff N_w meets the set.
     """
 
-    space: str
-    cylinders: Tuple[Tuple[int, ...], ...] = ()
-    singletons: Tuple[WordPoint, ...] = ()
-    intervals: Tuple[Tuple[Fraction, Fraction], ...] = ()
-    name: str = ""
+    _fields = ("space", "cylinders", "singletons", "intervals", "name")
 
-    def __post_init__(self):
-        object.__setattr__(self, "cylinders",
-                           tuple(sorted(tuple(w) for w in self.cylinders)))
-        object.__setattr__(self, "singletons",
-                           tuple(sorted(self.singletons, key=str)))
+    def __init__(self, space: str, cylinders: Sequence[Sequence[int]] = (),
+                 singletons: Sequence[WordPoint] = (),
+                 intervals: Sequence[Tuple[Fraction, Fraction]] = (), name: str = ""):
+        self.space = space
+        self.cylinders = tuple(sorted(tuple(w) for w in cylinders))
+        self.singletons = tuple(sorted(singletons, key=str))
         ivs = []
-        for lo, hi in self.intervals:
+        for lo, hi in intervals:
             lo, hi = Fraction(lo), Fraction(hi)
             if lo > hi:
                 raise ValueError("empty interval piece")
             ivs.append((lo, hi))
-        object.__setattr__(self, "intervals", tuple(sorted(ivs)))
+        self.intervals = tuple(sorted(ivs))
+        self.name = name
 
     # The fields never change, so their hash is taken on first use and
     # kept, not on construction: most sets (complement pieces) are never
@@ -89,8 +86,7 @@ class ClosedSet:
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(
-                (self.space, self.cylinders, self.singletons, self.intervals, self.name)))
+            self._hash = hash(self._key(self))
         return self._hash
 
     # -- membership / tree oracle ------------------------------------------
@@ -247,14 +243,19 @@ G_CAP = 64
 MAX_FAMILIES = 8
 
 
-@dataclass
-class StagedDense:
+class StagedDense(Record):
     """Builder output: per-stage blocks plus the flattened dense sequence."""
 
-    blocks: List[List[PointCode]]
-    dense: DenseSequence
-    records: List[tuple] = field(default_factory=list)
-    truncations: List[str] = field(default_factory=list)
+    _fields = ("blocks", "dense", "records", "truncations")
+    __hash__ = None
+
+    def __init__(self, blocks: List[List[PointCode]], dense: DenseSequence,
+                 records: Optional[List[tuple]] = None,
+                 truncations: Optional[List[str]] = None):
+        self.blocks = blocks
+        self.dense = dense
+        self.records = [] if records is None else records
+        self.truncations = [] if truncations is None else truncations
 
     @property
     def log(self) -> List[str]:

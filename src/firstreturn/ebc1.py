@@ -18,10 +18,10 @@ The covers and families the CLI runs are built in `gallery.ebc1_cover`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
+from . import Record
 from .dense_builder import ClosedSet
 from .recover import FunctionOracle, y_distance
 from .space import Dist, PointCode, common_space, dist
@@ -31,26 +31,30 @@ class CoverViolation(ValueError):
     pass
 
 
-@dataclass
-class ClosedCover:
+class ClosedCover(Record):
     """Ordered list of exact closed pieces; order matters for the gauge.
     Its space is its pieces' (SpaceMismatch if they mix spaces)."""
 
-    eps: Fraction
-    pieces: List[ClosedSet]
+    _fields = ("eps", "pieces")
+    __hash__ = None
 
-    def __post_init__(self):
-        self.space = common_space(self.pieces)
+    def __init__(self, eps: Fraction, pieces: List[ClosedSet]):
+        self.eps = eps
+        self.pieces = pieces
+        self.space = common_space(pieces)
 
     def uncovered(self, probes: Sequence[PointCode]) -> List[PointCode]:
         return [p for p in probes if not any(g.member(p) for g in self.pieces)]
 
 
-@dataclass
-class DeltaResult:
-    x: PointCode
-    index: int  # m^eps(x): least cover index containing x
-    delta: Dist  # distance to the union of earlier pieces; infinite if none
+class DeltaResult(Record):
+    _fields = ("x", "index", "delta")
+    __hash__ = None
+
+    def __init__(self, x: PointCode, index: int, delta: Dist):
+        self.x = x
+        self.index = index  # m^eps(x): least cover index containing x
+        self.delta = delta  # distance to the union of earlier pieces; infinite if none
 
 
 def delta_from_cover(cover: ClosedCover, x: PointCode) -> DeltaResult:

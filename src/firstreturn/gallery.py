@@ -48,12 +48,11 @@ the `WordPoint` costs more than the lookup itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import ebc1
+from . import Record, ebc1
 from .dense_builder import ClosedSet
 from .path import (DenseSequence, PastTableIndex, SearchBudgetExceeded, route_step,
                    route_trace)
@@ -612,19 +611,33 @@ def density_report(dense: DenseSequence, probes: Sequence[ZPoint],
     return out
 
 
-@dataclass
-class Thm13Report:
-    found: bool
-    witness: Optional[str]
-    flips_after: int
-    total_flips: int
-    horizon: int
-    after_step: int
-    candidates: List[dict] = field(default_factory=list)
-    density: List[dict] = field(default_factory=list)
-    positive_control: Optional[dict] = None
-    note: str = ("empirical demonstration for one fixed dense sequence; "
-                 "the flip counts are observed values, not a proof")
+class Thm13Report(Record):
+    _fields = ("found", "witness", "flips_after", "total_flips", "horizon", "after_step",
+               "candidates", "density", "positive_control", "note")
+    __hash__ = None
+
+    def __init__(self, found: bool, witness: Optional[str], flips_after: int,
+                 total_flips: int, horizon: int, after_step: int,
+                 candidates: Optional[List[dict]] = None,
+                 density: Optional[List[dict]] = None,
+                 positive_control: Optional[dict] = None,
+                 note: str = ("empirical demonstration for one fixed dense sequence; "
+                              "the flip counts are observed values, not a proof")):
+        self.found = found
+        self.witness = witness
+        self.flips_after = flips_after
+        self.total_flips = total_flips
+        self.horizon = horizon
+        self.after_step = after_step
+        self.candidates = [] if candidates is None else candidates
+        self.density = [] if density is None else density
+        self.positive_control = positive_control
+        self.note = note
+
+    def as_dict(self) -> dict:
+        """The fields by name, in field order: the summary `gallery demo-z`
+        writes."""
+        return dict(zip(self._fields, self._key(self)))
 
 
 def thm13_demo(horizon: int = 400) -> Thm13Report:

@@ -64,13 +64,13 @@ the bounded view `gallery.prop25_dense()` of the terms its table counts.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple, Union
 
+from . import Record
 from .space import (
     BasicOpen,
     Cylinder,
@@ -102,14 +102,16 @@ class SearchBudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class PastTableIndex:
+class PastTableIndex(Record):
     """Index marker for a term past the first `size` terms of a sequence.
 
     The term itself is exact; only its position is left uncounted.
     """
 
-    size: int
+    _fields = ("size",)
+
+    def __init__(self, size: int):
+        self.size = size
 
     def __str__(self):
         return f">={self.size}"
@@ -335,17 +337,20 @@ class DenseSequence:
         return p, self.points[p]
 
 
-@dataclass
-class TraceStep:
-    step: int
-    index: Union[int, PastTableIndex]
-    point: PointCode
-    dist_to_x: Dist
-    witness: Optional[BasicOpen] = None  # O(x,D,n), by least index; None: empty set
+class TraceStep(Record):
+    _fields = ("step", "index", "point", "dist_to_x", "witness")
+    __hash__ = None
+
+    def __init__(self, step: int, index: Union[int, PastTableIndex], point: PointCode,
+                 dist_to_x: Dist, witness: Optional[BasicOpen] = None):
+        self.step = step
+        self.index = index
+        self.point = point
+        self.dist_to_x = dist_to_x
+        self.witness = witness  # O(x,D,n), by least index; None: empty set
 
 
-@dataclass
-class PathTrace:
+class PathTrace(Record):
     """Extracted subsequence with per-step witnesses.
 
     terminated is "horizon" when all requested steps were computed, or
@@ -353,12 +358,18 @@ class PathTrace:
     count then falls short of the horizon; never silently padded).
     """
 
-    x: PointCode
-    mode: str
-    horizon: int
-    steps: List[TraceStep] = field(default_factory=list)
-    terminated: str = "horizon"
-    budget: Optional[int] = None
+    _fields = ("x", "mode", "horizon", "steps", "terminated", "budget")
+    __hash__ = None
+
+    def __init__(self, x: PointCode, mode: str, horizon: int,
+                 steps: Optional[List[TraceStep]] = None, terminated: str = "horizon",
+                 budget: Optional[int] = None):
+        self.x = x
+        self.mode = mode
+        self.horizon = horizon
+        self.steps = [] if steps is None else steps
+        self.terminated = terminated
+        self.budget = budget
 
     def points(self) -> List[PointCode]:
         return [s.point for s in self.steps]

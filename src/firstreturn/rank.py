@@ -19,16 +19,16 @@ otherwise, with witness chain 0 < X \\ A < X.  Proof: the one-step chain
 (0, X \\ A, X) is valid, since its first difference misses A and its second
 is inside A, which misses B.  A rank above 2 needs a topology with
 accumulation points, which a finite clopen algebra does not have.  The
-one brute-force enumerator of strictly increasing chains, `chains`, shares
-none of this reasoning and is the oracle the tests compare against: the
-least chain by iterative deepening, and every chain at the minimal top.
+tests check this closed form against a brute-force enumerator of strictly
+increasing chains that shares none of this reasoning (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
+
+from . import Record
 
 MAX_DEPTH = 10
 
@@ -37,13 +37,13 @@ class NotDisjoint(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FiniteAlgebra:
-    n: int
+class FiniteAlgebra(Record):
+    _fields = ("n",)
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_DEPTH:
+    def __init__(self, n: int):
+        if not 1 <= n <= MAX_DEPTH:
             raise ValueError(f"depth must be in [1, {MAX_DEPTH}]")
+        self.n = n
 
     @property
     def atom_count(self) -> int:
@@ -52,9 +52,6 @@ class FiniteAlgebra:
     @property
     def full(self) -> int:
         return (1 << self.atom_count) - 1
-
-    def atom_word(self, i: int) -> Tuple[int, ...]:
-        return tuple((i >> (self.n - 1 - j)) & 1 for j in range(self.n))
 
     def parse_atoms(self, bits: str) -> int:
         if len(bits) != self.atom_count or set(bits) - {"0", "1"}:
@@ -69,12 +66,14 @@ class FiniteAlgebra:
         return "".join("1" if mask & (1 << i) else "0" for i in range(self.atom_count))
 
 
-@dataclass(frozen=True)
-class RankChain:
-    algebra: FiniteAlgebra
-    sets: Tuple[int, ...]
-    A: int
-    B: int
+class RankChain(Record):
+    _fields = ("algebra", "sets", "A", "B")
+
+    def __init__(self, algebra: FiniteAlgebra, sets: Tuple[int, ...], A: int, B: int):
+        self.algebra = algebra
+        self.sets = sets
+        self.A = A
+        self.B = B
 
 
 def chain_violations(chain: RankChain) -> List[str]:
@@ -104,14 +103,17 @@ def is_valid_chain(chain: RankChain) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# L(A, B): closed form, brute force
+# L(A, B): closed form
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RankResult:
-    beta: int
-    chain: RankChain
+class RankResult(Record):
+    _fields = ("beta", "chain")
+    __hash__ = None
+
+    def __init__(self, beta: int, chain: RankChain):
+        self.beta = beta
+        self.chain = chain
 
 
 def rank_LAB(algebra: FiniteAlgebra, A: int, B: int) -> RankResult:
@@ -121,52 +123,6 @@ def rank_LAB(algebra: FiniteAlgebra, A: int, B: int) -> RankResult:
     full = algebra.full
     sets = (0, full & ~A, full) if A and B else (0, full)
     return RankResult(len(sets) - 1, RankChain(algebra, sets, A, B))
-
-
-def _supersets(g: int, full: int):
-    free = full & ~g
-    s = free
-    while s:
-        yield g | s
-        s = (s - 1) & free
-
-
-def chains(algebra: FiniteAlgebra, A: int, B: int, top: int) -> Iterator[RankChain]:
-    """Every valid, strictly increasing chain 0 = G_0 < ... < G_top = X for
-    (A, B), top >= 1, depth first, each step's supersets in `_supersets`
-    order."""
-    full = algebra.full
-
-    def extend(prefix: List[int], steps_left: int) -> Iterator[RankChain]:
-        g = prefix[-1]
-        if steps_left == 1:  # the last step goes to X
-            diff = full & ~g
-            if diff and not (diff & A and diff & B):
-                yield RankChain(algebra, tuple(prefix) + (full,), A, B)
-            return
-        for succ in _supersets(g, full):
-            diff = succ & ~g
-            if not (diff & A and diff & B):
-                yield from extend(prefix + [succ], steps_left - 1)
-
-    return extend([0], top)
-
-
-def brute_force_min_chain(algebra: FiniteAlgebra, A: int, B: int) -> Tuple[int, RankChain]:
-    """Independent oracle: iterative deepening over strictly increasing chains."""
-    if A & B:
-        raise NotDisjoint("not disjoint")
-    for beta in range(1, algebra.atom_count + 2):
-        found = next(chains(algebra, A, B, beta), None)
-        if found is not None:
-            return beta, found
-    raise RuntimeError("no chain found below the cap")
-
-
-def all_min_chains(algebra: FiniteAlgebra, A: int, B: int) -> List[RankChain]:
-    """Every chain of minimal length (small depths only)."""
-    beta, _ = brute_force_min_chain(algebra, A, B)
-    return list(chains(algebra, A, B, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +174,17 @@ def rank_Lf(algebra: FiniteAlgebra, values: Sequence[Fraction]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiffForm:
-    algebra: FiniteAlgebra
-    opens: Tuple[int, ...]  # increasing U_0 <= ... <= U_{xi-1}
+class DiffForm(Record):
+    _fields = ("algebra", "opens")
 
-    def __post_init__(self):
-        if not self.opens:
+    def __init__(self, algebra: FiniteAlgebra, opens: Tuple[int, ...]):
+        if not opens:
             raise ValueError("xi must be >= 1")
-        for i in range(len(self.opens) - 1):
-            if self.opens[i] & ~self.opens[i + 1]:
+        for i in range(len(opens) - 1):
+            if opens[i] & ~opens[i + 1]:
                 raise ValueError("opens must be increasing")
+        self.algebra = algebra
+        self.opens = opens  # increasing U_0 <= ... <= U_{xi-1}
 
     @property
     def xi(self) -> int:

@@ -14,11 +14,11 @@ probe point; each result's audit follows from its trace (see `recover_at`).
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, dataclass, field
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence
 
+from . import Record
 from .path import PATH, ROUTE, DenseSequence, PathTrace, path_trace, route_trace
 from .space import GoodBasis, PointCode
 
@@ -38,8 +38,7 @@ def y_distance(y_kind: str, v1, v2):
     return abs(v1 - v2)
 
 
-@dataclass
-class FunctionOracle:
+class FunctionOracle(Record):
     """Total deterministic evaluator with a declared range kind, defined on
     the points of `space`.
 
@@ -48,23 +47,32 @@ class FunctionOracle:
     refuses a function without one.
     """
 
-    fid: str
-    evaluator: Callable[[PointCode], object]
-    y_kind: str = DISCRETE
-    decomposition: Optional[dict] = None
-    _: KW_ONLY
-    space: str
+    _fields = ("fid", "evaluator", "y_kind", "decomposition", "space")
+    __hash__ = None
+
+    def __init__(self, fid: str, evaluator: Callable[[PointCode], object],
+                 y_kind: str = DISCRETE, decomposition: Optional[dict] = None, *,
+                 space: str):
+        self.fid = fid
+        self.evaluator = evaluator
+        self.y_kind = y_kind
+        self.decomposition = decomposition
+        self.space = space
 
     def __call__(self, p: PointCode):
         return self.evaluator(p)
 
 
-@dataclass
-class Verdict:
-    kind: str  # "converged" | "not-converged-at-horizon" | "diverged-evidence"
-    value: object = None
-    since: Optional[int] = None
-    flips: int = 0
+class Verdict(Record):
+    _fields = ("kind", "value", "since", "flips")
+    __hash__ = None
+
+    def __init__(self, kind: str, value: object = None, since: Optional[int] = None,
+                 flips: int = 0):
+        self.kind = kind  # "converged" | "not-converged-at-horizon" | "diverged-evidence"
+        self.value = value
+        self.since = since
+        self.flips = flips
 
     def __str__(self):
         if self.kind == "converged":
@@ -74,13 +82,17 @@ class Verdict:
         return self.kind
 
 
-@dataclass
-class RecoveryResult:
-    verdict: Verdict
-    expected: object
-    correct: Optional[bool]
-    trace: PathTrace
-    audit: dict
+class RecoveryResult(Record):
+    _fields = ("verdict", "expected", "correct", "trace", "audit")
+    __hash__ = None
+
+    def __init__(self, verdict: Verdict, expected: object, correct: Optional[bool],
+                 trace: PathTrace, audit: dict):
+        self.verdict = verdict
+        self.expected = expected
+        self.correct = correct
+        self.trace = trace
+        self.audit = audit
 
 
 def _tail_run_length(values: Sequence) -> int:
@@ -182,8 +194,7 @@ def recovery_report(f: FunctionOracle, dense: DenseSequence, mode: str,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GdeltaWitness:
+class GdeltaWitness(Record):
     """The level-k witness data for a closed value set F_y.
 
     p_list enumerates (1-1, increasing) the dense-sequence indices whose
@@ -192,18 +203,22 @@ class GdeltaWitness:
     checking whether x_{p_j} is visited.
     """
 
-    f: FunctionOracle
-    F_y: tuple
-    k: int
-    i_max: int
-    horizon: int
-    p_list: List[int]
-    dense: DenseSequence
-    basis: GoodBasis
-    notes: List[str] = field(default_factory=list)
+    _fields = ("f", "F_y", "k", "i_max", "horizon", "p_list", "dense", "basis", "notes")
+    __hash__ = None
 
-    def __post_init__(self):
-        self.bound = Fraction(1, 2 ** self.k)
+    def __init__(self, f: FunctionOracle, F_y: tuple, k: int, i_max: int, horizon: int,
+                 p_list: List[int], dense: DenseSequence, basis: GoodBasis,
+                 notes: Optional[List[str]] = None):
+        self.f = f
+        self.F_y = F_y
+        self.k = k
+        self.i_max = i_max
+        self.horizon = horizon
+        self.p_list = p_list
+        self.dense = dense
+        self.basis = basis
+        self.notes = [] if notes is None else notes
+        self.bound = Fraction(1, 2 ** k)
 
     def in_O(self, value) -> bool:
         return any(y_distance(self.f.y_kind, value, c) < self.bound for c in self.F_y)

@@ -29,10 +29,11 @@ fixed here is documented on :class:`UnitGoodBasis` and traces depend on it.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+
+from . import Record
 
 CANTOR = "cantor"
 BAIRE = "baire"
@@ -64,8 +65,7 @@ def common_space(items: Iterable) -> str:
 _RANK = {"zero": 0, "rat": 1, "pow2": 1, "inf": 2}  # 0 < positive < infinity
 
 
-@dataclass(frozen=True)
-class Dist:
+class Dist(Record):
     """Exact nonnegative distance: 0, a rational, 2^(-e), or +infinity.
 
     The value is kept as given, an int or a Fraction: a word distance's
@@ -79,8 +79,11 @@ class Dist:
     power come from different spaces: comparing them raises SpaceMismatch.
     """
 
-    kind: str  # "zero" | "rat" | "pow2" | "inf"
-    value: Union[int, Fraction, None] = None  # rational value, or exponent e for pow2
+    _fields = ("kind", "value")
+
+    def __init__(self, kind: str, value: Union[int, Fraction, None] = None):
+        self.kind = kind  # "zero" | "rat" | "pow2" | "inf"
+        self.value = value  # rational value, or exponent e for pow2
 
     @staticmethod
     def zero() -> "Dist":
@@ -176,8 +179,7 @@ def _canonical_word(head: Word, cycle: Word) -> Tuple[Word, Word]:
     return head[:-k], (cycle[-r:] + cycle[:-r] if r else cycle)
 
 
-@dataclass(frozen=True)
-class WordPoint:
+class WordPoint(Record):
     """Eventually periodic point of Cantor space (bits) or Baire space (naturals).
 
     head and cycle may be given as any sequences of ints and are stored in
@@ -189,35 +191,31 @@ class WordPoint:
     it is long enough.  Only path and route steps call `word`, on the
     point x they trace, so list points stay unexpanded.  The cache is an
     instance attribute over a class default of None, not a field, so
-    equality, hashing, `repr`, `dataclasses.fields`/`asdict` and the
-    point's text ignore it.
+    equality, hashing, `repr`, the `_fields` values and the point's text
+    ignore it.
     """
 
-    space: str
-    head: Word
-    cycle: Word
-
+    _fields = ("space", "head", "cycle")
     _expanded = None
 
-    def __post_init__(self):
-        if self.space == CANTOR:
+    def __init__(self, space: str, head: Sequence[int], cycle: Sequence[int]):
+        if space == CANTOR:
             try:
-                head, cycle = bytes(self.head), bytes(self.cycle)
+                head, cycle = bytes(head), bytes(cycle)
             except ValueError:  # a symbol outside range(256)
                 raise ValueError("symbol out of alphabet") from None
             bad = (head + cycle).translate(None, b"\x00\x01")
-        elif self.space == BAIRE:
-            head, cycle = tuple(self.head), tuple(self.cycle)
+        elif space == BAIRE:
+            head, cycle = tuple(head), tuple(cycle)
             bad = min(head + cycle, default=0) < 0
         else:
-            raise ValueError(f"not a word space: {self.space}")
+            raise ValueError(f"not a word space: {space}")
         if not cycle:
             raise ValueError("cycle must be nonempty")
         if bad:
             raise ValueError("symbol out of alphabet")
-        head, cycle = _canonical_word(head, cycle)
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "cycle", cycle)
+        self.space = space
+        self.head, self.cycle = _canonical_word(head, cycle)
 
     def at(self, i: int) -> int:
         if i < len(self.head):
@@ -236,8 +234,7 @@ class WordPoint:
         """The first n symbols in the space's word type: bytes on Cantor."""
         w = self._expanded
         if w is None or len(w) < n:
-            w = self._symbols(max(n, 2 * len(w or ())))
-            object.__setattr__(self, "_expanded", w)
+            w = self._expanded = self._symbols(max(n, 2 * len(w or ())))
         return w[:n]
 
     def prefix(self, n: int) -> Tuple[int, ...]:
@@ -301,26 +298,22 @@ def baire_point(head: Iterable[int], cycle: Iterable[int]) -> WordPoint:
     return WordPoint(BAIRE, tuple(head), tuple(cycle))
 
 
-@dataclass(frozen=True)
-class UnitPoint:
-    value: Fraction
-
+class UnitPoint(Record):
+    _fields = ("value",)
     space = UNIT
 
-    def __post_init__(self):
-        v = self.value
-        if type(v) is not Fraction:
-            v = Fraction(v)
-            object.__setattr__(self, "value", v)
-        if not 0 <= v <= 1:
+    def __init__(self, value: Fraction):
+        if type(value) is not Fraction:
+            value = Fraction(value)
+        if not 0 <= value <= 1:
             raise ValueError("unit point outside [0,1]")
+        self.value = value
 
     def __str__(self):
         return format_point(self)
 
 
-@dataclass(frozen=True)
-class ZPoint:
+class ZPoint(Record):
     """Strictly increasing divergent sequence of nonnegative rationals.
 
     Entries: q_n = prefix[n] for n < len(prefix), else a*n + b.  The affine
@@ -339,21 +332,18 @@ class ZPoint:
     their pairs are, and q_m < q_n iff the integer cross-product
     num_m * den_n < num_n * den_m: comparisons of entries need no Fraction
     arithmetic.  Each cache is an instance attribute over an empty class
-    default, not a field, so equality, hashing, `repr`,
-    `dataclasses.fields`/`asdict` and the point's text ignore it.
+    default, not a field, so equality, hashing, `repr`, the `_fields`
+    values and the point's text ignore it.
     """
 
-    prefix: Tuple[Fraction, ...]
-    a: Fraction
-    b: Fraction
-
+    _fields = ("prefix", "a", "b")
     space = Z
     _entries = ()
     _pairs = ()
 
-    def __post_init__(self):
-        prefix = tuple(Fraction(q) for q in self.prefix)
-        a, b = Fraction(self.a), Fraction(self.b)
+    def __init__(self, prefix: Sequence[Fraction], a: Fraction, b: Fraction):
+        prefix = tuple(Fraction(q) for q in prefix)
+        a, b = Fraction(a), Fraction(b)
         if a <= 0:
             raise ValueError("tail slope must be positive")
         first = prefix[0] if prefix else b
@@ -366,9 +356,7 @@ class ZPoint:
             raise ValueError("prefix must stay below the affine tail")
         while prefix and prefix[-1] == a * (len(prefix) - 1) + b:
             prefix = prefix[:-1]
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        self.prefix, self.a, self.b = prefix, a, b
 
     def _entries_to(self, n: int) -> Tuple[Tuple[int, int], ...]:
         """The pair cache, with both caches built or extended to hold at
@@ -380,8 +368,7 @@ class ZPoint:
             top = max(n, len(self.prefix) + 2)
             q += tuple(self.a * i + self.b for i in range(len(q), top))
             r += tuple((v.numerator, v.denominator) for v in q[len(r):])
-            object.__setattr__(self, "_entries", q)
-            object.__setattr__(self, "_pairs", r)
+            self._entries, self._pairs = q, r
         return r
 
     def entry(self, n: int) -> Fraction:
@@ -461,12 +448,14 @@ def dist(p: PointCode, q: PointCode) -> Dist:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(Record):
     """N_s = all points extending the finite word s."""
 
-    space: str
-    word: Tuple[int, ...]
+    _fields = ("space", "word")
+
+    def __init__(self, space: str, word: Tuple[int, ...]):
+        self.space = space
+        self.word = word
 
     def member(self, p: PointCode) -> bool:
         _require_same_space(self, p)
@@ -477,14 +466,15 @@ class Cylinder:
         return f"N({sep.join(str(s) for s in self.word)})"
 
 
-@dataclass(frozen=True)
-class RationalInterval:
+class RationalInterval(Record):
     """Open rational interval, implicitly intersected with [0,1]."""
 
-    lo: Fraction
-    hi: Fraction
-
+    _fields = ("lo", "hi")
     space = UNIT
+
+    def __init__(self, lo: Fraction, hi: Fraction):
+        self.lo = lo
+        self.hi = hi
 
     def member(self, p: PointCode) -> bool:
         _require_same_space(self, p)

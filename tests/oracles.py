@@ -4,9 +4,10 @@ them."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from firstreturn.dense_builder import ClosedSet
+from firstreturn.rank import FiniteAlgebra, NotDisjoint, RankChain
 from firstreturn.recover import FunctionOracle, y_distance
 from firstreturn.space import Dist, PointCode, ZPoint, dist
 
@@ -57,3 +58,55 @@ def piece_image_diameter(f: FunctionOracle, piece: ClosedSet,
         for j in range(i + 1, len(values)):
             worst = max(worst, y_distance(f.y_kind, values[i], values[j]))
     return worst
+
+
+def atom_word(algebra: FiniteAlgebra, i: int) -> Tuple[int, ...]:
+    """The word of atom i, atoms in lexicographic word order."""
+    return tuple((i >> (algebra.n - 1 - j)) & 1 for j in range(algebra.n))
+
+
+def _supersets(g: int, full: int):
+    free = full & ~g
+    s = free
+    while s:
+        yield g | s
+        s = (s - 1) & free
+
+
+def chains(algebra: FiniteAlgebra, A: int, B: int, top: int) -> Iterator[RankChain]:
+    """Every valid, strictly increasing chain 0 = G_0 < ... < G_top = X for
+    (A, B), top >= 1, depth first, each step's supersets in `_supersets`
+    order.  It shares no reasoning with `rank_LAB`'s closed form, which the
+    tests compare against it."""
+    full = algebra.full
+
+    def extend(prefix: List[int], steps_left: int) -> Iterator[RankChain]:
+        g = prefix[-1]
+        if steps_left == 1:  # the last step goes to X
+            diff = full & ~g
+            if diff and not (diff & A and diff & B):
+                yield RankChain(algebra, tuple(prefix) + (full,), A, B)
+            return
+        for succ in _supersets(g, full):
+            diff = succ & ~g
+            if not (diff & A and diff & B):
+                yield from extend(prefix + [succ], steps_left - 1)
+
+    return extend([0], top)
+
+
+def brute_force_min_chain(algebra: FiniteAlgebra, A: int, B: int) -> Tuple[int, RankChain]:
+    """Independent oracle: iterative deepening over strictly increasing chains."""
+    if A & B:
+        raise NotDisjoint("not disjoint")
+    for beta in range(1, algebra.atom_count + 2):
+        found = next(chains(algebra, A, B, beta), None)
+        if found is not None:
+            return beta, found
+    raise RuntimeError("no chain found below the cap")
+
+
+def all_min_chains(algebra: FiniteAlgebra, A: int, B: int) -> List[RankChain]:
+    """Every chain of minimal length (small depths only)."""
+    beta, _ = brute_force_min_chain(algebra, A, B)
+    return list(chains(algebra, A, B, beta))

@@ -30,8 +30,6 @@ from firstreturn.recover import gdelta_witness, recover_at
 from firstreturn.rank import (
     DiffForm,
     FiniteAlgebra,
-    all_min_chains,
-    brute_force_min_chain,
     chain_from_diff,
     d_xi_eval,
     diff_from_chain,
@@ -52,7 +50,7 @@ from firstreturn.space import (
     good_basis,
 )
 
-from oracles import ZBall
+from oracles import ZBall, all_min_chains, brute_force_min_chain
 
 
 def crit(number: int, ok: bool, detail: str):

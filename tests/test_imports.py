@@ -75,6 +75,19 @@ def test_every_import_is_used(module):
     assert unused == []
 
 
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_imports_dataclasses(module):
+    # `import dataclasses` loads `inspect`, and each @dataclass builds its
+    # methods with exec: a CLI process pays both at every start.  Record
+    # classes derive from `firstreturn.Record` instead.
+    tree = ast.parse((SRC / module).read_text())
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module and not node.level}
+    assert "dataclasses" not in imported
+
+
 def test_a_local_import_must_be_used_in_its_function():
     tree = ast.parse("from .space import dist\n"
                      "def f():\n    from .path import DenseSequence\n    return dist\n"

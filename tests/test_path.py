@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import itertools
 import math
 import random
@@ -848,10 +847,9 @@ def test_warm_z_entries_cache_is_invisible():
         assert x == fresh and fresh == x and hash(x) == hash(fresh)
         assert cold.first_index_of(x) == cold.first_index_of(fresh) == xs.index(x)
         assert x in cold._first_of and fresh in cold._first_of
-        assert dataclasses.fields(x) == dataclasses.fields(fresh)
-        assert [f.name for f in dataclasses.fields(x)] == ["prefix", "a", "b"]
-        assert dataclasses.asdict(x) == dataclasses.asdict(fresh) == \
-            {"prefix": x.prefix, "a": x.a, "b": x.b}
+        assert x._fields == fresh._fields == ("prefix", "a", "b")
+        assert [getattr(x, name) for name in x._fields] == \
+            [getattr(fresh, name) for name in fresh._fields] == [x.prefix, x.a, x.b]
         assert repr(x) == repr(fresh) == reprs[i]
         assert format_point(x) == format_point(fresh) == texts[i]
         assert parse_point(texts[i]) == x and hash(parse_point(texts[i])) == hash(x)
@@ -882,10 +880,9 @@ def test_warm_word_expansion_is_invisible():
         assert fresh._expanded is None
         assert x == fresh and fresh == x and hash(x) == hash(fresh)
         assert cold[x] == cold[fresh] == xs.index(x)
-        assert dataclasses.fields(x) == dataclasses.fields(fresh)
-        assert [f.name for f in dataclasses.fields(x)] == ["space", "head", "cycle"]
-        assert dataclasses.asdict(x) == dataclasses.asdict(fresh) == \
-            {"space": x.space, "head": x.head, "cycle": x.cycle}
+        assert x._fields == fresh._fields == ("space", "head", "cycle")
+        assert [getattr(x, name) for name in x._fields] == \
+            [getattr(fresh, name) for name in fresh._fields] == [x.space, x.head, x.cycle]
         assert repr(x) == repr(fresh) == reprs[i]
         assert format_point(x) == format_point(fresh) == texts[i]
         assert parse_point(texts[i]) == x and hash(parse_point(texts[i])) == hash(x)

@@ -9,11 +9,7 @@ from firstreturn.rank import (
     FiniteAlgebra,
     NotDisjoint,
     RankChain,
-    _supersets,
-    all_min_chains,
-    brute_force_min_chain,
     chain_from_diff,
-    chains,
     chain_violations,
     d_xi_eval,
     diff_from_chain,
@@ -23,6 +19,8 @@ from firstreturn.rank import (
     rank_Lfab,
 )
 
+from oracles import _supersets, all_min_chains, atom_word, brute_force_min_chain, chains
+
 A1 = FiniteAlgebra(1)
 A2 = FiniteAlgebra(2)
 
@@ -31,7 +29,7 @@ def test_atoms_bitstring_round_trip():
     assert A2.parse_atoms("1000") == 1
     assert A2.parse_atoms("0011") == 0b1100
     assert A2.format_atoms(0b1100) == "0011"
-    assert A2.atom_word(2) == (1, 0)
+    assert atom_word(A2, 2) == (1, 0)
 
 
 # ---------------------------------------------------------------------------
