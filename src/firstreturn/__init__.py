@@ -1,7 +1,7 @@
 """Exact-arithmetic toolkit for recovering functions from dense sequences.
 
 Modules:
-  space          exact points, metrics, basic opens, good bases
+  space          exact points, metrics, basic opens, closed sets, good bases
   path           good-basis path and first-return route extraction
   dense_builder  staged dense-sequence construction for closed families
   recover        recovery diagnostics and G-delta witnesses

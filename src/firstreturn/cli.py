@@ -54,8 +54,7 @@ def _point(text):
 def _fn_from_config(cfg: dict):
     """The configured function; it carries the space it is defined on."""
     from . import gallery
-    from .dense_builder import ClosedSet
-    from .space import CANTOR, WordPoint
+    from .space import CANTOR, ClosedSet, WordPoint
 
     name = cfg.get("fn")
     if not name:
@@ -136,8 +135,7 @@ def _dense_from_config(cfg: dict):
 
 def builder_families() -> dict:
     """The builder's closed families by name: the choices of `family`."""
-    from .dense_builder import ClosedSet
-    from .space import CANTOR, WordPoint
+    from .space import CANTOR, ClosedSet, WordPoint
 
     return {
         "one-bit": [ClosedSet(CANTOR, cylinders=((1,),), name="F0=N(1)")],

@@ -16,12 +16,11 @@ The stage-priority ordering is what later makes paths extracted from the
 flattened sequence stay inside each F_i at almost every step.
 
 All truncations (index bounds, scan budgets, per-stage caps) are recorded
-in the build log; nothing is silently dropped.  Closed sets are exact:
-finite unions of cylinders and singletons on word spaces, finite unions of
-closed rational intervals on the unit interval.  Both membership and
-"does this basic open meet F" are decided exactly, as is distance to F.
-The output holds the stage blocks and their flattened `DenseSequence`, in
-which a point's position is `dense.first_index_of(point)`.
+in the build log; nothing is silently dropped.  The closed sets are the
+exact `space.ClosedSet`s, so membership, "does this basic open meet F" and
+the intersections F_sigma are all decided exactly.  The output holds the
+stage blocks and their flattened `DenseSequence`, in which a point's
+position is `dense.first_index_of(point)`.
 
 Inside a build a point is an int id, its first index in (q_i), so each
 point is hashed once per build; G, the picks and the memo tables shared by
@@ -33,141 +32,12 @@ log is kept as small records and formatted only when read.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import Record
 from .path import DenseSequence, path_trace
-from .space import (
-    UNIT,
-    BasicOpen,
-    Cylinder,
-    Dist,
-    GoodBasis,
-    PointCode,
-    RationalInterval,
-    UnitPoint,
-    WordPoint,
-    first_mismatch,
-)
-
-
-class ClosedSet(Record):
-    """Exact closed set: union of cylinders/singletons (word spaces) or of
-    closed rational intervals (unit).  Degenerate intervals are points.
-
-    The pruned-tree oracle of a word-space closed set is exact at every
-    depth: hits(w) holds iff N_w meets the set.
-    """
-
-    _fields = ("space", "cylinders", "singletons", "intervals", "name")
-
-    def __init__(self, space: str, cylinders: Sequence[Sequence[int]] = (),
-                 singletons: Sequence[WordPoint] = (),
-                 intervals: Sequence[Tuple[Fraction, Fraction]] = (), name: str = ""):
-        self.space = space
-        self.cylinders = tuple(sorted(tuple(w) for w in cylinders))
-        self.singletons = tuple(sorted(singletons, key=str))
-        ivs = []
-        for lo, hi in intervals:
-            lo, hi = Fraction(lo), Fraction(hi)
-            if lo > hi:
-                raise ValueError("empty interval piece")
-            ivs.append((lo, hi))
-        self.intervals = tuple(sorted(ivs))
-        self.name = name
-
-    # The fields never change, so their hash is taken on first use and
-    # kept, not on construction: most sets (complement pieces) are never
-    # hashed.  It is an instance attribute over a class default, not a
-    # field, so equality and repr ignore it.
-    _hash = None
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self._key(self))
-        return self._hash
-
-    # -- membership / tree oracle ------------------------------------------
-
-    def member(self, p: PointCode) -> bool:
-        if isinstance(p, UnitPoint):
-            return any(lo <= p.value <= hi for lo, hi in self.intervals)
-        return any(p.starts_with(w) for w in self.cylinders) or any(
-            p == s for s in self.singletons
-        )
-
-    def hits(self, word: Tuple[int, ...]) -> bool:
-        """Exact tree oracle: does N_word meet the set?"""
-        word = tuple(word)
-        return any(first_mismatch(word, w) is None for w in self.cylinders) or any(
-            s.starts_with(word) for s in self.singletons
-        )
-
-    def meets(self, W: BasicOpen) -> bool:
-        """Exact: is W /\\ F nonempty?"""
-        if isinstance(W, Cylinder):
-            return self.hits(W.word)
-        if isinstance(W, RationalInterval):
-            # closed [a,b] meets open (lo,hi) iff b > lo and a < hi
-            return any(hi > W.lo and lo < W.hi for lo, hi in self.intervals)
-        raise ValueError(f"unsupported basic open {W!r}")
-
-    def is_empty(self) -> bool:
-        return not (self.cylinders or self.singletons or self.intervals)
-
-    def dist(self, p: PointCode) -> Dist:
-        """Exact distance from a point to the set (infinite if empty).
-
-        On a word space it is 0 on the set and otherwise 2^-n for the
-        largest n with hits(p|n): the set is closed, so a point off it has
-        a prefix whose cylinder misses the set.  That n is read off each
-        piece once: p|n meets a cylinder w iff n <= first_mismatch(p|len(w), w),
-        and extends a singleton s iff n <= p.first_difference(s); either
-        index is None iff p lies on that piece.
-        """
-        if self.is_empty():
-            return Dist.infinity()
-        if isinstance(p, UnitPoint):
-            v = p.value
-            return Dist.rational(min(max(0, lo - v, v - hi) for lo, hi in self.intervals))
-        agree = [first_mismatch(p.prefix(len(w)), w) for w in self.cylinders]
-        agree += [p.first_difference(s) for s in self.singletons]
-        return Dist.zero() if None in agree else Dist.pow2(max(agree))
-
-    # -- algebra -------------------------------------------------------------
-
-    def intersect(self, other: "ClosedSet") -> "ClosedSet":
-        if self.space != other.space:
-            raise ValueError("space mismatch")
-        cyl, sing, ivs = [], [], []
-        for a in self.cylinders:
-            for b in other.cylinders:
-                if first_mismatch(a, b) is None:
-                    cyl.append(a if len(a) >= len(b) else b)
-        for s in self.singletons:
-            if other.member(s):
-                sing.append(s)
-        for s in other.singletons:
-            if self.member(s) and s not in sing:
-                sing.append(s)
-        for lo, hi in self.intervals:
-            for lo2, hi2 in other.intervals:
-                a, b = max(lo, lo2), min(hi, hi2)
-                if a <= b:
-                    ivs.append((a, b))
-        name = f"{self.name}&{other.name}" if self.name or other.name else ""
-        return ClosedSet(self.space, tuple(set(cyl)), tuple(sing), tuple(ivs), name)
-
-    def __str__(self):
-        return self.name or f"ClosedSet({self.space})"
-
-
-def whole_space(space: str) -> ClosedSet:
-    if space == UNIT:
-        return ClosedSet(UNIT, intervals=((Fraction(0), Fraction(1)),), name="X")
-    return ClosedSet(space, cylinders=((),), name="X")
+from .space import ClosedSet, GoodBasis, PointCode, whole_space
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,8 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from . import Record
-from .dense_builder import ClosedSet
 from .recover import FunctionOracle, y_distance
-from .space import Dist, PointCode, common_space, dist
+from .space import ClosedSet, Dist, PointCode, common_space, dist
 
 
 class CoverViolation(ValueError):

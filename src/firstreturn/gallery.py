@@ -52,8 +52,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import Record, ebc1
-from .dense_builder import ClosedSet
+from . import Record
 from .path import (DenseSequence, PastTableIndex, SearchBudgetExceeded, route_step,
                    route_trace)
 from .recover import DISCRETE, RATIONAL, FunctionOracle, _flips_in, recover_at
@@ -61,6 +60,7 @@ from .space import (
     CANTOR,
     UNIT,
     Z,
+    ClosedSet,
     Cylinder,
     Dist,
     PointCode,
@@ -309,12 +309,13 @@ class Prop25Sequence:
     def first_extending(self, word: Sequence[int]):
         """(p, x_p) for the minimal p with word a prefix of x_p; raises
         SearchBudgetExceeded where `first_index_extending` answers None."""
-        p = self.first_index_extending(word)
+        least = self._least(word)
+        p = None if least is None else self._index(*least)
         if p is None:
             raise SearchBudgetExceeded(
                 f"no point extending prefix of length {len(word)}", budget=self.budget)
         if p is self._past:
-            s, c = self._least(word)
+            s, c = least
             return p, WordPoint(CANTOR, s, (c,))
         return p, self._term(p)
 
@@ -445,6 +446,8 @@ def first_one_scale() -> FunctionOracle:
 def ebc1_cover(name: str) -> Tuple[ebc1.ClosedCover, List[FunctionOracle]]:
     """The ordered cover and the family of the CLI's EBC1 check `name`:
     unit-halves, unit-step or cantor-bits."""
+    from . import ebc1
+
     F = Fraction
     if name == "unit-halves":
         pieces = [ClosedSet(UNIT, intervals=((F(0), F(1, 2)),), name="[0,1/2]"),

@@ -183,7 +183,6 @@ class DenseSequence:
         self._first_of = None
         self._order = None
         self._root = None
-        self._finger = None
 
     def __len__(self):
         return len(self.points)

@@ -553,15 +553,20 @@ def test_every_table_key_is_an_option_recorded_in_config(tmp_path, command):
 
 _CLI_ONLY = {"firstreturn", "firstreturn.cli"}
 _BUILDER = _CLI_ONLY | {"firstreturn.space", "firstreturn.path", "firstreturn.dense_builder"}
+# recover and gallery eval run no builder and no EBC1 check
+_RECOVER = _CLI_ONLY | {"firstreturn.space", "firstreturn.path", "firstreturn.recover",
+                        "firstreturn.gallery"}
 
 
 @pytest.mark.parametrize("args,loaded", [
     (["gallery", "list"], _CLI_ONLY),
     (["rank", "--n", "1", "--A", "10", "--B", "01"], _CLI_ONLY | {"firstreturn.rank"}),
     (["build-dense", "--stages", "2"], _BUILDER),
-    (["recover", "--dense", "file:{dense}", "--fn", "indicator:1", "--horizon", "4"],
-     _BUILDER | {"firstreturn.recover", "firstreturn.gallery", "firstreturn.ebc1"}),
-], ids=["gallery-list", "rank", "build-dense", "recover"])
+    (["recover", "--dense", "file:{dense}", "--fn", "indicator:1", "--horizon", "4"], _RECOVER),
+    (["ebc1", "--cover", "cantor-bits", "--pairs", "4"], _RECOVER | {"firstreturn.ebc1"}),
+    (["gallery", "eval", "--fn", "I16", "--alpha", "cantor:|1", "--beta", "cantor:1|0",
+      "--horizon", "4"], _RECOVER),
+], ids=["gallery-list", "rank", "build-dense", "recover", "ebc1", "gallery-eval"])
 def test_each_command_imports_only_the_modules_it_runs(tmp_path, args, loaded):
     # a fresh interpreter: this one has imported the whole package
     (tmp_path / "d.txt").write_text("cantor:|0\ncantor:|1\ncantor:1|0\ncantor:0|1\n")

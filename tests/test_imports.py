@@ -9,7 +9,9 @@ toolchain, so the check reads the source with ast.
 The same reading guards against dead definitions: every module-level
 function, class and constant of the package, and every method that is not a
 dunder, is named somewhere in src/, tests/ or bench/ outside its own
-definition, and no module reads len() of a dense source."""
+definition, and no module reads len() of a dense source.  It also holds
+the package modules each module imports at import time to one table, so a
+new import edge is added on purpose."""
 
 import ast
 import re
@@ -95,6 +97,58 @@ def test_a_local_import_must_be_used_in_its_function():
     f = tree.body[1]
     assert list(_imported(tree)) == ["dist"] and list(_imported(f)) == ["DenseSequence"]
     assert "DenseSequence" in _used(tree) and "DenseSequence" not in _used(f)
+
+
+# The package modules each module imports when it is imported, that is
+# outside its functions; any module may also import `Record` from the
+# package.  A command loads only what its runner imports and these modules
+# import in turn, so an edge added here is added to every such command.
+_IMPORT_GRAPH = {
+    "__init__": set(),
+    "space": set(),
+    "path": {"space"},
+    "recover": {"path", "space"},
+    "dense_builder": {"path", "space"},
+    "ebc1": {"recover", "space"},
+    "gallery": {"path", "recover", "space"},
+    "rank": set(),
+    "cli": set(),
+}
+
+
+def _package_imports(tree):
+    """The package modules the tree imports outside its functions."""
+    modules = set()
+    stack = list(ast.iter_child_nodes(tree))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _FUNCTIONS):
+            continue
+        if isinstance(node, ast.Import):
+            modules |= {alias.name.split(".")[1] for alias in node.names
+                        if alias.name.startswith("firstreturn.")}
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "firstreturn"):
+            inner = (node.module or "") if node.level else node.module.partition(".")[2]
+            if inner:
+                modules.add(inner.split(".")[0])
+            else:
+                modules |= {alias.name for alias in node.names} - {"Record"}
+        stack.extend(ast.iter_child_nodes(node))
+    return modules
+
+
+def test_import_graph_is_the_table():
+    assert set(_IMPORT_GRAPH) == {m[:-3] for m in MODULES}
+    found = {m[:-3]: _package_imports(ast.parse((SRC / m).read_text())) for m in MODULES}
+    assert found == _IMPORT_GRAPH
+
+
+def test_package_imports_skip_functions_and_record():
+    tree = ast.parse("from . import Record, path\nfrom .space import dist\n"
+                     "import firstreturn.rank\nfrom firstreturn.recover import x\n"
+                     "import json\ndef f():\n    from . import gallery\n")
+    assert _package_imports(tree) == {"path", "space", "rank", "recover"}
 
 
 ROOT = Path(__file__).resolve().parent.parent

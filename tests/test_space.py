@@ -13,6 +13,7 @@ from firstreturn.space import (
     BAIRE,
     CANTOR,
     UNIT,
+    ClosedSet,
     Cylinder,
     Dist,
     NoGoodBasis,
@@ -415,6 +416,24 @@ def test_member_examples():
     qp = ZPoint((F(1, 2), F(7, 4)), 1, F(1, 2))
     assert ZBall(qp, F(1)).member(q)  # 2^-3/2 < 2^-1
     assert not ZBall(qp, F(2)).member(q)
+
+
+def test_closed_set_refuses_another_space():
+    # a Baire point may share a prefix with a Cantor set's cylinder, but it
+    # lies in no Cantor set; it is refused, as Cylinder.member refuses it
+    ones = ClosedSet(CANTOR, cylinders=((1,),), name="N(1)")
+    x = baire_point((1, 5), (0,))
+    for ask in (ones.member, ones.dist):
+        with pytest.raises(SpaceMismatch):
+            ask(x)
+    with pytest.raises(SpaceMismatch):
+        ones.meets(Cylinder(BAIRE, (1,)))
+    with pytest.raises(SpaceMismatch):
+        ones.intersect(ClosedSet(BAIRE, cylinders=((1,),)))
+    halves = ClosedSet(UNIT, intervals=((F(0), F(1, 2)),))
+    with pytest.raises(SpaceMismatch):
+        halves.member(cantor_point("", "0"))
+    assert ones.member(cantor_point("1", "0")) and halves.member(UnitPoint(F(1, 3)))
 
 
 # ---------------------------------------------------------------------------
