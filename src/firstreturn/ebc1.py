@@ -111,8 +111,9 @@ def cover_from_function(f: FunctionOracle, eps: Fraction) -> ClosedCover:
     value (a point cover of the range by eps/2 balls); each piece has image
     diameter zero, hence below eps by construction.  The groups come in the
     string order of their values, and no piece is dropped."""
-    if f.decomposition is None:
+    decomposition = f.decomposition
+    if decomposition is None:
         raise CoverViolation(f"missing decomposition for {f.fid}")
-    return ClosedCover(Fraction(eps), [piece for value in sorted(f.decomposition, key=str)
-                                       for piece in f.decomposition[value]])
+    return ClosedCover(Fraction(eps), [piece for value in sorted(decomposition, key=str)
+                                       for piece in decomposition[value]])
 

@@ -386,16 +386,18 @@ def I16(alpha: WordPoint) -> FunctionOracle:
             return 0
         return 1 if alpha.starts_with(beta.head) else 0  # pf_decomposition(beta)
 
-    word = alpha.prefix(64)
-    ones = [WordPoint(CANTOR, (), (0,))]
-    ones += [WordPoint(CANTOR, word[:n + 1], (0,))
-             for n in [n for n, bit in enumerate(word) if bit == 1][:DECOMP_DEPTH - 1]]
-    avoid = ClosedSet(CANTOR, singletons=tuple(ones) + (alpha,))
-    zero_pieces = _complement_pieces(avoid)
-    if not is_P_f(alpha):
-        zero_pieces = zero_pieces + [_singleton(alpha)]
-    decomposition = {1: [_singleton(pt) for pt in ones], 0: zero_pieces}
-    return FunctionOracle(f"I16({alpha})", ev, DISCRETE, decomposition, space=CANTOR)
+    def decompose():
+        word = alpha.prefix(64)
+        ones = [WordPoint(CANTOR, (), (0,))]
+        ones += [WordPoint(CANTOR, word[:n + 1], (0,))
+                 for n in [n for n, bit in enumerate(word) if bit == 1][:DECOMP_DEPTH - 1]]
+        avoid = ClosedSet(CANTOR, singletons=tuple(ones) + (alpha,))
+        zero_pieces = _complement_pieces(avoid)
+        if not is_P_f(alpha):
+            zero_pieces = zero_pieces + [_singleton(alpha)]
+        return {1: [_singleton(pt) for pt in ones], 0: zero_pieces}
+
+    return FunctionOracle(f"I16({alpha})", ev, DISCRETE, decompose, space=CANTOR)
 
 
 def I25(alpha: WordPoint) -> FunctionOracle:
@@ -406,24 +408,29 @@ def I25(alpha: WordPoint) -> FunctionOracle:
             return 1
         return 0 if alpha.starts_with(beta.head + b"\x01") else 1
 
-    word = alpha.prefix(64)
-    zeros = [WordPoint(CANTOR, word[:n], (0,)) for n in _s_before_one(word)[:DECOMP_DEPTH]]
-    avoid = ClosedSet(CANTOR, singletons=tuple(zeros) + (alpha,))
-    decomposition = {
-        0: [_singleton(pt) for pt in zeros],
-        1: _complement_pieces(avoid) + [_singleton(alpha)],
-    }
-    return FunctionOracle(f"I25({alpha})", ev, DISCRETE, decomposition, space=CANTOR)
+    def decompose():
+        word = alpha.prefix(64)
+        zeros = [WordPoint(CANTOR, word[:n], (0,)) for n in _s_before_one(word)[:DECOMP_DEPTH]]
+        avoid = ClosedSet(CANTOR, singletons=tuple(zeros) + (alpha,))
+        return {
+            0: [_singleton(pt) for pt in zeros],
+            1: _complement_pieces(avoid) + [_singleton(alpha)],
+        }
+
+    return FunctionOracle(f"I25({alpha})", ev, DISCRETE, decompose, space=CANTOR)
 
 
 def indicator_of(closed: ClosedSet, fid: Optional[str] = None) -> FunctionOracle:
     """Indicator of an exact closed set, with a declared decomposition."""
-    decomposition = {
-        1: [closed],
-        0: _complement_pieces(closed),
-    }
+
+    def decompose():
+        return {
+            1: [closed],
+            0: _complement_pieces(closed),
+        }
+
     return FunctionOracle(fid or f"1_{closed}", lambda p: 1 if closed.member(p) else 0,
-                          DISCRETE, decomposition, space=closed.space)
+                          DISCRETE, decompose, space=closed.space)
 
 
 def first_one_scale() -> FunctionOracle:
@@ -433,14 +440,17 @@ def first_one_scale() -> FunctionOracle:
         n = _first_one(beta)
         return Fraction(0) if n is None else Fraction(1, 2 ** n)
 
-    decomposition = {Fraction(0): [ClosedSet(CANTOR,
-                                             singletons=(WordPoint(CANTOR, (), (0,)),),
-                                             name="{0^inf}")]}
-    for n in range(DECOMP_DEPTH):
-        piece = ClosedSet(CANTOR, cylinders=((0,) * n + (1,),),
-                          name=f"N(0^{n}1)")
-        decomposition[Fraction(1, 2 ** n)] = [piece]
-    return FunctionOracle("first-one-scale", ev, RATIONAL, decomposition, space=CANTOR)
+    def decompose():
+        decomposition = {Fraction(0): [ClosedSet(CANTOR,
+                                                 singletons=(WordPoint(CANTOR, (), (0,)),),
+                                                 name="{0^inf}")]}
+        for n in range(DECOMP_DEPTH):
+            piece = ClosedSet(CANTOR, cylinders=((0,) * n + (1,),),
+                              name=f"N(0^{n}1)")
+            decomposition[Fraction(1, 2 ** n)] = [piece]
+        return decomposition
+
+    return FunctionOracle("first-one-scale", ev, RATIONAL, decompose, space=CANTOR)
 
 
 def ebc1_cover(name: str) -> Tuple[ebc1.ClosedCover, List[FunctionOracle]]:

@@ -10,6 +10,8 @@ Everything short of convergence is reported as not converged or, with
 enough tail flips, as divergence evidence.  The oracle is queried only on
 points of the dense sequence, with one separate ground-truth query at the
 probe point; each result's audit follows from its trace (see `recover_at`).
+Recovery reads the values alone: an oracle's declared decomposition into
+closed pieces is built on its first read, which no recovery makes.
 """
 
 from __future__ import annotations
@@ -42,22 +44,36 @@ class FunctionOracle(Record):
     """Total deterministic evaluator with a declared range kind, defined on
     the points of `space`.
 
-    decomposition, when present, maps each range value to the closed pieces
-    of its preimage; the EBC1 cover `ebc1.cover_from_function` reads it, and
-    refuses a function without one.
+    decompose, when given, is a builder taking no arguments.  It returns the
+    decomposition: a dict mapping each range value to the closed pieces of
+    its preimage.  Recovery never reads it; the EBC1 cover
+    `ebc1.cover_from_function` does, and refuses a function without one.
+    So the builder runs on the first read of `decomposition`, and its dict
+    is kept for every later read.
     """
 
     _fields = ("fid", "evaluator", "y_kind", "decomposition", "space")
     __hash__ = None
+    # the built decomposition: an instance attribute over a class default,
+    # not a field, set on the first read of `decomposition`
+    _decomposition = None
 
     def __init__(self, fid: str, evaluator: Callable[[PointCode], object],
-                 y_kind: str = DISCRETE, decomposition: Optional[dict] = None, *,
+                 y_kind: str = DISCRETE, decompose: Optional[Callable[[], dict]] = None, *,
                  space: str):
         self.fid = fid
         self.evaluator = evaluator
         self.y_kind = y_kind
-        self.decomposition = decomposition
+        self._decompose = decompose
         self.space = space
+
+    @property
+    def decomposition(self) -> Optional[dict]:
+        """The declared decomposition, built on first read; None without a
+        builder."""
+        if self._decomposition is None and self._decompose is not None:
+            self._decomposition = self._decompose()
+        return self._decomposition
 
     def __call__(self, p: PointCode):
         return self.evaluator(p)

@@ -223,6 +223,18 @@ class WordPoint(Record):
         self.space = space
         self.head, self.cycle = _canonical_word(head, cycle)
 
+    # Record's equality and hash, written out: points are compared and
+    # hashed in hot loops, where reading the fields through Record's generic
+    # key costs more than twice as much per `==`.  The values are Record's.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.head == other.head and self.cycle == other.cycle
+                and self.space == other.space)
+
+    def __hash__(self):
+        return hash((self.space, self.head, self.cycle))
+
     def at(self, i: int) -> int:
         if i < len(self.head):
             return self.head[i]
@@ -505,6 +517,12 @@ class ClosedSet(Record):
     """Exact closed set: union of cylinders/singletons (word spaces) or of
     closed rational intervals (unit).  Degenerate intervals are points.
 
+    The constructor checks each piece against the space: cylinders and
+    singletons only on a word space, a cylinder's symbols from its alphabet
+    and a singleton a `WordPoint` of it; intervals only on [0,1], with
+    0 <= lo <= hi <= 1.  A piece of another space raises SpaceMismatch,
+    any other bad piece ValueError.
+
     The pruned-tree oracle of a word-space closed set is exact at every
     depth: hits(w) holds iff N_w meets the set.
     """
@@ -514,15 +532,26 @@ class ClosedSet(Record):
     def __init__(self, space: str, cylinders: Sequence[Sequence[int]] = (),
                  singletons: Sequence[WordPoint] = (),
                  intervals: Sequence[Tuple[Fraction, Fraction]] = (), name: str = ""):
-        self.space = space
-        self.cylinders = tuple(sorted(tuple(w) for w in cylinders))
-        self.singletons = tuple(sorted(singletons, key=str))
+        cylinders, singletons = [tuple(w) for w in cylinders], tuple(singletons)
+        if (cylinders or singletons) and space not in (CANTOR, BAIRE):
+            raise SpaceMismatch(f"cylinders and singletons need a word space, not {space}")
+        for w in cylinders:
+            if not all(type(a) is int and 0 <= a and (a <= 1 or space == BAIRE) for a in w):
+                raise ValueError(f"cylinder {w} has a symbol outside the {space} alphabet")
+        for p in singletons:
+            if not isinstance(p, WordPoint) or p.space != space:
+                raise SpaceMismatch(f"singleton {p!s} is no point of {space}")
         ivs = []
         for lo, hi in intervals:
+            if space != UNIT:
+                raise SpaceMismatch(f"intervals need the unit interval, not {space}")
             lo, hi = Fraction(lo), Fraction(hi)
-            if lo > hi:
-                raise ValueError("empty interval piece")
+            if not 0 <= lo <= hi <= 1:
+                raise ValueError(f"interval piece [{lo}, {hi}] is empty or leaves [0,1]")
             ivs.append((lo, hi))
+        self.space = space
+        self.cylinders = tuple(sorted(cylinders))
+        self.singletons = tuple(sorted(singletons, key=str))
         self.intervals = tuple(sorted(ivs))
         self.name = name
 

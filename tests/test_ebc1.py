@@ -125,7 +125,7 @@ def test_consistency_checks_fire_under_a_broken_gauge(monkeypatch):
 
 def test_cover_from_constant_function():
     f = FunctionOracle("const", lambda p: 3, DISCRETE,
-                       decomposition={3: [whole_space(CANTOR)]}, space=CANTOR)
+                       decompose=lambda: {3: [whole_space(CANTOR)]}, space=CANTOR)
     cover = cover_from_function(f, F(1, 2))
     assert len(cover.pieces) == 1
     assert cover.pieces[0].member(cantor_point("10", "1"))

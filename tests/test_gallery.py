@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -35,6 +36,7 @@ from firstreturn.gallery import (
     x_seq_point,
     z_F_member,
 )
+from firstreturn.cli import main as cli_main
 from firstreturn.path import (
     DenseSequence,
     PastTableIndex,
@@ -42,6 +44,7 @@ from firstreturn.path import (
     trace_to_csv,
     witness_violations,
 )
+from firstreturn.recover import recovery_report
 from firstreturn.space import (
     BAIRE,
     CANTOR,
@@ -251,11 +254,11 @@ def test_baire_indicator_zero_pieces_are_baire_cylinders(closed, monkeypatch):
 
     monkeypatch.setattr(ClosedSet, "hits", hits)
     f = indicator_of(closed)
+    zeros = f.decomposition[0]
     # the search stops at the set's own cylinders: a full descent to depth
     # 8 over 8 symbols would ask millions of words
     assert calls[0] <= DECOMP_DEPTH * (DECOMP_DEPTH + 1)
     monkeypatch.setattr(ClosedSet, "hits", real)
-    zeros = f.decomposition[0]
     assert zeros
     for piece in zeros:
         assert piece.space == BAIRE and not piece.singletons
@@ -266,6 +269,176 @@ def test_baire_indicator_zero_pieces_are_baire_cylinders(closed, monkeypatch):
         x = parse_point(text)
         # each probe leaves the set within DECOMP_DEPTH symbols, if at all
         assert any(piece.member(x) for piece in zeros) == (f(x) == 0), text
+
+
+# ---------------------------------------------------------------------------
+# declared decompositions: built on first read
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def complement_calls(monkeypatch):
+    """The sets `_complement_pieces` is asked for, in call order."""
+    calls, real = [], gallery._complement_pieces
+
+    def counted(avoid):
+        calls.append(avoid)
+        return real(avoid)
+
+    monkeypatch.setattr(gallery, "_complement_pieces", counted)
+    return calls
+
+
+_N1_AND_POINT = ClosedSet(CANTOR, cylinders=((1,),), singletons=(CP("0", "01"),))
+
+
+def test_constructors_build_no_decomposition(complement_calls):
+    alpha = CP("", "110")
+    fs = [I16(alpha), I25(alpha), indicator_of(_N1_AND_POINT)]
+    assert complement_calls == []
+    for f in fs:
+        assert f.decomposition is f.decomposition  # built once, then kept
+    assert len(complement_calls) == 3
+
+
+def test_recovery_builds_no_decomposition(complement_calls, view25, cantor_basis):
+    alpha = CP("", "110")
+    points = [alpha] + list(itertools.islice(view25, 12))
+    for f in (I16(alpha), I25(alpha), indicator_of(_N1_AND_POINT)):
+        rep = recovery_report(f, view25, "path", points, 40, cantor_basis, window=6)
+        assert rep["converged_rate"] > 0
+    assert complement_calls == []
+
+
+@pytest.mark.parametrize("args", [
+    ["recover", "--fn", "I25", "--alpha", "cantor:|110", "--horizon", "40",
+     "--window", "6", "--max-points", "4"],
+    ["recover", "--fn", "singleton:cantor:1|0", "--horizon", "40", "--max-points", "4"],
+    ["gallery", "eval", "--fn", "I16", "--alpha", "cantor:|110", "--beta", "cantor:1|0"],
+], ids=["recover-I25", "recover-singleton", "gallery-eval"])
+def test_cli_recovery_builds_no_decomposition(complement_calls, tmp_path, args):
+    assert cli_main(args + ["--out", str(tmp_path / "o")]) == 0
+    assert complement_calls == []
+
+
+def _criterion5_alphas(view25):
+    """The 20 alphas off the Prop-25 list of acceptance criterion 5 (b)."""
+    alphas = []
+    for head in [(), (1,), (0,), (1, 1), (0, 1), (0, 0), (1, 0)]:
+        for cyc in [(0, 1), (1, 0, 0), (0, 1, 1), (1, 1, 0, 0), (1, 0)]:
+            pt = WordPoint(CANTOR, head, cyc)
+            if pt not in alphas and not view25.contains(pt):
+                alphas.append(pt)
+    return alphas[:20]
+
+
+def _eager_decomposition(kind, arg):
+    """The decomposition the constructor declares, built at once from the
+    same module functions."""
+    single, complement = gallery._singleton, gallery._complement_pieces
+    if kind == "indicator":
+        return {1: [arg], 0: complement(arg)}
+    word = arg.prefix(64)
+    if kind == "I16":
+        ones_at = [n for n, bit in enumerate(word) if bit == 1][:DECOMP_DEPTH - 1]
+        ones = [CP("", "0")] + [WordPoint(CANTOR, word[:n + 1], (0,)) for n in ones_at]
+        zero = complement(ClosedSet(CANTOR, singletons=tuple(ones) + (arg,)))
+        if not is_P_f(arg):
+            zero = zero + [single(arg)]
+        return {1: [single(pt) for pt in ones], 0: zero}
+    zeros = [WordPoint(CANTOR, word[:n], (0,))
+             for n in gallery._s_before_one(word)[:DECOMP_DEPTH]]
+    avoid = ClosedSet(CANTOR, singletons=tuple(zeros) + (arg,))
+    return {0: [single(pt) for pt in zeros], 1: complement(avoid) + [single(arg)]}
+
+
+def _seeded_sets(seed, count):
+    rng = random.Random(seed)
+    sets = []
+    for _ in range(count):
+        word = tuple(rng.randrange(2) for _ in range(rng.randrange(1, 4)))
+        head = [rng.randrange(2) for _ in range(rng.randrange(4))]
+        cycle = [rng.randrange(2) for _ in range(rng.randrange(1, 3))]
+        sets.append(ClosedSet(CANTOR, cylinders=(word,),
+                              singletons=(WordPoint(CANTOR, head, cycle),)))
+    return sets
+
+
+def test_decomposition_equals_the_eager_one(view25):
+    alphas = _criterion5_alphas(view25)
+    assert len(alphas) == 20
+    cases = [(kind, alpha) for alpha in alphas for kind in ("I16", "I25")]
+    cases += [("indicator", closed) for closed in _seeded_sets(36, 10) + _BAIRE_SETS]
+    builders = {"I16": I16, "I25": I25, "indicator": indicator_of}
+    for kind, arg in cases:
+        f = builders[kind](arg)
+        built = f.decomposition
+        # piece for piece and in the same order, values included
+        assert list(built.items()) == list(_eager_decomposition(kind, arg).items()), arg
+        assert f.decomposition is built
+
+
+# ---------------------------------------------------------------------------
+# complement pieces, against brute force
+# ---------------------------------------------------------------------------
+
+
+def _words_at_depth(space, rng):
+    """Every word of length DECOMP_DEPTH over the search's alphabet on
+    Cantor space; a seeded sample of them on Baire space."""
+    if space == CANTOR:
+        return list(itertools.product((0, 1), repeat=DECOMP_DEPTH))
+    return [tuple(rng.randrange(DECOMP_DEPTH) for _ in range(DECOMP_DEPTH))
+            for _ in range(3000)]
+
+
+def _misses(closed, word):
+    """N(word) misses the set: no cylinder of it is comparable with word,
+    and no singleton starts with it (symbol by symbol, not by `hits`)."""
+    n = len(word)
+    return (all(c[:n] != word and word[:len(c)] != c for c in closed.cylinders)
+            and all(s.prefix(n) != word for s in closed.singletons))
+
+
+def _brute_force_sets():
+    rng = random.Random(2536)
+    sets = list(_BAIRE_SETS) + _seeded_sets(7, 6)
+    sets.append(ClosedSet(CANTOR, singletons=(CP("", "0"), CP("1", "0"), CP("", "1"))))
+    sets.append(ClosedSet(CANTOR))
+
+    def symbols(k):
+        return tuple(rng.randrange(11) for _ in range(k))
+
+    for _ in range(4):
+        sets.append(ClosedSet(BAIRE, cylinders=(symbols(rng.randrange(1, 4)),),
+                              singletons=(WordPoint(BAIRE, symbols(3), symbols(2)),)))
+    return sets
+
+
+@pytest.mark.parametrize("closed", _brute_force_sets(), ids=str)
+def test_complement_pieces_against_brute_force(closed):
+    space, rng = closed.space, random.Random(str(closed))
+    pieces = gallery._complement_pieces(closed)
+    words = [piece.cylinders[0] for piece in pieces]
+    assert all(piece.space == space and len(piece.cylinders) == 1 and not piece.singletons
+               for piece in pieces)
+    # each piece misses the set: no sampled point lies in both.  The points
+    # of the set that a wrong piece would hold are among the samples: the
+    # singletons, the cylinders' own points and each piece's own points.
+    stems = list(closed.cylinders) + words
+    samples = list(closed.singletons)
+    samples += [WordPoint(space, stem, (a,)) for stem in stems for a in (0, 1)]
+    for piece in pieces:
+        for x in samples:
+            assert not (piece.member(x) and closed.member(x)), (piece, x)
+    # no two pieces overlap: no piece's word is a prefix of another's
+    for i, a in enumerate(words):
+        for b in words[i + 1:]:
+            assert a[:len(b)] != b and b[:len(a)] != a, (a, b)
+    # with the set, they cover every word of the search depth it misses
+    for word in _words_at_depth(space, rng):
+        if _misses(closed, word):
+            assert any(word[:len(w)] == w for w in words), word
 
 
 def test_E24_membership():

@@ -62,6 +62,30 @@ def test_eq_space_mismatch():
         dist(a, b)
 
 
+def _seeded_word_points(seed):
+    """Cantor and Baire points with short heads and cycles, so that equal
+    points in different notations come up."""
+    rng, points = random.Random(seed), []
+    for space, top in ((CANTOR, 1), (BAIRE, 2)):
+        for _ in range(120):
+            head = [rng.randint(0, top) for _ in range(rng.randrange(4))]
+            cycle = [rng.randint(0, top) for _ in range(rng.randint(1, 3))]
+            points.append(WordPoint(space, head, cycle))
+    return points
+
+
+def test_word_point_equality_and_hash_are_records():
+    points = _seeded_word_points(34)
+    key = WordPoint._key  # the generic key of Record: (space, head, cycle)
+    assert len(set(map(key, points))) < len(points)  # some points repeat
+    for a in points:
+        assert hash(a) == hash(key(a)) == hash((a.space, a.head, a.cycle))
+        for other in (UnitPoint(F(1, 2)), ZPoint((), 1, F(1, 2)), (a.space, a.head, a.cycle)):
+            assert a.__eq__(other) is NotImplemented and a != other
+        for b in points:
+            assert (a == b) is (key(a) == key(b)) is not (a != b)
+
+
 def test_canonical_head_is_minimal():
     p = cantor_point("0110", "10")  # 0,1,1,0,1,0,... = 01 (10)^inf
     q = cantor_point("011", "01")
@@ -434,6 +458,70 @@ def test_closed_set_refuses_another_space():
     with pytest.raises(SpaceMismatch):
         halves.member(cantor_point("", "0"))
     assert ones.member(cantor_point("1", "0")) and halves.member(UnitPoint(F(1, 3)))
+
+
+def test_closed_set_refuses_a_piece_of_another_space():
+    with pytest.raises(SpaceMismatch):
+        ClosedSet(UNIT, cylinders=((1,),))
+    with pytest.raises(SpaceMismatch):
+        ClosedSet(CANTOR, singletons=(baire_point((1, 5), (0,)),))
+
+
+_WORD_OR_NOT = st.lists(st.integers(-1, 12), max_size=4).map(tuple)
+
+
+@st.composite
+def _any_point(draw):
+    kind = draw(st.sampled_from([CANTOR, BAIRE, UNIT, "z", "tuple"]))
+    if kind in (CANTOR, BAIRE):
+        return draw(word_points(kind))
+    if kind == UNIT:
+        return UnitPoint(draw(st.fractions(0, 1, max_denominator=8)))
+    if kind == "z":
+        return ZPoint((), 1, draw(st.fractions(0, 2, max_denominator=8)))
+    return draw(_WORD_OR_NOT)
+
+
+_PIECES = st.one_of(
+    st.tuples(st.just("cylinders"), _WORD_OR_NOT),
+    st.tuples(st.just("singletons"), _any_point()),
+    st.tuples(st.just("intervals"), st.tuples(*[st.fractions(F(-1, 2), F(3, 2),
+                                                             max_denominator=4)] * 2)),
+)
+
+
+def _expected_refusal(space, kind, piece):
+    """The exception a piece of this kind must raise on this space, by the
+    rules written out; None for a well-formed piece."""
+    if kind == "cylinders":
+        if space not in (CANTOR, BAIRE):
+            return SpaceMismatch
+        top = 1 if space == CANTOR else math.inf
+        return None if all(0 <= a <= top for a in piece) else ValueError
+    if kind == "singletons":
+        ok = isinstance(piece, WordPoint) and piece.space == space
+        return None if ok else SpaceMismatch
+    if space != UNIT:
+        return SpaceMismatch
+    lo, hi = piece
+    return None if 0 <= lo <= hi <= 1 else ValueError
+
+
+@given(space=st.sampled_from([CANTOR, BAIRE, UNIT, "z"]), kind_piece=_PIECES)
+@settings(max_examples=300, deadline=None)
+def test_closed_set_checks_each_piece(space, kind_piece):
+    kind, piece = kind_piece
+    expected = _expected_refusal(space, kind, piece)
+    if expected is None:
+        closed = ClosedSet(space, **{kind: (piece,)})
+        x = {"cylinders": lambda: WordPoint(space, piece, (0,)),
+             "singletons": lambda: piece, "intervals": lambda: UnitPoint(piece[0])}[kind]()
+        assert closed.member(x)
+        return
+    with pytest.raises(expected) as info:
+        ClosedSet(space, **{kind: (piece,)})
+    assert (info.type is SpaceMismatch) == (expected is SpaceMismatch)
+    assert "\n" not in str(info.value)
 
 
 # ---------------------------------------------------------------------------
