@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from firstreturn import gallery
+from firstreturn.cli import main as cli_main
 from firstreturn.dense_builder import ClosedSet
 from firstreturn.gallery import (
     DECOMP_DEPTH,
@@ -36,7 +37,6 @@ from firstreturn.gallery import (
     x_seq_point,
     z_F_member,
 )
-from firstreturn.cli import main as cli_main
 from firstreturn.path import (
     DenseSequence,
     PastTableIndex,
@@ -321,13 +321,22 @@ def test_cli_recovery_builds_no_decomposition(complement_calls, tmp_path, args):
     assert complement_calls == []
 
 
-def _criterion5_alphas(view25):
-    """The 20 alphas off the Prop-25 list of acceptance criterion 5 (b)."""
+# the (heads, cycles, in G only) grids of acceptance criterion 5's alphas:
+# (b) the 20 off the Prop-25 list, (c) the 20 of those in G
+_CRITERION5_GRIDS = [
+    ([(), (1,), (0,), (1, 1), (0, 1), (0, 0), (1, 0)],
+     [(0, 1), (1, 0, 0), (0, 1, 1), (1, 1, 0, 0), (1, 0)], False),
+    ([(), (0,), (1,), (0, 0), (1, 0), (0, 1), (1, 1), (0, 1, 0)],
+     [(1, 1, 0), (0, 1, 1, 0), (1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 0, 1, 0)], True),
+]
+
+
+def _criterion5_alphas(view25, heads, cycles, in_g_only):
     alphas = []
-    for head in [(), (1,), (0,), (1, 1), (0, 1), (0, 0), (1, 0)]:
-        for cyc in [(0, 1), (1, 0, 0), (0, 1, 1), (1, 1, 0, 0), (1, 0)]:
+    for head in heads:
+        for cyc in cycles:
             pt = WordPoint(CANTOR, head, cyc)
-            if pt not in alphas and not view25.contains(pt):
+            if (in_G(pt) or not in_g_only) and pt not in alphas and not view25.contains(pt):
                 alphas.append(pt)
     return alphas[:20]
 
@@ -365,9 +374,11 @@ def _seeded_sets(seed, count):
 
 
 def test_decomposition_equals_the_eager_one(view25):
-    alphas = _criterion5_alphas(view25)
-    assert len(alphas) == 20
-    cases = [(kind, alpha) for alpha in alphas for kind in ("I16", "I25")]
+    cases = []
+    for grid in _CRITERION5_GRIDS:
+        alphas = _criterion5_alphas(view25, *grid)
+        assert len(alphas) == 20
+        cases += [(kind, alpha) for alpha in alphas for kind in ("I16", "I25")]
     cases += [("indicator", closed) for closed in _seeded_sets(36, 10) + _BAIRE_SETS]
     builders = {"I16": I16, "I25": I25, "indicator": indicator_of}
     for kind, arg in cases:

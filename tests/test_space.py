@@ -462,9 +462,11 @@ def test_closed_set_refuses_another_space():
 
 def test_closed_set_refuses_a_piece_of_another_space():
     with pytest.raises(SpaceMismatch):
-        ClosedSet(UNIT, cylinders=((1,),))
+        ClosedSet(CANTOR, singletons=(baire_point((1,), (0,)),), intervals=((0, 1),))
     with pytest.raises(SpaceMismatch):
-        ClosedSet(CANTOR, singletons=(baire_point((1, 5), (0,)),))
+        ClosedSet(CANTOR, singletons=(baire_point((1,), (0,)),))
+    with pytest.raises(SpaceMismatch):
+        ClosedSet(UNIT, cylinders=((1,),))
 
 
 _WORD_OR_NOT = st.lists(st.integers(-1, 12), max_size=4).map(tuple)
@@ -514,9 +516,12 @@ def test_closed_set_checks_each_piece(space, kind_piece):
     expected = _expected_refusal(space, kind, piece)
     if expected is None:
         closed = ClosedSet(space, **{kind: (piece,)})
-        x = {"cylinders": lambda: WordPoint(space, piece, (0,)),
-             "singletons": lambda: piece, "intervals": lambda: UnitPoint(piece[0])}[kind]()
-        assert closed.member(x)
+        # a point of the piece lies in the set
+        if kind == "cylinders":
+            piece = WordPoint(space, piece, (0,))
+        elif kind == "intervals":
+            piece = UnitPoint(piece[0])
+        assert closed.member(piece)
         return
     with pytest.raises(expected) as info:
         ClosedSet(space, **{kind: (piece,)})
