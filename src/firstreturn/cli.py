@@ -434,7 +434,7 @@ def _run_gallery(cfg: dict, out_dir: Path) -> int:
     from . import gallery
 
     rep = gallery.thm13_demo(horizon=cfg["horizon"])
-    return _emit(out_dir, cfg, rep.as_dict(), ok=rep.found)
+    return _emit(out_dir, cfg, rep, ok=rep["found"])
 
 
 _RUNNERS = {

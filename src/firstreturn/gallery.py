@@ -1,7 +1,9 @@
 """Explicit examples: word predicates, the prime encoding of finite words,
 the induced dense sequence of Cantor space, two two-parameter function
 families, the product sets with clopen sections, and the ultrametric space
-whose closed set defeats first-return recovery.
+whose closed set defeats first-return recovery.  The two families, I16 and
+I25, share one construction, `_s_word_indicator`, with one decomposition
+rule and one depth contract.
 
 The encoding phi maps a finite binary word s to the product of the first
 |s| primes with exponents s(i)+1 (phi of the empty word is 0); it is
@@ -52,7 +54,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import Record
 from .path import (DenseSequence, PastTableIndex, SearchBudgetExceeded, route_step,
                    route_trace)
 from .recover import DISCRETE, RATIONAL, FunctionOracle, _flips_in, recover_at
@@ -333,8 +334,9 @@ def _complement_pieces(avoid: ClosedSet) -> List[ClosedSet]:
     emitted cylinder genuinely misses the set (exact tree oracle); regions
     still meeting it at the depth cap, and Baire cylinders with a larger
     symbol, are left uncovered, so the piece list is sound but only
-    budget-complete.  No piece lies inside one of the set's cylinders, so
-    the search does not descend into them.
+    budget-complete, to the depth contract `_s_word_indicator` states.  No
+    piece lies inside one of the set's cylinders, so the search does not
+    descend into them.
     """
     space, pieces = avoid.space, []
     alphabet = range(2 if space == CANTOR else DECOMP_DEPTH)
@@ -373,51 +375,57 @@ def _singleton(pt: WordPoint) -> ClosedSet:
 DECOMP_DEPTH = 8
 
 
+def _s_word_indicator(fid: str, alpha: WordPoint, suffix: bytes, inside: int) -> FunctionOracle:
+    """`inside` at the points s.0^inf with s in S and s.suffix an initial
+    segment of alpha, and 1 - inside elsewhere: I16 (no suffix, inside 1)
+    and I25 (suffix 1, inside 0).
+
+    The declared decomposition: the first DECOMP_DEPTH such points, in
+    order of |s| and with s.suffix within alpha's first 64 symbols, as
+    singletons under `inside`; the `_complement_pieces` of these listed
+    points and alpha under 1 - inside; and {alpha} under f(alpha) when
+    alpha is not listed.  Its depth contract: every piece holds only points
+    of its value, and a point lies in some piece if it is a listed point,
+    or alpha, or differs from all of them before symbol DECOMP_DEPTH.  (An
+    unlisted point of value `inside` agrees with alpha on DECOMP_DEPTH
+    symbols, so no complement piece holds it.)
+    """
+    outside = 1 - inside
+
+    def ev(beta: WordPoint) -> int:
+        if not is_P_f(beta):
+            return outside
+        # beta.head is pf_decomposition(beta)
+        return inside if alpha.starts_with(beta.head + suffix) else outside
+
+    def decompose():
+        word, tail = alpha.prefix(64), tuple(suffix)
+        listed = [WordPoint(CANTOR, word[:n], (0,)) for n in range(len(word) + 1 - len(tail))
+                  if in_S(word[:n]) and word[n:n + len(tail)] == tail][:DECOMP_DEPTH]
+        avoid = ClosedSet(CANTOR, singletons=tuple(listed) + (alpha,))
+        pieces = {inside: [_singleton(pt) for pt in listed], outside: _complement_pieces(avoid)}
+        if alpha not in listed:
+            pieces[ev(alpha)].append(_singleton(alpha))
+        return pieces
+
+    return FunctionOracle(fid, ev, DISCRETE, decompose, space=CANTOR)
+
+
 def I16(alpha: WordPoint) -> FunctionOracle:
     """Indicator beta -> 1 iff beta = s.0^inf for some s in S below alpha.
 
     The 1-set is {0^inf} plus the points alpha|(n+1).0^inf at the 1s of
     alpha; its only accumulation point is alpha itself, which carries value
-    0 exactly when alpha has infinitely many 1s.
+    0 exactly when alpha has infinitely many 1s.  One construction with
+    I25: see `_s_word_indicator`.
     """
-
-    def ev(beta: WordPoint) -> int:
-        if not is_P_f(beta):
-            return 0
-        return 1 if alpha.starts_with(beta.head) else 0  # pf_decomposition(beta)
-
-    def decompose():
-        word = alpha.prefix(64)
-        ones = [WordPoint(CANTOR, (), (0,))]
-        ones += [WordPoint(CANTOR, word[:n + 1], (0,))
-                 for n in [n for n, bit in enumerate(word) if bit == 1][:DECOMP_DEPTH - 1]]
-        avoid = ClosedSet(CANTOR, singletons=tuple(ones) + (alpha,))
-        zero_pieces = _complement_pieces(avoid)
-        if not is_P_f(alpha):
-            zero_pieces = zero_pieces + [_singleton(alpha)]
-        return {1: [_singleton(pt) for pt in ones], 0: zero_pieces}
-
-    return FunctionOracle(f"I16({alpha})", ev, DISCRETE, decompose, space=CANTOR)
+    return _s_word_indicator(f"I16({alpha})", alpha, b"", 1)
 
 
 def I25(alpha: WordPoint) -> FunctionOracle:
-    """0 iff beta = s.0^inf with s in S and s.1 an initial segment of alpha."""
-
-    def ev(beta: WordPoint) -> int:
-        if not is_P_f(beta):
-            return 1
-        return 0 if alpha.starts_with(beta.head + b"\x01") else 1
-
-    def decompose():
-        word = alpha.prefix(64)
-        zeros = [WordPoint(CANTOR, word[:n], (0,)) for n in _s_before_one(word)[:DECOMP_DEPTH]]
-        avoid = ClosedSet(CANTOR, singletons=tuple(zeros) + (alpha,))
-        return {
-            0: [_singleton(pt) for pt in zeros],
-            1: _complement_pieces(avoid) + [_singleton(alpha)],
-        }
-
-    return FunctionOracle(f"I25({alpha})", ev, DISCRETE, decompose, space=CANTOR)
+    """0 iff beta = s.0^inf with s in S and s.1 an initial segment of alpha.
+    One construction with I16: see `_s_word_indicator`."""
+    return _s_word_indicator(f"I25({alpha})", alpha, b"\x01", 0)
 
 
 def indicator_of(closed: ClosedSet, fid: Optional[str] = None) -> FunctionOracle:
@@ -624,38 +632,10 @@ def density_report(dense: DenseSequence, probes: Sequence[ZPoint],
     return out
 
 
-class Thm13Report(Record):
-    _fields = ("found", "witness", "flips_after", "total_flips", "horizon", "after_step",
-               "candidates", "density", "positive_control", "note")
-    __hash__ = None
-
-    def __init__(self, found: bool, witness: Optional[str], flips_after: int,
-                 total_flips: int, horizon: int, after_step: int,
-                 candidates: Optional[List[dict]] = None,
-                 density: Optional[List[dict]] = None,
-                 positive_control: Optional[dict] = None,
-                 note: str = ("empirical demonstration for one fixed dense sequence; "
-                              "the flip counts are observed values, not a proof")):
-        self.found = found
-        self.witness = witness
-        self.flips_after = flips_after
-        self.total_flips = total_flips
-        self.horizon = horizon
-        self.after_step = after_step
-        self.candidates = [] if candidates is None else candidates
-        self.density = [] if density is None else density
-        self.positive_control = positive_control
-        self.note = note
-
-    def as_dict(self) -> dict:
-        """The fields by name, in field order: the summary `gallery demo-z`
-        writes."""
-        return dict(zip(self._fields, self._key(self)))
-
-
-def thm13_demo(horizon: int = 400) -> Thm13Report:
+def thm13_demo(horizon: int = 400) -> dict:
     """Search proof-shaped candidates for a route trace of 1_F that keeps
-    flipping; returns the best witness found (or an honest failure report)."""
+    flipping; returns the summary `gallery demo-z` writes, with the best
+    witness found (or an honest failure report)."""
     dense = thm13_dense()
     f = z_F_indicator()
     candidates = [
@@ -665,11 +645,12 @@ def thm13_demo(horizon: int = 400) -> Thm13Report:
         ZPoint((), 1, 10),
         dense[0],  # excluded: member of D
     ]
-    report = Thm13Report(False, None, 0, 0, horizon, THM13_AFTER_STEP)
+    report = {"found": False, "witness": None, "flips_after": 0, "total_flips": 0,
+              "horizon": horizon, "after_step": THM13_AFTER_STEP, "candidates": []}
     best = None
     for cand in candidates:
         if dense.contains(cand):
-            report.candidates.append({"x": str(cand), "skipped": "x in D"})
+            report["candidates"].append({"x": str(cand), "skipped": "x in D"})
             continue
         trace = route_trace(cand, dense, horizon)
         values = trace.values_under(f)
@@ -678,16 +659,16 @@ def thm13_demo(horizon: int = 400) -> Thm13Report:
                  "terminated": trace.terminated,
                  "flips_after": fa, "total_flips": _flips_in(values),
                  "in_F": z_F_member(cand)}
-        report.candidates.append(entry)
+        report["candidates"].append(entry)
         if best is None or fa > best[0]:
             best = (fa, cand, values)
     if best and best[0] >= THM13_FLIP_THRESHOLD:
-        report.found = True
-        report.witness = str(best[1])
-        report.flips_after = best[0]
-        report.total_flips = _flips_in(best[2])
-    report.density = density_report(dense, _density_probes(), (1, 2, 3))
-    report.positive_control = _cantor_positive_control()
+        report.update(found=True, witness=str(best[1]), flips_after=best[0],
+                      total_flips=_flips_in(best[2]))
+    report["density"] = density_report(dense, _density_probes(), (1, 2, 3))
+    report["positive_control"] = _cantor_positive_control()
+    report["note"] = ("empirical demonstration for one fixed dense sequence; "
+                      "the flip counts are observed values, not a proof")
     return report
 
 

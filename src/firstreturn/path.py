@@ -55,7 +55,7 @@ Every dense source D, whatever holds its terms, keeps one contract:
   alphabet; a term whose index lies past the table it can count is
   answered with a `PastTableIndex` marker in place of the index.
 
-No caller reads `len()` of a source: an unbounded one has none.  The
+No library code reads `len()` of a source: an unbounded one has none.  The
 sources are the list `DenseSequence`, which answers from an index built on
 first use, and the closed-form `gallery.Prop25Sequence`, unbounded or as
 the bounded view `gallery.prop25_dense()` of the terms its table counts.

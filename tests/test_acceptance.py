@@ -623,11 +623,11 @@ def test_criterion_9_thm13_demo():
     t0 = time.monotonic()
     rep = thm13_demo(horizon=400)
     elapsed = time.monotonic() - t0
-    detail = (f"witness {rep.witness} with {rep.flips_after} flips after "
+    detail = (f"witness {rep['witness']} with {rep['flips_after']} flips after "
               f"step 50 at horizon 400 ({elapsed:.1f}s < 120s)")
-    if not rep.found:
-        detail = f"no witness; search log: {rep.candidates}"
-    crit(9, rep.found and rep.flips_after >= 5 and elapsed < 120.0, detail)
+    if not rep["found"]:
+        detail = f"no witness; search log: {rep['candidates']}"
+    crit(9, rep["found"] and rep["flips_after"] >= 5 and elapsed < 120.0, detail)
 
 
 # ---------------------------------------------------------------------------

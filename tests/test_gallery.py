@@ -7,6 +7,7 @@ import pytest
 from firstreturn import gallery
 from firstreturn.cli import main as cli_main
 from firstreturn.dense_builder import ClosedSet
+from firstreturn.ebc1 import cover_from_function, delta_from_cover
 from firstreturn.gallery import (
     DECOMP_DEPTH,
     E24_member,
@@ -15,7 +16,6 @@ from firstreturn.gallery import (
     I25,
     PSI_MAX_LEN,
     PsiBudgetExceeded,
-    Thm13Report,
     density_report,
     default_table,
     e24_section_size,
@@ -390,6 +390,37 @@ def test_decomposition_equals_the_eager_one(view25):
 
 
 # ---------------------------------------------------------------------------
+# the depth contract of the S-word indicators I16 and I25
+# ---------------------------------------------------------------------------
+
+# every eventually periodic Cantor point with a head of at most 9 symbols
+# and a cycle of at most 2: 2,048 distinct points
+_SHORT_POINTS = list(dict.fromkeys(
+    WordPoint(CANTOR, head, cycle)
+    for k in range(10) for head in itertools.product((0, 1), repeat=k)
+    for m in (1, 2) for cycle in itertools.product((0, 1), repeat=m)))
+
+
+# 1^inf; 1^8.0^inf, whose 1-set under I16 has more points than the
+# decomposition lists, alpha the last of them; (110)^inf; 0^12 1.1^inf
+@pytest.mark.parametrize("alpha", [CP("", "1"), CP("11111111", "0"), CP("", "110"),
+                                   CP("0" * 12 + "1", "1")], ids=str)
+@pytest.mark.parametrize("build", [I16, I25], ids=["I16", "I25"])
+def test_s_word_indicator_keeps_its_depth_contract(build, alpha):
+    assert len(_SHORT_POINTS) == 2048
+    f = build(alpha)
+    pieces = [(value, piece) for value, group in f.decomposition.items() for piece in group]
+    # the listed points, alpha among the anchors whether listed or not
+    anchors = [pt for _, piece in pieces for pt in piece.singletons] + [alpha]
+    for beta in _SHORT_POINTS:
+        held = [value for value, piece in pieces if piece.member(beta)]
+        assert all(value == f(beta) for value in held), (beta, held)
+        if beta in anchors or all(beta.first_difference(a) < DECOMP_DEPTH for a in anchors):
+            assert held, beta
+    delta_from_cover(cover_from_function(f, F(1, 2)), alpha)  # alpha is covered
+
+
+# ---------------------------------------------------------------------------
 # complement pieces, against brute force
 # ---------------------------------------------------------------------------
 
@@ -524,10 +555,10 @@ def test_density_report_records_a_budget_stop():
 
 def test_thm13_demo_small_horizon_still_flips():
     rep = thm13_demo(horizon=150)
-    assert isinstance(rep, Thm13Report)
-    assert rep.found and rep.flips_after >= 5
-    assert any(c.get("skipped") == "x in D" for c in rep.candidates)
-    assert rep.positive_control["verdict"].startswith("converged")
+    assert isinstance(rep, dict)
+    assert rep["found"] and rep["flips_after"] >= 5
+    assert any(c.get("skipped") == "x in D" for c in rep["candidates"])
+    assert rep["positive_control"]["verdict"].startswith("converged")
 
 
 def test_thm13_ladder_membership_alternates():

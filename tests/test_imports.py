@@ -9,7 +9,8 @@ toolchain, so the check reads the source with ast.
 The same reading guards against dead definitions: every module-level
 function, class and constant of the package, and every method that is not a
 dunder, is named somewhere in src/, tests/ or bench/ outside its own
-definition, and no module reads len() of a dense source.  It also holds
+definition; the ones that only tests name are exactly a written keep list;
+and no module reads len() of a dense source.  It also holds
 the package modules each module imports at import time to one table, so a
 new import edge is added on purpose."""
 
@@ -210,6 +211,49 @@ def test_a_definition_named_only_by_itself_is_dead():
                                    "    def __len__(self):\n        return 0\n"),
              "bench/t.py": ast.parse("TARGETS = ('C.used',)\n")}
     assert _dead(trees) == [("src/m.py", "J"), ("src/m.py", "rec")]
+
+
+# The definitions of the package that only tests name, each with the reason
+# it stays in src/.  A new one fails the check below: move it to
+# tests/oracles.py, give it a library reader, or add it here with a reason.
+_TEST_ONLY_KEEP = {
+    "approximates_check": "the builder's approximation check: path terms outside F",
+    "in_closure_O": "a value's membership in the closure of O_k, of a G-delta witness",
+    "gdelta_witness": "the level-k G-delta witness of a closed value set",
+    "evaluation_map": "the truncated evaluation map I(f); ROADMAP item 18 gives it a CLI use",
+    "psi_inv": "the inverse of the S-word enumeration psi",
+    "E24_member": "membership in the product set E24",
+    "E27_member": "membership in the product set E27",
+    "e24_section_size": "E24's section at alpha, finite iff alpha is outside G",
+    "prop12_distance": "the distances of the prop12 points on Z, decreasing to 1/2",
+    "prop12_expected": "the closed form of prop12_distance",
+    "rank_Lf": "the rank L(f), the sup over threshold pairs",
+    "chain_from_diff": "the rank chain of a difference form",
+    "index_of_word": "a word's index in the good basis; ROADMAP item 3 may read it",
+}
+
+
+def _test_only(trees):
+    """Definitions of the package that nothing outside them and tests names."""
+    return _dead({module: tree for module, tree in trees.items()
+                  if not module.startswith("tests/")})
+
+
+def test_only_the_keep_list_is_named_only_by_tests():
+    trees = {p.relative_to(ROOT).as_posix(): ast.parse(p.read_text())
+             for top in ("src", "tests", "bench") for p in sorted((ROOT / top).rglob("*.py"))}
+    assert sorted(name for _, name in _test_only(trees)) == sorted(_TEST_ONLY_KEEP)
+
+
+def test_a_definition_named_only_by_tests_is_found():
+    trees = {"src/m.py": ast.parse("def lib():\n    return C()\n"
+                                   "def checked():\n    pass\n"
+                                   "class C:\n    def probe(self):\n        pass\n"),
+             "tests/test_m.py": ast.parse("from m import checked, lib\n"
+                                          "checked()\nlib().probe()\n"),
+             "bench/b.py": ast.parse("TARGETS = ('m.lib',)\n")}
+    assert _dead(trees) == []
+    assert _test_only(trees) == [("src/m.py", "checked"), ("src/m.py", "probe")]
 
 
 def _len_reads(tree):

@@ -11,7 +11,6 @@ import pytest
 from firstreturn import Record
 from firstreturn.dense_builder import ClosedSet, StagedDense
 from firstreturn.ebc1 import ClosedCover, DeltaResult
-from firstreturn.gallery import Thm13Report
 from firstreturn.path import DenseSequence, PastTableIndex, PathTrace, TraceStep
 from firstreturn.rank import DiffForm, FiniteAlgebra, RankChain, RankResult
 from firstreturn.recover import (DISCRETE, RATIONAL, FunctionOracle, GdeltaWitness,
@@ -89,12 +88,6 @@ CASES = [
     (DeltaResult, lambda: (DeltaResult(X, 0, Dist.infinity()), DeltaResult(X, 0, Dist("inf"))),
      "DeltaResult(x=WordPoint(space='cantor', head=b'\\x01', cycle=b'\\x00'), index=0, "
      "delta=Dist(kind='inf', value=None))"),
-    (Thm13Report, lambda: (Thm13Report(False, None, 0, 0, 10, 3),
-                           Thm13Report(False, None, 0, 0, 10, 3, [], [])),
-     "Thm13Report(found=False, witness=None, flips_after=0, total_flips=0, horizon=10, "
-     "after_step=3, candidates=[], density=[], positive_control=None, "
-     "note='empirical demonstration for one fixed dense sequence; the flip counts are "
-     "observed values, not a proof')"),
     (FiniteAlgebra, lambda: (FiniteAlgebra(2), FiniteAlgebra(2)), "FiniteAlgebra(n=2)"),
     (RankChain, lambda: (RankChain(A2, (0, 15), 1, 2), RankChain(FiniteAlgebra(2), (0, 15), 1, 2)),
      "RankChain(algebra=FiniteAlgebra(n=2), sets=(0, 15), A=1, B=2)"),
@@ -108,7 +101,7 @@ CASES = [
 # the classes that were plain (not frozen) dataclasses: callers fill or
 # change them after construction
 MUTABLE = {TraceStep, PathTrace, StagedDense, FunctionOracle, Verdict, RecoveryResult,
-           GdeltaWitness, ClosedCover, DeltaResult, Thm13Report, RankResult}
+           GdeltaWitness, ClosedCover, DeltaResult, RankResult}
 
 
 @pytest.mark.parametrize("cls,pair,text", CASES, ids=[c[0].__name__ for c in CASES])
@@ -134,7 +127,7 @@ def test_record_behaves_as_its_dataclass(cls, pair, text):
 
 def test_every_record_class_is_covered():
     assert {c[0] for c in CASES} == set(Record.__subclasses__()) >= MUTABLE
-    assert len(CASES) == 22
+    assert len(CASES) == 21
 
 
 def test_function_oracle_space_is_keyword_only():
