@@ -356,25 +356,25 @@ def _run_rank(cfg: dict, out_dir: Path) -> int:
     except ValueError as exc:
         raise ConfigError(f"rank: {exc}") from None
     try:
-        res = rank.rank_LAB(algebra, A, B)
+        chain = rank.rank_LAB(algebra, A, B)
     except rank.NotDisjoint:
         raise ConfigError("A and B must be disjoint") from None
     summary = {
         "n": n,
         "A": algebra.format_atoms(A),
         "B": algebra.format_atoms(B),
-        "beta_min": res.beta,
-        "witness_chain": [algebra.format_atoms(g) for g in res.chain.sets],
+        "beta_min": chain.beta,
+        "witness_chain": [algebra.format_atoms(g) for g in chain.sets],
     }
     if cfg.get("diff") in (True, "true", "1"):
         if (A | B) != algebra.full:
             summary["diff_form"] = "unavailable: pair is not complementary"
         else:
-            form = rank.diff_from_chain(res.chain)
+            form = rank.diff_from_chain(chain)
             summary["diff_form"] = [algebra.format_atoms(u) for u in form.opens]
             summary["diff_evaluates_to"] = algebra.format_atoms(rank.d_xi_eval(form))
-    lines = [f"L(A,B) = {res.beta}",
-             "chain: " + " < ".join(algebra.format_atoms(g) for g in res.chain.sets)]
+    lines = [f"L(A,B) = {chain.beta}",
+             "chain: " + " < ".join(algebra.format_atoms(g) for g in chain.sets)]
     _write(out_dir, "rank.txt", "\n".join(lines) + "\n")
     return _emit(out_dir, cfg, summary, ok=True)
 
@@ -402,8 +402,7 @@ def _run_ebc1(cfg: dict, out_dir: Path) -> int:
     uncovered = cover.uncovered(probes)
     while len(pairs) < n_pairs:
         x, xp = rand_point(), rand_point()
-        if any(g.member(x) for g in cover.pieces) and \
-           any(g.member(xp) for g in cover.pieces):
+        if not cover.uncovered((x, xp)):
             pairs.append((x, xp))
     report = ebc1.ebc1_check(family, cover, pairs)
     report["uncovered_probes"] = [str(p) for p in uncovered]

@@ -3,9 +3,11 @@ closed cover and the oscillation check it controls.
 
 Given an ordered cover (G_0, ..., G_{M-1}) by closed pieces on which every
 function of the family has small image diameter, the gauge at x is the
-exact distance from x to the union of the pieces preceding the first one
-containing x (an infinity sentinel when that union is empty: the gauge
-must be strictly positive, and the sentinel wins every min comparison).
+pair (m, delta) of `delta_from_cover`: m = m(x) is the index of the first
+piece containing x, and delta = delta(x) the exact distance from x to the
+union of the pieces before it (an infinity sentinel when that union is
+empty: the gauge must be strictly positive, and the sentinel wins every
+min comparison).
 Whenever two points are closer than both their gauge values, neither can
 lie in the other's earlier union, so their first-cover indices agree and
 both sit in the same piece; the family's oscillation between them is then
@@ -46,24 +48,14 @@ class ClosedCover(Record):
         return [p for p in probes if not any(g.member(p) for g in self.pieces)]
 
 
-class DeltaResult(Record):
-    _fields = ("x", "index", "delta")
-    __hash__ = None
-
-    def __init__(self, x: PointCode, index: int, delta: Dist):
-        self.x = x
-        self.index = index  # m^eps(x): least cover index containing x
-        self.delta = delta  # distance to the union of earlier pieces; infinite if none
-
-
-def delta_from_cover(cover: ClosedCover, x: PointCode) -> DeltaResult:
+def delta_from_cover(cover: ClosedCover, x: PointCode) -> Tuple[int, Dist]:
+    """The gauge (m, delta) at x: m = m^eps(x), the least index of a piece
+    holding x, and delta the distance to the union of the earlier pieces
+    (infinite if there are none)."""
     m = next((i for i, g in enumerate(cover.pieces) if g.member(x)), None)
     if m is None:
         raise CoverViolation(f"cover violation at {x}")
-    if m == 0:
-        return DeltaResult(x, 0, Dist.infinity())
-    delta = min(cover.pieces[r].dist(x) for r in range(m))
-    return DeltaResult(x, m, delta)
+    return m, min((cover.pieces[r].dist(x) for r in range(m)), default=Dist.infinity())
 
 
 def ebc1_check(family: Sequence[FunctionOracle], cover: ClosedCover,
@@ -79,17 +71,17 @@ def ebc1_check(family: Sequence[FunctionOracle], cover: ClosedCover,
     violations: List[dict] = []
     constrained = 0
     for x, xp in pairs:
-        dx, dxp = delta_from_cover(cover, x), delta_from_cover(cover, xp)
+        (m, delta), (mp, deltap) = delta_from_cover(cover, x), delta_from_cover(cover, xp)
         d = dist(x, xp)
-        if not d < min(dx.delta, dxp.delta):
+        if not d < min(delta, deltap):
             continue
         constrained += 1
         problems = []
-        if dx.index != dxp.index:
-            problems.append(f"indices differ: {dx.index} vs {dxp.index}")
-        if any(cover.pieces[r].member(xp) for r in range(dx.index)):
+        if m != mp:
+            problems.append(f"indices differ: {m} vs {mp}")
+        if any(cover.pieces[r].member(xp) for r in range(m)):
             problems.append("x' meets an earlier piece of x")
-        if any(cover.pieces[r].member(x) for r in range(dxp.index)):
+        if any(cover.pieces[r].member(x) for r in range(mp)):
             problems.append("x meets an earlier piece of x'")
         for f in family:
             osc = y_distance(f.y_kind, f(x), f(xp))

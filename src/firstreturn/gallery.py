@@ -483,7 +483,9 @@ def ebc1_cover(name: str) -> Tuple[ebc1.ClosedCover, List[FunctionOracle]]:
         co_step = FunctionOracle("co-step", lambda p: 0 if p.value >= F(1, 2) else 1,
                                  DISCRETE, space=UNIT)
         return ebc1.ClosedCover(F(1, 2), pieces), [step, co_step]
-    # cantor-bits: the pieces N(0), N(1) of the indicator of N(1)
+    if name != "cantor-bits":
+        raise ValueError(f"unknown cover {name!r}: use unit-halves, unit-step or cantor-bits")
+    # the pieces N(0), N(1) of the indicator of N(1)
     one = indicator_of(ClosedSet(CANTOR, cylinders=((1,),), name="N(1)"), "1_N(1)")
     cover = ebc1.cover_from_function(one, F(1, 2))
     return cover, [one, indicator_of(cover.pieces[0], "1_N(0)")]
@@ -660,11 +662,11 @@ def thm13_demo(horizon: int = 400) -> dict:
                  "flips_after": fa, "total_flips": _flips_in(values),
                  "in_F": z_F_member(cand)}
         report["candidates"].append(entry)
-        if best is None or fa > best[0]:
-            best = (fa, cand, values)
-    if best and best[0] >= THM13_FLIP_THRESHOLD:
-        report.update(found=True, witness=str(best[1]), flips_after=best[0],
-                      total_flips=_flips_in(best[2]))
+        if best is None or fa > best["flips_after"]:
+            best = entry
+    if best and best["flips_after"] >= THM13_FLIP_THRESHOLD:
+        report.update(found=True, witness=best["x"], flips_after=best["flips_after"],
+                      total_flips=best["total_flips"])
     report["density"] = density_report(dense, _density_probes(), (1, 2, 3))
     report["positive_control"] = _cantor_positive_control()
     report["note"] = ("empirical demonstration for one fixed dense sequence; "

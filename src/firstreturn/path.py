@@ -83,6 +83,7 @@ from .space import (
     ZPoint,
     common_space,
     dist,
+    good_basis,
 )
 
 PATH = "path"
@@ -563,8 +564,13 @@ def _term_dist(x: PointCode, pt: PointCode, prev: Dist) -> Dist:
     return dist(x, pt)
 
 
-def path_trace(x: PointCode, dense: DenseSequence, basis: GoodBasis, N: int) -> PathTrace:
-    """Path-mode trace of length <= N with witnesses."""
+def path_trace(x: PointCode, dense: DenseSequence, basis: Optional[GoodBasis],
+               N: int) -> PathTrace:
+    """Path-mode trace of length <= N with witnesses.  A basis of None means
+    the space's `good_basis` (NoGoodBasis on Z)."""
+    if basis is None:
+        basis = good_basis(x.space)
+
     def step(steps: List[TraceStep]):
         p, pt, steps[-1].witness = path_step(x, dense, steps, basis)
         return p, pt, _term_dist(x, pt, steps[-1].dist_to_x)

@@ -4,7 +4,8 @@ The ambient space is Cantor space truncated at depth n: atoms are the 2^n
 words of that length and every atom set is (cl)open.  For disjoint atom
 sets A and B, a rank chain is an increasing sequence of opens from the
 empty set to everything whose successive differences each miss A or miss
-B; L(A, B) is the least possible top index.  The finite difference
+B; L(A, B) is the least possible top index.  `rank_LAB` returns a chain of
+least top index, whose `beta` is L(A, B).  The finite difference
 operator D_xi of an increasing open sequence, the chain built from a
 difference form, and the converse construction extracting a separating
 difference form from a chain are implemented exactly as finite-index
@@ -75,6 +76,11 @@ class RankChain(Record):
         self.A = A
         self.B = B
 
+    @property
+    def beta(self) -> int:
+        """The top index of G_0 < ... < G_beta; L(A, B) for a minimal chain."""
+        return len(self.sets) - 1
+
 
 def chain_violations(chain: RankChain) -> List[str]:
     if chain.A & chain.B:
@@ -107,22 +113,12 @@ def is_valid_chain(chain: RankChain) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class RankResult(Record):
-    _fields = ("beta", "chain")
-    __hash__ = None
-
-    def __init__(self, beta: int, chain: RankChain):
-        self.beta = beta
-        self.chain = chain
-
-
-def rank_LAB(algebra: FiniteAlgebra, A: int, B: int) -> RankResult:
-    """Minimal chain top index with a witness chain (closed form above)."""
+def rank_LAB(algebra: FiniteAlgebra, A: int, B: int) -> RankChain:
+    """A chain of least top index, whose `beta` is L(A, B) (closed form above)."""
     if A & B:
         raise NotDisjoint("not disjoint")
     full = algebra.full
-    sets = (0, full & ~A, full) if A and B else (0, full)
-    return RankResult(len(sets) - 1, RankChain(algebra, sets, A, B))
+    return RankChain(algebra, (0, full & ~A, full) if A and B else (0, full), A, B)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +136,7 @@ def sublevel_sets(values: Sequence[Fraction], a: Fraction, b: Fraction) -> Tuple
     return A, B
 
 
-def rank_Lfab(algebra: FiniteAlgebra, values: Sequence[Fraction], a, b) -> RankResult:
+def rank_Lfab(algebra: FiniteAlgebra, values: Sequence[Fraction], a, b) -> RankChain:
     """L(f, a, b) = L({f <= a}, {f >= b}) for an atom-valued rational f."""
     a, b = Fraction(a), Fraction(b)
     if a >= b:
@@ -165,8 +161,8 @@ def rank_Lf(algebra: FiniteAlgebra, values: Sequence[Fraction]) -> dict:
     if len(distinct) < 2:
         return {"L": 1}
     lo, hi = distinct[0], distinct[1]
-    res = rank_Lfab(algebra, values, lo + (hi - lo) / 4, lo + 3 * (hi - lo) / 4)
-    return {"L": res.beta}
+    chain = rank_Lfab(algebra, values, lo + (hi - lo) / 4, lo + 3 * (hi - lo) / 4)
+    return {"L": chain.beta}
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +225,7 @@ def diff_from_chain(chain: RankChain) -> DiffForm:
     violations = chain_violations(chain)
     if violations:
         raise ValueError(f"invalid input chain: {violations}")
-    top = len(chain.sets) - 1
+    top = chain.beta
     xi_prime = top if top % 2 == 1 else top + 1
     G = list(chain.sets) + [algebra.full] * (xi_prime - top)
     opens: List[int] = []

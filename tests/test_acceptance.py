@@ -453,7 +453,7 @@ def test_criterion_6_rank_module():
         for A, B in _disjoint_pairs(n):
             res = rank_LAB(algebra, A, B)
             beta, chain = brute_force_min_chain(algebra, A, B)
-            assert is_valid_chain(res.chain) and is_valid_chain(chain)
+            assert is_valid_chain(res) and is_valid_chain(chain)
             agree += res.beta == beta
             total += 1
     rng = random.Random(42)

@@ -27,6 +27,7 @@ from firstreturn.cli import (
     run_config,
     validate_config,
 )
+from firstreturn.gallery import ebc1_cover
 from firstreturn.path import PATH, ROUTE
 
 
@@ -586,6 +587,10 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path, args, loaded):
 def test_literal_choices_match_their_sources():
     assert _KEYS["recover"]["mode"] == ((PATH, ROUTE), PATH)
     assert _KEYS["build-dense"]["family"][0] == tuple(builder_families())
+    covers = _KEYS["ebc1"]["cover"][0]
+    assert len({repr(ebc1_cover(name)[0]) for name in covers}) == len(covers)
+    with pytest.raises(ValueError, match="unit-halves, unit-step or cantor-bits"):
+        ebc1_cover("no-such-cover")
 
 
 # ---------------------------------------------------------------------------

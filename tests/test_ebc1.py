@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -6,16 +7,16 @@ from firstreturn.dense_builder import ClosedSet, whole_space
 from firstreturn.ebc1 import (
     ClosedCover,
     CoverViolation,
-    DeltaResult,
     cover_from_function,
     delta_from_cover,
     ebc1_check,
 )
-from firstreturn.gallery import indicator_of
+from firstreturn.gallery import I16, I25, indicator_of
 from firstreturn.recover import DISCRETE, RATIONAL, FunctionOracle
-from firstreturn.space import CANTOR, UNIT, Dist, SpaceMismatch, UnitPoint, cantor_point
+from firstreturn.space import (CANTOR, UNIT, Dist, SpaceMismatch, UnitPoint, WordPoint,
+                               cantor_point)
 
-from oracles import piece_image_diameter
+from oracles import gauge_by_prefix_walk, piece_image_diameter
 
 HALVES = ClosedCover(F(1, 3), [
     ClosedSet(UNIT, intervals=((F(0), F(1, 2)),), name="[0,1/2]"),
@@ -33,19 +34,19 @@ def u(v):
 
 
 def test_delta_second_piece_distance():
-    res = delta_from_cover(HALVES, u((3, 5)))
-    assert res.index == 1
-    assert res.delta.as_fraction() == F(1, 10)
+    m, delta = delta_from_cover(HALVES, u((3, 5)))
+    assert m == 1
+    assert delta.as_fraction() == F(1, 10)
 
 
 def test_delta_first_piece_is_infinite():
-    res = delta_from_cover(HALVES, u((3, 10)))
-    assert res.index == 0 and res.delta == Dist.infinity()
+    m, delta = delta_from_cover(HALVES, u((3, 10)))
+    assert m == 0 and delta == Dist.infinity()
 
 
 def test_delta_boundary_point_takes_least_index():
-    res = delta_from_cover(HALVES, u((1, 2)))
-    assert res.index == 0 and res.delta == Dist.infinity()
+    m, delta = delta_from_cover(HALVES, u((1, 2)))
+    assert m == 0 and delta == Dist.infinity()
 
 
 def test_cover_takes_its_space_from_its_pieces():
@@ -108,8 +109,8 @@ def test_consistency_checks_fire_under_a_broken_gauge(monkeypatch):
     # a gauge that keeps the true index but reports an infinite delta lets
     # 3/10 (piece 0) and 7/10 (piece 1) count as close; the family moves by
     # 1/5 < eps there, so only the index and earlier-piece checks can fire
-    monkeypatch.setattr("firstreturn.ebc1.delta_from_cover", lambda cover, x: DeltaResult(
-        x, delta_from_cover(cover, x).index, Dist.infinity()))
+    monkeypatch.setattr("firstreturn.ebc1.delta_from_cover", lambda cover, x: (
+        delta_from_cover(cover, x)[0], Dist.infinity()))
     rep = ebc1_check(_FAMILY, HALVES, [(u((3, 10)), u((7, 10))), (u((7, 10)), u((3, 10)))])
     assert rep["constrained"] == 2 and not rep["ok"]
     assert [v["problems"] for v in rep["violations"]] == [
@@ -154,6 +155,45 @@ def test_cover_from_singleton_indicator():
 def test_cover_requires_decomposition():
     with pytest.raises(CoverViolation):
         cover_from_function(FunctionOracle("anon", lambda p: 0, space=CANTOR), F(1, 2))
+
+
+# 1^inf; 1^8.0^inf; (110)^inf; 0^12 1.1^inf
+_ALPHAS = [cantor_point("", "1"), cantor_point("11111111", "0"), cantor_point("", "110"),
+           cantor_point("0" * 12 + "1", "1")]
+
+
+def _points_near(alpha, rng, count):
+    """Seeded eventually periodic points, half of them leaving alpha after
+    a random prefix of it, the others anywhere."""
+    points = [alpha]
+    for i in range(count):
+        if i % 2:
+            k = rng.randrange(16)
+            head = alpha.prefix(k) + (1 - alpha.prefix(k + 1)[k],)
+        else:
+            head = ()
+        head += tuple(rng.randrange(2) for _ in range(rng.randrange(6)))
+        points.append(WordPoint(CANTOR, head, tuple(rng.randrange(2)
+                                                    for _ in range(rng.randrange(1, 3)))))
+    return points
+
+
+@pytest.mark.parametrize("build", [I16, I25], ids=["I16", "I25"])
+def test_gauge_on_word_covers_matches_the_prefix_walk(build):
+    # points near alpha that agree with it on DECOMP_DEPTH symbols may be
+    # uncovered by design; the gauge is compared at the covered ones
+    rng = random.Random(38)
+    first_piece = later_piece = 0
+    for alpha in _ALPHAS:
+        cover = cover_from_function(build(alpha), F(1, 2))
+        points = [x for x in _points_near(alpha, rng, 60) if not cover.uncovered([x])]
+        assert alpha in points and len(points) >= 30
+        for x in points:
+            m, delta = delta_from_cover(cover, x)
+            assert (m, delta) == gauge_by_prefix_walk(cover.pieces, x), str(x)
+            first_piece += m == 0
+            later_piece += m > 0
+    assert first_piece >= 1 and later_piece >= 120
 
 
 def test_gauge_controls_family_from_cover():

@@ -40,8 +40,10 @@ from firstreturn.space import (
     good_basis,
     parse_point,
 )
+from firstreturn.cli import dyadic_dense
 from firstreturn.dense_builder import ClosedSet, build_dense
 from firstreturn.gallery import thm13_dense, thm13_target, z_F_member
+from firstreturn.recover import RATIONAL, FunctionOracle, recover_at
 
 from oracles import ZBall
 
@@ -199,6 +201,17 @@ def test_unit_path_point_in_dense_fixes(dyadics, unit_basis):
     tr = path_trace(x, dyadics, unit_basis, 16)
     assert tr.steps[-1].point == x
     assert witness_violations(tr) == []
+
+
+def test_unit_path_with_no_basis_takes_the_good_basis():
+    # f(x) = x at 1/3: given no basis, path mode on [0,1] traces as it does
+    # with the space's one good basis, directly and through recover_at
+    x, dense = UnitPoint(F(1, 3)), dyadic_dense(6)
+    tr = path_trace(x, dense, good_basis(UNIT), 16)
+    assert any(s.witness is not None for s in tr.steps)
+    assert path_trace(x, dense, None, 16) == tr
+    f = FunctionOracle("x", lambda p: p.value, RATIONAL, space=UNIT)
+    assert recover_at(f, x, dense, PATH, 16).trace == tr
 
 
 def same_steps(a, b):

@@ -82,7 +82,7 @@ def test_rank_empty_side_is_one():
 def test_rank_opposing_singletons_is_two():
     res = rank_LAB(A1, 0b01, 0b10)
     assert res.beta == 2
-    assert is_valid_chain(res.chain)
+    assert is_valid_chain(res)
 
 
 def test_rank_matches_brute_force_exhaustively_n1():
@@ -358,4 +358,4 @@ def test_greedy_agreement_sampled_n3():
                 B |= 1 << atom
         res = rank_LAB(algebra, A, B)
         assert res.beta == brute_force_min_chain(algebra, A, B)[0]
-        assert is_valid_chain(res.chain)
+        assert is_valid_chain(res)

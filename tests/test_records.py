@@ -10,9 +10,9 @@ import pytest
 
 from firstreturn import Record
 from firstreturn.dense_builder import ClosedSet, StagedDense
-from firstreturn.ebc1 import ClosedCover, DeltaResult
+from firstreturn.ebc1 import ClosedCover
 from firstreturn.path import DenseSequence, PastTableIndex, PathTrace, TraceStep
-from firstreturn.rank import DiffForm, FiniteAlgebra, RankChain, RankResult
+from firstreturn.rank import DiffForm, FiniteAlgebra, RankChain
 from firstreturn.recover import (DISCRETE, RATIONAL, FunctionOracle, GdeltaWitness,
                                  RecoveryResult, Verdict)
 from firstreturn.space import (CANTOR, UNIT, Cylinder, Dist, RationalInterval, UnitPoint,
@@ -85,15 +85,9 @@ CASES = [
                            ClosedCover(F(1, 2), [ClosedSet(UNIT, intervals=((F(0), F(1)),))])),
      "ClosedCover(eps=Fraction(1, 2), pieces=[ClosedSet(space='unit', cylinders=(), "
      "singletons=(), intervals=((Fraction(0, 1), Fraction(1, 1)),), name='')])"),
-    (DeltaResult, lambda: (DeltaResult(X, 0, Dist.infinity()), DeltaResult(X, 0, Dist("inf"))),
-     "DeltaResult(x=WordPoint(space='cantor', head=b'\\x01', cycle=b'\\x00'), index=0, "
-     "delta=Dist(kind='inf', value=None))"),
     (FiniteAlgebra, lambda: (FiniteAlgebra(2), FiniteAlgebra(2)), "FiniteAlgebra(n=2)"),
     (RankChain, lambda: (RankChain(A2, (0, 15), 1, 2), RankChain(FiniteAlgebra(2), (0, 15), 1, 2)),
      "RankChain(algebra=FiniteAlgebra(n=2), sets=(0, 15), A=1, B=2)"),
-    (RankResult, lambda: (RankResult(1, RankChain(A2, (0, 15), 1, 0)),
-                          RankResult(1, RankChain(A2, (0, 15), 1, 0))),
-     "RankResult(beta=1, chain=RankChain(algebra=FiniteAlgebra(n=2), sets=(0, 15), A=1, B=0))"),
     (DiffForm, lambda: (DiffForm(A2, (1, 3)), DiffForm(A2, (1, 3))),
      "DiffForm(algebra=FiniteAlgebra(n=2), opens=(1, 3))"),
 ]
@@ -101,7 +95,7 @@ CASES = [
 # the classes that were plain (not frozen) dataclasses: callers fill or
 # change them after construction
 MUTABLE = {TraceStep, PathTrace, StagedDense, FunctionOracle, Verdict, RecoveryResult,
-           GdeltaWitness, ClosedCover, DeltaResult, RankResult}
+           GdeltaWitness, ClosedCover}
 
 
 @pytest.mark.parametrize("cls,pair,text", CASES, ids=[c[0].__name__ for c in CASES])
@@ -127,7 +121,7 @@ def test_record_behaves_as_its_dataclass(cls, pair, text):
 
 def test_every_record_class_is_covered():
     assert {c[0] for c in CASES} == set(Record.__subclasses__()) >= MUTABLE
-    assert len(CASES) == 21
+    assert len(CASES) == 19
 
 
 def test_function_oracle_space_is_keyword_only():
