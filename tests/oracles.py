@@ -60,16 +60,17 @@ def piece_image_diameter(f: FunctionOracle, piece: ClosedSet,
     return worst
 
 
-def gauge_by_prefix_walk(pieces: Sequence[ClosedSet], x: PointCode,
-                         limit: int = 4096) -> Tuple[int, Dist]:
+def gauge_by_prefix_walk(pieces: Sequence[ClosedSet], x: PointCode) -> Tuple[int, Dist]:
     """The EBC1 gauge (m, delta) at a word point, by its definition: m is the
     first piece whose `member` holds, and delta is 2^-n for the largest n at
     which some earlier piece still `hits` x|n, found by walking the prefixes
     up from n = 0; infinite when no earlier piece hits the empty prefix, as
-    when m = 0.  It reads no `dist`."""
+    when m = 0.  It reads no `dist`.  x lies off every earlier closed piece,
+    so the walk ends; the bound turns a faulty `member` or `hits` into an
+    error in place of a hang."""
     m = next(i for i, piece in enumerate(pieces) if piece.member(x))
     earlier = pieces[:m]
-    n = next(n for n in range(limit) if not any(piece.hits(x.prefix(n)) for piece in earlier))
+    n = next(n for n in range(4096) if not any(piece.hits(x.prefix(n)) for piece in earlier))
     return m, Dist.infinity() if n == 0 else Dist.pow2(n - 1)
 
 
