@@ -28,6 +28,16 @@ the build's a_f_of_g calls are all keyed by ints.  Each id's membership in
 the I closed sets is decided once, as a bit mask, and the masks decide
 membership in every F_sigma, which steps to skip and the stage order.  The
 log is kept as small records and formatted only when read.
+
+What a stage does is fixed by its seed's class: the stage width, the
+seed's family mask and the basis indices of the seed's walk up to
+m_budget.  Its picks, drops, truncations and G follow from the class, so
+a later stage of a stored class replays the stored steps and makes no
+a_f_of_g call.  Two guards keep this exact: a stage whose seed is among
+its own a_f_of_g picks is not stored (another seed of its class would
+take that pick), and a stage whose seed is among the stored picks does
+not replay (it would skip that pick).  The memo shared by the a_f_of_g
+calls keeps, per id, only the basis indices of its point's walk.
 """
 
 from __future__ import annotations
@@ -45,6 +55,16 @@ from .space import ClosedSet, GoodBasis, PointCode, whole_space
 # ---------------------------------------------------------------------------
 
 
+def _walk(memo: dict, x: int, basis: GoodBasis, q_enum: Sequence[PointCode],
+          m_budget: int) -> Tuple[int, ...]:
+    """The basis indices m <= m_budget of the opens through q_enum[x],
+    ascending, worked out once per id and kept in `memo` under x."""
+    walk = memo.get(x)
+    if walk is None:
+        walk = memo[x] = tuple(m for m, _ in basis.opens_through(q_enum[x], m_budget))
+    return walk
+
+
 def a_f_of_g(F: ClosedSet, G: Sequence[int], basis: GoodBasis,
              q_enum: Sequence[PointCode], m_budget: int,
              pick_cache: Optional[dict] = None):
@@ -58,17 +78,18 @@ def a_f_of_g(F: ClosedSet, G: Sequence[int], basis: GoodBasis,
     truncations record min-index scans that exhausted the enumeration.
 
     `pick_cache` may be shared by calls over one basis, enumeration and
-    m_budget.  It maps each id x to the start of its point's basis walk,
-    [(m, W_m)] for m <= m_budget, and each closed set F to two int-keyed
-    tables: membership in F by id, a bytearray holding 0 until asked and
-    then 1 outside F and 2 inside, and answers by basis index m, each
-    False if W_m misses F, None if the scan for a q_i in W_m /\\ F
-    exhausted the enumeration, and else the first such i.  F is looked up
-    once per call, so no lookup hashes a point or an open, and a
-    `ClosedSet` keeps its hash.  A standalone call fills the membership
-    table as it asks; `build_dense` hands its calls tables already filled
-    from its per-point family masks, so they ask no F.member of a point
-    of G.
+    m_budget.  It maps each id x to the basis indices of its point's walk,
+    the tuple of m <= m_budget with q_enum[x] in W_m, and each closed set F
+    to two int-keyed tables: membership in F by id, a bytearray holding 0
+    until asked and then 1 outside F and 2 inside, and answers by basis
+    index m, each False if W_m misses F, None if the scan for a q_i in
+    W_m /\\ F exhausted the enumeration, and else the first such i.  The
+    cache holds no open: W_m is rebuilt as `basis.at(m)` only to work out
+    an answer or to name it in a truncation.  F is looked up once per
+    call, so no lookup hashes a point or an open, and a `ClosedSet` keeps
+    its hash.  A standalone call fills the membership table as it asks;
+    `build_dense` hands its calls tables already filled from its per-point
+    family masks, so they ask no F.member of a point of G.
     """
     memo = pick_cache if pick_cache is not None else {}
     tables = memo.get(F)
@@ -83,18 +104,16 @@ def a_f_of_g(F: ClosedSet, G: Sequence[int], basis: GoodBasis,
             inside[x] = 1 + F.member(q_enum[x])
         if inside[x] == 2:
             continue
-        opens = memo.get(x)
-        if opens is None:
-            opens = memo[x] = list(basis.opens_through(q_enum[x], m_budget))
-        for m, W in opens:
+        for m in _walk(memo, x, basis, q_enum, m_budget):
             if m not in answers:
+                W = basis.at(m)
                 answers[m] = F.meets(W) and next(
                     (i for i, q in enumerate(q_enum) if W.member(q) and F.member(q)), None)
             found = answers[m]
             if found is False:  # W misses F (index 0 is not False)
                 continue
             if found is None:
-                truncations.append(f"minidx scan exhausted for W={W} F={F}")
+                truncations.append(f"minidx scan exhausted for W={basis.at(m)} F={F}")
                 continue
             if found not in seen:
                 seen.add(found)
@@ -179,11 +198,27 @@ def build_dense(families: Sequence[ClosedSet], q_enum: Sequence[PointCode],
     stage's fresh points are then ordered by one stable sort on an int
     key, members of the earlier sets first: bit I-1-j of a point's key is
     set when it lies outside F_j, and a stage of width w shifts the key
-    right by I - w.
+    right by I - w.  A block of at most one point is not sorted.
+
+    A stage whose seed lies in every set of its width skips every sigma,
+    asks nothing and takes no key.  Any other stage is keyed by its seed's
+    class, (width, mask, walk): the walk is the tuple of basis indices
+    m <= m_budget of the seed's opens, as the a_f_of_g memo keeps it.
+    With the class, the stage's first G is fixed (seed aside), and with G
+    each a_f_of_g answer, so the stage's steps (bits, action, point,
+    via_m, id), its truncations and the ids it adds to G are too.  The
+    seed itself is the one exception, as a pick that is already in G is
+    skipped.  So a stage that computes stores its steps under its class,
+    unless a_f_of_g returned its seed among the picks, and a later stage
+    of the class replays them with its own stage index, and its own
+    `stage={i}` prefix on each truncation, unless its seed is among the
+    stored steps' ids.  Replayed stages make no a_f_of_g call.
     """
     I = len(families)
     if I > MAX_FAMILIES:
         raise ValueError(f"too many closed sets ({I} > {MAX_FAMILIES})")
+    if not q_enum:
+        raise ValueError("empty enumeration: the builder needs at least one point")
     space = families[0].space if families else q_enum[0].space
     stages = len(q_enum) if stages is None else min(stages, len(q_enum))
 
@@ -227,34 +262,55 @@ def build_dense(families: Sequence[ClosedSet], q_enum: Sequence[PointCode],
     records: List[tuple] = []
     truncations: List[str] = []
 
+    # (width, seed mask, seed walk) -> (steps, truncations, G past the seed,
+    # ids of the steps) of the first stage of that class that was stored
+    stage_memo: Dict[tuple, tuple] = {}
+
     for i in range(stages):
         seed = canon[i]
         width = min(i, I)
         G = [seed]
-        g_members = {seed}
-        inside_all = masks[seed]
         records.append((i, q_enum[i]))
-        for bits, F, need in sigmas[width]:
-            if inside_all & need == need:  # G lies inside F
-                continue
-            picks, trunc = a_f_of_g(F, G, basis, q_enum, m_budget, memo)
-            truncations.extend(f"stage={i} {t}" for t in trunc)
-            for x, via_m in picks:
-                if x in g_members:
-                    continue
-                if len(G) >= G_CAP:
-                    truncations.append(f"stage={i} g_cap reached; pick dropped")
-                    action = "drop"
-                else:
-                    G.append(x)
-                    g_members.add(x)
-                    inside_all &= masks[x]
-                    action = "pick"
-                records.append((i, bits, action, q_enum[x], via_m, x))
+        every = (1 << width) - 1
+        if masks[seed] & every != every:  # else G lies inside each F_sigma
+            key = (width, masks[seed], _walk(memo, seed, basis, q_enum, m_budget))
+            stored = stage_memo.get(key)
+            if stored is not None and seed not in stored[3]:
+                steps, trunc, picked, _ = stored
+                G += picked
+            else:
+                steps, trunc = [], []
+                g_members = {seed}
+                inside_all = masks[seed]
+                seed_picked = False
+                for bits, F, need in sigmas[width]:
+                    if inside_all & need == need:  # G lies inside F
+                        continue
+                    picks, found = a_f_of_g(F, G, basis, q_enum, m_budget, memo)
+                    trunc += found
+                    for x, via_m in picks:
+                        if x in g_members:
+                            seed_picked |= x == seed
+                            continue
+                        if len(G) >= G_CAP:
+                            trunc.append("g_cap reached; pick dropped")
+                            action = "drop"
+                        else:
+                            G.append(x)
+                            g_members.add(x)
+                            inside_all &= masks[x]
+                            action = "pick"
+                        steps.append((bits, action, q_enum[x], via_m, x))
+                if not seed_picked:
+                    stage_memo[key] = steps, trunc, G[1:], {s[4] for s in steps}
+            records += [(i, *s) for s in steps]
+            truncations += [f"stage={i} {t}" for t in trunc]
         # lex largest sigma class first; the stable sort keeps first-appearance
         # order inside a class
-        shift = I - width
-        block = sorted((x for x in G if x not in placed), key=lambda x: outside[x] >> shift)
+        block = [x for x in G if x not in placed]
+        if len(block) > 1:
+            shift = I - width
+            block.sort(key=lambda x: outside[x] >> shift)
         placed.update(block)
         id_blocks.append(block)
 

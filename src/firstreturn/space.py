@@ -708,6 +708,8 @@ class CylinderGoodBasis:
         On Baire space a word ending in symbol s has index at least
         2^(s+1) - 1, past top once s >= top.bit_length(), so the walk stops
         at such a symbol without building its index, an s-bit int."""
+        if top is not None and top < 0:
+            return
         m, word = 0, ()
         yield m, Cylinder(self.space, word)
         far = top.bit_length() if top is not None and self.space == BAIRE else None

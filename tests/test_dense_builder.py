@@ -439,6 +439,13 @@ def test_build_asks_each_open_meets_set_once(monkeypatch, cantor_basis, ladder_i
 # ---------------------------------------------------------------------------
 
 
+def test_build_refuses_an_empty_enumeration(cantor_basis):
+    # with no point and no closed set the build has no space to work in
+    for families in ([], [F0]):
+        with pytest.raises(ValueError, match="^empty enumeration"):
+            build_dense(families, [], cantor_basis)
+
+
 def test_build_no_constraints_keeps_enumeration_order(q64, cantor_basis):
     staged = build_dense([], q64, cantor_basis, stages=16)
     seen = []
@@ -464,24 +471,46 @@ def _f_sigmas(families, space):
 def test_build_skips_the_empty_sigma(monkeypatch, q64, cantor_basis):
     # A^F(G) is empty when G lies inside F, so a stage asks a_f_of_g for a
     # sigma != 0..0 only when its G, as the stage's picks grow it, has a
-    # point outside F_sigma; sigma = 0..0 selects F = X and is never asked
-    families, stages = [F0, F1], 24
-    calls = _builder_calls(monkeypatch, families, q64, cantor_basis, 6, stages=stages)
-    staged = build_dense(families, q64, cantor_basis, m_budget=6, stages=stages)
+    # point outside F_sigma; sigma = 0..0 selects F = X and is never asked.
+    # A stage whose seed lies in every set of its width asks nothing; any
+    # other stage computes unless an earlier stage of its class (width,
+    # seed mask, seed walk up to m_budget) was stored and did not pick its
+    # seed, and then it replays with no call.  A stage that computes is
+    # stored unless a_f_of_g returned its own seed among its picks.
+    families, stages, m_budget = [F0, F1], 24, 6
+    calls = _builder_calls(monkeypatch, families, q64, cantor_basis, m_budget, stages=stages)
+    staged = build_dense(families, q64, cantor_basis, m_budget=m_budget, stages=stages)
     f_sigma = _f_sigmas(families, CANTOR)
     picked = {}
     for r in staged.records:
         if len(r) == 6 and r[2] == "pick":
             picked.setdefault(r[:2], []).append(r[5])
-    want = []
+    want, asked_at = [], []
     for i in range(stages):
         G, width = [q64.index(q64[i])], min(i, 2)
         for bits in itertools.product((0, 1), repeat=width):
             F_ = f_sigma[bits + (0,) * (2 - width)]
             if any(bits) and not all(F_.member(q64[x]) for x in G):
                 want.append((F_, list(G)))
+                asked_at.append(i)
             G += picked.get((i, bits), [])
-    assert [(F_, G) for F_, G, _ in calls] == want
+    stored, computing = {}, set()
+    for i in range(stages):
+        seed, every = q64.index(q64[i]), (1 << min(i, 2)) - 1
+        mask = sum(1 << j for j, F_ in enumerate(families) if F_.member(q64[i]))
+        if mask & every == every:
+            continue
+        key = (every, mask, tuple(m for m, _ in cantor_basis.opens_through(q64[i], m_budget)))
+        if key in stored and seed not in stored[key]:
+            continue
+        computing.add(i)
+        own = [x for (F_, G), at in zip(want, asked_at) if at == i
+               for x, _ in afog_by_definition(F_, G, cantor_basis, q64, m_budget)[0]]
+        if seed not in own:
+            stored[key] = {r[5] for r in staged.records if len(r) == 6 and r[0] == i}
+    assert {i for i in range(stages) if i not in computing and i in asked_at}
+    assert [(F_, G) for F_, G, _ in calls] == [w for w, at in zip(want, asked_at)
+                                               if at in computing]
     assert 0 < len(want) < sum(2 ** min(i, 2) - 1 for i in range(stages))
     for F_, G, _ in calls:
         assert F_ != whole_space(CANTOR)
@@ -677,6 +706,13 @@ def _oracle_cases(ladder_inputs):
     random.Random(5).shuffle(unit)
     spikes = [bword(*(0,) * k, 1) for k in range(1, 71)]
     spiky = ClosedSet(CANTOR, singletons=tuple(spikes), name="spikes")
+    # z = 0^inf and s = 0010^inf share their mask and walk up to m = 6, so
+    # their stages are of one class; s's stage picks 1^inf and then z, and
+    # z's stage, which picks itself, comes before it and again after it
+    pair = [ClosedSet(CANTOR, cylinders=((0, 0),), name="N(00)"),
+            ClosedSet(CANTOR, cylinders=((1, 1),), name="N(11)")]
+    z = cantor_point("", "0")
+    repicked = [bword(0, 1), bword(1, 0), z, cantor_point("", "1"), bword(0, 0, 1), z]
     return [
         ("ladder-repeated", families, repeated, None, 14),
         ("ladder-singletons", [targets, F0], repeated, None, 14),
@@ -686,6 +722,7 @@ def _oracle_cases(ladder_inputs):
         ("g-cap-drops", [spiky], [cantor_point("", "1"), cantor_point("", "0")] + spikes,
          None, 2 ** 70 - 1),
         ("exhausted-scan", [lonely, F0], q64, 40, 6),
+        ("seed-repicked", pair, repicked, None, 6),
     ]
 
 
