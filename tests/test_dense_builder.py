@@ -440,7 +440,7 @@ def test_build_asks_each_open_meets_set_once(monkeypatch, cantor_basis, ladder_i
 
 
 def test_build_refuses_an_empty_enumeration(cantor_basis):
-    # with no point and no closed set the build has no space to work in
+    # an empty enumeration is refused up front, with closed sets or without
     for families in ([], [F0]):
         with pytest.raises(ValueError, match="^empty enumeration"):
             build_dense(families, [], cantor_basis)

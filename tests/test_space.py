@@ -626,7 +626,7 @@ def test_opens_through_matches_a_basis_scan(space, x):
 @pytest.mark.parametrize("space,x", _WALK_POINTS, ids=str)
 def test_opens_through_stops_at_top(space, x):
     # the walk up to index top holds the opens W_m through x with m <= top,
-    # so none when top < 0: the cylinder walk used to yield W_0 all the same
+    # so none when top < 0
     basis = good_basis(space)
     for top in (-3, -1, 0, 1, 6, 40):
         scan = [(m, basis.at(m)) for m in range(top + 1) if basis.at(m).member(x)]
