@@ -61,7 +61,7 @@ def _walk(memo: dict, x: int, basis: GoodBasis, q_enum: Sequence[PointCode],
     ascending, worked out once per id and kept in `memo` under x."""
     walk = memo.get(x)
     if walk is None:
-        walk = memo[x] = tuple(m for m, _ in basis.opens_through(q_enum[x], m_budget))
+        walk = memo[x] = tuple(basis.indices_through(q_enum[x], m_budget))
     return walk
 
 

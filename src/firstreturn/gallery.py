@@ -339,7 +339,9 @@ def _complement_pieces(avoid: ClosedSet) -> List[ClosedSet]:
     descend into them.
     """
     space, pieces = avoid.space, []
-    alphabet = range(2 if space == CANTOR else DECOMP_DEPTH)
+    # words in the space's word type, as the set keeps its cylinder words
+    kind = bytes if space == CANTOR else tuple
+    letters = [kind((a,)) for a in range(2 if space == CANTOR else DECOMP_DEPTH)]
 
     def rec(word):
         if not avoid.hits(word):
@@ -347,10 +349,10 @@ def _complement_pieces(avoid: ClosedSet) -> List[ClosedSet]:
             return
         if len(word) >= DECOMP_DEPTH or any(word[:len(w)] == w for w in avoid.cylinders):
             return
-        for a in alphabet:
-            rec(word + (a,))
+        for a in letters:
+            rec(word + a)
 
-    rec(())
+    rec(kind())
     return pieces
 
 

@@ -434,15 +434,16 @@ def path_step(x: PointCode, dense: DenseSequence, prior: Sequence[TraceStep],
     Precondition: prior is the trace's steps s_0..s_n, and x differs from
     s_n (the caller handles the fixed-point branch of the extraction).
     """
-    if isinstance(x, WordPoint):
+    if type(x) is WordPoint:
         # A cylinder through x and x_p misses every prior term iff
         # |x /\ x_p| > max_i |x /\ s_i|; each term extends the previous one's
         # common prefix with x, so that maximum is k in d(x, s_n) = 2^-k, and
         # N_want, the shortest such cylinder through x, has the least index
-        # (an extension's index is larger in both cylinder bases).
+        # (an extension's index is larger in both cylinder bases).  want is
+        # in the space's word type, which the lookup and the cylinder keep.
         want = x.word(prior[-1].dist_to_x.value + 1)
         p, pt = dense.first_extending(want)
-        return p, pt, Cylinder(x.space, tuple(want))
+        return p, pt, Cylinder(x.space, want)
     if isinstance(x, UnitPoint):
         # a term lies inside the union of the intervals that avoid the terms
         # before it, so terms below x increase and terms above x decrease
@@ -558,7 +559,7 @@ def _term_dist(x: PointCode, pt: PointCode, prev: Dist) -> Dist:
     after a term at nonzero distance prev from x.  In a word space both
     steps look that term up by the word x|(k+1), with prev = 2^-k, so the
     comparison with x starts at k + 1."""
-    if isinstance(x, WordPoint):
+    if type(x) is WordPoint:
         d = x.first_difference(pt, prev.value + 1)
         return Dist.zero() if d is None else Dist.pow2(d)
     return dist(x, pt)

@@ -20,14 +20,17 @@ clamped to [0, 1] (unit); Z has no good basis here, so it needs none.  A
 good basis is a fixed total enumeration of basic opens: all cylinders,
 ordered by length (on Baire space, length plus symbol sum) then
 lexicographically, or interval blocks of shrinking scale.  Each basis
-walks the basic opens through a point in enumeration order
-(`opens_through`).
+walks the indices of the basic opens through a point in enumeration
+order (`indices_through`), and builds an open only when asked for one
+(`at`).  A cylinder keeps its word in the space's word type, as a point
+does: bytes on Cantor space, a tuple on Baire space.
 The unit interval basis has no canonical order in the literature; the one
 fixed here is documented on :class:`UnitGoodBasis` and traces depend on it.
 
 Closed sets (`ClosedSet`) are exact too: finite unions of cylinders and
-singletons on a word space, finite unions of closed rational intervals on
-the unit interval.  Membership, "does this basic open meet the set",
+singletons on a word space, their cylinder words in the space's word
+type, and finite unions of closed rational intervals on the unit
+interval.  Membership, "does this basic open meet the set",
 distance to the set and intersection are all decided exactly, and each
 raises SpaceMismatch on a point, open or set of another space.
 """
@@ -160,8 +163,28 @@ class Dist(Record):
 # ---------------------------------------------------------------------------
 
 
+# int.from_bytes, looked up once: the attribute lookup builds a bound
+# method on every call, about half the cost of a short word's conversion
+_from_bytes = int.from_bytes
+
 # A word of a point's own space: bytes on Cantor space, a tuple on Baire space.
+# Cylinders and closed sets keep their words in this type too.
 Word = Union[bytes, Tuple[int, ...]]
+
+
+def _space_word(space: str, word: Sequence[int]) -> Word:
+    """word in the word type of a word space, its symbols checked against
+    the space's alphabet: ValueError on a symbol that is no bit on Cantor
+    space, or no natural on Baire space.  A Cantor bytes word is kept as
+    it is."""
+    if type(word) is bytes and space == CANTOR:
+        if not word.translate(None, b"\x00\x01"):
+            return word
+    else:
+        word = tuple(word)
+        if all(type(a) is int and 0 <= a and (a <= 1 or space == BAIRE) for a in word):
+            return bytes(word) if space == CANTOR else word
+    raise ValueError(f"cylinder {tuple(word)} has a symbol outside the {space} alphabet")
 
 
 def _primitive_cycle(cycle: Word) -> Word:
@@ -279,13 +302,21 @@ class WordPoint(Record):
         stretch has both periods and so (Fine-Wilf) their gcd, which
         divides both; both tails then have period gcd and are equal.
         Distinct canonical forms thus disagree before
-        n = max(|h1|, |h2|) + |c1| + |c2|."""
+        n = max(|h1|, |h2|) + |c1| + |c2|.
+
+        On Cantor space symbols start..n-1 of both points are read as
+        big-endian ints and XORed: the highest set bit lies in the first
+        differing byte, counted from index n - 1 down."""
         _require_same_space(self, other)
         n = max(len(self.head), len(other.head)) + len(self.cycle) + len(other.cycle)
         mine = self._expanded
         if mine is None or len(mine) < n:
             mine = self._symbols(n)
-        d = first_mismatch(mine[start:n], other._symbols(n)[start:n])
+        theirs = other._symbols(n)
+        if self.space == CANTOR:
+            d = _from_bytes(mine[start:n], "big") ^ _from_bytes(theirs[start:n], "big")
+            return n - 1 - ((d.bit_length() - 1) >> 3) if d else None
+        d = first_mismatch(mine[start:n], theirs[start:n])
         return None if d is None else start + d
 
     def __str__(self):
@@ -296,11 +327,11 @@ def first_mismatch(a: Word, b: Word) -> Optional[int]:
     """The least i with a[i] != b[i] within the shorter of two words of one
     type, or None if one is a prefix of the other.  Two bytes words are
     read as big-endian ints: the highest set bit of their XOR lies in the
-    first differing byte, counted from the end.  Tuples (Baire points and
-    cylinder words) are compared in C, then scanned for the difference."""
+    first differing byte, counted from the end.  Tuples (Baire words) are
+    compared in C, then scanned for the difference."""
     n = min(len(a), len(b))
     if type(a) is bytes and type(b) is bytes:
-        d = int.from_bytes(a[:n], "big") ^ int.from_bytes(b[:n], "big")
+        d = _from_bytes(a[:n], "big") ^ _from_bytes(b[:n], "big")
         return n - 1 - ((d.bit_length() - 1) >> 3) if d else None
     if a[:n] == b[:n]:
         return None
@@ -467,13 +498,21 @@ def dist(p: PointCode, q: PointCode) -> Dist:
 
 
 class Cylinder(Record):
-    """N_s = all points extending the finite word s."""
+    """N_s = all points extending the finite word s.
+
+    The word may be given as any sequence of ints and is stored in the
+    space's word type (`Word`): bytes on Cantor space, a tuple on Baire
+    space.  A word space is required (SpaceMismatch otherwise), and a
+    symbol outside its alphabet raises ValueError, as in `ClosedSet`.
+    """
 
     _fields = ("space", "word")
 
-    def __init__(self, space: str, word: Tuple[int, ...]):
+    def __init__(self, space: str, word: Sequence[int]):
+        if space != CANTOR and space != BAIRE:
+            raise SpaceMismatch(f"cylinders need a word space, not {space}")
         self.space = space
-        self.word = word
+        self.word = _space_word(space, word)
 
     def member(self, p: PointCode) -> bool:
         _require_same_space(self, p)
@@ -521,7 +560,8 @@ class ClosedSet(Record):
     singletons only on a word space, a cylinder's symbols from its alphabet
     and a singleton a `WordPoint` of it; intervals only on [0,1], with
     0 <= lo <= hi <= 1.  A piece of another space raises SpaceMismatch,
-    any other bad piece ValueError.
+    any other bad piece ValueError.  Cylinder words are stored in the
+    space's word type (`Word`), as `Cylinder` stores its word.
 
     The pruned-tree oracle of a word-space closed set is exact at every
     depth: hits(w) holds iff N_w meets the set.
@@ -532,12 +572,10 @@ class ClosedSet(Record):
     def __init__(self, space: str, cylinders: Sequence[Sequence[int]] = (),
                  singletons: Sequence[WordPoint] = (),
                  intervals: Sequence[Tuple[Fraction, Fraction]] = (), name: str = ""):
-        cylinders, singletons = [tuple(w) for w in cylinders], tuple(singletons)
+        cylinders, singletons = list(cylinders), tuple(singletons)
         if (cylinders or singletons) and space not in (CANTOR, BAIRE):
             raise SpaceMismatch(f"cylinders and singletons need a word space, not {space}")
-        for w in cylinders:
-            if not all(type(a) is int and 0 <= a and (a <= 1 or space == BAIRE) for a in w):
-                raise ValueError(f"cylinder {w} has a symbol outside the {space} alphabet")
+        cylinders = [_space_word(space, w) for w in cylinders]
         for p in singletons:
             if not isinstance(p, WordPoint) or p.space != space:
                 raise SpaceMismatch(f"singleton {p!s} is no point of {space}")
@@ -576,10 +614,16 @@ class ClosedSet(Record):
             p == s for s in self.singletons
         )
 
-    def hits(self, word: Tuple[int, ...]) -> bool:
-        """Exact tree oracle: does N_word meet the set?"""
-        word = tuple(word)
-        return any(first_mismatch(word, w) is None for w in self.cylinders) or any(
+    def hits(self, word: Sequence[int]) -> bool:
+        """Exact tree oracle: does N_word meet the set?  A word with a
+        symbol outside the space's alphabet names no cylinder and meets
+        nothing."""
+        try:
+            word = _space_word(self.space, word)
+        except ValueError:
+            return False
+        # N_word meets a cylinder N_w iff one word is a prefix of the other
+        return any(w[:len(word)] == word[:len(w)] for w in self.cylinders) or any(
             s.starts_with(word) for s in self.singletons
         )
 
@@ -612,7 +656,7 @@ class ClosedSet(Record):
         if isinstance(p, UnitPoint):
             v = p.value
             return Dist.rational(min(max(0, lo - v, v - hi) for lo, hi in self.intervals))
-        agree = [first_mismatch(p.prefix(len(w)), w) for w in self.cylinders]
+        agree = [first_mismatch(p._symbols(len(w)), w) for w in self.cylinders]
         agree += [p.first_difference(s) for s in self.singletons]
         return Dist.zero() if None in agree else Dist.pow2(max(agree))
 
@@ -623,7 +667,7 @@ class ClosedSet(Record):
         cyl, sing, ivs = [], [], []
         for a in self.cylinders:
             for b in other.cylinders:
-                if first_mismatch(a, b) is None:
+                if a[:len(b)] == b[:len(a)]:
                     cyl.append(a if len(a) >= len(b) else b)
         for s in self.singletons:
             if other.member(s):
@@ -684,14 +728,16 @@ class CylinderGoodBasis:
         return ((2 * m + 1) << s) - 1 if m else (2 << s) - 1
 
     def index_of_word(self, word: Sequence[int]) -> int:
+        """The index of N_word; ValueError on a symbol outside the space's
+        alphabet."""
         m = 0
-        for s in word:
+        for s in _space_word(self.space, word):
             m = self._extend(m, s)
         return m
 
     def at(self, m: int) -> Cylinder:
         if self.space == CANTOR:
-            return Cylinder(CANTOR, tuple(map(int, bin(m + 1)[3:])))
+            return Cylinder(CANTOR, bin(m + 1)[3:].encode().translate(_TEXT_BITS))
         if m == 0:
             return Cylinder(BAIRE, ())
         # the binary word of Cantor index m - 1, with its first 0 put back:
@@ -699,19 +745,19 @@ class CylinderGoodBasis:
         runs = ("0" + bin(m)[3:]).split("0")[1:]
         return Cylinder(BAIRE, tuple(map(len, runs)))
 
-    def opens_through(self, x: WordPoint,
-                      top: Optional[int] = None) -> Iterator[Tuple[int, Cylinder]]:
-        """(m, W_m) for every basic open containing x, ascending m, up to
-        index top when it is given: the cylinders of x's prefixes, shortest
-        first, each index carried from the one before (`_extend`).
+    def indices_through(self, x: WordPoint, top: Optional[int] = None) -> Iterator[int]:
+        """The index m of every basic open W_m containing x, ascending, up
+        to top when it is given: the indices of the cylinders of x's
+        prefixes, shortest first, each carried from the one before
+        (`_extend`).  No cylinder is built; `at(m)` builds one.
 
         On Baire space a word ending in symbol s has index at least
         2^(s+1) - 1, past top once s >= top.bit_length(), so the walk stops
         at such a symbol without building its index, an s-bit int."""
         if top is not None and top < 0:
             return
-        m, word = 0, ()
-        yield m, Cylinder(self.space, word)
+        m = 0
+        yield m
         far = top.bit_length() if top is not None and self.space == BAIRE else None
         for i in count():
             s = x.at(i)
@@ -720,8 +766,7 @@ class CylinderGoodBasis:
             m = self._extend(m, s)
             if top is not None and m > top:
                 return
-            word += (s,)
-            yield m, Cylinder(self.space, word)
+            yield m
 
 
 class UnitGoodBasis:
@@ -761,17 +806,17 @@ class UnitGoodBasis:
         top, rem = divmod(v.numerator << (r + 1), v.denominator)
         return (top - 1, top) if rem else (top - 1,)
 
-    def opens_through(self, x: UnitPoint,
-                      top: Optional[int] = None) -> Iterator[Tuple[int, RationalInterval]]:
-        """(m, W_m) for every basic open containing x, ascending m, up to
-        index top when it is given: the one or two intervals through x of
-        each block, block by block."""
+    def indices_through(self, x: UnitPoint, top: Optional[int] = None) -> Iterator[int]:
+        """The index m of every basic open W_m containing x, ascending, up
+        to top when it is given: the one or two intervals through x of
+        each block, block by block.  No interval is built; `at(m)` builds
+        one."""
         for r in count():
             for k in self.blocks_containing(r, x.value):
                 m = self.index_of(r, k)
                 if top is not None and m > top:
                     return
-                yield m, self.interval(r, k)
+                yield m
 
 
 GoodBasis = Union[CylinderGoodBasis, UnitGoodBasis]
@@ -793,6 +838,8 @@ def good_basis(space: str) -> GoodBasis:
 
 # the text of a Cantor word's bytes, b"\x00\x01" -> "01"; other bytes stay
 _BIT_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+# and back: the bytes of a bit string's text, b"01" -> b"\x00\x01"
+_TEXT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def format_point(p: PointCode) -> str:

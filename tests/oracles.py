@@ -9,7 +9,14 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from firstreturn.dense_builder import ClosedSet
 from firstreturn.rank import FiniteAlgebra, NotDisjoint, RankChain
 from firstreturn.recover import FunctionOracle, y_distance
-from firstreturn.space import Dist, PointCode, ZPoint, dist
+from firstreturn.space import BasicOpen, Dist, GoodBasis, PointCode, ZPoint, dist
+
+
+def opens_through(basis: GoodBasis, x: PointCode,
+                  top: Optional[int] = None) -> Iterator[Tuple[int, BasicOpen]]:
+    """(m, W_m) for every basic open through x, ascending m, up to top when
+    it is given: the basis's index walk with each open built by `at(m)`."""
+    return ((m, basis.at(m)) for m in basis.indices_through(x, top))
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from firstreturn.space import (
     good_basis,
 )
 
-from oracles import tree_consistency_violations
+from oracles import opens_through, tree_consistency_violations
 
 F0 = ClosedSet(CANTOR, cylinders=((1,),), name="F0")
 F1 = ClosedSet(CANTOR, cylinders=((0, 1), (1, 1)), name="F1")
@@ -128,7 +128,7 @@ def word_dist_by_pieces(S, p):
     distances to the singletons."""
     best = None
     for w in S.cylinders:
-        i = first_mismatch(p.prefix(len(w)), w)
+        i = first_mismatch(p.prefix(len(w)), tuple(w))
         if i is None:
             return Dist.zero()
         d = Dist.pow2(i)
@@ -407,13 +407,13 @@ def ladder_inputs():
 def test_build_covers_each_point_once(monkeypatch, cantor_basis, ladder_inputs):
     families, q = ladder_inputs
     covered = Counter()
-    real = type(cantor_basis).opens_through
+    real = type(cantor_basis).indices_through
 
     def cover(self, x, top=None):
         covered[x] += 1
         return real(self, x, top)
 
-    monkeypatch.setattr(type(cantor_basis), "opens_through", cover)
+    monkeypatch.setattr(type(cantor_basis), "indices_through", cover)
     build_dense(families, q, cantor_basis, m_budget=14)
     assert covered and max(covered.values()) == 1
 
@@ -432,6 +432,42 @@ def test_build_asks_each_open_meets_set_once(monkeypatch, cantor_basis, ladder_i
     staged = build_dense(families, q, cantor_basis, m_budget=14)
     assert len(staged.dense) > 400
     assert 0 < calls[0] <= (14 + 1) * 2 ** len(families)
+
+
+def test_build_makes_cylinders_only_in_basis_at(monkeypatch, cantor_basis, ladder_inputs):
+    # tooling guard: the walks yield indices and build no open, so every
+    # cylinder a build makes is a basis.at(m) answer, one per open whose
+    # answer a_f_of_g works out (it asks F.meets of it) or one per
+    # truncation message
+    families, q = ladder_inputs
+    built, outside, at_calls, meets_calls = [0], [0], [0], [0]
+    in_at = [False]
+    real_init, real_at, real_meets = Cylinder.__init__, type(cantor_basis).at, ClosedSet.meets
+
+    def init(self, space, word):
+        built[0] += 1
+        outside[0] += not in_at[0]
+        real_init(self, space, word)
+
+    def at(self, m):
+        at_calls[0] += 1
+        in_at[0] = True
+        try:
+            return real_at(self, m)
+        finally:
+            in_at[0] = False
+
+    def meets(self, W):
+        meets_calls[0] += 1
+        return real_meets(self, W)
+
+    monkeypatch.setattr(Cylinder, "__init__", init)
+    monkeypatch.setattr(type(cantor_basis), "at", at)
+    monkeypatch.setattr(ClosedSet, "meets", meets)
+    staged = build_dense(families, q, cantor_basis, m_budget=14)
+    exhausted = sum("minidx scan exhausted" in t for t in staged.truncations)
+    assert outside[0] == 0
+    assert 0 < built[0] == at_calls[0] <= meets_calls[0] + exhausted
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +536,7 @@ def test_build_skips_the_empty_sigma(monkeypatch, q64, cantor_basis):
         mask = sum(1 << j for j, F_ in enumerate(families) if F_.member(q64[i]))
         if mask & every == every:
             continue
-        key = (every, mask, tuple(m for m, _ in cantor_basis.opens_through(q64[i], m_budget)))
+        key = (every, mask, tuple(cantor_basis.indices_through(q64[i], m_budget)))
         if key in stored and seed not in stored[key]:
             continue
         computing.add(i)
@@ -630,7 +666,7 @@ def _point_keyed_afog(F, G, basis, q_enum, m_budget, memo):
         opens = memo.get(x)
         if opens is None:
             opens = memo[x] = list(itertools.takewhile(lambda o: o[0] <= m_budget,
-                                                       basis.opens_through(x)))
+                                                       opens_through(basis, x)))
         for m, W in opens:
             if W not in answers:
                 answers[W] = F.meets(W) and next(
@@ -812,7 +848,7 @@ def test_family_from_singleton_indicator():
     pieces = cover_from_function(f, F(1, 2)).pieces
     # the 0-part consists of cylinders 0^k 1
     cyl_words = [p.cylinders[0] for p in pieces if p.cylinders]
-    assert (1,) in cyl_words and (0, 1) in cyl_words and (0, 0, 1) in cyl_words
+    assert b"\x01" in cyl_words and b"\x00\x01" in cyl_words and b"\x00\x00\x01" in cyl_words
     assert any(p.singletons == (zero,) for p in pieces)
 
 

@@ -427,9 +427,10 @@ def test_s_word_indicator_keeps_its_depth_contract(build, alpha):
 
 def _words_at_depth(space, rng):
     """Every word of length DECOMP_DEPTH over the search's alphabet on
-    Cantor space; a seeded sample of them on Baire space."""
+    Cantor space; a seeded sample of them on Baire space.  The words are
+    in the space's word type, as the pieces' cylinder words are."""
     if space == CANTOR:
-        return list(itertools.product((0, 1), repeat=DECOMP_DEPTH))
+        return [bytes(w) for w in itertools.product((0, 1), repeat=DECOMP_DEPTH)]
     return [tuple(rng.randrange(DECOMP_DEPTH) for _ in range(DECOMP_DEPTH))
             for _ in range(3000)]
 
@@ -439,7 +440,7 @@ def _misses(closed, word):
     and no singleton starts with it (symbol by symbol, not by `hits`)."""
     n = len(word)
     return (all(c[:n] != word and word[:len(c)] != c for c in closed.cylinders)
-            and all(s.prefix(n) != word for s in closed.singletons))
+            and all(s.prefix(n) != tuple(word) for s in closed.singletons))
 
 
 def _brute_force_sets():

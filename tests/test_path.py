@@ -45,7 +45,7 @@ from firstreturn.dense_builder import ClosedSet, build_dense
 from firstreturn.gallery import thm13_dense, thm13_target, z_F_member
 from firstreturn.recover import RATIONAL, FunctionOracle, recover_at
 
-from oracles import ZBall
+from oracles import ZBall, opens_through
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +81,7 @@ def test_first_step_hand_simulation(dense25, cantor_basis):
     s0 = cantor_point("", "1")
     p, pt, wit = path_step(x, dense25, [TraceStep(0, 0, s0, dist(x, s0))], cantor_basis)
     assert p == 1 and pt == x
-    assert wit.word == (0,) and cantor_basis.index_of_word(wit.word) == 1
+    assert wit.word == b"\x00" and cantor_basis.index_of_word(wit.word) == 1
     assert least_witness(cantor_basis, x, pt, [s0], 1) == wit
 
 
@@ -170,13 +170,41 @@ def test_path_hitting_set_is_open_on_samples(dense25, cantor_basis):
     assert W is not None and W.member(t0) and W.member(xq)
     samples = [
         WordPoint(CANTOR, W.word, (0, 1)),
-        WordPoint(CANTOR, W.word + (0,), (1, 0, 0)),
-        WordPoint(CANTOR, W.word + (1, 1), (0, 1, 1)),
+        WordPoint(CANTOR, W.word + b"\x00", (1, 0, 0)),
+        WordPoint(CANTOR, W.word + b"\x01\x01", (0, 1, 1)),
     ]
     for xp in samples:
         assert W.member(xp)
         tr2 = path_trace(xp, dense25, cantor_basis, 16)
         assert xq in tr2.visited()
+
+
+@pytest.mark.parametrize("x", [cantor_point("1", "01"), cantor_point("101", "0110"),
+                               cantor_point("", "0"), cantor_point("0011", "1")], ids=str)
+def test_cantor_path_builds_one_bytes_cylinder_per_step(monkeypatch, dense25, builder_dense,
+                                                        cantor_basis, x):
+    # tooling guard: a Cantor path step builds its witness, and no other
+    # cylinder, from the bytes word it looked up
+    words, steps = [], [0]
+    real_init = Cylinder.__init__
+
+    def init(self, space, word):
+        words.append(word)
+        real_init(self, space, word)
+
+    def step(*args):
+        found = path_step(*args)  # a budget stop raises and builds nothing
+        steps[0] += 1
+        return found
+
+    monkeypatch.setattr(Cylinder, "__init__", init)
+    monkeypatch.setattr("firstreturn.path.path_step", step)
+    for dense in (dense25, builder_dense):
+        del words[:]
+        steps[0] = 0
+        tr = path_trace(x, dense, cantor_basis, 40)
+        assert len(words) == steps[0] > 0 and all(type(w) is bytes for w in words)
+        assert words == [s.witness.word for s in tr.steps if s.witness is not None]
 
 
 def test_unit_path_progresses_and_respects_witnesses(dyadics, unit_basis):
@@ -997,7 +1025,7 @@ def test_unit_path_witness_is_least_basis_index(dyadics, unit_basis):
                     continue
                 nxt, prior = tr.steps[n + 1].point, tr.points()[:n + 1]
                 walk = itertools.takewhile(lambda o: o[1].length() >= step.witness.length(),
-                                           unit_basis.opens_through(x))
+                                           opens_through(unit_basis, x))
                 own = next((m for m, iv in walk if iv == step.witness), None)
                 assert own is not None, (str(x), n)
                 assert least_witness(unit_basis, x, nxt, prior, own) == step.witness

@@ -39,8 +39,8 @@ CASES = [
      "UnitPoint(value=Fraction(1, 3))"),
     (ZPoint, lambda: (ZPoint((F(1, 2),), 1, F(1, 2)), ZPoint((), 1, F(1, 2))),
      "ZPoint(prefix=(), a=Fraction(1, 1), b=Fraction(1, 2))"),
-    (Cylinder, lambda: (Cylinder(CANTOR, (1, 0)), Cylinder(CANTOR, (1, 0))),
-     "Cylinder(space='cantor', word=(1, 0))"),
+    (Cylinder, lambda: (Cylinder(CANTOR, (1, 0)), Cylinder(CANTOR, b"\x01\x00")),
+     "Cylinder(space='cantor', word=b'\\x01\\x00')"),
     (RationalInterval, lambda: (RationalInterval(F(1, 4), F(1, 2)),
                                 RationalInterval(F(2, 8), F(1, 2))),
      "RationalInterval(lo=Fraction(1, 4), hi=Fraction(1, 2))"),
@@ -50,14 +50,14 @@ CASES = [
                                    Cylinder(CANTOR, (1,)))),
      "TraceStep(step=1, index=0, point=WordPoint(space='cantor', head=b'\\x01', "
      "cycle=b'\\x00'), dist_to_x=Dist(kind='pow2', value=2), "
-     "witness=Cylinder(space='cantor', word=(1,)))"),
+     "witness=Cylinder(space='cantor', word=b'\\x01'))"),
     (PathTrace, lambda: (PathTrace(X, "route", 3), PathTrace(X, "route", 3, [])),
      "PathTrace(x=WordPoint(space='cantor', head=b'\\x01', cycle=b'\\x00'), mode='route', "
      "horizon=3, steps=[], terminated='horizon', budget=None)"),
     (ClosedSet, lambda: (ClosedSet(CANTOR, cylinders=((1,), (0, 1)), name="F"),
                          ClosedSet(CANTOR, cylinders=[[0, 1], [1]], name="F")),
-     "ClosedSet(space='cantor', cylinders=((0, 1), (1,)), singletons=(), intervals=(), "
-     "name='F')"),
+     "ClosedSet(space='cantor', cylinders=(b'\\x00\\x01', b'\\x01'), singletons=(), "
+     "intervals=(), name='F')"),
     (StagedDense, lambda: (StagedDense([[X]], DENSE), StagedDense([[X]], DENSE, [], [])),
      "StagedDense(blocks=[[WordPoint(space='cantor', head=b'\\x01', cycle=b'\\x00')]], "
      "dense=<firstreturn.path.DenseSequence object>, records=[], truncations=[])"),

@@ -29,9 +29,10 @@ from firstreturn.space import (
     format_point,
     good_basis,
     parse_point,
+    whole_space,
 )
 
-from oracles import ZBall
+from oracles import ZBall, opens_through
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +461,53 @@ def test_closed_set_refuses_another_space():
     assert ones.member(cantor_point("1", "0")) and halves.member(UnitPoint(F(1, 3)))
 
 
+@pytest.mark.parametrize("space", [CANTOR, BAIRE])
+def test_cylinder_and_closed_set_words_take_the_space_type(space):
+    # one word given as a list, a tuple or bytes: equal records with equal
+    # hashes and text, the word stored in the space's type, bytes on Cantor
+    # space and a tuple on Baire space
+    kind = bytes if space == CANTOR else tuple
+    word = (0, 1, 1)
+    forms = [list(word), word, bytes(word)]
+    cylinders = [Cylinder(space, w) for w in forms]
+    sets = [ClosedSet(space, cylinders=(w, []), name="F") for w in forms]
+    for records in (cylinders, sets):
+        assert len(set(records)) == 1 and len({hash(r) for r in records}) == 1
+        assert len({repr(r) for r in records}) == 1 and len({str(r) for r in records}) == 1
+    assert all(type(c.word) is kind for c in cylinders)
+    assert sets[0].cylinders == (kind(), kind(word))
+    assert str(cylinders[0]) == ("N(011)" if space == CANTOR else "N(0,1,1)")
+    assert Cylinder(BAIRE, [300]).word == (300,)
+
+
+@pytest.mark.parametrize("word", [(1, 2), (300,), [0, -1], (0, 1, 2), (True,), (1.0,)])
+def test_cylinder_checks_its_word_as_closed_set_does(word):
+    # a Cantor word with a symbol that is no bit (or no int) is refused
+    # with ClosedSet's one-line message
+    with pytest.raises(ValueError) as by_cylinder:
+        Cylinder(CANTOR, word)
+    with pytest.raises(ValueError) as by_set:
+        ClosedSet(CANTOR, cylinders=(word,))
+    assert str(by_cylinder.value) == str(by_set.value)
+    assert "\n" not in str(by_cylinder.value) and "cantor alphabet" in str(by_cylinder.value)
+    # and N_word meets no Cantor set, whole space included
+    for F_ in (whole_space(CANTOR), ClosedSet(CANTOR, cylinders=((1,),)),
+               ClosedSet(CANTOR, singletons=(cantor_point("1", "0"),))):
+        assert F_.hits(word) is False
+    with pytest.raises(ValueError):
+        Cylinder(BAIRE, (0, -1))
+    with pytest.raises(SpaceMismatch):
+        Cylinder(UNIT, ())
+
+
+@pytest.mark.parametrize("space,word", [(CANTOR, (2,)), (CANTOR, (0, 300)), (CANTOR, (1, -1)),
+                                        (BAIRE, (-1,)), (BAIRE, (3, -2)), (BAIRE, (1.5,))])
+def test_index_of_word_refuses_a_symbol_off_the_alphabet(space, word):
+    with pytest.raises(ValueError) as info:
+        good_basis(space).index_of_word(word)
+    assert "\n" not in str(info.value) and f"{space} alphabet" in str(info.value)
+
+
 def test_closed_set_refuses_a_piece_of_another_space():
     with pytest.raises(SpaceMismatch):
         ClosedSet(CANTOR, singletons=(baire_point((1,), (0,)),), intervals=((0, 1),))
@@ -535,10 +583,10 @@ def test_closed_set_checks_each_piece(space, kind_piece):
 
 
 def test_cantor_enumeration_first_indices(cantor_basis):
-    assert cantor_basis.at(0).word == ()
-    assert cantor_basis.at(1).word == (0,)
-    assert cantor_basis.at(2).word == (1,)
-    assert cantor_basis.at(3).word == (0, 0)
+    assert cantor_basis.at(0).word == b""
+    assert cantor_basis.at(1).word == b"\x00"
+    assert cantor_basis.at(2).word == b"\x01"
+    assert cantor_basis.at(3).word == b"\x00\x00"
     for m in range(40):
         assert cantor_basis.index_of_word(cantor_basis.at(m).word) == m
 
@@ -586,7 +634,7 @@ def test_good_basis_finite_horizon_check(cantor_basis, unit_basis):
     for m in range(m0, m0 + H):
         W = cantor_basis.at(m)
         if W.member(x):
-            assert W.word[:2] == (1, 0)  # inside U = N(10)
+            assert W.word[:2] == b"\x01\x00"  # inside U = N(10)
     xv = UnitPoint(F(1, 3))
     # U = (1/4, 1/2); intervals of length <= 1/16 containing x sit inside U
     m0 = unit_basis.index_of(4, -1)
@@ -618,7 +666,7 @@ _WALK_POINTS = [
 def test_opens_through_matches_a_basis_scan(space, x):
     # oracle: every W_m with m <= M that contains x, by a scan of at(m)
     basis, M = good_basis(space), 600
-    walk = list(takewhile(lambda o: o[0] <= M, basis.opens_through(x)))
+    walk = list(takewhile(lambda o: o[0] <= M, opens_through(basis, x)))
     scan = [(m, basis.at(m)) for m in range(M + 1) if basis.at(m).member(x)]
     assert walk == scan
 
@@ -630,7 +678,7 @@ def test_opens_through_stops_at_top(space, x):
     basis = good_basis(space)
     for top in (-3, -1, 0, 1, 6, 40):
         scan = [(m, basis.at(m)) for m in range(top + 1) if basis.at(m).member(x)]
-        assert list(basis.opens_through(x, top)) == scan, top
+        assert list(opens_through(basis, x, top)) == scan, top
 
 
 _PREFIX_WALK_POINTS = [
@@ -650,7 +698,7 @@ def test_opens_through_carries_the_index_of_each_prefix(x):
     basis = good_basis(x.space)
     want = [(basis.index_of_word(x.prefix(n)), Cylinder(x.space, x.prefix(n)))
             for n in range(41)]
-    assert list(islice(basis.opens_through(x), 41)) == want
+    assert list(islice(opens_through(basis, x), 41)) == want
 
 
 def test_no_good_basis_for_z():
@@ -669,7 +717,7 @@ def test_cylinder_bases_match_a_brute_force_enumeration():
     # Baire: every word of key at most 14, by key then lexicographically;
     # Cantor: every word of length at most 11, by length then lexicographically
     baire = [t for K in range(15) for t in baire_words_of_key(K)]
-    cantor = [w for n in range(12) for w in itertools.product((0, 1), repeat=n)]
+    cantor = [bytes(w) for n in range(12) for w in itertools.product((0, 1), repeat=n)]
     assert len(baire) == 2 ** 14 and len(cantor) == 2 ** 12 - 1
     for words, basis in [(baire, good_basis(BAIRE)), (cantor, good_basis(CANTOR))]:
         assert [basis.at(m).word for m in range(len(words))] == words
